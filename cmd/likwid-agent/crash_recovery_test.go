@@ -17,6 +17,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"likwid/internal/monitor"
 )
 
 // TestCrashRecoveryAcrossRestart is the end-to-end durability check: a
@@ -222,8 +224,10 @@ func waitBWRecords(t *testing.T, path string, n int) {
 	t.Fatalf("WAL %s never reached %d bw records (now %d)", path, n, countBWRecords(t, path))
 }
 
-// countBWRecords counts whole CRC-framed WAL records for metric "bw"
-// without modifying the file (safe against a log mid-write).
+// countBWRecords counts the journaled points of metric "bw" in the whole
+// CRC-framed frames of a WAL file, without modifying it (safe against a
+// log mid-write): a read-only mirror of the persist package's framing,
+// each payload one v4 column-group batch.
 func countBWRecords(t *testing.T, path string) int {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -234,21 +238,24 @@ func countBWRecords(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	n := 0
+	var samples []monitor.Sample
 	for len(b) >= 8 {
 		size := binary.LittleEndian.Uint32(b[0:4])
 		sum := binary.LittleEndian.Uint32(b[4:8])
-		if size > 1<<20 || len(b) < 8+int(size) {
+		if len(b) < 8+int(size) {
 			break
 		}
 		payload := b[8 : 8+size]
 		if crc32.ChecksumIEEE(payload) != sum {
 			break
 		}
-		var e struct {
-			Metric string `json:"metric"`
+		if samples, err = monitor.DecodeV4Samples(payload, samples[:0]); err != nil {
+			t.Fatalf("WAL frame is not a v4 batch: %v", err)
 		}
-		if json.Unmarshal(payload, &e) == nil && e.Metric == "bw" {
-			n++
+		for _, sm := range samples {
+			if sm.Metric == "bw" {
+				n++
+			}
 		}
 		b = b[8+size:]
 	}

@@ -331,7 +331,7 @@ func (n *WebhookNotifier) post(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer monitor.DrainAndClose(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		return fmt.Errorf("endpoint returned %s", resp.Status)
 	}

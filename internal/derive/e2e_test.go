@@ -247,10 +247,11 @@ func getJSON(t *testing.T, url string, into any) {
 	}
 }
 
-// countWALFrames counts whole CRC-framed records in a WAL file — a
+// countWALPoints counts the journaled points in the whole CRC-framed
+// frames of a WAL file (each payload one v4 column-group batch) — a
 // read-only mirror of the persist package's framing, so the test can
 // wait for appends to be durable before "crashing".
-func countWALFrames(t *testing.T, path string) int {
+func countWALPoints(t *testing.T, path string) int {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -263,14 +264,18 @@ func countWALFrames(t *testing.T, path string) int {
 	for len(b) >= 8 {
 		size := binary.LittleEndian.Uint32(b[0:4])
 		sum := binary.LittleEndian.Uint32(b[4:8])
-		if size > 1<<20 || len(b) < 8+int(size) {
+		if len(b) < 8+int(size) {
 			break
 		}
 		if crc32.ChecksumIEEE(b[8:8+size]) != sum {
 			break
 		}
+		samples, err := monitor.DecodeV4Samples(b[8:8+size], nil)
+		if err != nil {
+			t.Fatalf("WAL frame is not a v4 batch: %v", err)
+		}
+		n += len(samples)
 		b = b[8+size:]
-		n++
 	}
 	return n
 }
@@ -307,7 +312,7 @@ func TestE2EWALReplayRestoresDerived(t *testing.T) {
 	// 12 collected + 1 derived appends; wait until all 13 are framed in
 	// the WAL, then "crash" by never closing the manager.
 	walPath := filepath.Join(dir, "wal.log")
-	waitFor(t, "13 WAL frames", func() bool { return countWALFrames(t, walPath) >= 13 })
+	waitFor(t, "13 WAL points", func() bool { return countWALPoints(t, walPath) >= 13 })
 
 	st2 := monitor.NewStore(8, monitor.Tier{Resolution: 1, Capacity: 16})
 	m2, err := persist.Open(dir, st2, persist.Options{Registry: telemetry.New()})

@@ -409,7 +409,7 @@ func (s *Sink) probeOnce(ctx context.Context, t *target) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer monitor.DrainAndClose(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		return fmt.Errorf("readiness probe returned %s", resp.Status)
 	}

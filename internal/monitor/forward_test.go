@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// countingJournal counts Record calls — the double-journal detector.
+// countingJournal counts journaled points — the double-journal detector.
 type countingJournal struct{ records atomic.Uint64 }
 
-func (j *countingJournal) Record(Key, Point) { j.records.Add(1) }
+func (j *countingJournal) Record(Key, Point)            { j.records.Add(1) }
+func (j *countingJournal) RecordBatch(samples []Sample) { j.records.Add(uint64(len(samples))) }
 
 // TestForwardHookSingleJournal pins the federation-hop persistence
 // invariant: a receiver with a forward hook journals each accepted

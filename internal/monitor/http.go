@@ -1,13 +1,12 @@
 package monitor
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"maps"
-	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -51,9 +50,7 @@ type HTTPSink struct {
 
 	// ingestLabels are default labels merged under every ingested
 	// sample's own labels (receiver -labels); mergeCache memoizes the
-	// per-label-set merge (bounded, reset on overflow), and the batch
-	// loop dedups consecutive equal label maps, so a steady fleet pays
-	// roughly one intern per batch, not one per sample.
+	// per-label-set merge (bounded, reset on overflow).
 	ingestLabels Labels
 	mergeCache   map[Labels]Labels
 
@@ -292,8 +289,9 @@ func (h *HTTPSink) SetIngestLabels(ls Labels) {
 	h.mu.Unlock()
 }
 
-// setLatestLocked replaces a series' /metrics snapshot entry only when
-// the sample is at least as new as the stored one: a replayed or
+// setLatestLocked runs one series' new points (a sample, or an ingested
+// column group) past its /metrics snapshot entry, replacing it only when
+// a point is at least as new as the stored one: a replayed or
 // late-arriving ingest batch must not regress "latest" to an older
 // value.  Ties take the incoming sample, so a corrected re-push of the
 // same instant wins.  The deliberate flip side: an agent that restarts
@@ -301,19 +299,27 @@ func (h *HTTPSink) SetIngestLabels(ls Labels) {
 // old high-water mark until its time axis catches up — the default
 // hostname-pid source sidesteps this by changing per process, and a
 // monotonic "latest" beats one that time-travels backwards on replay.
-func (h *HTTPSink) setLatestLocked(s Sample) {
-	k := s.Key()
-	if prev, ok := h.latest[k]; ok && s.Time < prev.Time {
-		return
+func (h *HTTPSink) setLatestLocked(k Key, times, values []float64) {
+	cur, have := h.latest[k]
+	changed := false
+	for i, t := range times {
+		if have && t < cur.Time {
+			continue
+		}
+		cur = Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
+			Labels: k.Labels, Time: t, Value: values[i]}
+		have, changed = true, true
 	}
-	h.latest[k] = s
+	if changed {
+		h.latest[k] = cur
+	}
 }
 
 // Write updates the latest-value snapshot served by /metrics.
 func (h *HTTPSink) Write(b Batch) error {
 	h.mu.Lock()
 	for _, s := range b.Samples {
-		h.setLatestLocked(s)
+		h.setLatestLocked(s.Key(), []float64{s.Time}, []float64{s.Value})
 	}
 	h.batches++
 	h.mu.Unlock()
@@ -611,85 +617,46 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// decodeIngest parses and validates one JSON-lines ingest payload.  It
-// is all-or-nothing: any malformed record rejects the whole batch, so a
-// 400 never leaves a partial batch in the store — malformed label maps
-// included.
+// decodeIngest parses and validates one JSON-lines ingest payload into
+// b, in the group shape decodeV4 produces (one one-row group per record)
+// and under the same rules (groupBatch.check).  It is all-or-nothing: any
+// malformed record rejects the whole batch, and labels are validated but
+// not interned — a later record or stage may still reject the batch, and
+// a 400 must leave no residue, not even in the label intern table.
 //
-// Three schema generations are accepted:
+// One schema, whose optional fields mark its generations:
 //
-//	v3: {"source":"nodeA", "labels":{"job":"lbm"}, "metric":"bw", ...}
-//	    — the structured label set rides as its own field and lands
-//	    interned in Key.Labels.  An absent (or empty) labels field is
-//	    the empty set, so v2 payloads keep their exact keys.
-//	v2: {"source":"nodeA", "metric":"bw", ...} — source is a field and
-//	    lands verbatim in Key.Source.
-//	v1: {"metric":"nodeA/bw", ...} — the legacy prefix form, split by
-//	    the SplitSourceMetric compat shim so old payloads land on the
-//	    same store keys as their v2 equivalents.
+//	{"source":"nodeA", "labels":{"job":"lbm"}, "metric":"bw", ...}
+//	    — source lands verbatim in Key.Source, the label object interned
+//	    in Key.Labels; absent (or empty) it is the empty set.
+//	{"metric":"nodeA/bw", ...} — the legacy v1 prefix form carries no
+//	    source field; handleIngest's SplitSourceMetric stage splits it.
 //
-// Samples come back with Labels unset; the validated wire label maps
-// ride alongside (index-aligned) so the caller can screen them against
-// its own constraints (the receiver's default-merge cap) and only then
-// intern them — a rejected batch must leave no residue, not even in
-// the process-wide label intern table.  sentAts carries each record's
-// sent_at stamp (0 when absent), index-aligned too: the stamp is
-// advisory latency metadata, so no value of it — zero, negative,
-// far-future — ever rejects a batch; the receiver's skew histogram
-// clamps instead.
-func decodeIngest(r io.Reader) ([]Sample, []map[string]string, []float64, error) {
+// sent_at (0 when absent) is advisory latency metadata: no value of it
+// ever rejects a batch; the receiver's skew histogram clamps instead.
+func decodeIngest(r io.Reader, b *groupBatch) error {
 	dec := json.NewDecoder(r)
-	var out []Sample
-	var labelMaps []map[string]string
-	var sentAts []float64
 	for i := 0; ; i++ {
 		var js jsonSample
 		if err := dec.Decode(&js); err != nil {
 			if err == io.EOF {
-				return out, labelMaps, sentAts, nil
+				return nil
 			}
-			return nil, nil, nil, fmt.Errorf("record %d: %w", i, err)
+			return fmt.Errorf("record %d: %w", i, err)
 		}
-		scope, err := ParseScope(js.Scope)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("record %d: %w", i, err)
+		g := sampleGroup{key: Key{Source: js.Source, Metric: js.Metric}, lo: len(b.times), hi: len(b.times) + 1}
+		b.times = append(b.times, js.Time)
+		b.sentAts = append(b.sentAts, js.SentAt)
+		b.values = append(b.values, js.Value)
+		first := len(b.pairs)
+		for name, value := range js.Labels {
+			b.pairs = append(b.pairs, Label{Name: name, Value: value})
 		}
-		switch {
-		case strings.TrimSpace(js.Metric) == "":
-			return nil, nil, nil, fmt.Errorf("record %d: empty metric", i)
-		case js.ID < 0:
-			return nil, nil, nil, fmt.Errorf("record %d: negative id %d", i, js.ID)
-		case math.IsNaN(js.Time) || math.IsInf(js.Time, 0) || js.Time < 0:
-			return nil, nil, nil, fmt.Errorf("record %d: bad time %v", i, js.Time)
-		case math.IsNaN(js.Value) || math.IsInf(js.Value, 0):
-			return nil, nil, nil, fmt.Errorf("record %d: bad value %v", i, js.Value)
+		g.pairs = b.pairs[first:len(b.pairs):len(b.pairs)]
+		if err := b.check(&g, js.Scope, int64(js.ID)); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
 		}
-		// Validate without interning: the batch may still be rejected by
-		// a later record or the caller's merge screening, and a 400'd
-		// batch must leave no trace — not even in the intern table.
-		if err := CheckLabelMap(js.Labels); err != nil {
-			return nil, nil, nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		labelMaps = append(labelMaps, js.Labels)
-		sentAts = append(sentAts, js.SentAt)
-		// An explicit source field is stored verbatim — any label a v1
-		// agent was free to configure keeps working.  Only the compat
-		// shim below, guessing at a prefix, insists on a conservative
-		// label shape.
-		source, metric := js.Source, js.Metric
-		if source == "" {
-			// v1 compat shim: the only place in the suite that still
-			// parses a source out of a metric name.
-			source, metric, _ = SplitSourceMetric(js.Metric)
-		}
-		out = append(out, Sample{
-			Source: source,
-			Metric: metric,
-			Scope:  scope,
-			ID:     js.ID,
-			Time:   js.Time,
-			Value:  js.Value,
-		})
+		b.groups = append(b.groups, g)
 	}
 }
 
@@ -734,15 +701,22 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Content negotiation: the v4 binary columnar format announces
 	// itself via its Content-Type; everything else (including absent or
-	// unknown types) is the JSON-lines path, which self-describes across
-	// v1–v3.  The Content-Encoding handling above applies to both, so a
-	// gzipped v4 body works too.
-	decode := decodeIngest
-	if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == V4ContentType {
-		decode = decodeV4
-	}
+	// unknown types) is the JSON-lines path.  The Content-Encoding
+	// handling above applies to both.  Either decoder fills the one
+	// group-shaped batch every stage below runs over, once per group.
+	var b groupBatch
+	var err error
 	decodeStart := time.Now()
-	samples, labelMaps, sentAts, err := decode(body)
+	if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == V4ContentType {
+		// Content-Length sizes the read buffer up front (for a gzipped
+		// body it is only a lower bound, which is still a head start).
+		buf := bytes.NewBuffer(make([]byte, 0, max(0, min(r.ContentLength, maxIngestCompressed))+bytes.MinRead))
+		if _, err = buf.ReadFrom(body); err == nil {
+			err = decodeV4(buf.Bytes(), &b)
+		}
+	} else {
+		err = decodeIngest(body, &b)
+	}
 	if h.tDecode != nil {
 		h.tDecode.Observe(time.Since(decodeStart).Seconds())
 	}
@@ -758,62 +732,61 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad ingest payload: "+err.Error(), status)
 		return
 	}
-	if router := h.router.Load(); router != nil {
-		samples, labelMaps, sentAts, err = router.Apply(samples, labelMaps, sentAts)
-		if err != nil {
-			h.reject("labels")
-			http.Error(w, "bad ingest payload: "+err.Error(), http.StatusBadRequest)
-			return
+	// The v1 compat shim, the only place in the suite that still parses a
+	// source out of a metric name: a group without a source field may be
+	// carrying it as a "SOURCE/metric" prefix.  An explicit source is
+	// stored verbatim; only the shim, guessing at a prefix, insists on a
+	// conservative label shape.
+	for i := range b.groups {
+		if k := &b.groups[i].key; k.Source == "" {
+			k.Source, k.Metric, _ = SplitSourceMetric(k.Metric)
 		}
 	}
-	if err := h.applyIngestLabels(samples, labelMaps); err != nil {
+	if router := h.router.Load(); router != nil {
+		err = router.apply(&b)
+	}
+	if err == nil {
+		err = h.applyIngestLabels(&b)
+	}
+	if err != nil {
 		h.reject("labels")
 		http.Error(w, "bad ingest payload: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// A pushed flush is dozens of samples over a handful of series:
-	// intern each key once and append points through the handles instead
-	// of paying the shard lookup per sample.
+	// Nothing can reject the batch any more: resolve, append, journal.
+	fp := h.forward.Load()
 	appendStart := time.Now()
-	var (
-		lastKey Key
-		handle  Series
-		have    bool
-	)
-	for _, s := range samples {
-		if k := s.Key(); !have || k != lastKey {
-			handle, lastKey, have = h.store.Intern(k), k, true
-		}
-		handle.Append(Point{Time: s.Time, Value: s.Value})
-	}
+	samples := h.store.appendGroups(&b, fp != nil)
 	if h.tAppend != nil {
 		h.tAppend.Observe(time.Since(appendStart).Seconds())
 	}
+	accepted := b.rows()
 	h.mu.Lock()
-	for _, s := range samples {
-		h.setLatestLocked(s)
+	for i := range b.groups {
+		g := &b.groups[i]
+		h.setLatestLocked(g.key, b.times[g.lo:g.hi], b.values[g.lo:g.hi])
 	}
-	h.ingested += uint64(len(samples))
+	h.ingested += uint64(accepted)
 	h.mu.Unlock()
 	if h.tAccepted != nil {
-		h.tAccepted.Add(uint64(len(samples)))
-		h.observeIngest(samples, sentAts)
+		h.tAccepted.Add(uint64(accepted))
+		h.observeIngest(&b)
 	}
 	// Re-push the accepted batch up the federation tree.  The samples
-	// slice is this request's decode output and is not touched again
-	// after this point, so handing it off without a copy is safe.
-	if fp := h.forward.Load(); fp != nil && len(samples) > 0 {
+	// were built for this request (the journal copied what it wanted),
+	// so the slice is handed off without a copy.
+	if fp != nil && len(samples) > 0 {
 		(*fp)(Batch{Collector: "forward", Time: samples[len(samples)-1].Time, Samples: samples})
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(ingestResponse{Accepted: len(samples)})
+	_ = json.NewEncoder(w).Encode(ingestResponse{Accepted: accepted})
 }
 
 // observeIngest records per-source acceptance and, for records carrying
 // a sent_at stamp, the end-to-end wire+queue latency and signed clock
 // skew.  A far-future or ancient stamp lands in the histograms' edge
 // buckets — clamped by construction, never rejected, never a panic.
-func (h *HTTPSink) observeIngest(samples []Sample, sentAts []float64) {
+func (h *HTTPSink) observeIngest(b *groupBatch) {
 	var recv float64
 	if h.now != nil {
 		recv = float64(h.now().UnixNano()) / 1e9
@@ -824,21 +797,24 @@ func (h *HTTPSink) observeIngest(samples []Sample, sentAts []float64) {
 		lastSource string
 		si         *sourceInstruments
 	)
-	for i, s := range samples {
-		if si == nil || s.Source != lastSource {
-			si, lastSource = h.sourceInstr(s.Source), s.Source
+	for i := range b.groups {
+		g := &b.groups[i]
+		if si == nil || g.key.Source != lastSource {
+			si, lastSource = h.sourceInstr(g.key.Source), g.key.Source
 		}
 		if si == nil {
 			return // not instrumented
 		}
-		si.samples.Inc()
-		if i < len(sentAts) && sentAts[i] > 0 {
-			delta := recv - sentAts[i]
-			si.skew.Observe(delta)
-			if delta < 0 {
-				delta = 0 // a fast clock upstream is skew, not negative latency
+		si.samples.Add(uint64(g.hi - g.lo))
+		for _, sentAt := range b.sentAts[g.lo:g.hi] {
+			if sentAt > 0 {
+				delta := recv - sentAt
+				si.skew.Observe(delta)
+				if delta < 0 {
+					delta = 0 // a fast clock upstream is skew, not negative latency
+				}
+				si.wire.Observe(delta)
 			}
-			si.wire.Observe(delta)
 		}
 	}
 }
@@ -848,64 +824,47 @@ func (h *HTTPSink) observeIngest(samples []Sample, sentAts []float64) {
 // high-cardinality (or hostile) pusher — reset rather than grow.
 const maxMergeCacheEntries = 1024
 
-// mergedLabelCount is the size of defaults ∪ m, computed on the raw
-// wire map so the cap can be enforced before anything is interned.
-func mergedLabelCount(defaults Labels, m map[string]string) int {
+// mergedLabelCount is the size of defaults ∪ pairs, computed on the raw
+// wire pairs so the cap can be enforced before anything is interned.
+func mergedLabelCount(defaults Labels, pairs []Label) int {
 	n := defaults.Len()
-	for name := range m {
-		if _, ok := defaults.Get(name); !ok {
+	for _, p := range pairs {
+		if _, ok := defaults.Get(p.Name); !ok {
 			n++
 		}
 	}
 	return n
 }
 
-// applyIngestLabels screens each record's validated wire label map
-// against the receiver's default-merge cap and only then interns it
-// onto its sample, overlaying the defaults (sample wins per name) in
-// one critical section per batch, memoized per incoming label set so a
-// steady fleet costs a map hit per sample.  The screening runs before
-// any interning and before any store append, so a 400 is all-or-nothing
-// and leaves no residue — not even in the intern table.
-func (h *HTTPSink) applyIngestLabels(samples []Sample, labelMaps []map[string]string) error {
+// applyIngestLabels screens each group's validated wire pairs against
+// the receiver's default-merge cap and only then interns them, overlaying
+// the defaults (sample wins per name) in one critical section per batch,
+// memoized per incoming label set.  The screening runs before any
+// interning and any store append, so a 400 leaves no residue anywhere.
+func (h *HTTPSink) applyIngestLabels(b *groupBatch) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.ingestLabels.Empty() {
-		for _, m := range labelMaps {
-			if n := mergedLabelCount(h.ingestLabels, m); n > maxLabels {
-				return fmt.Errorf("monitor: sample labels %q merged with the receiver defaults exceed the limit of %d labels", FormatLabelMap(m), maxLabels)
-			}
+	if h.ingestLabels.Empty() {
+		b.internLabels()
+		return nil
+	}
+	for i := range b.groups {
+		if pairs := b.groups[i].pairs; mergedLabelCount(h.ingestLabels, pairs) > maxLabels {
+			return fmt.Errorf("monitor: sample labels %q merged with the receiver defaults exceed the limit of %d labels", encodePairs(pairs), maxLabels)
 		}
 	}
-	// A pushed batch is one agent's stream: consecutive records almost
-	// always share one label map, so remember the previous record's
-	// interned handle and skip MakeLabels (pairs alloc + sort + intern
-	// mutex, all under h.mu) for equal maps.
-	var (
-		prevMap map[string]string
-		prevLs  Labels
-		have    bool
-	)
-	for i := range samples {
-		m := labelMaps[i]
-		if !have || !maps.Equal(m, prevMap) {
-			prevLs, _ = MakeLabels(m) // validated during decode
-			prevMap, have = m, true
-		}
-		ls := prevLs
-		if h.ingestLabels.Empty() {
-			samples[i].Labels = ls
-			continue
-		}
-		merged, ok := h.mergeCache[ls]
+	b.internLabels()
+	for i := range b.groups {
+		g := &b.groups[i]
+		merged, ok := h.mergeCache[g.key.Labels]
 		if !ok {
-			merged = MergeLabels(h.ingestLabels, ls)
+			merged = MergeLabels(h.ingestLabels, g.key.Labels)
 			if h.mergeCache == nil || len(h.mergeCache) >= maxMergeCacheEntries {
 				h.mergeCache = map[Labels]Labels{}
 			}
-			h.mergeCache[ls] = merged
+			h.mergeCache[g.key.Labels] = merged
 		}
-		samples[i].Labels = merged
+		g.key.Labels = merged
 	}
 	return nil
 }

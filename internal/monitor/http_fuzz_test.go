@@ -126,30 +126,21 @@ func FuzzIngestPayload(f *testing.F) {
 
 // fuzzV4Seeds is the shared seed set for FuzzIngestV4 and the checked-in
 // corpus (TestV4FuzzCorpusSeeds keeps the testdata files in sync).
-func fuzzV4Seeds() map[string]struct {
+func fuzzV4Seeds(tb testing.TB) map[string]struct {
 	Body []byte
 	Gzip bool
 } {
-	valid, err := encodeV4(v4WireSamples())
-	if err != nil {
-		panic(err)
-	}
+	valid := encodeV4(tb, v4WireSamples(tb))
 	var validGz bytes.Buffer
 	zw := gzip.NewWriter(&validGz)
 	zw.Write(valid)
 	zw.Close()
-	shim, err := encodeV4([]jsonSample{
-		{Time: 1, Collector: "c", Metric: "nodeA/bw", Scope: "node", ID: 0, Value: 1},
+	shim := encodeV4(tb, []wireSample{
+		{Sample: Sample{Time: 1, Metric: "nodeA/bw", Scope: ScopeNode, Value: 1}, Collector: "c"},
 	})
-	if err != nil {
-		panic(err)
-	}
-	invalid, err := encodeV4([]jsonSample{
-		{Time: -1, Metric: "bw", Scope: "node", ID: 0, Value: 1},
+	invalid := encodeV4(tb, []wireSample{
+		{Sample: Sample{Time: -1, Metric: "bw", Scope: ScopeNode, Value: 1}},
 	})
-	if err != nil {
-		panic(err)
-	}
 	return map[string]struct {
 		Body []byte
 		Gzip bool
@@ -172,7 +163,7 @@ func fuzzV4Seeds() map[string]struct {
 // re-encode/re-decode round trip unchanged (the codec is a fixpoint on
 // its own output).
 func FuzzIngestV4(f *testing.F) {
-	for _, seed := range fuzzV4Seeds() {
+	for _, seed := range fuzzV4Seeds(f) {
 		f.Add(seed.Body, seed.Gzip)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, gz bool) {
@@ -208,34 +199,34 @@ func FuzzIngestV4(f *testing.F) {
 		// (A hostile payload may carry duplicate-key groups, which one
 		// re-encode canonicalizes into merged groups — order across keys
 		// can shift once, but never twice.)
-		reencode := func(samples []Sample, labelMaps []map[string]string, sentAts []float64) []byte {
-			redo := make([]jsonSample, len(samples))
-			for i, s := range samples {
-				redo[i] = jsonSample{
-					Time: s.Time, SentAt: sentAts[i], Source: s.Source,
-					Labels: labelMaps[i], Metric: s.Metric,
-					Scope: s.Scope.String(), ID: s.ID, Value: s.Value,
+		reencode := func(b *groupBatch) []byte {
+			b.internLabels() // the payload validated: interning is allowed now
+			samples := b.appendSamples(nil)
+			var meta []sampleMeta
+			for _, g := range b.groups {
+				for r := g.lo; r < g.hi; r++ {
+					meta = append(meta, sampleMeta{sentAt: b.sentAts[r]})
 				}
 			}
-			payload, err := encodeV4(redo)
+			payload, err := new(V4Encoder).encode(nil, samples, meta)
 			if err != nil {
 				t.Fatalf("re-encode of decoded payload failed: %v", err)
 			}
 			return payload
 		}
-		samples, labelMaps, sentAts, err := decodeV4(bytes.NewReader(body))
+		decoded, err := decodeV4Batch(body)
 		if err != nil {
 			return
 		}
-		payload := reencode(samples, labelMaps, sentAts)
-		again, againMaps, againSentAts, err := decodeV4(bytes.NewReader(payload))
+		payload := reencode(decoded)
+		again, err := decodeV4Batch(payload)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if len(again) != len(samples) {
-			t.Fatalf("round trip changed sample count %d -> %d", len(samples), len(again))
+		if again.rows() != decoded.rows() {
+			t.Fatalf("round trip changed sample count %d -> %d", decoded.rows(), again.rows())
 		}
-		if payload2 := reencode(again, againMaps, againSentAts); !bytes.Equal(payload, payload2) {
+		if payload2 := reencode(again); !bytes.Equal(payload, payload2) {
 			t.Fatalf("canonical re-encode is not a fixpoint:\n% x\nvs\n% x", payload, payload2)
 		}
 	})

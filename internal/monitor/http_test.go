@@ -341,11 +341,14 @@ func TestIngestMixedVersionsLandOnSameKeys(t *testing.T) {
 			if err := json.Unmarshal([]byte(tt.v2), &js); err != nil {
 				t.Fatal(err)
 			}
-			js.Time = 3
-			payload, err := encodeV4([]jsonSample{js})
+			scope, err := ParseScope(js.Scope)
 			if err != nil {
 				t.Fatal(err)
 			}
+			payload := encodeV4(t, []wireSample{{
+				Sample:    Sample{Source: js.Source, Metric: js.Metric, Scope: scope, ID: js.ID, Time: 3, Value: js.Value},
+				Collector: js.Collector,
+			}})
 			if code, body := postIngest4(t, base, payload, false); code != http.StatusOK {
 				t.Fatalf("v4 ingest = %d %q", code, body)
 			}

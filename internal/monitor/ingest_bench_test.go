@@ -7,38 +7,27 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"likwid/internal/benchreport"
 )
 
-// The ingest-throughput benchmarks report MB/s and samples/s (not just
-// ns/op) for the two wire generations side by side, so the v3-vs-v4
-// decode cost and wire density are visible in one `go test -bench
-// IngestThroughput` run.  bytes/op (via b.SetBytes) is the *wire* size
-// of one flush, so MB/s is on-the-wire throughput; samples/sec is the
-// fan-in rate the receiver sustains.
+// The codec benchmarks run at the two shapes a fleet produces: deep (8
+// series × 512 ticks = 4096 samples, the push sink's MaxBuffered default
+// — a catch-up flush, quantized slowly-stepping values, constant
+// per-flush sent_at; the fixture TestV4WireDensity gates the ≥3×
+// bytes/sample ratio on) and wide (512 series × 1 tick — what an agent
+// ships every interval, where a group is a point and the identity
+// fields are the payload).  Each reports ns, B and allocs per sample, so
+// the stages compare; the ingest ones also report MB/s of wire
+// (b.SetBytes is the wire size of one flush) and wire bytes per sample.
 
-// benchWireBatch is one full-buffer agent flush (8 series × 512 ticks =
-// 4096 samples, the push sink's MaxBuffered default) of quantized,
-// slowly-stepping values with a constant per-flush sent_at — the same
-// fixture TestV4WireDensity gates the ≥3× bytes/sample ratio on.
-func benchWireBatch() []jsonSample {
-	return densityWireSamples(8, 512)
-}
-
-// benchV3Payload renders the batch as the v3 wire: gzipped JSON lines.
-func benchV3Payload(b *testing.B, samples []jsonSample) []byte {
-	b.Helper()
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	enc := json.NewEncoder(zw)
-	for _, js := range samples {
-		if err := enc.Encode(js); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := zw.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
+// benchShapes are the two fixtures every codec benchmark runs.
+var benchShapes = []struct {
+	name string
+	rows func(testing.TB) []wireSample
+}{
+	{"deep", func(tb testing.TB) []wireSample { return densityWireSamples(tb, 8, 512) }},
+	{"wide", wideRows},
 }
 
 func benchIngest(b *testing.B, payload []byte, contentType string, gzipped bool, nSamples int) {
@@ -46,9 +35,7 @@ func benchIngest(b *testing.B, payload []byte, contentType string, gzipped bool,
 	st := NewStore(1024)
 	h := &HTTPSink{store: st, latest: map[Key]Sample{}}
 	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchreport.PerSample(b, nSamples, func() {
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(payload))
 		req.Header.Set("Content-Type", contentType)
 		if gzipped {
@@ -59,38 +46,58 @@ func benchIngest(b *testing.B, payload []byte, contentType string, gzipped bool,
 		if w.Code != http.StatusOK {
 			b.Fatalf("ingest status %d: %s", w.Code, w.Body.String())
 		}
-	}
-	b.StopTimer()
+	})
 	b.ReportMetric(float64(nSamples)*float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
 	b.ReportMetric(float64(len(payload))/float64(nSamples), "wire_bytes/sample")
 }
 
-// BenchmarkIngestThroughputV3Gzip is the baseline: the gzipped
-// JSON-lines wire decoded, validated and appended.
+// BenchmarkIngestThroughputV3Gzip is the baseline: the deep flush as
+// gzipped JSON lines, decoded, validated and appended.
 func BenchmarkIngestThroughputV3Gzip(b *testing.B) {
-	samples := benchWireBatch()
-	benchIngest(b, benchV3Payload(b, samples), "application/x-ndjson", true, len(samples))
-}
-
-// BenchmarkIngestThroughputV4 is the same flush on the v4 binary
-// columnar wire.
-func BenchmarkIngestThroughputV4(b *testing.B) {
-	samples := benchWireBatch()
-	payload, err := encodeV4(samples)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchIngest(b, payload, V4ContentType, false, len(samples))
-}
-
-// BenchmarkEncodeV4 isolates the agent-side encode cost of one flush.
-func BenchmarkEncodeV4(b *testing.B) {
-	samples := benchWireBatch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeV4(samples); err != nil {
+	rows := benchShapes[0].rows(b)
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	enc := json.NewEncoder(zw)
+	for _, r := range rows {
+		if err := enc.Encode(jsonSample{
+			Time: r.Time, SentAt: r.SentAt, Collector: r.Collector, Source: r.Source,
+			Labels: r.Labels.Map(), Metric: r.Metric, Scope: r.Scope.String(), ID: r.ID, Value: r.Value,
+		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if err := zw.Close(); err != nil {
+		b.Fatal(err)
+	}
+	benchIngest(b, buf.Bytes(), "application/x-ndjson", true, len(rows))
+}
+
+// BenchmarkIngestThroughputV4 is the receiver side of a flush on the v4
+// wire: read, decode, resolve, append, latest map.
+func BenchmarkIngestThroughputV4(b *testing.B) {
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rows := shape.rows(b)
+			benchIngest(b, encodeV4(b, rows), V4ContentType, false, len(rows))
+		})
+	}
+}
+
+// BenchmarkEncodeV4 isolates the agent-side encode cost of one flush,
+// with the sink's scratch and output buffer warm.
+func BenchmarkEncodeV4(b *testing.B) {
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rows := shape.rows(b)
+			samples, meta := rowsOf(rows)
+			var enc V4Encoder
+			var out []byte
+			benchreport.PerSample(b, len(rows), func() {
+				var err error
+				if out, err = enc.encode(out[:0], samples, meta); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
 	}
 }

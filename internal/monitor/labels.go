@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -118,21 +119,23 @@ func checkLabel(name, value string) error {
 	return nil
 }
 
-// encodePairs renders name-sorted pairs in the canonical
+// appendPairs appends name-sorted pairs in the canonical
 // "name=value,name=value" form — the one encoding shared by the intern
 // identity, Labels.String, and FormatLabelMap.
-func encodePairs(pairs []Label) string {
-	var b strings.Builder
+func appendPairs(dst []byte, pairs []Label) []byte {
 	for i, p := range pairs {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(p.Name)
-		b.WriteByte('=')
-		b.WriteString(p.Value)
+		dst = append(dst, p.Name...)
+		dst = append(dst, '=')
+		dst = append(dst, p.Value...)
 	}
-	return b.String()
+	return dst
 }
+
+// encodePairs is appendPairs as a string.
+func encodePairs(pairs []Label) string { return string(appendPairs(nil, pairs)) }
 
 // FormatLabelMap renders a label map in the canonical sorted
 // "name=value,name=value" encoding — for callers (the alert log
@@ -154,18 +157,27 @@ func FormatLabelMap(m map[string]string) string {
 // set for the life of the process — the same order of growth as the
 // store's series index, which keys on the sets it returns; callers must
 // validate before interning so rejected input never lands here.
+//
+// A hit — every call but a set's first — allocates nothing: the
+// canonical form is built in a stack buffer and only looked up.  A miss
+// stores its own copies of the strings, because ingest hands in pairs
+// that alias a whole request payload.
 func internLabels(pairs []Label) Labels {
 	if len(pairs) == 0 {
 		return Labels{}
 	}
-	canon := encodePairs(pairs)
+	var buf [128]byte
+	canon := appendPairs(buf[:0], pairs)
 	labelIntern.Lock()
 	defer labelIntern.Unlock()
-	if set := labelIntern.m[canon]; set != nil {
+	if set := labelIntern.m[string(canon)]; set != nil {
 		return Labels{set: set}
 	}
-	set := &labelSet{pairs: append([]Label(nil), pairs...), canon: canon}
-	labelIntern.m[canon] = set
+	set := &labelSet{pairs: make([]Label, len(pairs)), canon: string(canon)}
+	for i, p := range pairs {
+		set.pairs[i] = Label{Name: strings.Clone(p.Name), Value: strings.Clone(p.Value)}
+	}
+	labelIntern.m[set.canon] = set
 	return Labels{set: set}
 }
 
@@ -347,16 +359,13 @@ func MatchLabels(selectors []Label, l Labels) bool {
 	return true
 }
 
-// MatchLabelMap is MatchLabels over a raw wire label map — the
-// pre-intern form ingest routes see, so a route can match (and reject)
-// a sample before anything reaches the intern table.
-func MatchLabelMap(selectors []Label, m map[string]string) bool {
+// matchLabelPairs is MatchLabels over validated, uninterned pairs — the
+// form ingest routes see, so a route can match (and reject) a group
+// before anything reaches the intern table.
+func matchLabelPairs(selectors, pairs []Label) bool {
 	for _, sel := range selectors {
-		v, ok := m[sel.Name]
-		if !ok {
-			return false
-		}
-		if !matchLabelValue(sel.Value, v) {
+		i, ok := slices.BinarySearchFunc(pairs, sel, cmpLabelName) // pairs are sorted by name
+		if !ok || !matchLabelValue(sel.Value, pairs[i].Value) {
 			return false
 		}
 	}

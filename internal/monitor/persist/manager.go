@@ -15,14 +15,17 @@ import (
 )
 
 // Options tunes a Manager.  The zero value is usable: one-minute
-// snapshots, a 4096-record WAL buffer, no logging, no telemetry.
+// snapshots, a 16384-point WAL buffer, no logging, no telemetry.
 type Options struct {
 	// SnapshotInterval is the period of the background ring/tier
 	// snapshot (and WAL truncation).  <= 0 means the one-minute default.
 	SnapshotInterval time.Duration
-	// WALBuffer is the journal channel depth; records beyond it are
-	// dropped (and counted) rather than blocking appends.  <= 0 means
-	// 4096 — one push-sink flush.
+	// WALBuffer is the journal queue depth in points: what may wait
+	// while the WAL writer commits the previous drain (so it also bounds
+	// one frame).  Points beyond it are dropped (and counted) rather than
+	// blocking appends.  <= 0 means 16384 — four full push-sink flushes:
+	// the queue has to hold what arrives during one fsync, and v4 ingest
+	// lands a 4096-sample flush in well under a millisecond.
 	WALBuffer int
 	// Logger receives recovery and failure events; nil stays silent.
 	Logger *slog.Logger
@@ -36,7 +39,7 @@ type Options struct {
 // Manager owns one store's durability state directory:
 //
 //	snapshot.json — the last full ring/tier snapshot (atomic rename)
-//	wal.log       — appends since that snapshot, CRC-framed
+//	wal.log       — appends since that snapshot, CRC-framed v4 batches
 //	wal.prev      — the pre-rotation log, present only mid-snapshot
 //
 // Open restores snapshot + WAL into the store and installs the journal;
@@ -76,7 +79,7 @@ func Open(dir string, st *monitor.Store, opts Options) (*Manager, error) {
 		opts.SnapshotInterval = time.Minute
 	}
 	if opts.WALBuffer <= 0 {
-		opts.WALBuffer = 4096
+		opts.WALBuffer = 16384
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -90,39 +93,39 @@ func Open(dir string, st *monitor.Store, opts Options) (*Manager, error) {
 	}
 	st.RestoreState(states)
 
-	// The replay dedupe guard: a record at or before a series' newest
-	// restored time is already inside the snapshot (the rotate-then-dump
+	// The replay dedupe guard: a point at or before its series' newest
+	// snapshotted time is already inside the snapshot (the rotate-then-dump
 	// overlap, or a wal.prev left by a crash after the snapshot rename).
-	newest := make(map[monitor.Key]float64, len(states))
+	// The bar never moves with the replay: journaled points are distinct
+	// appends, so two of them sharing a timestamp both come back.
+	snapNewest := make(map[monitor.Key]float64, len(states))
 	for _, s := range states {
 		if len(s.Raw) > 0 {
-			newest[s.Key] = s.Raw[len(s.Raw)-1].Time
+			snapNewest[s.Key] = s.Raw[len(s.Raw)-1].Time
 		}
 	}
-	apply := func(e walEntry) error {
-		k, err := entryKey(e)
-		if err != nil {
-			m.replayInvalid.Add(1)
-			return nil
+	apply := func(samples []monitor.Sample) {
+		kept := samples[:0]
+		for _, s := range samples {
+			if bar, ok := snapNewest[s.Key()]; ok && s.Time <= bar {
+				continue
+			}
+			kept = append(kept, s)
 		}
-		if last, ok := newest[k]; ok && e.Time <= last {
-			m.replaySkipped.Add(1)
-			return nil
-		}
-		newest[k] = e.Time
-		st.Append(k, monitor.Point{Time: e.Time, Value: e.Value})
-		m.replayed.Add(1)
-		return nil
+		m.replaySkipped.Add(uint64(len(samples) - len(kept)))
+		m.replayed.Add(uint64(len(kept)))
+		st.AppendBatch(monitor.Batch{Collector: "wal", Samples: kept})
 	}
+	invalid := func() { m.replayInvalid.Add(1) }
 	for _, path := range []string{m.walPrevPath(), m.walPath()} {
-		applied, truncated, err := replayWAL(path, apply)
+		points, truncated, err := replayWAL(path, apply, invalid)
 		if err != nil {
 			return nil, fmt.Errorf("persist: replaying %s: %w", path, err)
 		}
 		m.replayTruncBytes.Add(uint64(truncated))
-		if (applied > 0 || truncated > 0) && opts.Logger != nil {
+		if (points > 0 || truncated > 0) && opts.Logger != nil {
 			opts.Logger.Info("replayed write-ahead log",
-				"path", path, "records", applied, "truncated_bytes", truncated)
+				"path", path, "points", points, "truncated_bytes", truncated)
 		}
 	}
 

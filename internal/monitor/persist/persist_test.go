@@ -2,8 +2,9 @@ package persist
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,47 +27,60 @@ func testKey() monitor.Key {
 	return monitor.Key{Source: "nodeA", Metric: "bw", Scope: monitor.ScopeNode, ID: 0, Labels: labels}
 }
 
-// walFrames counts the whole CRC-framed records currently in a WAL
-// file without touching it — unlike replayWAL it never truncates, so
-// it is safe to run against a log mid-write.
-func walFrames(t *testing.T, path string) int {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for len(b) >= 8 {
-		size := binary.LittleEndian.Uint32(b[0:4])
-		sum := binary.LittleEndian.Uint32(b[4:8])
-		if size > walMaxRecord || len(b) < 8+int(size) {
-			break
-		}
-		if crc32.ChecksumIEEE(b[8:8+size]) != sum {
-			break
-		}
-		b = b[8+size:]
-		n++
-	}
-	return n
-}
-
-// waitWALFrames polls until the WAL holds n whole records — the
-// fsync-on-idle writer commits each drained batch, so this bounds the
-// test without hooks into the writer.
-func waitWALFrames(t *testing.T, path string, n int) {
+// waitDurable polls until the WAL writer has made n points durable —
+// records_total counts a point only after its frame's fsync, so this
+// bounds the test without hooks into the writer.
+func waitDurable(t *testing.T, m *Manager, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if walFrames(t, path) >= n {
+		if m.wal.records.Load() >= uint64(n) {
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("WAL %s never reached %d records (now %d)", path, n, walFrames(t, path))
+	t.Fatalf("WAL never reached %d durable points (now %d, dropped %d)",
+		n, m.wal.records.Load(), m.wal.dropped.Load())
+}
+
+// sampleOf is a journaled point of key k.
+func sampleOf(k monitor.Key, tm, v float64) monitor.Sample {
+	return monitor.Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID, Labels: k.Labels, Time: tm, Value: v}
+}
+
+// appendFrame writes one CRC-framed payload onto a WAL file by hand.
+func appendFrame(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	var hdr [walHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(append(hdr[:], payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendSamples frames samples the way the WAL writer does.
+func appendSamples(t *testing.T, path string, samples ...monitor.Sample) {
+	t.Helper()
+	payload, err := new(monitor.V4Encoder).Encode(nil, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFrame(t, path, payload)
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
 }
 
 func TestSnapshotRestoreRoundTrips(t *testing.T) {
@@ -121,7 +135,7 @@ func TestWALReplayAfterUncleanShutdown(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		st.Append(k, monitor.Point{Time: float64(i), Value: float64(i * 10)})
 	}
-	waitWALFrames(t, m.walPath(), 6)
+	waitDurable(t, m, 6)
 	// No Close: the process "crashes" here, leaving only the WAL behind.
 
 	st2 := testStore()
@@ -155,7 +169,7 @@ func TestWALReplayAfterPartialWrite(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		st.Append(k, monitor.Point{Time: float64(i), Value: float64(i)})
 	}
-	waitWALFrames(t, m.walPath(), 4)
+	waitDurable(t, m, 4)
 	whole, err := os.Stat(m.walPath())
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +206,7 @@ func TestWALReplayAfterPartialWrite(t *testing.T) {
 
 	// The truncated log keeps working: append, crash again, replay again.
 	st2.Append(k, monitor.Point{Time: 9, Value: 9})
-	waitWALFrames(t, m2.walPath(), 5)
+	waitDurable(t, m2, 1)
 	st3 := testStore()
 	m3, err := Open(dir, st3, Options{})
 	if err != nil {
@@ -201,27 +215,6 @@ func TestWALReplayAfterPartialWrite(t *testing.T) {
 	defer m3.Close()
 	if got := len(st3.Window(k, 0, -1)); got != 5 {
 		t.Fatalf("after second crash restored %d points, want 5", got)
-	}
-}
-
-// appendFrame writes one CRC-framed entry — the test's stand-in for a
-// WAL left by an older generation overlapping the snapshot.
-func appendFrame(t *testing.T, path string, e walEntry) {
-	t.Helper()
-	payload, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Write(append(hdr[:], payload...)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -244,16 +237,10 @@ func TestReplaySkipsRecordsAlreadyInSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entry := func(tm, v float64) walEntry {
-		return walEntry{Source: "nodeA", Metric: "bw", Scope: "node", ID: 0,
-			Labels: map[string]string{"job": "lbm"}, Time: tm, Value: v}
-	}
 	// The crash left a stale wal.prev duplicating snapshot contents, and
 	// a wal.log with one duplicate and one genuinely new record.
-	appendFrame(t, filepath.Join(dir, "wal.prev"), entry(2, 2))
-	appendFrame(t, filepath.Join(dir, "wal.prev"), entry(3, 3))
-	appendFrame(t, filepath.Join(dir, "wal.log"), entry(3, 3))
-	appendFrame(t, filepath.Join(dir, "wal.log"), entry(4, 4))
+	appendSamples(t, filepath.Join(dir, "wal.prev"), sampleOf(k, 2, 2), sampleOf(k, 3, 3))
+	appendSamples(t, filepath.Join(dir, "wal.log"), sampleOf(k, 3, 3), sampleOf(k, 4, 4))
 
 	st2 := testStore()
 	m2, err := Open(dir, st2, Options{})
@@ -270,6 +257,313 @@ func TestReplaySkipsRecordsAlreadyInSnapshot(t *testing.T) {
 	want := []monitor.Point{{Time: 1, Value: 1}, {Time: 2, Value: 2}, {Time: 3, Value: 3}, {Time: 4, Value: 4}}
 	if got := st2.Window(k, 0, -1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored Window = %v, want %v", got, want)
+	}
+}
+
+// TestReplayKeepsSameTimestampPoints is the replay-guard regression: the
+// guard compares against the restored snapshot's newest time only, so
+// points journaled after it survive a restart even when they share a
+// timestamp with each other (an agent's static collectors read the clock
+// either side of the counter collector's advance) — in one frame or
+// across two — while the rotate-then-dump overlap is still deduped.
+func TestReplayKeepsSameTimestampPoints(t *testing.T) {
+	dir := t.TempDir()
+	st := monitor.NewStore(16)
+	k := testKey()
+	fresh := monitor.Key{Metric: "topo/sockets", Scope: monitor.ScopeNode}
+	m, err := Open(dir, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Append(k, monitor.Point{Time: 1, Value: 1})
+	st.Append(k, monitor.Point{Time: 2, Value: 2})
+	waitDurable(t, m, 2)                 // in the log the snapshot is about to rotate away, not in the next one
+	if err := m.Snapshot(); err != nil { // snapshot holds times 1, 2
+		t.Fatal(err)
+	}
+	st.Append(k, monitor.Point{Time: 3, Value: 30})
+	st.Append(k, monitor.Point{Time: 3, Value: 31}) // same time, same frame or the next
+	st.Append(fresh, monitor.Point{Time: 5, Value: 1})
+	waitDurable(t, m, 5)
+	st.Append(k, monitor.Point{Time: 3, Value: 32}) // and once more, surely in a later frame
+	st.Append(fresh, monitor.Point{Time: 5, Value: 2})
+	waitDurable(t, m, 7)
+	// The overlap a crash between rotation and dump leaves: a wal.prev
+	// repeating what the snapshot already holds.
+	appendSamples(t, m.walPrevPath(), sampleOf(k, 1, 1), sampleOf(k, 2, 2))
+	// No Close: crash.
+
+	st2 := monitor.NewStore(16)
+	m2, err := Open(dir, st2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if got := m2.replaySkipped.Load(); got != 2 {
+		t.Errorf("skipped %d points, want the 2 of the overlap", got)
+	}
+	for _, key := range []monitor.Key{k, fresh} {
+		want, got := st.Window(key, 0, -1), st2.Window(key, 0, -1)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("recovered Window(%v) = %v, want %v", key, got, want)
+		}
+	}
+	if got := len(st2.Window(k, 0, -1)); got != 5 {
+		t.Errorf("recovered %d points of the same-time series, want 5", got)
+	}
+}
+
+// TestReplayTornTailInsideMultiGroupFrame cuts the log in the middle of
+// its second frame — a frame of several series groups: replay keeps the
+// first frame whole, drops the torn one entirely (no partial group is
+// ever applied) and truncates the file back to the frame boundary.
+func TestReplayTornTailInsideMultiGroupFrame(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	a, b := testKey(), monitor.Key{Source: "nodeB", Metric: "bw", Scope: monitor.ScopeNode}
+	appendSamples(t, path, sampleOf(a, 1, 10), sampleOf(b, 1, 11), sampleOf(a, 2, 20))
+	firstFrame := fileSize(t, path)
+	appendSamples(t, path, sampleOf(a, 3, 30), sampleOf(b, 2, 21), sampleOf(b, 3, 31))
+	if err := os.Truncate(path, firstFrame+(fileSize(t, path)-firstFrame)/2); err != nil {
+		t.Fatal(err)
+	}
+	torn := fileSize(t, path) - firstFrame
+
+	st := monitor.NewStore(16)
+	m, err := Open(dir, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got := m.replayed.Load(); got != 3 {
+		t.Errorf("replayed %d points, want the first frame's 3", got)
+	}
+	if got := m.replayTruncBytes.Load(); got != uint64(torn) {
+		t.Errorf("truncated %d bytes, want %d", got, torn)
+	}
+	if got := fileSize(t, path); got != firstFrame {
+		t.Errorf("WAL is %d bytes after recovery, want the first frame's %d", got, firstFrame)
+	}
+	if got, want := st.Window(a, 0, -1), []monitor.Point{{Time: 1, Value: 10}, {Time: 2, Value: 20}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("series a = %v, want %v", got, want)
+	}
+	if got, want := st.Window(b, 0, -1), []monitor.Point{{Time: 1, Value: 11}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("series b = %v, want %v", got, want)
+	}
+}
+
+// TestReplayStopsAtBadCRC: a frame whose payload fails its checksum ends
+// the replay — what follows it cannot be trusted to be in sequence — and
+// the log is cut back to the last good frame.
+func TestReplayStopsAtBadCRC(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	k := testKey()
+	appendSamples(t, path, sampleOf(k, 1, 1))
+	good := fileSize(t, path)
+	appendSamples(t, path, sampleOf(k, 2, 2))
+	appendSamples(t, path, sampleOf(k, 3, 3))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[good+walHeader+6] ^= 0x40 // one flipped bit inside frame two's payload
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := monitor.NewStore(16)
+	m, err := Open(dir, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got := st.Window(k, 0, -1); !reflect.DeepEqual(got, []monitor.Point{{Time: 1, Value: 1}}) {
+		t.Errorf("recovered %v, want only the point ahead of the corrupt frame", got)
+	}
+	if got := fileSize(t, path); got != good {
+		t.Errorf("WAL is %d bytes after recovery, want %d (cut at the corrupt frame)", got, good)
+	}
+	if got := m.replayInvalid.Load(); got != 0 {
+		t.Errorf("replay_invalid = %d: a CRC failure is a torn tail, not an invalid frame", got)
+	}
+}
+
+// TestReplaySkipsFramesOfThePreColumnarWAL is the upgrade note: a
+// wal.log left by an unclean stop of the previous version holds one
+// CRC-valid JSON record per frame.  Each is counted invalid and skipped —
+// not applied, not fatal, not treated as a torn tail — and v4 frames
+// around them replay normally.
+func TestReplaySkipsFramesOfThePreColumnarWAL(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	k := testKey()
+	old := `{"source":"nodeA","metric":"bw","scope":"node","id":0,"labels":{"job":"lbm"},"time":%d,"value":%d}`
+	appendFrame(t, path, []byte(fmt.Sprintf(old, 1, 1)))
+	appendFrame(t, path, []byte(fmt.Sprintf(old, 2, 2)))
+	appendSamples(t, path, sampleOf(k, 3, 3))
+	size := fileSize(t, path)
+
+	st := monitor.NewStore(16)
+	m, err := Open(dir, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got := m.replayInvalid.Load(); got != 2 {
+		t.Errorf("replay_invalid = %d, want the 2 JSON records", got)
+	}
+	if got := st.Window(k, 0, -1); !reflect.DeepEqual(got, []monitor.Point{{Time: 3, Value: 3}}) {
+		t.Errorf("recovered %v, want only the v4 frame's point", got)
+	}
+	if got := fileSize(t, path); got != size {
+		t.Errorf("WAL shrank from %d to %d bytes: skipped frames are whole, nothing to truncate", size, got)
+	}
+}
+
+// TestRecoveredStoreEqualsLive is the randomized differential: seeded
+// rounds of mixed appends — deep batches (few series, many ticks), wide
+// batches (many series, one tick), one-off Append and Series.Append
+// calls, same-timestamp repeats — with snapshots in between, then a
+// crash copy of the state directory and persist.Open on it.  The
+// recovered store must equal the live one point for point, raw rings and
+// tier buckets alike.  (One shape is left out because the time-based
+// replay guard cannot tell it from the rotate-then-dump overlap: a
+// series' first point after a snapshot repeating the timestamp of its
+// last point before it.)
+func TestRecoveredStoreEqualsLive(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			newStore := func() *monitor.Store {
+				return monitor.NewStore(32, monitor.Tier{Resolution: 4, Capacity: 16})
+			}
+			dir := t.TempDir()
+			live := newStore()
+			m, err := Open(dir, live, Options{SnapshotInterval: time.Hour, WALBuffer: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels := []monitor.Labels{{}, testKey().Labels}
+			keyOf := func(i int) monitor.Key {
+				return monitor.Key{
+					Source: fmt.Sprintf("node%d", i%5), Metric: fmt.Sprintf("metric_%d", i%7),
+					Scope: monitor.ScopeThread, ID: i % 3, Labels: labels[i%2],
+				}
+			}
+			clock := make(map[monitor.Key]float64) // per-series time, never going back
+			sinceSnapshot := make(map[monitor.Key]bool)
+			next := func(k monitor.Key) float64 {
+				// One in eight repeats the previous timestamp, unless a
+				// snapshot came between the two.
+				if rng.Intn(8) > 0 || !sinceSnapshot[k] {
+					clock[k]++
+				}
+				sinceSnapshot[k] = true
+				return clock[k]
+			}
+			appended := 0
+			for round := 0; round < 40; round++ {
+				switch rng.Intn(5) {
+				case 0: // deep: 3 series × up to 40 ticks, tick-major like a buffered agent
+					base, ticks := rng.Intn(100), 1+rng.Intn(40)
+					var b monitor.Batch
+					for tick := 0; tick < ticks; tick++ {
+						for s := 0; s < 3; s++ {
+							k := keyOf(base + s)
+							b.Samples = append(b.Samples, sampleOf(k, next(k), rng.Float64()))
+						}
+					}
+					live.AppendBatch(b)
+					appended += len(b.Samples)
+				case 1: // wide: up to 60 series × one tick
+					var b monitor.Batch
+					for s, n := 0, 1+rng.Intn(60); s < n; s++ {
+						k := keyOf(s)
+						b.Samples = append(b.Samples, sampleOf(k, next(k), float64(rng.Intn(50))))
+					}
+					live.AppendBatch(b)
+					appended += len(b.Samples)
+				case 2: // one-off appends
+					for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+						k := keyOf(rng.Intn(105))
+						live.Append(k, monitor.Point{Time: next(k), Value: rng.NormFloat64()})
+						appended++
+					}
+				case 3: // an interned handle, the receiver fan-in idiom
+					k := keyOf(rng.Intn(105))
+					h := live.Intern(k)
+					for i, n := 0, 1+rng.Intn(10); i < n; i++ {
+						h.Append(monitor.Point{Time: next(k), Value: float64(i)})
+						appended++
+					}
+				case 4: // a snapshot mid-stream: rotate, dump, overlap
+					if err := m.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+					clear(sinceSnapshot)
+				}
+			}
+			waitDurable(t, m, appended)
+			if d := m.wal.dropped.Load(); d != 0 {
+				t.Fatalf("WAL dropped %d points under a 64k buffer", d)
+			}
+
+			// The crash: copy the directory under the running manager.
+			image := t.TempDir()
+			for _, name := range []string{"snapshot.json", "wal.log", "wal.prev"} {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if os.IsNotExist(err) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(image, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recovered := newStore()
+			m2, err := Open(image, recovered, Options{SnapshotInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			defer m.Close()
+			if got, want := recovered.Keys(), live.Keys(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered %d series, live has %d", len(got), len(want))
+			}
+			for _, k := range live.Keys() {
+				if got, want := recovered.Window(k, 0, -1), live.Window(k, 0, -1); !reflect.DeepEqual(got, want) {
+					t.Fatalf("series %v: recovered window\n%v\nlive\n%v", k, got, want)
+				}
+				if got, want := recovered.Buckets(k, 4, 0, -1), live.Buckets(k, 4, 0, -1); !reflect.DeepEqual(got, want) {
+					t.Fatalf("series %v: recovered buckets\n%v\nlive\n%v", k, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWALAppendZeroAllocs pins the journal's hot path on the real WAL:
+// a single journaled append allocates nothing, queue full or not.
+func TestWALAppendZeroAllocs(t *testing.T) {
+	st := monitor.NewStore(1024)
+	m, err := Open(t.TempDir(), st, Options{SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	h := st.Intern(testKey())
+	tm := 0.0
+	if allocs := testing.AllocsPerRun(20000, func() {
+		tm++
+		h.Append(monitor.Point{Time: tm, Value: 1})
+	}); allocs != 0 {
+		t.Fatalf("journaled Series.Append allocates %.2f allocs/op, want 0", allocs)
+	}
+	if got := m.wal.records.Load() + m.wal.dropped.Load(); got == 0 {
+		t.Fatal("the WAL saw none of the appends")
 	}
 }
 

@@ -4,23 +4,23 @@
 // retention tiers instead of starting cold.
 //
 // The division of labor follows the store's own hot/cold split.  The
-// append path stays allocation-free: the store's Journal hook hands
-// plain (Key, Point) values to a buffered channel and never blocks —
-// when the channel is full the record is dropped and counted, trading
+// append path stays allocation-free: the store's Journal hook copies
+// points into a bounded queue under a short mutex and never blocks —
+// when the queue is full the points are dropped and counted, trading
 // bounded durability loss for an unbounded-latency-free ingest path.  A
-// single writer goroutine drains the channel, frames records with a
-// CRC, and fsyncs on idle: under a steady append stream each drain
-// batch becomes one group commit, so the fsync cost amortizes over the
-// batch instead of taxing every point.
+// single writer goroutine takes everything queued, encodes it as one v4
+// column-group payload (the wire codec), frames it with a CRC, and
+// fsyncs when the queue runs dry: each drain is one group commit, so the
+// fsync — and the frame and identity overhead — amortizes over the batch.
 package persist
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -30,43 +30,41 @@ import (
 	"likwid/internal/telemetry"
 )
 
-// walEntry is the wire form of one journaled append.  Labels travel as
-// a plain map (the intern table is process state, not disk state).
-type walEntry struct {
-	Source string            `json:"source,omitempty"`
-	Metric string            `json:"metric"`
-	Scope  string            `json:"scope"`
-	ID     int               `json:"id"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Time   float64           `json:"time"`
-	Value  float64           `json:"value"`
-}
+// A WAL file is a sequence of frames:
+//
+//	frame := u32le(len(payload)) u32le(crc32-IEEE(payload)) payload
+//
+// where payload is one v4 column-group batch (monitor.V4Encoder.Encode:
+// empty collector, no sent_at stamps) holding every point the writer
+// found queued at one swap, grouped per series.
+const walHeader = 8
 
-// walRec is the in-flight record: plain values, so handing one to the
-// channel never allocates on the append path.
-type walRec struct {
-	k monitor.Key
-	p monitor.Point
-}
-
-// walMaxRecord bounds a single framed record; anything larger in a
-// replayed file is framing corruption, not data.
-const walMaxRecord = 1 << 20
-
-// wal owns the log file and the writer goroutine.  Record (the
-// monitor.Journal implementation) is safe for concurrent use; all file
-// access happens on the writer goroutine or under mu (rotation).
+// wal owns the log file and the writer goroutine.  Record and
+// RecordBatch (the monitor.Journal implementation) are safe for
+// concurrent use; all file access happens on the writer goroutine or
+// under mu (rotation).
 type wal struct {
-	ch   chan walRec
-	done chan struct{}
-	wg   sync.WaitGroup
+	// The journal queue.  Appenders copy points into pending under qmu,
+	// at most limit (Options.WALBuffer) of them; the writer swaps it
+	// against its own drained buffer.  Both grow to the bursts they see
+	// and are then reused, so neither side allocates in steady state.
+	qmu     sync.Mutex
+	pending []monitor.Sample
+	limit   int
+	wake    chan struct{} // pending went non-empty; never blocks the sender
+	done    chan struct{}
+	wg      sync.WaitGroup
 
-	mu sync.Mutex // guards f/w swap during rotation
+	mu sync.Mutex // guards f during rotation
 	f  *os.File
-	w  *bufio.Writer
 
-	records atomic.Uint64
-	dropped atomic.Uint64
+	// Writer-goroutine state.
+	drained []monitor.Sample
+	enc     monitor.V4Encoder
+	frame   []byte
+
+	records atomic.Uint64 // points made durable
+	dropped atomic.Uint64 // points lost: queue full, or a failed write
 	fsyncs  atomic.Uint64
 
 	// observeFsync, when set, receives each fsync's duration in seconds.
@@ -81,124 +79,134 @@ func openWAL(path string, buffer int) (*wal, error) {
 		return nil, err
 	}
 	w := &wal{
-		ch:   make(chan walRec, buffer),
-		done: make(chan struct{}),
-		f:    f,
-		w:    bufio.NewWriter(f),
+		limit: buffer,
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		f:     f,
 	}
 	w.wg.Add(1)
 	go w.run()
 	return w, nil
 }
 
-// Record implements monitor.Journal: non-blocking handoff, drops (and
-// counts) when the writer cannot keep up.
+// Record implements monitor.Journal for single appends.
 func (w *wal) Record(k monitor.Key, p monitor.Point) {
-	select {
-	case w.ch <- walRec{k, p}:
-	default:
-		w.dropped.Add(1)
-	}
+	one := [1]monitor.Sample{{
+		Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
+		Labels: k.Labels, Time: p.Time, Value: p.Value,
+	}}
+	w.RecordBatch(one[:])
 }
 
-// run drains the channel: each wakeup writes every queued record, then
-// flushes and fsyncs once — group commit on idle.
-func (w *wal) run() {
-	defer w.wg.Done()
-	for {
+// RecordBatch implements monitor.Journal: a non-blocking handoff that
+// queues what fits and drops (and counts, per point) what does not.
+func (w *wal) RecordBatch(samples []monitor.Sample) {
+	w.qmu.Lock()
+	wasEmpty := len(w.pending) == 0
+	n := min(len(samples), w.limit-len(w.pending))
+	w.pending = append(w.pending, samples[:n]...)
+	w.qmu.Unlock()
+	if n < len(samples) {
+		w.dropped.Add(uint64(len(samples) - n))
+	}
+	if wasEmpty && n > 0 {
 		select {
-		case r := <-w.ch:
-			w.commit(r)
-		case <-w.done:
-			// Drain what raced the shutdown, then stop.
-			for {
-				select {
-				case r := <-w.ch:
-					w.commit(r)
-				default:
-					return
-				}
-			}
+		case w.wake <- struct{}{}:
+		default: // a wakeup is already on its way
 		}
 	}
 }
 
-// commit writes r plus everything else queued, then syncs.
-func (w *wal) commit(r walRec) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.write(r)
+// run commits whatever is queued each time the queue goes non-empty.
+func (w *wal) run() {
+	defer w.wg.Done()
 	for {
 		select {
-		case r = <-w.ch:
-			w.write(r)
-		default:
-			w.sync()
+		case <-w.wake:
+			w.drain()
+		case <-w.done:
+			w.drain() // what raced the shutdown
 			return
 		}
 	}
 }
 
-func (w *wal) write(r walRec) {
-	e := walEntry{
-		Source: r.k.Source,
-		Metric: r.k.Metric,
-		Scope:  r.k.Scope.String(),
-		ID:     r.k.ID,
-		Labels: r.k.Labels.Map(),
-		Time:   r.p.Time,
-		Value:  r.p.Value,
+// drain writes everything queued — one frame per swap of the queue —
+// and, once the queue stays empty, makes it all durable with one fsync:
+// group commit on idle.  Under a burst the writer keeps swapping and
+// writing (microseconds per frame); the millisecond fsync waits.
+func (w *wal) drain() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	written := 0 // points written since the last fsync
+	for {
+		w.qmu.Lock()
+		w.pending, w.drained = w.drained[:0], w.pending
+		w.qmu.Unlock()
+		if len(w.drained) == 0 {
+			break
+		}
+		if err := w.write(w.drained); err != nil {
+			w.lost(len(w.drained), err)
+			continue
+		}
+		written += len(w.drained)
 	}
-	payload, err := json.Marshal(e)
-	if err != nil {
-		w.report(err)
+	if written == 0 {
 		return
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		w.report(err)
+	if err := w.sync(); err != nil {
+		w.lost(written, err)
 		return
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		w.report(err)
-		return
-	}
-	w.records.Add(1)
+	// Counted once durable: records_total is what a crash keeps.
+	w.records.Add(uint64(written))
 }
 
-func (w *wal) sync() {
-	if err := w.w.Flush(); err != nil {
-		w.report(err)
-		return
-	}
-	start := time.Now()
-	if err := w.f.Sync(); err != nil {
-		w.report(err)
-		return
-	}
-	w.fsyncs.Add(1)
-	if w.observeFsync != nil {
-		w.observeFsync(time.Since(start).Seconds())
-	}
-}
-
-func (w *wal) report(err error) {
+// lost counts points a failed write or fsync could not make durable with
+// the drops, so records + dropped still adds up to what was journaled.
+func (w *wal) lost(points int, err error) {
+	w.dropped.Add(uint64(points))
 	if w.fail != nil {
 		w.fail(err)
 	}
 }
 
-// rotate flushes and closes the current log and swaps in a fresh file
-// at newPath, renaming the old one to prevPath.  Called with appends
-// still flowing: the writer blocks on mu for the swap's duration only.
+// write appends samples to the file as one frame.
+func (w *wal) write(samples []monitor.Sample) error {
+	frame, err := w.enc.Encode(append(w.frame[:0], make([]byte, walHeader)...), samples)
+	if err != nil {
+		return err
+	}
+	w.frame = frame[:0]
+	payload := frame[walHeader:]
+	if len(payload) > math.MaxUint32 {
+		return fmt.Errorf("persist: %d points encode to %d bytes, more than a frame can announce", len(samples), len(payload))
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	_, err = w.f.Write(frame)
+	return err
+}
+
+func (w *wal) sync() error {
+	start := time.Now()
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.fsyncs.Add(1)
+	if w.observeFsync != nil {
+		w.observeFsync(time.Since(start).Seconds())
+	}
+	return nil
+}
+
+// rotate syncs and closes the current log and swaps in a fresh file at
+// newPath, renaming the old one to prevPath.  Called with appends still
+// flowing: the writer blocks on mu for the swap's duration only.
 func (w *wal) rotate(prevPath, newPath string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
@@ -213,25 +221,20 @@ func (w *wal) rotate(prevPath, newPath string) error {
 		return err
 	}
 	w.f = f
-	w.w.Reset(f)
 	return nil
 }
 
-// stop halts the writer goroutine after it drains and commits every
-// queued record.  The file stays open: a final rotation may follow.
+// stop halts the writer goroutine after it commits everything queued.
+// The file stays open: a final rotation may follow.
 func (w *wal) stop() {
 	close(w.done)
 	w.wg.Wait()
 }
 
-// closeFile flushes and closes the log file; call after stop.
+// closeFile syncs and closes the log file; call after stop.
 func (w *wal) closeFile() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return err
@@ -239,12 +242,15 @@ func (w *wal) closeFile() error {
 	return w.f.Close()
 }
 
-// replayWAL streams a log file's records into apply, in order.  A
-// partial or corrupt tail — the expected shape of a crash mid-write —
-// truncates the file at the last whole record and reports the dropped
-// byte count; corruption is a recovery event, not an error.  A missing
-// file replays nothing.
-func replayWAL(path string, apply func(walEntry) error) (applied int, truncated int64, err error) {
+// replayWAL streams a log file's frames into apply, in order, each
+// decoded through the wire codec.  A partial or CRC-bad tail — the
+// expected shape of a crash mid-write — stops the replay and truncates
+// the file at the last whole frame, reporting the dropped byte count;
+// corruption is a recovery event, not an error.  A whole frame whose
+// payload is not a valid v4 batch (a JSON record left by the
+// pre-columnar WAL) is reported to invalid and skipped.  A missing file
+// replays nothing.
+func replayWAL(path string, apply func([]monitor.Sample), invalid func()) (points int, truncated int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, 0, nil
@@ -253,63 +259,53 @@ func replayWAL(path string, apply func(walEntry) error) (applied int, truncated 
 		return 0, 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	var off, good int64
-	var hdr [8]byte
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	br := bufio.NewReaderSize(f, 1<<16)
+	var good int64
+	var hdr [walHeader]byte
+	var payload []byte
+	var samples []monitor.Sample
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			break // EOF or a torn header: truncate here
 		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
+		size := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if size > walMaxRecord {
-			break
+		if size > st.Size()-good-walHeader {
+			break // announces more than the file holds: torn
 		}
-		payload := make([]byte, size)
+		if int64(cap(payload)) < size {
+			payload = make([]byte, size)
+		}
+		payload = payload[:size]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			break
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			break
 		}
-		var e walEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			break
+		good += walHeader + size
+		if samples, err = monitor.DecodeV4Samples(payload, samples[:0]); err != nil {
+			invalid()
+			continue
 		}
-		off += 8 + int64(size)
-		good = off
-		if err := apply(e); err != nil {
-			return applied, 0, err
-		}
-		applied++
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return applied, 0, err
+		apply(samples)
+		points += len(samples)
 	}
 	if tail := st.Size() - good; tail > 0 {
 		if err := os.Truncate(path, good); err != nil {
-			return applied, tail, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
+			return points, tail, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
 		}
-		return applied, tail, nil
+		return points, tail, nil
 	}
-	return applied, 0, nil
+	return points, 0, nil
 }
 
-// entryKey rebuilds the store key of a replayed record.
-func entryKey(e walEntry) (monitor.Key, error) {
-	scope, err := monitor.ParseScope(e.Scope)
-	if err != nil {
-		return monitor.Key{}, err
-	}
-	labels, err := monitor.MakeLabels(e.Labels)
-	if err != nil {
-		return monitor.Key{}, err
-	}
-	return monitor.Key{Source: e.Source, Metric: e.Metric, Scope: scope, ID: e.ID, Labels: labels}, nil
-}
-
-// instrument registers the WAL's self-metrics.
+// instrument registers the WAL's self-metrics.  records_total and
+// dropped_total count points, not frames.
 func (w *wal) instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("likwid_wal_records_total", func() float64 {
 		return float64(w.records.Load())

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -105,16 +106,20 @@ func (o PushOptions) withDefaults() PushOptions {
 
 // PushSink ships batches to a remote receiver — the distributed half of
 // the monitoring stack (Röhl et al., arXiv:1708.01476): every node agent
-// pushes, one receiver aggregates.  Samples are encoded as JSON lines
-// (the jsonl sink's exact record shape), gzipped, and POSTed to the
-// receiver's /ingest endpoint with bounded retry and bounded buffering.
+// pushes, one receiver aggregates.  Samples are buffered as they are
+// (source resolved, sent_at and collector alongside), encoded at flush
+// time — gzipped JSON lines or the v4 binary columnar batch — and POSTed
+// to the receiver's /ingest with bounded retry and bounded buffering.
 // Like every sink it runs on the dispatcher goroutine, so a slow
 // receiver delays other sinks at most MaxAttempts backoffs per flush;
 // the sampling path itself is protected by the dispatcher's
 // drop-and-count queue.
 type PushSink struct {
 	opts    PushOptions
-	pending []jsonSample
+	pending []Sample     // Source already resolved to the wire identity
+	meta    []sampleMeta // index-aligned with pending
+	enc     V4Encoder    // grouping scratch, reused across flushes
+	lastV4  int          // size of the previous v4 payload: the next one's capacity hint
 
 	sent    atomic.Uint64 // samples acknowledged by the receiver
 	pushes  atomic.Uint64 // successful POSTs
@@ -190,13 +195,20 @@ func sentAtStamp(now time.Time) float64 {
 
 // Write buffers the batch and flushes once FlushSamples are pending.  A
 // flush that exhausts its attempts returns the error but keeps the
-// samples buffered (bounded by MaxBuffered) for the next flush.
+// samples buffered for the next flush, oldest dropped (and counted)
+// beyond MaxBuffered.  Only a failed flush trims: below the threshold
+// the buffer is under MaxBuffered by construction, and a successful
+// flush ships everything, however far one batch overshot the bound.
 func (p *PushSink) Write(b Batch) error {
-	p.Buffer(b)
+	p.enqueue(b)
 	if len(p.pending) < p.opts.FlushSamples {
 		return nil
 	}
-	return p.flush()
+	err := p.flush()
+	if err != nil {
+		p.trim()
+	}
+	return err
 }
 
 // Buffer enqueues the batch without attempting a flush — Write minus the
@@ -205,54 +217,55 @@ func (p *PushSink) Write(b Batch) error {
 // buffer (oldest dropped and counted past MaxBuffered) and ship when the
 // target recovers, without paying a doomed POST per batch meanwhile.
 func (p *PushSink) Buffer(b Batch) {
+	p.enqueue(b)
+	p.trim()
+}
+
+// enqueue appends the batch to the pending buffer, unbounded.
+func (p *PushSink) enqueue(b Batch) {
 	if p.tBatch != nil {
 		p.tBatch.Observe(float64(len(b.Samples)))
 	}
 	// sent_at is stamped at enqueue time, not POST time: the receiver's
 	// wire-latency histogram then covers the pending-buffer wait too, so
 	// a backed-up push sink is visible end to end, not just its last hop.
-	sentAt := sentAtStamp(p.opts.Now())
-	// A batch's samples almost always share one interned label set:
-	// reuse the previous sample's wire map (read-only downstream)
-	// instead of rebuilding it per record.
-	var (
-		lastLs  Labels
-		lastMap map[string]string
-	)
+	m := sampleMeta{collector: b.Collector, sentAt: sentAtStamp(p.opts.Now())}
 	for _, sm := range b.Samples {
-		source := sm.Source
 		switch {
-		case source == "":
-			source = p.opts.Source
-		case source == SelfSource && p.opts.Source != "":
+		case sm.Source == "":
+			sm.Source = p.opts.Source
+		case sm.Source == SelfSource && p.opts.Source != "":
 			// Self-telemetry series are "self/..." locally; on the wire
 			// they take the agent's push identity so two agents' self
 			// series stay distinct at the receiver, exactly like their
 			// hardware series.
-			source = p.opts.Source
+			sm.Source = p.opts.Source
 		}
-		if sm.Labels != lastLs || lastMap == nil {
-			lastLs, lastMap = sm.Labels, sm.Labels.Map()
-		}
-		p.pending = append(p.pending, jsonSample{
-			Time:      sm.Time,
-			SentAt:    sentAt,
-			Collector: b.Collector,
-			Source:    source,
-			Labels:    lastMap,
-			Metric:    sm.Metric,
-			Scope:     sm.Scope.String(),
-			ID:        sm.ID,
-			Value:     sm.Value,
-		})
+		p.pending = append(p.pending, sm)
+		p.meta = append(p.meta, m)
 	}
-	if over := len(p.pending) - p.opts.MaxBuffered; over > 0 {
-		p.pending = p.pending[over:]
-		if p.dropped.Add(uint64(over)) == uint64(over) && p.opts.Logger != nil {
-			p.opts.Logger.Warn("push buffer full, dropping oldest samples (counted, further drops not logged)",
-				"url", p.opts.URL, "max_buffered", p.opts.MaxBuffered)
-		}
+	if p.tPending != nil {
+		p.tPending.Set(float64(len(p.pending)))
 	}
+}
+
+// trim enforces MaxBuffered, dropping (and counting) the oldest samples.
+func (p *PushSink) trim() {
+	over := len(p.pending) - p.opts.MaxBuffered
+	if over <= 0 {
+		return
+	}
+	p.discard(over)
+	if p.dropped.Add(uint64(over)) == uint64(over) && p.opts.Logger != nil {
+		p.opts.Logger.Warn("push buffer full, dropping oldest samples (counted, further drops not logged)",
+			"url", p.opts.URL, "max_buffered", p.opts.MaxBuffered)
+	}
+}
+
+// discard removes the n oldest pending samples, keeping the buffer.
+func (p *PushSink) discard(n int) {
+	p.pending = append(p.pending[:0], p.pending[n:]...)
+	p.meta = append(p.meta[:0], p.meta[n:]...)
 	if p.tPending != nil {
 		p.tPending.Set(float64(len(p.pending)))
 	}
@@ -277,42 +290,17 @@ func (p *PushSink) Flush() error {
 	return p.flush()
 }
 
-// TakePending removes and returns the buffered samples, decoded back
-// from their wire form — the failover path: when this target is down
-// and another is healthy, the cluster sink re-routes the stranded
-// samples instead of waiting out the outage (or abandoning them on
-// shutdown).  The per-record source resolved at Buffer time is kept, so
-// re-writing the samples through another target's sink lands them on
-// identical keys.  Like Write, it must only be called from the sink's
-// driving goroutine.
+// TakePending removes and returns the buffered samples — the failover
+// path: the cluster sink re-routes a down target's stranded samples to a
+// healthy one.  The source resolved at Buffer time is kept, so they land
+// on identical keys through another target's sink.  Like Write, it must
+// only be called from the sink's driving goroutine.
 func (p *PushSink) TakePending() []Sample {
 	if len(p.pending) == 0 {
 		return nil
 	}
-	out := make([]Sample, 0, len(p.pending))
-	for _, js := range p.pending {
-		scope, err := ParseScope(js.Scope)
-		if err != nil {
-			continue // unreachable: pending records were built from typed samples
-		}
-		ls, err := MakeLabels(js.Labels)
-		if err != nil {
-			continue // unreachable likewise: the maps came from interned sets
-		}
-		out = append(out, Sample{
-			Source: js.Source,
-			Metric: js.Metric,
-			Scope:  scope,
-			ID:     js.ID,
-			Labels: ls,
-			Time:   js.Time,
-			Value:  js.Value,
-		})
-	}
-	p.pending = p.pending[:0]
-	if p.tPending != nil {
-		p.tPending.Set(0)
-	}
+	out := append([]Sample(nil), p.pending...)
+	p.discard(len(out))
 	return out
 }
 
@@ -328,11 +316,8 @@ func (p *PushSink) Close() error {
 	}
 	err := p.flush()
 	if n := len(p.pending); err != nil && n > 0 {
-		p.pending = p.pending[:0]
+		p.discard(n)
 		p.dropped.Add(uint64(n))
-		if p.tPending != nil {
-			p.tPending.Set(0)
-		}
 		if p.opts.Logger != nil {
 			p.opts.Logger.Warn("push sink closed with unflushed samples, dropping them",
 				"url", p.opts.URL, "dropped", n, "err", err)
@@ -341,13 +326,13 @@ func (p *PushSink) Close() error {
 	return err
 }
 
-// encodePending renders the pending samples in the wire format: one JSON
-// object per line, the same record shape the jsonl file sink writes.
+// encodePending renders the pending samples as JSON lines: one object
+// per sample, the same record shape the jsonl file sink writes.
 func (p *PushSink) encodePending() ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, js := range p.pending {
-		if err := enc.Encode(js); err != nil {
+	lines := jsonLines{enc: json.NewEncoder(&buf)}
+	for i, sm := range p.pending {
+		if err := lines.encode(sm, p.meta[i].collector, p.meta[i].sentAt); err != nil {
 			return nil, err
 		}
 	}
@@ -362,11 +347,14 @@ func (p *PushSink) flush() error {
 	)
 	if p.opts.Format == WireV4 {
 		// The binary columnar format is already compact; it ships
-		// identity-encoded under its own Content-Type.
-		payload, err := encodeV4(p.pending)
+		// identity-encoded under its own Content-Type, in a buffer of
+		// its own (the transport may still be reading a body after Do
+		// returns) sized from the previous flush.
+		payload, err := p.enc.encode(make([]byte, 0, p.lastV4+p.lastV4/8+64), p.pending, p.meta)
 		if err != nil {
 			return err
 		}
+		p.lastV4 = len(payload)
 		wire, contentType = payload, V4ContentType
 		if p.tBytes != nil {
 			p.tBytes["raw"].Add(uint64(len(payload)))
@@ -412,10 +400,7 @@ func (p *PushSink) flush() error {
 			p.opts.URL, p.opts.MaxAttempts, err)
 	}
 	n := len(p.pending)
-	p.pending = p.pending[:0]
-	if p.tPending != nil {
-		p.tPending.Set(0)
-	}
+	p.discard(n)
 	p.sent.Add(uint64(n))
 	p.pushes.Add(1)
 	return nil
@@ -472,9 +457,18 @@ func (p *PushSink) post(wire []byte, contentType, encoding string) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer DrainAndClose(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		return fmt.Errorf("receiver returned %s", resp.Status)
 	}
 	return nil
+}
+
+// DrainAndClose reads what is left of a response body (bounded: these
+// are acknowledgements, not downloads) before closing it: net/http
+// returns a connection to the keep-alive pool only once its body has
+// been read to EOF, and closing it unread costs a TCP dial per request.
+func DrainAndClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10))
+	_ = body.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -541,5 +542,100 @@ func TestPushSpecSetsDefaultSource(t *testing.T) {
 	}
 	if src := s.(*PushSink).opts.Source; src == "" {
 		t.Error("ParseSink(push:...) built a sink with no Source identity")
+	}
+}
+
+// ackReceiver accepts every POST the way HTTPSink does — reading the
+// payload, answering with a small JSON body — and counts the TCP
+// connections it accepted.
+func ackReceiver(t *testing.T) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	var conns atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"accepted":1}`)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv, &conns
+}
+
+// TestPushSinkReusesOneConnection is the keep-alive regression: the sink
+// reads the acknowledgement body to EOF before closing it, so sequential
+// flushes ride one TCP connection instead of dialing per POST.
+func TestPushSinkReusesOneConnection(t *testing.T) {
+	srv, conns := ackReceiver(t)
+	p, err := NewPushSink(PushOptions{
+		URL: srv.URL, FlushSamples: 1, RetryBase: time.Millisecond,
+		Client: &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flushes = 25
+	for i := 0; i < flushes; i++ {
+		tm := float64(i)
+		if err := p.Write(Batch{Collector: "c", Time: tm, Samples: []Sample{
+			{Metric: "bw", Scope: ScopeNode, Time: tm, Value: tm},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Pushes(); got != flushes {
+		t.Fatalf("Pushes = %d, want %d", got, flushes)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("receiver accepted %d connections for %d sequential POSTs, want exactly 1", got, flushes)
+	}
+}
+
+// TestPushSinkNoSilentLossAtFlushThreshold is the silent-loss
+// regression: with FlushSamples at or above MaxBuffered (4096, the
+// default, is both; 8192 raises MaxBuffered to match), a batch that
+// carries the buffer past the threshold used to be trimmed to
+// MaxBuffered before the flush it triggered — dropping acknowledged-looking
+// samples on a healthy receiver while Write returned nil.  Only a failed
+// flush trims now (TestPushSinkKeepsBufferAcrossOutageAndBoundsIt holds
+// that bound).
+func TestPushSinkNoSilentLossAtFlushThreshold(t *testing.T) {
+	const total, perBatch = 100000, 500
+	for _, flushSamples := range []int{2048, 4096, 8192} {
+		t.Run(fmt.Sprintf("FlushSamples=%d", flushSamples), func(t *testing.T) {
+			srv, _ := ackReceiver(t)
+			p, err := NewPushSink(PushOptions{
+				URL: srv.URL, FlushSamples: flushSamples, Format: WireV4, Source: "agent0",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sent := 0; sent < total; sent += perBatch {
+				tm := float64(sent / perBatch)
+				b := Batch{Collector: "c", Time: tm, Samples: make([]Sample, perBatch)}
+				for i := range b.Samples {
+					b.Samples[i] = Sample{Metric: "bw", Scope: ScopeThread, ID: i, Time: tm, Value: tm}
+				}
+				if err := p.Write(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Dropped(); got != 0 {
+				t.Errorf("Dropped = %d against a healthy receiver, want 0", got)
+			}
+			if got := p.Sent(); got != total {
+				t.Errorf("Sent = %d, want all %d", got, total)
+			}
+		})
 	}
 }

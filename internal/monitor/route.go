@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"likwid/internal/telemetry"
@@ -12,9 +13,9 @@ import (
 // operator normalize that stream at the fan-in point — drop noisy
 // series, rename metrics that differ across agent versions, stamp or
 // strip labels — before anything is interned or stored.  Routes run in
-// the decode aisle of handleIngest, on the raw wire representation
-// (samples plus their uninterned label maps), so a dropped sample
-// leaves no residue and a relabel never pays double interning.
+// the decode aisle of handleIngest, on the decoded groupBatch (series
+// groups with their uninterned label pairs), so a dropped group leaves
+// no residue and a relabel never pays double interning.
 //
 // Routes are declared in the derive rule file (internal/derive parses
 // them: "route drop ...", "route rename ... -> NAME", "route relabel
@@ -52,8 +53,8 @@ type IngestRoute struct {
 	// Metric selects samples by metric name: exact, '*' wildcards, or
 	// sanitized-form equality (monitor.MatchMetric).
 	Metric string
-	// Matchers restrict the route to samples whose wire label map
-	// carries every named label with a matching value ('*' wildcards).
+	// Matchers restrict the route to samples whose wire labels carry
+	// every named label with a matching value ('*' wildcards).
 	Matchers []Label
 	// Action is the transform applied to matching samples.
 	Action RouteAction
@@ -68,15 +69,15 @@ type IngestRoute struct {
 	Line int
 }
 
-// matches reports whether the route picks one wire sample.
-func (r *IngestRoute) matches(s *Sample, labels map[string]string) bool {
-	if r.Source != "" && !MatchSource(r.Source, s.Source) {
+// matches reports whether the route picks one wire series group.
+func (r *IngestRoute) matches(g *sampleGroup) bool {
+	if r.Source != "" && !MatchSource(r.Source, g.key.Source) {
 		return false
 	}
-	if !MatchLabelMap(r.Matchers, labels) {
+	if !matchLabelPairs(r.Matchers, g.pairs) {
 		return false
 	}
-	return MatchMetric(r.Metric, s.Metric)
+	return MatchMetric(r.Metric, g.key.Metric)
 }
 
 // routeState pairs a route with its hit accounting.
@@ -139,56 +140,46 @@ func (r *Router) Statuses() []RouteStatus {
 	return out
 }
 
-// Apply runs the route list over a decoded batch, in route order per
-// sample: a drop ends that sample's processing; a rename feeds the new
-// name to later routes; a relabel copies the wire label map before
-// mutating it (v4 decode shares one map across a series group, and the
-// untouched samples must keep their original labels).  The three
-// slices are index-aligned and are compacted in place; the returned
-// slices alias the inputs.
+// apply runs the route list over a decoded batch, in route order per
+// series group (a group shares the identity routes match on, so it is
+// routed once and the counters advance by its sample count): a drop ends
+// that group's processing; a rename feeds the new name to later routes;
+// a relabel edits its own copy of the group's pairs.  Surviving groups
+// are compacted in place; a dropped group's rows stay in the columns,
+// unreferenced.
 //
-// A relabel that pushes a sample past the label-count cap rejects the
+// A relabel that pushes a group past the label-count cap rejects the
 // whole batch (the ingest contract is all-or-nothing): the route file
 // and the payload disagree, and silently dropping labels would hide
 // it.
-func (r *Router) Apply(samples []Sample, labelMaps []map[string]string, sentAts []float64) ([]Sample, []map[string]string, []float64, error) {
-	if len(r.routes) == 0 {
-		return samples, labelMaps, sentAts, nil
-	}
-	n := 0
-	for i := range samples {
-		s := samples[i]
-		labels := labelMaps[i]
-		dropped := false
-		copied := false
+func (r *Router) apply(b *groupBatch) error {
+	kept := b.groups[:0]
+	for _, g := range b.groups {
+		rows := uint64(g.hi - g.lo)
+		dropped, copied := false, false
+		relabelled := "?" // the last relabel applied, for the over-cap error
 		for _, rs := range r.routes {
-			if !rs.route.matches(&s, labels) {
+			if !rs.route.matches(&g) {
 				continue
 			}
-			rs.matched.Add(1)
+			rs.matched.Add(rows)
 			if c := r.tRouted[rs.route.Action]; c != nil {
-				c.Inc()
+				c.Add(rows)
 			}
 			switch rs.route.Action {
 			case RouteDrop:
 				dropped = true
 			case RouteRename:
-				s.Metric = rs.route.NewMetric
+				g.key.Metric = rs.route.NewMetric
 			case RouteRelabel:
 				if !copied {
-					next := make(map[string]string, len(labels)+len(rs.route.Set))
-					for k, v := range labels {
-						next[k] = v
-					}
-					labels, copied = next, true
+					g.pairs = append(make([]Label, 0, len(g.pairs)+len(rs.route.Set)), g.pairs...)
+					copied = true
 				}
 				for _, set := range rs.route.Set {
-					if set.Value == "" {
-						delete(labels, set.Name)
-					} else {
-						labels[set.Name] = set.Value
-					}
+					g.pairs = setPair(g.pairs, set)
 				}
+				relabelled = rs.route.Spec
 			}
 			if dropped {
 				break
@@ -197,24 +188,25 @@ func (r *Router) Apply(samples []Sample, labelMaps []map[string]string, sentAts 
 		if dropped {
 			continue
 		}
-		if len(labels) > maxLabels {
-			return nil, nil, nil, fmt.Errorf("monitor: route %q leaves sample labels %q over the limit of %d labels",
-				routeFor(r, &s, labels), FormatLabelMap(labels), maxLabels)
+		if len(g.pairs) > maxLabels {
+			return fmt.Errorf("monitor: route %q leaves sample labels %q over the limit of %d labels",
+				relabelled, encodePairs(g.pairs), maxLabels)
 		}
-		samples[n], labelMaps[n], sentAts[n] = s, labels, sentAts[i]
-		n++
+		kept = append(kept, g)
 	}
-	return samples[:n], labelMaps[:n], sentAts[:n], nil
+	b.groups = kept
+	return nil
 }
 
-// routeFor names the last relabel route matching a sample, for the
-// over-cap error message.
-func routeFor(r *Router, s *Sample, labels map[string]string) string {
-	spec := "?"
-	for _, rs := range r.routes {
-		if rs.route.Action == RouteRelabel && rs.route.matches(s, labels) {
-			spec = rs.route.Spec
-		}
+// setPair applies one relabel assignment to name-sorted pairs, keeping
+// them sorted: an empty value deletes the label, anything else sets it.
+func setPair(pairs []Label, set Label) []Label {
+	i, found := slices.BinarySearchFunc(pairs, set, cmpLabelName)
+	if found {
+		pairs = slices.Delete(pairs, i, i+1)
 	}
-	return spec
+	if set.Value != "" {
+		pairs = slices.Insert(pairs, i, set)
+	}
+	return pairs
 }

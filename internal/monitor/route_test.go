@@ -9,38 +9,69 @@ import (
 	"likwid/internal/telemetry"
 )
 
-func routeBatch() ([]Sample, []map[string]string, []float64) {
-	samples := []Sample{
-		{Source: "nodeA", Metric: "bw", Scope: ScopeNode, Time: 1, Value: 10},
-		{Source: "nodeA", Metric: "noise", Scope: ScopeNode, Time: 1, Value: 1},
-		{Source: "nodeB", Metric: "bw_old", Scope: ScopeNode, Time: 1, Value: 20},
+// testGroup is one single-row series group of a hand-built batch.
+type testGroup struct {
+	source, metric string
+	labels         map[string]string
+	sentAt         float64
+}
+
+// groupsOf builds the decoded shape by hand: one one-row group per
+// entry, pairs sorted like a decoder leaves them.
+func groupsOf(groups ...testGroup) *groupBatch {
+	b := &groupBatch{}
+	for i, tg := range groups {
+		var pairs []Label
+		for name, value := range tg.labels {
+			pairs = append(pairs, Label{Name: name, Value: value})
+		}
+		if err := sortPairs(pairs); err != nil {
+			panic(err)
+		}
+		b.groups = append(b.groups, sampleGroup{
+			key: Key{Source: tg.source, Metric: tg.metric, Scope: ScopeNode}, pairs: pairs, lo: i, hi: i + 1,
+		})
+		b.times = append(b.times, 1)
+		b.sentAts = append(b.sentAts, tg.sentAt)
+		b.values = append(b.values, float64(10*(i+1)))
 	}
-	labelMaps := []map[string]string{
-		{"job": "lbm"},
-		{"job": "lbm"},
-		nil,
+	return b
+}
+
+func pairValue(pairs []Label, name string) string {
+	for _, p := range pairs {
+		if p.Name == name {
+			return p.Value
+		}
 	}
-	return samples, labelMaps, []float64{1, 2, 3}
+	return ""
+}
+
+func routeBatch() *groupBatch {
+	return groupsOf(
+		testGroup{source: "nodeA", metric: "bw", labels: map[string]string{"job": "lbm"}, sentAt: 1},
+		testGroup{source: "nodeA", metric: "noise", labels: map[string]string{"job": "lbm"}, sentAt: 2},
+		testGroup{source: "nodeB", metric: "bw_old", sentAt: 3},
+	)
 }
 
 func TestRouterDrop(t *testing.T) {
 	r := NewRouter([]IngestRoute{{Metric: "noise", Action: RouteDrop, Spec: "route drop noise"}})
-	samples, labelMaps, sentAts := routeBatch()
-	samples, labelMaps, sentAts, err := r.Apply(samples, labelMaps, sentAts)
-	if err != nil {
+	b := routeBatch()
+	if err := r.apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != 2 || len(labelMaps) != 2 || len(sentAts) != 2 {
-		t.Fatalf("want 2 samples after drop, got %d", len(samples))
+	if len(b.groups) != 2 || b.rows() != 2 {
+		t.Fatalf("want 2 groups / 2 rows after drop, got %d / %d", len(b.groups), b.rows())
 	}
-	for _, s := range samples {
-		if s.Metric == "noise" {
-			t.Fatalf("dropped metric still present: %+v", s)
+	for _, g := range b.groups {
+		if g.key.Metric == "noise" {
+			t.Fatalf("dropped metric still present: %+v", g)
 		}
 	}
-	// The parallel slices must stay aligned: nodeB's sent_at is 3.
-	if samples[1].Source != "nodeB" || sentAts[1] != 3 {
-		t.Fatalf("slices misaligned after drop: %+v sentAt=%v", samples[1], sentAts[1])
+	// Survivors keep pointing at their own rows: nodeB's sent_at is 3.
+	if g := b.groups[1]; g.key.Source != "nodeB" || b.sentAts[g.lo] != 3 {
+		t.Fatalf("group misaligned after drop: %+v sentAt=%v", g, b.sentAts[g.lo])
 	}
 	if st := r.Statuses(); len(st) != 1 || st[0].Matched != 1 || st[0].Action != "drop" {
 		t.Fatalf("bad route status: %+v", st)
@@ -49,42 +80,62 @@ func TestRouterDrop(t *testing.T) {
 
 func TestRouterRename(t *testing.T) {
 	r := NewRouter([]IngestRoute{{Metric: "bw_old", Action: RouteRename, NewMetric: "bw"}})
-	samples, labelMaps, sentAts := routeBatch()
-	samples, _, _, err := r.Apply(samples, labelMaps, sentAts)
-	if err != nil {
+	b := routeBatch()
+	if err := r.apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if samples[2].Metric != "bw" {
-		t.Fatalf("rename did not apply: %+v", samples[2])
+	if b.groups[2].key.Metric != "bw" {
+		t.Fatalf("rename did not apply: %+v", b.groups[2])
 	}
-	if samples[0].Metric != "bw" || samples[1].Metric != "noise" {
-		t.Fatalf("rename touched non-matching samples: %+v", samples[:2])
+	if b.groups[0].key.Metric != "bw" || b.groups[1].key.Metric != "noise" {
+		t.Fatalf("rename touched non-matching groups: %+v", b.groups[:2])
 	}
 }
 
+// TestRouterRelabelCopiesSharedMaps: a relabel edits its own copy of a
+// group's label pairs (maps, before the decoders went group-shaped) —
+// neighbours sharing the decoder's backing array, and a second group
+// holding the very same slice, keep theirs.
 func TestRouterRelabelCopiesSharedMaps(t *testing.T) {
-	shared := map[string]string{"job": "lbm"}
-	samples := []Sample{
-		{Source: "nodeA", Metric: "bw", Scope: ScopeNode, Time: 1, Value: 10},
-		{Source: "nodeB", Metric: "bw", Scope: ScopeNode, Time: 1, Value: 20},
-	}
-	labelMaps := []map[string]string{shared, shared} // v4 decode shares maps
+	b := groupsOf(
+		testGroup{source: "nodeA", metric: "bw", labels: map[string]string{"job": "lbm"}},
+		testGroup{source: "nodeB", metric: "bw", labels: map[string]string{"job": "lbm"}},
+	)
+	shared := b.groups[0].pairs
+	b.groups[1].pairs = shared
 	r := NewRouter([]IngestRoute{{
 		Source: "nodeA", Metric: "bw", Action: RouteRelabel,
 		Set: []Label{{Name: "cluster", Value: "emmy"}, {Name: "job", Value: ""}},
 	}})
-	_, labelMaps, _, err := r.Apply(samples, labelMaps, []float64{0, 0})
-	if err != nil {
+	if err := r.apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if got := labelMaps[0]; got["cluster"] != "emmy" || got["job"] != "" {
+	if got := b.groups[0].pairs; len(got) != 1 || got[0] != (Label{Name: "cluster", Value: "emmy"}) {
 		t.Fatalf("relabel did not apply: %v", got)
 	}
-	if got := labelMaps[1]; got["cluster"] != "" || got["job"] != "lbm" {
-		t.Fatalf("relabel mutated the shared map of a non-matching sample: %v", got)
+	if got := b.groups[1].pairs; len(got) != 1 || got[0] != (Label{Name: "job", Value: "lbm"}) {
+		t.Fatalf("relabel mutated the pairs of a non-matching group: %v", got)
 	}
-	if shared["cluster"] != "" {
-		t.Fatalf("relabel mutated the shared wire map in place: %v", shared)
+	if len(shared) != 1 || shared[0] != (Label{Name: "job", Value: "lbm"}) {
+		t.Fatalf("relabel mutated the shared pairs in place: %v", shared)
+	}
+}
+
+// TestSetPairKeepsPairsSorted pins the relabel primitive: set, replace
+// and delete all leave the pairs sorted by name (the order interning and
+// the wire rely on).
+func TestSetPairKeepsPairsSorted(t *testing.T) {
+	pairs := []Label{{Name: "job", Value: "lbm"}}
+	pairs = setPair(pairs, Label{Name: "zone", Value: "z"})
+	pairs = setPair(pairs, Label{Name: "cluster", Value: "emmy"})
+	pairs = setPair(pairs, Label{Name: "job", Value: "xhpl"})
+	pairs = setPair(pairs, Label{Name: "absent", Value: ""})
+	if got := encodePairs(pairs); got != "cluster=emmy,job=xhpl,zone=z" {
+		t.Fatalf("pairs = %q", got)
+	}
+	pairs = setPair(pairs, Label{Name: "job", Value: ""})
+	if got := encodePairs(pairs); got != "cluster=emmy,zone=z" {
+		t.Fatalf("pairs after delete = %q", got)
 	}
 }
 
@@ -94,13 +145,12 @@ func TestRouterOrderAndChaining(t *testing.T) {
 		{Metric: "bw_old", Action: RouteRename, NewMetric: "bw"},
 		{Metric: "bw", Action: RouteRelabel, Set: []Label{{Name: "cluster", Value: "emmy"}}},
 	})
-	samples, labelMaps, sentAts := routeBatch()
-	samples, labelMaps, _, err := r.Apply(samples, labelMaps, sentAts)
-	if err != nil {
+	b := routeBatch()
+	if err := r.apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if samples[2].Metric != "bw" || labelMaps[2]["cluster"] != "emmy" {
-		t.Fatalf("chained routes did not apply: %+v labels=%v", samples[2], labelMaps[2])
+	if g := b.groups[2]; g.key.Metric != "bw" || pairValue(g.pairs, "cluster") != "emmy" {
+		t.Fatalf("chained routes did not apply: %+v", g)
 	}
 }
 
@@ -111,18 +161,34 @@ func TestRouterMatchDimensions(t *testing.T) {
 		Matchers: []Label{{Name: "job", Value: "l*"}},
 		Action:   RouteDrop,
 	}})
-	samples := []Sample{
-		{Source: "nodeA", Metric: "Memory bandwidth [MBytes/s]", Scope: ScopeNode, Time: 1, Value: 1},
-		{Source: "nodeA", Metric: "Memory bandwidth [MBytes/s]", Scope: ScopeNode, Time: 1, Value: 1},
-		{Source: "rack1", Metric: "Memory bandwidth [MBytes/s]", Scope: ScopeNode, Time: 1, Value: 1},
-	}
-	labelMaps := []map[string]string{{"job": "lbm"}, {"job": "xhpl"}, {"job": "lbm"}}
-	samples, _, _, err := r.Apply(samples, labelMaps, make([]float64, 3))
-	if err != nil {
+	const metric = "Memory bandwidth [MBytes/s]"
+	b := groupsOf(
+		testGroup{source: "nodeA", metric: metric, labels: map[string]string{"job": "lbm"}},
+		testGroup{source: "nodeA", metric: metric, labels: map[string]string{"job": "xhpl"}},
+		testGroup{source: "rack1", metric: metric, labels: map[string]string{"job": "lbm"}},
+	)
+	if err := r.apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != 2 {
-		t.Fatalf("want 2 survivors (wrong job, wrong source), got %d", len(samples))
+	if len(b.groups) != 2 {
+		t.Fatalf("want 2 survivors (wrong job, wrong source), got %d", len(b.groups))
+	}
+}
+
+// TestRouterCountsSamplesNotGroups: a group is routed once, but the
+// match counters keep counting samples.
+func TestRouterCountsSamplesNotGroups(t *testing.T) {
+	r := NewRouter([]IngestRoute{{Metric: "bw", Action: RouteRename, NewMetric: "bandwidth"}})
+	b := groupsOf(testGroup{source: "nodeA", metric: "bw"})
+	b.groups[0].hi = 5 // one group, five rows
+	for i := 1; i < 5; i++ {
+		b.times, b.sentAts, b.values = append(b.times, 1), append(b.sentAts, 0), append(b.values, 1)
+	}
+	if err := r.apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Statuses(); st[0].Matched != 5 {
+		t.Fatalf("matched = %d for a five-sample group, want 5", st[0].Matched)
 	}
 }
 
@@ -132,9 +198,8 @@ func TestRouterRelabelOverCapRejects(t *testing.T) {
 		set = append(set, Label{Name: fmt.Sprintf("l%02d", i), Value: "x"})
 	}
 	r := NewRouter([]IngestRoute{{Metric: "bw", Action: RouteRelabel, Set: set, Spec: "route relabel bw set ..."}})
-	samples := []Sample{{Source: "nodeA", Metric: "bw", Scope: ScopeNode, Time: 1, Value: 1}}
-	labelMaps := []map[string]string{{"job": "lbm"}} // 1 + maxLabels > maxLabels
-	if _, _, _, err := r.Apply(samples, labelMaps, []float64{0}); err == nil {
+	b := groupsOf(testGroup{source: "nodeA", metric: "bw", labels: map[string]string{"job": "lbm"}}) // 1 + maxLabels > maxLabels
+	if err := r.apply(b); err == nil {
 		t.Fatal("over-cap relabel accepted")
 	}
 }
@@ -143,16 +208,14 @@ func TestRouterInstrument(t *testing.T) {
 	reg := telemetry.New()
 	r := NewRouter([]IngestRoute{{Metric: "noise", Action: RouteDrop}})
 	r.Instrument(reg)
-	samples, labelMaps, sentAts := routeBatch()
-	if _, _, _, err := r.Apply(samples, labelMaps, sentAts); err != nil {
+	if err := r.apply(routeBatch()); err != nil {
 		t.Fatal(err)
 	}
 	// Reload: a fresh Router re-instruments onto the same registry
 	// counters (identity dedup), so fleet totals survive route reloads.
 	r2 := NewRouter([]IngestRoute{{Metric: "noise", Action: RouteDrop}})
 	r2.Instrument(reg)
-	samples, labelMaps, sentAts = routeBatch()
-	if _, _, _, err := r2.Apply(samples, labelMaps, sentAts); err != nil {
+	if err := r2.apply(routeBatch()); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("likwid_ingest_routed_total", "action", "drop").Value(); got != 2 {

@@ -380,29 +380,36 @@ type jsonSample struct {
 
 func (s *jsonlSink) Name() string { return "jsonl" }
 
+// jsonLines writes samples in the line protocol, reusing one wire label
+// map per run of samples sharing an interned set (the encoder only reads
+// it) — a batch's samples almost always share one.
+type jsonLines struct {
+	enc *json.Encoder
+	ls  Labels
+	m   map[string]string
+}
+
+func (j *jsonLines) encode(sm Sample, collector string, sentAt float64) error {
+	if sm.Labels != j.ls || j.m == nil {
+		j.ls, j.m = sm.Labels, sm.Labels.Map()
+	}
+	return j.enc.Encode(jsonSample{
+		Time:      sm.Time,
+		SentAt:    sentAt,
+		Collector: collector,
+		Source:    sm.Source,
+		Labels:    j.m,
+		Metric:    sm.Metric,
+		Scope:     sm.Scope.String(),
+		ID:        sm.ID,
+		Value:     sm.Value,
+	})
+}
+
 func (s *jsonlSink) Write(b Batch) error {
-	enc := json.NewEncoder(s.w)
-	// Reuse one wire map per run of samples sharing an interned label
-	// set (the encoder only reads it).
-	var (
-		lastLs  Labels
-		lastMap map[string]string
-	)
+	lines := jsonLines{enc: json.NewEncoder(s.w)}
 	for _, sm := range b.Samples {
-		if sm.Labels != lastLs || lastMap == nil {
-			lastLs, lastMap = sm.Labels, sm.Labels.Map()
-		}
-		err := enc.Encode(jsonSample{
-			Time:      sm.Time,
-			Collector: b.Collector,
-			Source:    sm.Source,
-			Labels:    lastMap,
-			Metric:    sm.Metric,
-			Scope:     sm.Scope.String(),
-			ID:        sm.ID,
-			Value:     sm.Value,
-		})
-		if err != nil {
+		if err := lines.encode(sm, b.Collector, 0); err != nil {
 			return err
 		}
 	}

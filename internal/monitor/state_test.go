@@ -10,8 +10,8 @@ type journalRec struct {
 	p Point
 }
 
-// chanJournal mirrors the persist WAL's shape: a non-blocking handoff
-// to a buffered channel, dropping when full.
+// chanJournal is a minimal Journal: a non-blocking handoff to a buffered
+// channel, dropping when full.
 type chanJournal struct {
 	ch      chan journalRec
 	dropped int
@@ -22,6 +22,12 @@ func (j *chanJournal) Record(k Key, p Point) {
 	case j.ch <- journalRec{k, p}:
 	default:
 		j.dropped++
+	}
+}
+
+func (j *chanJournal) RecordBatch(samples []Sample) {
+	for _, s := range samples {
+		j.Record(s.Key(), Point{Time: s.Time, Value: s.Value})
 	}
 }
 
@@ -58,7 +64,7 @@ func TestJournalSeesEveryAppendPath(t *testing.T) {
 
 // TestAppendWithWALZeroAllocs pins the acceptance criterion: enabling
 // the journal must not add allocations to the interned append path —
-// the record is plain values handed to a buffered channel.
+// a single append reaches the journal as plain values.
 func TestAppendWithWALZeroAllocs(t *testing.T) {
 	st := NewStore(1024)
 	j := &chanJournal{ch: make(chan journalRec, 4)} // tiny: exercises the drop path too

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -54,6 +55,20 @@ type series struct {
 
 func (s *series) append(p Point) {
 	s.mu.Lock()
+	s.appendLocked(p)
+	s.mu.Unlock()
+}
+
+// appendColumns appends one column group's rows under a single lock.
+func (s *series) appendColumns(times, values []float64) {
+	s.mu.Lock()
+	for i, t := range times {
+		s.appendLocked(Point{Time: t, Value: values[i]})
+	}
+	s.mu.Unlock()
+}
+
+func (s *series) appendLocked(p Point) {
 	if s.n == len(s.buf) {
 		s.evictions++
 		if len(s.tiers) > 0 {
@@ -69,7 +84,6 @@ func (s *series) append(p Point) {
 	if s.n < len(s.buf) {
 		s.n++
 	}
-	s.mu.Unlock()
 }
 
 // retainedInto copies the raw points (into buf's backing array when it
@@ -135,8 +149,8 @@ type Store struct {
 	// journal, when set, observes every append after it lands in the
 	// ring — the write-ahead-log hook.  It is an atomic pointer so the
 	// hot append path pays one load and no lock; implementations must
-	// not block (the persist WAL hands records to a buffered channel
-	// and drops-with-a-counter when full).
+	// not block (the persist WAL copies points into a bounded queue and
+	// drops-with-a-counter when it is full).
 	journal atomic.Pointer[Journal]
 
 	// inv is the read-side inverted selector index (see index.go),
@@ -144,11 +158,15 @@ type Store struct {
 	inv *invertedIndex
 }
 
-// Journal observes appends for durability.  Record runs on the append
-// path after the point lands in the ring: it receives plain values (no
-// boxing), must be safe for concurrent use, and must not block.
+// Journal observes appends for durability, after the points landed in
+// their rings.  Single appends (Store.Append, Series.Append) arrive
+// through Record as plain values, so the hot path never allocates; batch
+// appends (AppendBatch, an accepted /ingest payload) arrive whole through
+// RecordBatch.  Both must be safe for concurrent use and must not block,
+// and RecordBatch must neither keep nor modify the slice.
 type Journal interface {
 	Record(k Key, p Point)
+	RecordBatch(samples []Sample)
 }
 
 // SetJournal installs (or, with nil, removes) the append journal.
@@ -212,17 +230,21 @@ func (st *Store) create(k Key) *series {
 	for kk, vv := range cur {
 		next[kk] = vv
 	}
-	next[k] = s
+	next[s.key] = s
 	st.index.Store(&next)
 	// Index after publishing: the generation bump is the read-side
 	// "something new exists" signal, so caches that read the generation
 	// before resolving can never miss this series at a stale generation.
-	st.inv.add(k)
+	st.inv.add(s.key)
 	return s
 }
 
 // newSeries builds one series ring with the store's tier configuration.
+// It keeps its own copies of the key's strings: ingest and WAL replay
+// resolve keys whose strings alias a whole payload, which the index must
+// not pin for the life of the store.
 func (st *Store) newSeries(k Key) *series {
+	k.Source, k.Metric = strings.Clone(k.Source), strings.Clone(k.Metric)
 	s := &series{key: k, buf: make([]Point, st.capacity)}
 	for _, t := range st.tiers {
 		s.tiers = append(s.tiers, newTierRing(t))
@@ -260,8 +282,9 @@ func (st *Store) ensureMany(keys []Key) {
 		if next[k] != nil { // duplicate within the batch
 			continue
 		}
-		next[k] = st.newSeries(k)
-		created = append(created, k)
+		s := st.newSeries(k)
+		next[s.key] = s
+		created = append(created, s.key)
 	}
 	st.index.Store(&next)
 	st.inv.addMany(created)
@@ -297,8 +320,9 @@ func (st *Store) Append(k Key, p Point) {
 
 // AppendBatch records every sample of a batch.  Unseen series are
 // created in one bulk pass first (one snapshot clone, one index
-// re-sort), and consecutive same-key samples — the layout v4 columnar
-// decode and per-collector batches produce — share one interned handle.
+// re-sort), consecutive same-key samples — the layout a v4 decode and
+// per-collector batches produce — share one series lookup, and the
+// journal observes the batch in one call.
 func (st *Store) AppendBatch(b Batch) {
 	idx := *st.index.Load()
 	var fresh []Key
@@ -310,16 +334,58 @@ func (st *Store) AppendBatch(b Batch) {
 	if len(fresh) > 0 {
 		st.ensureMany(fresh)
 	}
-	var h Series
+	var sr *series
 	var last Key
 	for i, s := range b.Samples {
 		k := s.Key()
 		if i == 0 || k != last {
-			h = st.Intern(k)
-			last = k
+			sr, last = st.getOrCreate(k), k
 		}
-		h.Append(Point{Time: s.Time, Value: s.Value})
+		sr.append(Point{Time: s.Time, Value: s.Value})
 	}
+	if jp := st.journal.Load(); jp != nil && len(b.Samples) > 0 {
+		(*jp).RecordBatch(b.Samples)
+	}
+}
+
+// appendGroups lands a decoded, label-resolved ingest batch: every
+// unseen series is created in one ensureMany pass (a fleet's first push
+// is one index clone, not one per series), each group's rows are appended
+// under one series lock, and the journal observes the batch in one call.
+// On return the groups carry the store's canonical keys, not the request
+// payload's strings, so later stages may keep them.  The batch comes back
+// as samples when a journal is installed or the caller wants them (the
+// forward hook), nil otherwise.
+func (st *Store) appendGroups(b *groupBatch, wantSamples bool) []Sample {
+	idx := *st.index.Load()
+	var fresh []Key
+	for i := range b.groups {
+		g := &b.groups[i]
+		if g.series = idx[g.key]; g.series == nil {
+			fresh = append(fresh, g.key)
+		}
+	}
+	if len(fresh) > 0 {
+		st.ensureMany(fresh)
+		idx = *st.index.Load()
+	}
+	for i := range b.groups {
+		g := &b.groups[i]
+		if g.series == nil {
+			g.series = idx[g.key]
+		}
+		g.key = g.series.key
+		g.series.appendColumns(b.times[g.lo:g.hi], b.values[g.lo:g.hi])
+	}
+	jp := st.journal.Load()
+	if jp == nil && !wantSamples {
+		return nil
+	}
+	samples := b.appendSamples(nil)
+	if jp != nil && len(samples) > 0 {
+		(*jp).RecordBatch(samples)
+	}
+	return samples
 }
 
 // SetCompaction fixes how one series folds evicted raw points into its

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,64 +12,110 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
+// wireSample is one fixture row: a sample plus what a push sink carries
+// alongside it onto the wire.
+type wireSample struct {
+	Sample
+	Collector string
+	SentAt    float64
+}
+
+// encodeV4 renders fixture rows through the push sink's encoder.
+func encodeV4(tb testing.TB, rows []wireSample) []byte {
+	tb.Helper()
+	samples, meta := rowsOf(rows)
+	payload, err := new(V4Encoder).encode(nil, samples, meta)
+	if err != nil {
+		tb.Fatalf("v4 encode: %v", err)
+	}
+	return payload
+}
+
+// decodeV4Batch decodes a payload into a fresh batch.
+func decodeV4Batch(payload []byte) (*groupBatch, error) {
+	b := &groupBatch{}
+	return b, decodeV4(payload, b)
+}
+
 // v4WireSamples is a fixture exercising grouping (two series), labels,
 // sent_at stamps and irregular values.
-func v4WireSamples() []jsonSample {
-	return []jsonSample{
-		{Time: 0.5, SentAt: 100, Collector: "perfgroup/MEM_DP", Source: "nodeA-7",
-			Labels: map[string]string{"job": "lbm", "rack": "r1"},
-			Metric: "dp_mflops_s", Scope: "thread", ID: 0, Value: 571.25},
-		{Time: 1.0, SentAt: 100, Collector: "perfgroup/MEM_DP", Source: "nodeA-7",
-			Labels: map[string]string{"job": "lbm", "rack": "r1"},
-			Metric: "dp_mflops_s", Scope: "thread", ID: 0, Value: 570.75},
-		{Time: 1.5, SentAt: 100.5, Collector: "perfgroup/MEM_DP", Source: "nodeA-7",
-			Labels: map[string]string{"job": "lbm", "rack": "r1"},
-			Metric: "dp_mflops_s", Scope: "thread", ID: 0, Value: 571.25},
-		{Time: 0.5, SentAt: 100, Collector: "perfgroup/MEM_DP", Source: "nodeB-9",
-			Metric: "memory_bandwidth_mbytes_s", Scope: "socket", ID: 0, Value: 13714.285},
-		{Time: 1.0, SentAt: 100, Collector: "perfgroup/MEM_DP", Source: "nodeB-9",
-			Metric: "memory_bandwidth_mbytes_s", Scope: "socket", ID: 0, Value: 13710},
+func v4WireSamples(tb testing.TB) []wireSample {
+	lbm, err := MakeLabels(map[string]string{"job": "lbm", "rack": "r1"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a := Sample{Source: "nodeA-7", Labels: lbm, Metric: "dp_mflops_s", Scope: ScopeThread}
+	b := Sample{Source: "nodeB-9", Metric: "memory_bandwidth_mbytes_s", Scope: ScopeSocket}
+	at := func(s Sample, t, v float64) Sample { s.Time, s.Value = t, v; return s }
+	const c = "perfgroup/MEM_DP"
+	return []wireSample{
+		{at(a, 0.5, 571.25), c, 100},
+		{at(a, 1.0, 570.75), c, 100},
+		{at(a, 1.5, 571.25), c, 100.5},
+		{at(b, 0.5, 13714.285), c, 100},
+		{at(b, 1.0, 13710), c, 100},
 	}
 }
 
 // TestV4RoundTrip pins the codec end to end: encode → decode returns the
-// samples in order with the exact times, values, label maps and sent_at
-// stamps the JSON-lines decoder would have produced.
+// rows in order with the exact identities, times, values, label pairs
+// and sent_at stamps — grouped, and with nothing interned.
 func TestV4RoundTrip(t *testing.T) {
-	in := v4WireSamples()
-	payload, err := encodeV4(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, labelMaps, sentAts, err := decodeV4(bytes.NewReader(payload))
+	in := v4WireSamples(t)
+	before := InternedLabelSets()
+	b, err := decodeV4Batch(encodeV4(t, in))
 	if err != nil {
 		t.Fatalf("decodeV4: %v", err)
+	}
+	if got := InternedLabelSets(); got != before {
+		t.Errorf("decode interned %d label sets, want none before the payload is accepted", got-before)
 	}
 	// Grouping reorders across series (group-major) but keeps arrival
 	// order within a series; the fixture is already group-major, so the
 	// decode must match it one to one.
-	if len(samples) != len(in) || len(labelMaps) != len(in) || len(sentAts) != len(in) {
-		t.Fatalf("decode = %d samples / %d maps / %d stamps, want %d each",
-			len(samples), len(labelMaps), len(sentAts), len(in))
+	if len(b.groups) != 2 || b.rows() != len(in) || len(b.times) != len(in) ||
+		len(b.sentAts) != len(in) || len(b.values) != len(in) {
+		t.Fatalf("decode = %d groups / %d rows / %d+%d+%d column entries, want 2 groups of %d rows",
+			len(b.groups), b.rows(), len(b.times), len(b.sentAts), len(b.values), len(in))
 	}
-	for i, js := range in {
-		s := samples[i]
-		if s.Source != js.Source || s.Metric != js.Metric || s.Scope.String() != js.Scope ||
-			s.ID != js.ID || s.Time != js.Time || s.Value != js.Value {
-			t.Errorf("sample %d = %+v, want the encoding of %+v", i, s, js)
+	row := 0
+	for _, g := range b.groups {
+		if g.key.Labels != (Labels{}) {
+			t.Errorf("group %+v has interned labels, want unset (decode must not intern)", g)
 		}
-		if s.Labels != (Labels{}) {
-			t.Errorf("sample %d has interned labels %v, want unset (decode must not intern)", i, s.Labels)
+		for r := g.lo; r < g.hi; r++ {
+			want := in[row]
+			row++
+			if k := want.Key(); g.key.Source != k.Source || g.key.Metric != k.Metric || g.key.Scope != k.Scope || g.key.ID != k.ID ||
+				b.times[r] != want.Time || b.values[r] != want.Value || b.sentAts[r] != want.SentAt {
+				t.Errorf("row %d = %+v t=%v v=%v sent_at=%v, want the encoding of %+v",
+					r, g, b.times[r], b.values[r], b.sentAts[r], want)
+			}
+			if encodePairs(g.pairs) != want.Labels.String() {
+				t.Errorf("row %d labels = %v, want %v", r, g.pairs, want.Labels)
+			}
 		}
-		if FormatLabelMap(labelMaps[i]) != FormatLabelMap(js.Labels) {
-			t.Errorf("sample %d labels = %v, want %v", i, labelMaps[i], js.Labels)
-		}
-		if sentAts[i] != js.SentAt {
-			t.Errorf("sample %d sent_at = %v, want %v", i, sentAts[i], js.SentAt)
-		}
+	}
+
+	// The exported inverse: samples back, labels interned.
+	samples := make([]Sample, len(in))
+	for i, r := range in {
+		samples[i] = r.Sample
+	}
+	payload, err := new(V4Encoder).Encode(nil, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeV4Samples(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, samples) {
+		t.Errorf("DecodeV4Samples(Encode(samples)) = %+v, want %+v", got, samples)
 	}
 }
 
@@ -95,7 +142,7 @@ func TestV4ColumnCodecsRoundTripRandom(t *testing.T) {
 				vals[i] = rng.NormFloat64()
 			}
 		}
-		got, err := decodeDeltaColumn(encodeDeltaColumn(vals), n)
+		got, err := decodeDeltaColumn(columnBody(t, appendDeltaColumn(nil, vals)), n, nil)
 		if err != nil {
 			t.Fatalf("trial %d: delta decode: %v", trial, err)
 		}
@@ -105,7 +152,7 @@ func TestV4ColumnCodecsRoundTripRandom(t *testing.T) {
 					trial, i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
 			}
 		}
-		got, err = decodeXORColumn(encodeXORColumn(vals), n)
+		got, err = decodeXORColumn(columnBody(t, appendXORColumn(nil, vals)), n, nil)
 		if err != nil {
 			t.Fatalf("trial %d: xor decode: %v", trial, err)
 		}
@@ -118,14 +165,21 @@ func TestV4ColumnCodecsRoundTripRandom(t *testing.T) {
 	}
 }
 
+// columnBody strips (and checks) a column's uvarint length prefix.
+func columnBody(t *testing.T, col []byte) []byte {
+	t.Helper()
+	n, sz := binary.Uvarint(col)
+	if sz <= 0 || int(n) != len(col)-sz {
+		t.Fatalf("column prefix announces %d bytes (prefix size %d), column holds %d", n, sz, len(col)-sz)
+	}
+	return col[sz:]
+}
+
 // TestV4DecodeRejectsMalformed is the all-or-nothing contract on the
 // binary path: structural damage and invalid record content both reject
 // the whole payload.
 func TestV4DecodeRejectsMalformed(t *testing.T) {
-	valid, err := encodeV4(v4WireSamples())
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := encodeV4(t, v4WireSamples(t))
 	bad := map[string][]byte{
 		"empty":          {},
 		"wrong magic":    []byte("LKW3garbage"),
@@ -135,30 +189,58 @@ func TestV4DecodeRejectsMalformed(t *testing.T) {
 		"magic only":     []byte("LKW4"),
 	}
 	for name, payload := range bad {
-		if _, _, _, err := decodeV4(bytes.NewReader(payload)); err == nil {
+		if _, err := decodeV4Batch(payload); err == nil {
 			t.Errorf("%s: decodeV4 succeeded, want error", name)
 		}
 	}
 
 	// Invalid record content: NaN value, negative time, bad scope, empty
-	// metric — the encoder does not validate (it is fed already-validated
-	// samples), so encoding them exercises the decoder's screens.
-	for name, js := range map[string]jsonSample{
-		"NaN value":     {Time: 1, Metric: "bw", Scope: "node", Value: math.NaN()},
-		"Inf value":     {Time: 1, Metric: "bw", Scope: "node", Value: math.Inf(1)},
-		"negative time": {Time: -1, Metric: "bw", Scope: "node", Value: 1},
-		"NaN time":      {Time: math.NaN(), Metric: "bw", Scope: "node", Value: 1},
-		"bad scope":     {Time: 1, Metric: "bw", Scope: "galaxy", Value: 1},
-		"empty metric":  {Time: 1, Metric: "   ", Scope: "node", Value: 1},
-		"bad label":     {Time: 1, Metric: "bw", Scope: "node", Value: 1, Labels: map[string]string{"bad name": "x"}},
+	// metric, a label no validator would have interned — the encoder does
+	// not validate (it is fed already-validated samples), so encoding
+	// them exercises the decoder's screens.
+	badLabels := Labels{set: &labelSet{pairs: []Label{{Name: "bad name", Value: "x"}}, canon: "bad name=x"}}
+	for name, sm := range map[string]Sample{
+		"NaN value":     {Time: 1, Metric: "bw", Scope: ScopeNode, Value: math.NaN()},
+		"Inf value":     {Time: 1, Metric: "bw", Scope: ScopeNode, Value: math.Inf(1)},
+		"negative time": {Time: -1, Metric: "bw", Scope: ScopeNode, Value: 1},
+		"NaN time":      {Time: math.NaN(), Metric: "bw", Scope: ScopeNode, Value: 1},
+		"bad scope":     {Time: 1, Metric: "bw", Scope: Scope(42), Value: 1},
+		"empty metric":  {Time: 1, Metric: "   ", Scope: ScopeNode, Value: 1},
+		"bad label":     {Time: 1, Metric: "bw", Scope: ScopeNode, Value: 1, Labels: badLabels},
 	} {
-		payload, err := encodeV4([]jsonSample{js})
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		if _, _, _, err := decodeV4(bytes.NewReader(payload)); err == nil {
+		payload := encodeV4(t, []wireSample{{Sample: sm}})
+		if _, err := decodeV4Batch(payload); err == nil {
 			t.Errorf("%s: decodeV4 accepted invalid record", name)
 		}
+		if _, err := DecodeV4Samples(payload, nil); err == nil {
+			t.Errorf("%s: DecodeV4Samples accepted invalid record", name)
+		}
+	}
+
+	// Label pairs may arrive in any order (a foreign encoder), but never
+	// twice under one name.
+	group := func(labels ...string) []byte {
+		p := append([]byte(v4Magic), 1, 0, 0) // one group; empty collector and source
+		p = appendString(p, "bw")
+		p = appendString(p, "node")
+		p = append(p, 0, byte(len(labels)/2))
+		for _, l := range labels {
+			p = appendString(p, l)
+		}
+		p = append(p, 1) // one sample
+		p = appendDeltaColumn(p, []float64{1})
+		p = appendDeltaColumn(p, []float64{0})
+		return appendXORColumn(p, []float64{2})
+	}
+	b, err := decodeV4Batch(group("rack", "r1", "job", "lbm"))
+	if err != nil {
+		t.Fatalf("unsorted label pairs rejected: %v", err)
+	}
+	if got := encodePairs(b.groups[0].pairs); got != "job=lbm,rack=r1" {
+		t.Errorf("unsorted pairs decoded as %q, want them sorted", got)
+	}
+	if _, err := decodeV4Batch(group("job", "lbm", "job", "xhpl")); err == nil {
+		t.Error("duplicate label name accepted")
 	}
 }
 
@@ -170,11 +252,7 @@ func TestV4IngestEndToEnd(t *testing.T) {
 	h, store := newTestHTTPSink(t)
 	base := "http://" + h.Addr()
 
-	payload, err := encodeV4(v4WireSamples())
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, body := postIngest4(t, base, payload, false)
+	code, body := postIngest4(t, base, encodeV4(t, v4WireSamples(t)), false)
 	if code != http.StatusOK {
 		t.Fatalf("v4 ingest = %d %q", code, body)
 	}
@@ -199,12 +277,9 @@ func TestV4IngestEndToEnd(t *testing.T) {
 	// Content-Type.
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
-	v1shim, err := encodeV4([]jsonSample{
-		{Time: 9, Collector: "c", Metric: "nodeC/bw", Scope: "node", ID: 0, Value: 42},
+	v1shim := encodeV4(t, []wireSample{
+		{Sample: Sample{Time: 9, Metric: "nodeC/bw", Scope: ScopeNode, Value: 42}, Collector: "c"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := zw.Write(v1shim); err != nil {
 		t.Fatal(err)
 	}
@@ -321,16 +396,16 @@ func TestV4PushReceiveEndToEnd(t *testing.T) {
 // (regularly sampled series, slowly-moving values) the v4 wire must
 // spend at least 3× fewer bytes per sample than gzipped v3 JSON lines.
 func TestV4WireDensity(t *testing.T) {
-	samples := densityWireSamples(8, 512)
-	v4, err := encodeV4(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := densityWireSamples(t, 8, 512)
+	v4 := encodeV4(t, samples)
 	var v3 bytes.Buffer
 	zw := gzip.NewWriter(&v3)
 	enc := json.NewEncoder(zw)
-	for _, js := range samples {
-		if err := enc.Encode(js); err != nil {
+	for _, r := range samples {
+		if err := enc.Encode(jsonSample{
+			Time: r.Time, SentAt: r.SentAt, Collector: r.Collector, Source: r.Source,
+			Labels: r.Labels.Map(), Metric: r.Metric, Scope: r.Scope.String(), ID: r.ID, Value: r.Value,
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,12 +420,12 @@ func TestV4WireDensity(t *testing.T) {
 	}
 
 	// And the round trip still holds at this size.
-	decoded, _, _, err := decodeV4(bytes.NewReader(v4))
+	b, err := decodeV4Batch(v4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decoded) != len(samples) {
-		t.Fatalf("decoded %d samples, want %d", len(decoded), len(samples))
+	if b.rows() != len(samples) {
+		t.Fatalf("decoded %d samples, want %d", b.rows(), len(samples))
 	}
 }
 
@@ -359,26 +434,35 @@ func TestV4WireDensity(t *testing.T) {
 // asserts each is present and parses as a Go fuzz corpus entry.
 func TestV4FuzzCorpusSeeds(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzIngestV4")
-	seeds := fuzzV4Seeds()
+	seeds := fuzzV4Seeds(t)
+	entry := func(name string) []byte {
+		return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbool(%v)\n", seeds[name].Body, seeds[name].Gzip))
+	}
 	if *updateGolden {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for name, seed := range seeds {
-			entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbool(%v)\n", seed.Body, seed.Gzip)
-			if err := os.WriteFile(filepath.Join(dir, "seed_"+name), []byte(entry), 0o644); err != nil {
+		for name := range seeds {
+			if err := os.WriteFile(filepath.Join(dir, "seed_"+name), entry(name), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return
 	}
-	for name := range seeds {
+	for name, seed := range seeds {
 		data, err := os.ReadFile(filepath.Join(dir, "seed_"+name))
 		if err != nil {
 			t.Fatalf("missing corpus seed (run with -update): %v", err)
 		}
 		if !bytes.HasPrefix(data, []byte("go test fuzz v1\n[]byte(")) {
 			t.Errorf("seed_%s is not a fuzz corpus entry:\n%s", name, data)
+		}
+		// The corpus was written by the encoder's previous generation:
+		// byte identity of every seed the encoder produces is the "not
+		// one wire byte changed" pin.  (The gzipped seed is exempt:
+		// compress/gzip's output is not stable across Go releases.)
+		if !seed.Gzip && !bytes.Equal(data, entry(name)) {
+			t.Errorf("seed_%s differs from what the encoder produces now:\n%s\nvs\n%s", name, data, entry(name))
 		}
 	}
 }
@@ -388,25 +472,26 @@ func TestV4FuzzCorpusSeeds(t *testing.T) {
 // quantized values that hold for several ticks between steps (monitoring
 // series are sampled faster than they change), sent_at constant per
 // flush — the shape the columnar codecs are built for.
-func densityWireSamples(nSeries, nTicks int) []jsonSample {
+func densityWireSamples(tb testing.TB, nSeries, nTicks int) []wireSample {
+	lbm, err := MakeLabels(map[string]string{"job": "lbm"})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(3))
-	out := make([]jsonSample, 0, nSeries*nTicks)
+	out := make([]wireSample, 0, nSeries*nTicks)
 	for s := 0; s < nSeries; s++ {
 		v := 1000 + float64(rng.Intn(100))
 		for i := 0; i < nTicks; i++ {
 			if i%8 == 0 {
 				v += float64(rng.Intn(11) - 5)
 			}
-			out = append(out, jsonSample{
-				Time:      float64(i) * 0.125,
-				SentAt:    1700000000,
+			out = append(out, wireSample{
+				Sample: Sample{
+					Source: "node42", Labels: lbm, Metric: "memory_bandwidth_mbytes_s",
+					Scope: ScopeThread, ID: s, Time: float64(i) * 0.125, Value: v,
+				},
 				Collector: "perfgroup/MEM_DP",
-				Source:    "node42",
-				Labels:    map[string]string{"job": "lbm"},
-				Metric:    "memory_bandwidth_mbytes_s",
-				Scope:     "thread",
-				ID:        s,
-				Value:     v,
+				SentAt:    1700000000,
 			})
 		}
 	}
