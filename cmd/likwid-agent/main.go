@@ -123,6 +123,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -134,6 +135,7 @@ import (
 	"likwid/internal/monitor"
 	"likwid/internal/monitor/cluster"
 	"likwid/internal/monitor/persist"
+	"likwid/internal/rules"
 	"likwid/internal/telemetry"
 	"likwid/internal/topology"
 )
@@ -335,6 +337,7 @@ func runReceiver(ctx context.Context, cfg *agentConfig, log *slog.Logger) error 
 		closePersist(pm, log)
 		return err
 	}
+	reloadOnSIGHUP(ctx, alerting.loop, deriving)
 	selfSched := monitor.NewScheduler(monitor.SchedulerOptions{
 		Store:      store,
 		Dispatcher: selfDispatch,
@@ -352,7 +355,7 @@ func runReceiver(ctx context.Context, cfg *agentConfig, log *slog.Logger) error 
 		"endpoints", "/ingest /metrics /query /status /healthz /readyz", "pprof", cfg.pprof)
 	<-ctx.Done()
 	<-schedDone
-	deriving.stop(log)         // evaluation stops before its dispatcher closes
+	deriving.stop()            // evaluation stops before its dispatcher closes
 	err = selfDispatch.Close() // closes the HTTP sink with it
 	// Graceful drain: the listener is down (nothing new arrives), so the
 	// forward pipeline can flush its buffered and downsampler-open
@@ -381,24 +384,133 @@ func (t teeSink) Name() string                { return "forward-tee" }
 func (t teeSink) Write(b monitor.Batch) error { t.d.Publish(b); return nil }
 func (t teeSink) Close() error                { return nil }
 
-// alerting bundles a running alert engine with its teardown.
-type alerting struct {
-	engine  *alert.Engine
-	fanout  *alert.Fanout
-	grouper *alert.Grouper // nil without -group-wait
-	done    chan struct{}
-	cancel  context.CancelFunc
+// ruleLoop is one rule engine running on its cadence over one rule
+// file: the reload entry that SIGHUP and POST /<what>/reload share, and
+// the teardown.
+type ruleLoop struct {
+	reload func(trigger string) (int, error)
+	cancel context.CancelFunc
+	done   chan struct{}
+	sweep  func() // logs every rule whose newest evaluation failed
 }
 
-// stop cancels the engine, waits for its rule goroutines, flushes any
-// open grouping windows, drains the notifier queue, and logs the
-// delivery accounting.
-func (a *alerting) stop(log *slog.Logger) {
-	if a.engine == nil {
+// stop cancels the engine, waits for its rule goroutines and names the
+// rules that finished with an error.  A nil loop (no rule file) has
+// nothing to stop.
+func (l *ruleLoop) stop() {
+	if l == nil {
 		return
 	}
-	a.cancel()
-	<-a.done
+	l.cancel()
+	<-l.done
+	l.sweep()
+}
+
+// ruleEngine is what runRules drives of either rule engine; S is the
+// engine's status row, which embeds the runtime's common fields.
+type ruleEngine[S any] interface {
+	Run(context.Context)
+	RuleStatuses() []S
+}
+
+// defaultEvery is the cadence of rules without an "every" clause.  Agent
+// mode tracks the sampling cadence; receiver mode has no sampling of its
+// own, so rules fall back to the engines' default (10 s) instead of the
+// meaningless -i value.
+func defaultEvery(cfg *agentConfig) time.Duration {
+	if cfg.receiver != "" {
+		return 0
+	}
+	return cfg.interval
+}
+
+// runRules starts an engine's cadence loop and mounts its hot reload on
+// every HTTP sink as POST /<what>/reload.  reloadFile re-reads the file
+// and swaps it in; a bad file is rejected atomically, keeping the old
+// set live.  It returns the new rule count and any further attributes
+// for the log line.
+func runRules[S any](ctx context.Context, log *slog.Logger, https []*monitor.HTTPSink, what, file string,
+	engine ruleEngine[S], common func(S) rules.Status, reloadFile func() (int, []any, error)) *ruleLoop {
+	reload := func(trigger string) (int, error) {
+		n, attrs, err := reloadFile()
+		if err != nil {
+			log.Warn(what+" reload rejected, the old set stays live", "trigger", trigger, "err", err)
+			return 0, err
+		}
+		log.Info(what+" reloaded", append([]any{"trigger", trigger, "rules", n, "file", file}, attrs...)...)
+		return n, nil
+	}
+	for _, h := range https {
+		h.Handle("/"+what+"/reload", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost {
+				http.Error(w, "POST only", http.StatusMethodNotAllowed)
+				return
+			}
+			n, err := reload("POST /" + what + "/reload")
+			if err != nil {
+				http.Error(w, what+" reload rejected: "+err.Error(), http.StatusUnprocessableEntity)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, "{\"rules\":%d}\n", n)
+		}))
+	}
+	ectx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		engine.Run(ectx)
+		close(done)
+	}()
+	sweep := func() {
+		for _, s := range engine.RuleStatuses() {
+			if st := common(s); st.LastError != "" {
+				log.Warn("rule finished with error", "file", file, "rule", st.Name, "err", st.LastError)
+			}
+		}
+	}
+	return &ruleLoop{reload: reload, cancel: cancel, done: done, sweep: sweep}
+}
+
+// reloadOnSIGHUP hot-reloads every running rule file (-rules, -derive)
+// on SIGHUP until ctx ends, in agent and receiver modes alike.  Without
+// a rule file the signal keeps its default action.
+func reloadOnSIGHUP(ctx context.Context, loops ...*ruleLoop) {
+	loops = slices.DeleteFunc(loops, func(l *ruleLoop) bool { return l == nil })
+	if len(loops) == 0 {
+		return
+	}
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	go func() {
+		defer signal.Stop(hup)
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-hup:
+				for _, l := range loops {
+					_, _ = l.reload("SIGHUP")
+				}
+			}
+		}
+	}()
+}
+
+// alerting bundles a running alert engine's delivery stages with its
+// rule loop.
+type alerting struct {
+	fanout  *alert.Fanout
+	grouper *alert.Grouper // nil without -group-wait
+	loop    *ruleLoop      // nil without -rules
+}
+
+// stop stops the rule loop, flushes any open grouping windows, drains
+// the notifier queue, and logs the delivery accounting.
+func (a *alerting) stop(log *slog.Logger) {
+	if a.loop == nil {
+		return
+	}
+	a.loop.stop()
 	if a.grouper != nil {
 		_ = a.grouper.Close()
 	}
@@ -407,15 +519,10 @@ func (a *alerting) stop(log *slog.Logger) {
 	}
 	log.Info("alerting stopped",
 		"delivered", a.fanout.Delivered(), "dropped", a.fanout.Dropped(), "notifier_errors", a.fanout.Errors())
-	for _, rs := range a.engine.RuleStatuses() {
-		if rs.LastError != "" {
-			log.Warn("rule finished with error", "rule", rs.Name, "err", rs.LastError)
-		}
-	}
 }
 
 // startAlerting builds notifiers, engine and endpoints from -rules and
-// -notify and starts the evaluation loop.  A no-op (nil engine) without
+// -notify and starts the evaluation loop.  A no-op (nil loop) without
 // -rules.
 func startAlerting(ctx context.Context, cfg *agentConfig, store *monitor.Store, https []*monitor.HTTPSink, reg *telemetry.Registry, log *slog.Logger) (*alerting, error) {
 	if len(cfg.rules) == 0 {
@@ -456,21 +563,9 @@ func startAlerting(ctx context.Context, cfg *agentConfig, store *monitor.Store, 
 			return nil
 		})
 	}
-	// Agent mode tracks the sampling cadence; receiver mode has no
-	// sampling of its own, so rules fall back to the engine's default
-	// (10 s) instead of the meaningless -i value.
-	defaultEvery := cfg.interval
-	if cfg.receiver != "" {
-		defaultEvery = 0
-	}
-	// Log each distinct rule error once, not once per evaluation — a
-	// receiver evaluating fleet rules before the first agent pushes
-	// would otherwise repeat "no series matches" at the full cadence.
-	var errMu sync.Mutex
-	lastErr := map[string]string{}
 	engine, err := alert.NewEngine(alert.Options{
 		Store:        store,
-		DefaultEvery: defaultEvery,
+		DefaultEvery: defaultEvery(cfg),
 		Fanout:       fanout,
 		Notify:       notify,
 		Telemetry:    reg,
@@ -480,91 +575,29 @@ func startAlerting(ctx context.Context, cfg *agentConfig, store *monitor.Store, 
 		// sampled every -adaptive interval must not be mistaken for a
 		// dead one between its (legitimately sparse) collections.
 		StaleAfter: staleHorizon(cfg.adaptive),
+		// The engine reports a rule's error when it changes, not once per
+		// evaluation — a receiver evaluating fleet rules before the first
+		// agent pushes would otherwise repeat "no series matches" at the
+		// full cadence.
 		OnError: func(rule string, err error) {
-			errMu.Lock()
-			repeat := lastErr[rule] == err.Error()
-			lastErr[rule] = err.Error()
-			errMu.Unlock()
-			if !repeat {
-				log.Warn("rule evaluation failed", "rule", rule, "err", err)
-			}
+			log.Warn("rule evaluation failed", "file", cfg.rulesFile, "rule", rule, "err", err)
 		},
 	}, cfg.rules)
 	if err != nil {
 		return nil, err
 	}
-	// reload re-reads -rules and swaps the rule set; a bad file is
-	// rejected atomically, keeping the old rules live.
-	reload := func(trigger string) (int, error) {
-		n, rerr := reloadRules(engine, cfg.rulesFile)
-		if rerr != nil {
-			log.Warn("rules reload rejected, old rules stay live", "trigger", trigger, "err", rerr)
-			return 0, rerr
-		}
-		log.Info("rules reloaded", "trigger", trigger, "rules", n, "file", cfg.rulesFile)
-		return n, nil
-	}
 	for _, h := range https {
 		h.Handle("/alerts", http.HandlerFunc(engine.HandleAlerts))
 		h.Handle("/rules", http.HandlerFunc(engine.HandleRules))
-		h.Handle("/rules/reload", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				http.Error(w, "POST only", http.StatusMethodNotAllowed)
-				return
-			}
-			n, rerr := reload("POST /rules/reload")
-			if rerr != nil {
-				http.Error(w, "rules reload rejected: "+rerr.Error(), http.StatusUnprocessableEntity)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, "{\"rules\":%d}\n", n)
-		}))
 	}
-	ectx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	go func() {
-		engine.Run(ectx)
-		close(done)
-	}()
-	// SIGHUP hot-reloads the rule file in both agent and receiver modes.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		defer signal.Stop(hup)
-		for {
-			select {
-			case <-ectx.Done():
-				return
-			case <-hup:
-				_, _ = reload("SIGHUP")
-			}
-		}
-	}()
+	loop := runRules(ctx, log, https, "rules", cfg.rulesFile, engine,
+		func(s alert.RuleStatus) rules.Status { return s.Status },
+		func() (int, []any, error) {
+			n, err := reloadRules(engine, cfg.rulesFile)
+			return n, nil, err
+		})
 	log.Info("alerting started", "rules", len(cfg.rules), "file", cfg.rulesFile, "group_wait", cfg.groupWait)
-	return &alerting{engine: engine, fanout: fanout, grouper: grouper, done: done, cancel: cancel}, nil
-}
-
-// deriving bundles a running derive engine with its teardown.
-type deriving struct {
-	engine *derive.Engine
-	done   chan struct{}
-	cancel context.CancelFunc
-}
-
-// stop cancels the engine and waits for its rule goroutines; evaluation
-// must cease before the dispatcher it publishes to closes.
-func (d *deriving) stop(log *slog.Logger) {
-	if d.engine == nil {
-		return
-	}
-	d.cancel()
-	<-d.done
-	for _, rs := range d.engine.RuleStatuses() {
-		if rs.LastError != "" {
-			log.Warn("derive rule finished with error", "rule", rs.Name, "err", rs.LastError)
-		}
-	}
+	return &alerting{fanout: fanout, grouper: grouper, loop: loop}, nil
 }
 
 // startDeriving builds the recorded-rule engine and ingest routes from
@@ -572,10 +605,10 @@ func (d *deriving) stop(log *slog.Logger) {
 // sink's /ingest; emitted samples are appended to the store and also
 // published to dispatch (when non-nil) as "derive/<rule>" batches so
 // push wires and /metrics carry derived series like collected ones.  A
-// no-op (nil engine) without -derive.
-func startDeriving(ctx context.Context, cfg *agentConfig, store *monitor.Store, https []*monitor.HTTPSink, dispatch *monitor.Dispatcher, reg *telemetry.Registry, log *slog.Logger) (*deriving, error) {
+// no-op (nil loop) without -derive.
+func startDeriving(ctx context.Context, cfg *agentConfig, store *monitor.Store, https []*monitor.HTTPSink, dispatch *monitor.Dispatcher, reg *telemetry.Registry, log *slog.Logger) (*ruleLoop, error) {
 	if cfg.deriveFile == "" {
-		return &deriving{}, nil
+		return nil, nil
 	}
 	installRoutes := func(routes []monitor.IngestRoute) {
 		router := monitor.NewRouter(routes)
@@ -585,41 +618,17 @@ func startDeriving(ctx context.Context, cfg *agentConfig, store *monitor.Store, 
 		}
 	}
 	installRoutes(cfg.deriveRoutes)
-	// Agent mode tracks the sampling cadence; receiver mode falls back
-	// to the engine default (10 s), exactly like the alert engine.
-	defaultEvery := cfg.interval
-	if cfg.receiver != "" {
-		defaultEvery = 0
-	}
-	var errMu sync.Mutex
-	lastErr := map[string]string{}
 	engine, err := derive.NewEngine(derive.Options{
 		Store:        store,
-		DefaultEvery: defaultEvery,
+		DefaultEvery: defaultEvery(cfg),
 		Dispatcher:   dispatch,
 		Telemetry:    reg,
 		OnError: func(rule string, err error) {
-			errMu.Lock()
-			repeat := lastErr[rule] == err.Error()
-			lastErr[rule] = err.Error()
-			errMu.Unlock()
-			if !repeat {
-				log.Warn("derive rule evaluation failed", "rule", rule, "err", err)
-			}
+			log.Warn("rule evaluation failed", "file", cfg.deriveFile, "rule", rule, "err", err)
 		},
 	}, cfg.deriveRules)
 	if err != nil {
 		return nil, err
-	}
-	reload := func(trigger string) (int, error) {
-		n, routes, rerr := reloadDerive(engine, cfg.deriveFile)
-		if rerr != nil {
-			log.Warn("derive reload rejected, old rules and routes stay live", "trigger", trigger, "err", rerr)
-			return 0, rerr
-		}
-		installRoutes(routes)
-		log.Info("derive reloaded", "trigger", trigger, "rules", n, "routes", len(routes), "file", cfg.deriveFile)
-		return n, nil
 	}
 	routeStatuses := func() []monitor.RouteStatus {
 		if len(https) == 0 {
@@ -632,44 +641,20 @@ func startDeriving(ctx context.Context, cfg *agentConfig, store *monitor.Store, 
 	}
 	for _, h := range https {
 		h.Handle("/derive", derive.StatusHandler(engine, routeStatuses))
-		h.Handle("/derive/reload", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				http.Error(w, "POST only", http.StatusMethodNotAllowed)
-				return
-			}
-			n, rerr := reload("POST /derive/reload")
-			if rerr != nil {
-				http.Error(w, "derive reload rejected: "+rerr.Error(), http.StatusUnprocessableEntity)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, "{\"rules\":%d}\n", n)
-		}))
 	}
-	ectx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	go func() {
-		engine.Run(ectx)
-		close(done)
-	}()
-	// SIGHUP hot-reloads the derive file; the kernel delivers the signal
-	// to every registered channel, so -rules and -derive both react.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		defer signal.Stop(hup)
-		for {
-			select {
-			case <-ectx.Done():
-				return
-			case <-hup:
-				_, _ = reload("SIGHUP")
+	loop := runRules(ctx, log, https, "derive", cfg.deriveFile, engine,
+		func(s derive.RuleStatus) rules.Status { return s.Status },
+		func() (int, []any, error) {
+			n, routes, err := reloadDerive(engine, cfg.deriveFile)
+			if err != nil {
+				return 0, nil, err
 			}
-		}
-	}()
+			installRoutes(routes)
+			return n, []any{"routes", len(routes)}, nil
+		})
 	log.Info("derive started",
 		"rules", len(cfg.deriveRules), "routes", len(cfg.deriveRoutes), "file", cfg.deriveFile)
-	return &deriving{engine: engine, done: done, cancel: cancel}, nil
+	return loop, nil
 }
 
 // staleHorizon is the alert staleness cut-off: 5 minutes, pushed out to
@@ -784,6 +769,7 @@ func runAgent(ctx context.Context, cfg *agentConfig, log *slog.Logger) error {
 	if err != nil {
 		return err
 	}
+	reloadOnSIGHUP(ctx, alerting.loop, deriving)
 
 	sched := monitor.NewScheduler(monitor.SchedulerOptions{
 		Store:       store,
@@ -826,7 +812,7 @@ func runAgent(ctx context.Context, cfg *agentConfig, log *slog.Logger) error {
 		_ = stop()
 	}
 	alerting.stop(log)
-	deriving.stop(log) // evaluation stops before its dispatcher closes
+	deriving.stop() // evaluation stops before its dispatcher closes
 	if err := dispatcher.Close(); err != nil {
 		log.Warn("sink close failed", "err", err)
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"likwid/internal/monitor"
+	"likwid/internal/rules"
 	"likwid/internal/spec"
 )
 
@@ -43,6 +44,10 @@ const (
 )
 
 var fnNames = [...]string{"avg", "min", "max", "rate", "imbalance"}
+
+// fnReducers maps each function onto the runtime's window reducer;
+// imbalance reduces every member to its window mean first.
+var fnReducers = [...]rules.Reducer{rules.Mean, rules.Min, rules.Max, rules.Rate, rules.Mean}
 
 // String returns the spec-language name of the function.
 func (f Fn) String() string {
@@ -182,22 +187,12 @@ func (r *Rule) selector() string {
 	return spec.RenderSelector(r.Source, r.Metric, r.Matchers)
 }
 
-// matches reports whether the rule's selector picks a stored series:
-// the source dimension first (exact, or '*' wildcards; empty = local
-// only), then the label matchers, then the metric.  Alert history
-// series never match: a wildcard rule must not alert on its own output.
-func (r *Rule) matches(k monitor.Key) bool {
-	if strings.HasPrefix(k.Metric, "alert/") {
-		return false
-	}
-	if !monitor.MatchSource(r.Source, k.Source) {
-		return false
-	}
-	if !monitor.MatchLabels(r.Matchers, k.Labels) {
-		return false
-	}
-	return monitor.MatchMetric(r.Metric, k.Metric)
-}
+// RuleName and Cadence expose the rule to the shared runtime
+// (rules.Rule).
+func (r *Rule) RuleName() string { return r.Name }
+
+// Cadence is the rule's own "every" clause; 0 uses the engine default.
+func (r *Rule) Cadence() time.Duration { return r.Every }
 
 // State is one alert instance's position in the lifecycle.
 type State int

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"likwid/internal/monitor"
+	"likwid/internal/rules"
 	"likwid/internal/telemetry"
 )
 
@@ -39,7 +40,8 @@ type Options struct {
 	// data) and restarts its lifecycle when the series moves again.
 	// Zero disables staleness handling.
 	StaleAfter time.Duration
-	// OnError observes per-rule evaluation problems (optional).
+	// OnError observes a rule's evaluation error when it changes, not on
+	// every repeat of a standing one (optional; rules.Config.OnError).
 	OnError func(rule string, err error)
 	// Telemetry, when set, instruments evaluation: per-eval duration
 	// histogram, eval counter, and firing/resolved transition counters.
@@ -64,220 +66,89 @@ type instance struct {
 	stale       bool      // parked: resolved by staleness, data frozen
 }
 
-// ruleState is one rule's evaluation bookkeeping.
-type ruleState struct {
-	rule     *Rule
-	evals    uint64
-	lastEval time.Time // wall time of the newest evaluation
-	lastErr  string
-
-	// Cached selector resolution: the matched keys at store index
-	// generation resGen.  Valid until the generation moves (a series was
-	// created) or the rule's spec changes on reload — so steady-state
-	// evaluation of a warm store does zero matching work and zero
-	// allocation.  resKeys is read-only once published here.
-	resKeys  []monitor.Key
-	resGen   uint64
-	resValid bool
-
-	// window is the rule's reusable point buffer for WindowInto.  An
-	// evaluation takes it (leaving nil) and returns it when done, so
-	// concurrent EvalNow+Run evaluations never share a buffer.
-	window []monitor.Point
-}
-
 // Engine evaluates parsed rules against the store on a per-rule wall
 // cadence and drives the pending → firing → resolved state machine.
 // Notifications happen only on transitions (pending that recovers before
 // its "for" duration is silently cancelled), so a firing alert is
-// delivered exactly once per episode.  Reload swaps the rule set while
-// Run keeps going — the hot-reload path behind likwid-agent's SIGHUP
-// handler and POST /rules/reload.
+// delivered exactly once per episode.  Cadence, hot reload, the cached
+// selector resolution and the per-rule bookkeeping are the shared rule
+// runtime's (internal/rules); the engine adds the instances.
 type Engine struct {
 	opts Options
+	rt   *rules.Runtime[*Rule, []monitor.Key]
 
+	reload <-chan struct{} // the runtime's pending-restart signal
+
+	// mu guards insts.  It is taken before the runtime's own lock, never
+	// while holding it.
 	mu    sync.Mutex
-	rules []*Rule
 	insts map[instKey]*instance
-	state map[string]*ruleState
 
-	reload chan struct{} // signals Run to restart its rule goroutines
-
-	// Telemetry instruments, resolved once at construction (nil without
-	// Options.Telemetry; the eval path nil-checks).
-	tEvals       *telemetry.Counter
-	tEvalSec     *telemetry.Histogram
-	tTransitions map[string]*telemetry.Counter // by event state
-	tResHit      *telemetry.Counter            // rule resolutions served from cache
-	tResCold     *telemetry.Counter            // rule resolutions that hit the index
+	tTransitions map[string]*telemetry.Counter // by event state; nil without Options.Telemetry
 }
 
 // NewEngine creates an engine over the given rules.
-func NewEngine(opts Options, rules []*Rule) (*Engine, error) {
+func NewEngine(opts Options, ruleSet []*Rule) (*Engine, error) {
 	if opts.Store == nil {
 		return nil, fmt.Errorf("alert: engine needs a store")
 	}
 	if opts.Clock == nil {
 		opts.Clock = monitor.RealClock
 	}
-	if opts.DefaultEvery <= 0 {
-		opts.DefaultEvery = 10 * time.Second
-	}
-	e := &Engine{
-		opts:   opts,
-		rules:  rules,
-		insts:  map[instKey]*instance{},
-		state:  map[string]*ruleState{},
-		reload: make(chan struct{}, 1),
-	}
-	for _, r := range rules {
-		e.state[r.Name] = &ruleState{rule: r}
-	}
+	e := &Engine{opts: opts, insts: map[instKey]*instance{}}
+	e.rt = rules.New(rules.Config[*Rule, []monitor.Key]{
+		Kind:         "alert",
+		Store:        opts.Store,
+		Clock:        opts.Clock,
+		DefaultEvery: opts.DefaultEvery,
+		OnError:      opts.OnError,
+		Telemetry:    opts.Telemetry,
+		Resolve:      e.resolve,
+		Evaluate:     e.evaluate,
+	}, ruleSet)
+	e.reload = e.rt.Restart()
 	if reg := opts.Telemetry; reg != nil {
-		e.tEvals = reg.Counter("likwid_alert_evals_total")
-		e.tEvalSec = reg.Histogram("likwid_alert_eval_seconds", telemetry.DurationBuckets)
 		e.tTransitions = map[string]*telemetry.Counter{
 			EventStateFiring:   reg.Counter("likwid_alert_transitions_total", "state", EventStateFiring),
 			EventStateResolved: reg.Counter("likwid_alert_transitions_total", "state", EventStateResolved),
 		}
-		e.tResHit = reg.Counter("likwid_alert_resolve_total", "result", "hit")
-		e.tResCold = reg.Counter("likwid_alert_resolve_total", "result", "cold")
-		reg.GaugeFunc("likwid_alert_rules", func() float64 { return float64(len(e.Rules())) })
 	}
 	return e, nil
 }
 
 // Rules returns a snapshot of the engine's rules in file order.
-func (e *Engine) Rules() []*Rule {
+func (e *Engine) Rules() []*Rule { return e.rt.Rules() }
+
+// Reload atomically swaps the rule set — the hot-reload path behind
+// likwid-agent's SIGHUP handler and POST /rules/reload, with the shared
+// runtime's semantics (rules.Runtime.Reload).  Rules whose rendered spec
+// is unchanged keep their instances — a hot reload does not re-fire
+// active alerts; removed or edited rules drop theirs (an evaluation
+// already in flight for an edited rule may still land one instance under
+// its old spec; the next evaluation converges it).
+func (e *Engine) Reload(ruleSet []*Rule) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]*Rule(nil), e.rules...)
-}
-
-// Reload atomically swaps the rule set.  Validation is the caller's job
-// (ParseRules): a file that fails to parse is simply never handed to
-// Reload, so the old set stays live.  Rules whose rendered spec is
-// unchanged keep their instances and bookkeeping — a hot reload does
-// not re-fire active alerts; removed or edited rules drop theirs (an
-// evaluation already in flight for an edited rule may still land one
-// instance under its old spec; the next evaluation converges it).  A
-// running Run loop restarts its goroutines on the new set — unless the
-// whole set renders spec-identical, in which case the evaluation timers
-// keep running, so a config-management loop re-posting the same file
-// every few seconds cannot starve rules of their cadence.
-func (e *Engine) Reload(rules []*Rule) {
-	e.mu.Lock()
-	oldSpec := make(map[string]string, len(e.rules))
-	for _, r := range e.rules {
-		oldSpec[r.Name] = r.String()
-	}
-	newState := make(map[string]*ruleState, len(rules))
-	unchanged := map[string]bool{}
-	identical := len(rules) == len(e.rules)
-	for i, r := range rules {
-		unchanged[r.Name] = oldSpec[r.Name] == r.String()
-		if st, ok := e.state[r.Name]; ok {
-			st.rule = r
-			if !unchanged[r.Name] {
-				// An edited selector must re-resolve; the cached key set
-				// belongs to the old spec.
-				st.resValid = false
-			}
-			newState[r.Name] = st
-		} else {
-			newState[r.Name] = &ruleState{rule: r}
-		}
-		identical = identical && e.rules[i].Name == r.Name && unchanged[r.Name]
-	}
+	unchanged := e.rt.Reload(ruleSet)
 	for id := range e.insts {
 		if !unchanged[id.rule] {
 			delete(e.insts, id)
 		}
 	}
-	e.rules = rules
-	e.state = newState
-	e.mu.Unlock()
-	if identical {
-		return // same specs, same cadences: keep the running timers
-	}
-	select {
-	case e.reload <- struct{}{}:
-	default: // a restart is already pending
-	}
 }
 
 // Run evaluates every rule on its cadence until the context is
-// cancelled, then returns once all rule goroutines have stopped.  A
-// Reload restarts the goroutines on the new rule set without dropping
-// out of Run.  The fanout is not closed: the caller owns its lifecycle.
-func (e *Engine) Run(ctx context.Context) {
-	for {
-		rctx, cancel := context.WithCancel(ctx)
-		var wg sync.WaitGroup
-		for _, r := range e.Rules() {
-			wg.Add(1)
-			go func(r *Rule) {
-				defer wg.Done()
-				every := r.Every
-				if every <= 0 {
-					every = e.opts.DefaultEvery
-				}
-				for {
-					select {
-					case <-rctx.Done():
-						return
-					case <-e.opts.Clock.After(every):
-					}
-					e.evalRule(r)
-				}
-			}(r)
-		}
-		select {
-		case <-ctx.Done():
-			cancel()
-			wg.Wait()
-			return
-		case <-e.reload:
-			cancel()
-			wg.Wait()
-		}
-	}
-}
+// cancelled, then returns once all rule goroutines have stopped.  The
+// fanout is not closed: the caller owns its lifecycle.
+func (e *Engine) Run(ctx context.Context) { e.rt.Run(ctx) }
 
 // EvalNow evaluates every rule once, synchronously — the one-shot entry
 // for tests and callers that drive their own cadence.
-func (e *Engine) EvalNow() {
-	for _, r := range e.Rules() {
-		e.evalRule(r)
-	}
-}
+func (e *Engine) EvalNow() { e.rt.EvalNow() }
 
-// resolveKeys returns the rule's matched series keys, served from the
-// per-rule cache while the store's index generation holds still (new
-// series are rare after warm-up, so steady-state evaluation does zero
-// matching work), resolved through the store's selector index when it
-// moves.  It also hands out the rule's reusable window buffer; the
-// caller returns it via finishEval.
-//
-// The generation is read BEFORE resolving: a series created mid-resolve
-// may be missed by this Select, but the store bumps the generation
-// before such a miss is possible, so the cache records a stale
-// generation and the next evaluation re-resolves.
-func (e *Engine) resolveKeys(r *Rule) ([]monitor.Key, []monitor.Point) {
-	gen := e.opts.Store.IndexGen()
-	e.mu.Lock()
-	st := e.state[r.Name]
-	if st != nil && st.resValid && st.resGen == gen {
-		keys := st.resKeys
-		window := st.window
-		st.window = nil // this evaluation owns the buffer now
-		e.mu.Unlock()
-		if e.tResHit != nil {
-			e.tResHit.Inc()
-		}
-		return keys, window
-	}
-	e.mu.Unlock()
+// resolve matches the rule's selector through the store's index — the
+// runtime's cold path; the result is cached per index generation.
+func (e *Engine) resolve(r *Rule) []monitor.Key {
 	keys := e.opts.Store.Select(monitor.Selector{
 		Source: r.Source,
 		Metric: r.Metric,
@@ -294,88 +165,32 @@ func (e *Engine) resolveKeys(r *Rule) ([]monitor.Key, []monitor.Point) {
 			kept = append(kept, k)
 		}
 	}
-	keys = kept
-	if e.tResCold != nil {
-		e.tResCold.Inc()
-	}
-	e.mu.Lock()
-	var window []monitor.Point
-	if st := e.state[r.Name]; st != nil {
-		st.resKeys = keys
-		st.resGen = gen
-		st.resValid = true
-		window = st.window
-		st.window = nil
-	}
-	e.mu.Unlock()
-	return keys, window
+	return kept
 }
 
-// finishEval records one evaluation's bookkeeping and returns the
-// window buffer to the rule's scratch slot.
-func (e *Engine) finishEval(r *Rule, evalErr error, window []monitor.Point) {
-	e.mu.Lock()
-	st := e.state[r.Name]
-	if st == nil {
-		// The rule was reloaded away while this evaluation ran; its
-		// bookkeeping is gone and nothing is left to record.
-		e.mu.Unlock()
-		return
+// evaluate runs one evaluation of one rule over its matched keys,
+// windowing into (and returning) the rule's reusable point buffer.
+func (e *Engine) evaluate(r *Rule, keys []monitor.Key, window []monitor.Point) ([]monitor.Point, error) {
+	switch {
+	case len(keys) == 0:
+		return window, fmt.Errorf("no series matches %s(%s, %s, ...)", r.Fn, r.selector(), r.Scope)
+	case r.Fn == FnImbalance:
+		return e.evalImbalance(r, keys, window), nil
 	}
-	st.evals++
-	st.lastEval = e.opts.Clock.Now()
-	st.lastErr = ""
-	if evalErr != nil {
-		st.lastErr = evalErr.Error()
+	for _, k := range keys {
+		window = e.evalSeries(r, k, window)
 	}
-	if st.window == nil && window != nil {
-		st.window = window
-	}
-	e.mu.Unlock()
-	if evalErr != nil && e.opts.OnError != nil {
-		e.opts.OnError(r.Name, evalErr)
-	}
-}
-
-// evalRule runs one evaluation of one rule against the store.
-func (e *Engine) evalRule(r *Rule) {
-	if e.tEvals != nil {
-		e.tEvals.Inc()
-		start := time.Now()
-		defer func() { e.tEvalSec.Observe(time.Since(start).Seconds()) }()
-	}
-	keys, window := e.resolveKeys(r)
-
-	var evalErr error
-	if len(keys) == 0 {
-		evalErr = fmt.Errorf("no series matches %s(%s, %s, ...)", r.Fn, r.selector(), r.Scope)
-	} else if r.Fn == FnImbalance {
-		window = e.evalImbalance(r, keys, window)
-	} else {
-		for _, k := range keys {
-			window = e.evalSeries(r, k, window)
-		}
-	}
-	e.finishEval(r, evalErr, window)
+	return window, nil
 }
 
 // evalSeries evaluates avg/min/max/rate over one matched series, windowing
 // into (and returning) the rule's reusable point buffer.
 func (e *Engine) evalSeries(r *Rule, k monitor.Key, window []monitor.Point) []monitor.Point {
-	latest, ok := e.opts.Store.Latest(k)
-	if !ok {
-		return window
+	value, simNow, ok, window := fnReducers[r.Fn].Newest(e.opts.Store, k, r.Lookback, window)
+	if ok {
+		e.advance(r, k, k.Metric, value, simNow)
 	}
-	pts := e.opts.Store.WindowInto(k, latest.Time-r.Lookback, -1, window)
-	if pts == nil {
-		return window
-	}
-	value, ok := windowValue(r.Fn, pts)
-	if !ok {
-		return pts
-	}
-	e.advance(r, k, k.Metric, value, latest.Time)
-	return pts
+	return window
 }
 
 // evalImbalance evaluates the cross-series spread: (max - min) / |mean|
@@ -385,22 +200,13 @@ func (e *Engine) evalImbalance(r *Rule, keys []monitor.Key, window []monitor.Poi
 	var avgs []float64
 	simNow := math.Inf(-1)
 	for _, k := range keys {
-		latest, ok := e.opts.Store.Latest(k)
-		if !ok {
-			continue
-		}
-		pts := e.opts.Store.WindowInto(k, latest.Time-r.Lookback, -1, window)
-		if pts != nil {
-			window = pts
-		}
-		avg, ok := windowValue(FnAvg, pts)
+		avg, at, ok, buf := rules.Mean.Newest(e.opts.Store, k, r.Lookback, window)
+		window = buf
 		if !ok {
 			continue
 		}
 		avgs = append(avgs, avg)
-		if latest.Time > simNow {
-			simNow = latest.Time
-		}
+		simNow = math.Max(simNow, at)
 	}
 	if len(avgs) == 0 {
 		return window
@@ -427,42 +233,6 @@ func (e *Engine) evalImbalance(r *Rule, keys []monitor.Key, window []monitor.Poi
 	return window
 }
 
-// windowValue reduces a window to the rule function's value; ok is false
-// when the window cannot support the function (empty, or a rate over a
-// single instant).
-func windowValue(fn Fn, pts []monitor.Point) (float64, bool) {
-	if len(pts) == 0 {
-		return 0, false
-	}
-	switch fn {
-	case FnAvg, FnImbalance:
-		sum := 0.0
-		for _, p := range pts {
-			sum += p.Value
-		}
-		return sum / float64(len(pts)), true
-	case FnMin:
-		v := pts[0].Value
-		for _, p := range pts[1:] {
-			v = math.Min(v, p.Value)
-		}
-		return v, true
-	case FnMax:
-		v := pts[0].Value
-		for _, p := range pts[1:] {
-			v = math.Max(v, p.Value)
-		}
-		return v, true
-	case FnRate:
-		first, last := pts[0], pts[len(pts)-1]
-		if last.Time <= first.Time {
-			return 0, false
-		}
-		return (last.Value - first.Value) / (last.Time - first.Time), true
-	}
-	return 0, false
-}
-
 // advance moves one instance through the state machine given the newest
 // expression value at simulated time simNow.
 func (e *Engine) advance(r *Rule, k monitor.Key, metric string, value, simNow float64) {
@@ -471,13 +241,6 @@ func (e *Engine) advance(r *Rule, k monitor.Key, metric string, value, simNow fl
 	now := e.opts.Clock.Now()
 
 	e.mu.Lock()
-	if _, live := e.state[r.Name]; !live {
-		// The rule was reloaded away while this evaluation was running:
-		// publishing its transition or re-inserting an instance would
-		// resurrect a rule the operator just deleted.
-		e.mu.Unlock()
-		return
-	}
 	inst := e.insts[id]
 	var fire, resolve bool
 	var firingSince float64
@@ -494,6 +257,14 @@ func (e *Engine) advance(r *Rule, k monitor.Key, metric string, value, simNow fl
 	}
 	switch {
 	case cond && inst == nil:
+		if !e.rt.Live(r.Name) {
+			// The rule was reloaded away while this evaluation was running
+			// (the reload dropped its instances, so only this case can see
+			// it): publishing its transition or re-inserting an instance
+			// would resurrect a rule the operator just deleted.
+			e.mu.Unlock()
+			return
+		}
 		inst = &instance{value: value, updated: simNow}
 		e.insts[id] = inst
 		startPending()
@@ -618,7 +389,7 @@ func (e *Engine) Alerts() []InstanceStatus {
 	}
 	e.mu.Lock()
 	byName := map[string]*Rule{}
-	for _, r := range e.rules {
+	for _, r := range e.rt.Rules() {
 		byName[r.Name] = r
 	}
 	rows := make([]row, 0, len(e.insts))
@@ -673,51 +444,39 @@ func (e *Engine) Alerts() []InstanceStatus {
 	return out
 }
 
-// RuleStatus is one rule's bookkeeping in API shape.
+// RuleStatus is one rule's bookkeeping in API shape: the runtime's
+// common fields plus the rule's active instance counts.
 type RuleStatus struct {
-	Name      string `json:"name"`
-	Spec      string `json:"spec"`
-	Every     string `json:"every"`
-	Evals     uint64 `json:"evals"`
-	LastEval  string `json:"last_eval,omitempty"` // RFC 3339 wall time
-	LastError string `json:"last_error,omitempty"`
-	Pending   int    `json:"pending"`
-	Firing    int    `json:"firing"`
+	rules.Status
+	Pending int `json:"pending"`
+	Firing  int `json:"firing"`
 }
 
-// RuleStatuses snapshots per-rule bookkeeping in file order.
+// RuleStatuses snapshots per-rule bookkeeping in file order.  The
+// instance map is walked once, whatever the number of rules: a fleet
+// receiver holds thousands of instances, and evaluation waits on this
+// lock for every matched series.
 func (e *Engine) RuleStatuses() []RuleStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]RuleStatus, 0, len(e.rules))
-	for _, r := range e.rules {
-		st := e.state[r.Name]
-		every := r.Every
-		if every <= 0 {
-			every = e.opts.DefaultEvery
+	sts := e.rt.Statuses()
+	out := make([]RuleStatus, len(sts))
+	byName := make(map[string]*RuleStatus, len(sts))
+	for i, st := range sts {
+		out[i].Status = st
+		byName[st.Name] = &out[i]
+	}
+	for id, inst := range e.insts {
+		rs := byName[id.rule]
+		if rs == nil || inst.stale {
+			continue
 		}
-		rs := RuleStatus{
-			Name:      r.Name,
-			Spec:      r.String(),
-			Every:     every.String(),
-			Evals:     st.evals,
-			LastError: st.lastErr,
+		switch inst.state {
+		case StatePending:
+			rs.Pending++
+		case StateFiring:
+			rs.Firing++
 		}
-		if !st.lastEval.IsZero() {
-			rs.LastEval = st.lastEval.Format(time.RFC3339)
-		}
-		for id, inst := range e.insts {
-			if id.rule != r.Name || inst.stale {
-				continue
-			}
-			switch inst.state {
-			case StatePending:
-				rs.Pending++
-			case StateFiring:
-				rs.Firing++
-			}
-		}
-		out = append(out, rs)
 	}
 	return out
 }

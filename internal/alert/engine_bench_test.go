@@ -49,10 +49,10 @@ func TestEvalAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rules[0]
-	e.evalRule(r) // warm the resolution cache and window buffer
-	allocs := testing.AllocsPerRun(1000, func() { e.evalRule(r) })
+	e.rt.Eval(r) // warm the resolution cache and window buffer
+	allocs := testing.AllocsPerRun(1000, func() { e.rt.Eval(r) })
 	if allocs > 0 {
-		t.Fatalf("steady-state evalRule allocates %.1f objects/eval, want 0", allocs)
+		t.Fatalf("steady-state evaluation allocates %.1f objects/eval, want 0", allocs)
 	}
 }
 
@@ -74,21 +74,19 @@ func BenchmarkAlertEvalLargeStore(b *testing.B) {
 		}
 		r := rules[0]
 		b.Run(fmt.Sprintf("series=%d/cached", n), func(b *testing.B) {
-			e.evalRule(r) // warm
+			e.rt.Eval(r) // warm
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.evalRule(r)
+				e.rt.Eval(r)
 			}
 		})
 		b.Run(fmt.Sprintf("series=%d/cold", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.mu.Lock()
-				e.state[r.Name].resValid = false
-				e.mu.Unlock()
-				e.evalRule(r)
+				e.rt.Invalidate()
+				e.rt.Eval(r)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package alert
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -569,6 +570,55 @@ func TestEngineRuleStatusBookkeeping(t *testing.T) {
 	e.EvalNow()
 	if sts := e.RuleStatuses(); sts[0].LastError != "" {
 		t.Errorf("last error = %q, want cleared", sts[0].LastError)
+	}
+}
+
+// TestRuleStatusInstanceCounts pins the per-rule pending/firing counts
+// of RuleStatuses — now taken in one pass over the instance map — to
+// the per-rule nested loop they replace, on a table of mixed pending,
+// firing and stale instances, some of a rule that is not loaded.
+func TestRuleStatusInstanceCounts(t *testing.T) {
+	const nRules, nSeries = 7, 40
+	var src strings.Builder
+	for i := 0; i < nRules; i++ {
+		fmt.Fprintf(&src, "r%d: avg(bw, node, 10s) < 1 for 0s\n", i)
+	}
+	e, _, _ := newTestEngine(t, monitor.NewStore(4), src.String())
+	for i := 0; i <= nRules; i++ { // r7 has instances but no rule
+		for j := 0; j < nSeries; j++ {
+			id := instKey{rule: fmt.Sprintf("r%d", i), key: monitor.Key{
+				Source: fmt.Sprintf("node%02d", j), Metric: "bw", Scope: monitor.ScopeNode}}
+			e.insts[id] = &instance{state: State((i + j/3) % 2), stale: (i+j)%5 == 0}
+		}
+	}
+	sts := e.RuleStatuses()
+	if len(sts) != nRules {
+		t.Fatalf("%d statuses, want %d", len(sts), nRules)
+	}
+	total := 0
+	for i, rs := range sts {
+		if want := fmt.Sprintf("r%d", i); rs.Name != want {
+			t.Fatalf("status %d is %q, want %q (file order)", i, rs.Name, want)
+		}
+		pending, firing := 0, 0
+		for id, inst := range e.insts {
+			if id.rule != rs.Name || inst.stale {
+				continue
+			}
+			switch inst.state {
+			case StatePending:
+				pending++
+			case StateFiring:
+				firing++
+			}
+		}
+		if rs.Pending != pending || rs.Firing != firing {
+			t.Errorf("%s: pending/firing = %d/%d, want %d/%d", rs.Name, rs.Pending, rs.Firing, pending, firing)
+		}
+		total += rs.Pending + rs.Firing
+	}
+	if want := nRules * nSeries * 4 / 5; total != want {
+		t.Errorf("%d instances counted, want %d (the non-stale four fifths)", total, want)
 	}
 }
 

@@ -1,8 +1,9 @@
 package alert
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"likwid/internal/rules"
 )
 
 // The alert API, mounted onto the agent's HTTPSink next to /metrics and
@@ -24,16 +25,7 @@ type alertsResponse struct {
 
 // HandleAlerts serves the active alert instances as JSON.
 func (e *Engine) HandleAlerts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	alerts := e.Alerts()
-	if alerts == nil {
-		alerts = []InstanceStatus{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(alertsResponse{Alerts: alerts})
+	rules.ServeJSON(w, r, alertsResponse{Alerts: e.Alerts()})
 }
 
 // rulesResponse is the GET /rules payload.
@@ -43,14 +35,5 @@ type rulesResponse struct {
 
 // HandleRules serves the per-rule bookkeeping as JSON.
 func (e *Engine) HandleRules(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	rules := e.RuleStatuses()
-	if rules == nil {
-		rules = []RuleStatus{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(rulesResponse{Rules: rules})
+	rules.ServeJSON(w, r, rulesResponse{Rules: e.RuleStatuses()})
 }

@@ -268,9 +268,23 @@ func TestRuleSelectorMatching(t *testing.T) {
 		{"*", "alert/r", node("nodeA", "alert/r"), false}, // alert history never matches
 		{"", "alert/r", node("", "alert/r"), false},
 	}
+	// The live path: every key of the table sits in one store, and a rule
+	// matches a key when the engine's resolution of it contains the key.
+	store := monitor.NewStore(4)
 	for _, tt := range tests {
-		r := Rule{Source: tt.source, Metric: tt.metric}
-		if got := r.matches(tt.key); got != tt.want {
+		store.Append(tt.key, monitor.Point{Time: 1, Value: 1})
+	}
+	e, err := NewEngine(Options{Store: store}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range tests {
+		r := Rule{Source: tt.source, Metric: tt.metric, Scope: monitor.ScopeNode}
+		got := false
+		for _, k := range e.resolve(&r) {
+			got = got || k == tt.key
+		}
+		if got != tt.want {
 			t.Errorf("selector (%q,%q) vs key %+v = %v, want %v", tt.source, tt.metric, tt.key, got, tt.want)
 		}
 	}

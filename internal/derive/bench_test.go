@@ -65,7 +65,7 @@ func BenchmarkDeriveEval(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.invalidateResolutions()
+			e.rt.Invalidate()
 			e.EvalNow()
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"likwid/internal/monitor"
+	"likwid/internal/telemetry"
 )
 
 // TestResolutionCacheTracksNewSeries pins the generation contract: a
@@ -35,23 +36,23 @@ func TestResolutionCacheTracksNewSeries(t *testing.T) {
 // the cached resolution (observable through the hit counter).
 func TestResolutionCacheServesUnchangedStore(t *testing.T) {
 	st := fleetStore(t)
-	r := mustRule(t, "total = sum(flops_dp) over 30s")
-	e := newTestEngine(t, st, r)
+	reg := telemetry.New()
+	e, err := NewEngine(Options{Store: st, Clock: monitor.NewFakeClock(), Telemetry: reg},
+		[]*Rule{mustRule(t, "total = sum(flops_dp) over 30s")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.EvalNow() // cold: resolves and emits (creating the output series)
 	e.EvalNow() // cold again: the emit moved the generation
 	for i := 0; i < 3; i++ {
 		e.EvalNow() // steady state
 	}
-	e.mu.Lock()
-	st2 := e.state[r.Name]
-	hits := st2.res != nil
-	e.mu.Unlock()
-	if !hits {
-		t.Fatal("no cached resolution after steady-state evals")
+	if hits := reg.Counter("likwid_derive_resolve_total", "result", "hit").Value(); hits != 3 {
+		t.Fatalf("cache hits after 3 steady-state evals = %d, want 3", hits)
 	}
-	gen := e.opts.Store.IndexGen()
+	gen := st.IndexGen()
 	e.EvalNow()
-	if got := e.opts.Store.IndexGen(); got != gen {
+	if got := st.IndexGen(); got != gen {
 		t.Fatalf("steady-state eval moved the index generation %d -> %d", gen, got)
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"likwid/internal/monitor"
+	"likwid/internal/rules"
 	"likwid/internal/spec"
 )
 
@@ -53,6 +54,11 @@ const (
 )
 
 var fnNames = [...]string{"sum", "avg", "min", "max", "count", "rate"}
+
+// fnReducers maps each function onto the runtime's window reducer, one
+// member series' contribution: the window mean for sum/avg, the extremum
+// for min/max, presence for count, the per-second slope for rate.
+var fnReducers = [...]rules.Reducer{rules.Mean, rules.Mean, rules.Min, rules.Max, rules.Presence, rules.Rate}
 
 // String returns the spec-language name of the function.
 func (f Fn) String() string {
@@ -139,28 +145,9 @@ func (r *Rule) String() string {
 	return b.String()
 }
 
-// Matches reports whether the rule's selector picks a stored series as
-// an input.  derived is the name set of every loaded rule's output:
-// wildcard selectors skip those series (and alert histories), so a
-// sweep cannot feed on roll-ups — but an explicit metric name matches,
-// letting rules chain on purpose.  A rule never matches its own output
-// regardless.
-func (r *Rule) Matches(k monitor.Key, derived map[string]bool) bool {
-	if k.Metric == r.Name {
-		return false
-	}
-	if k.Scope != r.Scope {
-		return false
-	}
-	if strings.Contains(r.Metric, "*") &&
-		(strings.HasPrefix(k.Metric, "alert/") || derived[k.Metric]) {
-		return false
-	}
-	if r.Source != "" && !monitor.MatchSource(r.Source, k.Source) {
-		return false
-	}
-	if !monitor.MatchLabels(r.Matchers, k.Labels) {
-		return false
-	}
-	return monitor.MatchMetric(r.Metric, k.Metric)
-}
+// RuleName and Cadence expose the rule to the shared runtime
+// (rules.Rule).
+func (r *Rule) RuleName() string { return r.Name }
+
+// Cadence is the rule's own "every" clause; 0 uses the engine default.
+func (r *Rule) Cadence() time.Duration { return r.Every }

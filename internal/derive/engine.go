@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"likwid/internal/monitor"
+	"likwid/internal/rules"
 	"likwid/internal/telemetry"
 )
 
@@ -30,7 +31,8 @@ type Options struct {
 	// /metrics snapshots, CSV) carries derived series exactly like
 	// collected ones.  The store append does not depend on it.
 	Dispatcher *monitor.Dispatcher
-	// OnError observes per-rule evaluation problems (optional).
+	// OnError observes a rule's evaluation error when it changes, not on
+	// every repeat of a standing one (optional; rules.Config.OnError).
 	OnError func(rule string, err error)
 	// Telemetry, when set, instruments evaluation: per-eval duration
 	// histogram, eval/emit counters, selector fan-out histogram, and a
@@ -38,237 +40,119 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// ruleState is one rule's evaluation bookkeeping.
-type ruleState struct {
-	rule     *Rule
-	evals    uint64
-	emitted  uint64
-	series   int       // selector fan-out of the newest evaluation
-	groups   int       // output groups of the newest evaluation
-	lastEval time.Time // wall time of the newest evaluation
-	lastErr  string
-
-	// res is the cached selector resolution (matched keys, grouped and
-	// ordered, with interned output labels), valid while the store's
-	// index generation holds still and the rule set is unchanged.
-	res *resolution
-
-	// window is the rule's reusable point buffer for WindowInto.  An
-	// evaluation takes it (leaving nil) and returns it when done, so
-	// concurrent EvalNow+Run evaluations never share a buffer.
-	window []monitor.Point
+// ruleStats is what a rule's evaluations add to the runtime's common
+// bookkeeping; like that, it survives reloads while the name does.
+type ruleStats struct {
+	emitted uint64
+	series  int // selector fan-out of the newest evaluation
+	groups  int // output groups of the newest evaluation
 }
 
 // resolution is one rule's selector fan-out at one index generation:
 // everything evaluation needs that does not depend on the windows
-// themselves.  Immutable once published.
+// themselves (matched keys, grouped and ordered, with interned output
+// labels).  Immutable once returned from resolve.
 type resolution struct {
-	gen     uint64
 	matched int      // selector fan-out (series count)
 	groups  []*group // emit order (sorted by group identity)
 }
 
-// Engine evaluates recorded rules against the store on a per-rule wall
-// cadence and appends their outputs back into it.  Reload swaps the
-// rule set while Run keeps going — the hot-reload path behind
-// likwid-agent's SIGHUP handler and POST /derive/reload.
-type Engine struct {
-	opts Options
-
-	mu      sync.Mutex
-	rules   []*Rule
-	state   map[string]*ruleState
-	derived map[string]bool // output-name set; replaced wholesale on reload
-
-	reload chan struct{} // signals Run to restart its rule goroutines
-
-	// Telemetry instruments, resolved once at construction (nil without
-	// Options.Telemetry; the eval path nil-checks).
-	tEvals   *telemetry.Counter
-	tEvalSec *telemetry.Histogram
-	tEmitted *telemetry.Counter
-	tFanout  *telemetry.Histogram
-	tResHit  *telemetry.Counter // rule resolutions served from cache
-	tResCold *telemetry.Counter // rule resolutions that hit the index
-}
-
-// NewEngine creates an engine over the given rules.
-func NewEngine(opts Options, rules []*Rule) (*Engine, error) {
-	if opts.Store == nil {
-		return nil, fmt.Errorf("derive: engine needs a store")
-	}
-	if opts.Clock == nil {
-		opts.Clock = monitor.RealClock
-	}
-	if opts.DefaultEvery <= 0 {
-		opts.DefaultEvery = 10 * time.Second
-	}
-	e := &Engine{
-		opts:    opts,
-		rules:   rules,
-		state:   map[string]*ruleState{},
-		derived: derivedSet(rules),
-		reload:  make(chan struct{}, 1),
-	}
-	for _, r := range rules {
-		e.state[r.Name] = &ruleState{rule: r}
-	}
-	if reg := opts.Telemetry; reg != nil {
-		e.tEvals = reg.Counter("likwid_derive_evals_total")
-		e.tEvalSec = reg.Histogram("likwid_derive_eval_seconds", telemetry.DurationBuckets)
-		e.tEmitted = reg.Counter("likwid_derive_emitted_total")
-		e.tFanout = reg.Histogram("likwid_derive_selector_series", telemetry.SizeBuckets)
-		e.tResHit = reg.Counter("likwid_derive_resolve_total", "result", "hit")
-		e.tResCold = reg.Counter("likwid_derive_resolve_total", "result", "cold")
-		reg.GaugeFunc("likwid_derive_rules", func() float64 { return float64(len(e.Rules())) })
-	}
-	return e, nil
-}
-
-// derivedSet is the output-name set of a rule list.
-func derivedSet(rules []*Rule) map[string]bool {
-	out := make(map[string]bool, len(rules))
-	for _, r := range rules {
-		out[r.Name] = true
-	}
-	return out
-}
-
-// Rules returns a snapshot of the engine's rules in file order.
-func (e *Engine) Rules() []*Rule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]*Rule(nil), e.rules...)
-}
-
-// Reload atomically swaps the rule set.  Validation is the caller's
-// job (ParseFile): a file that fails to parse is never handed to
-// Reload, so the old set stays live.  Rules whose rendered spec is
-// unchanged keep their bookkeeping; a running Run loop restarts its
-// goroutines on the new set — unless the whole set renders
-// spec-identical, in which case the evaluation timers keep running, so
-// a config-management loop re-posting the same file every few seconds
-// cannot starve rules of their cadence.  Output series already in the
-// store stay: they are first-class data with their own retention, not
-// engine state.
-func (e *Engine) Reload(rules []*Rule) {
-	e.mu.Lock()
-	oldSpec := make(map[string]string, len(e.rules))
-	for _, r := range e.rules {
-		oldSpec[r.Name] = r.String()
-	}
-	newState := make(map[string]*ruleState, len(rules))
-	identical := len(rules) == len(e.rules)
-	for i, r := range rules {
-		if st, ok := e.state[r.Name]; ok {
-			st.rule = r
-			newState[r.Name] = st
-		} else {
-			newState[r.Name] = &ruleState{rule: r}
-		}
-		identical = identical && e.rules[i].Name == r.Name && oldSpec[r.Name] == r.String()
-	}
-	if !identical {
-		// A changed rule set can change EVERY rule's matched series, not
-		// just the edited rules': wildcard selectors exclude the derived
-		// output-name set, which this reload just replaced.  Drop all
-		// cached resolutions; the next evaluation re-resolves.
-		for _, st := range newState {
-			st.res = nil
-		}
-	}
-	e.rules = rules
-	e.state = newState
-	e.derived = derivedSet(rules) // replaced, never mutated: eval reads the old map race-free
-	e.mu.Unlock()
-	if identical {
-		return // same specs, same cadences: keep the running timers
-	}
-	select {
-	case e.reload <- struct{}{}:
-	default: // a restart is already pending
-	}
-}
-
-// Run evaluates every rule on its cadence until the context is
-// cancelled, then returns once all rule goroutines have stopped.  A
-// Reload restarts the goroutines on the new rule set without dropping
-// out of Run.
-func (e *Engine) Run(ctx context.Context) {
-	for {
-		rctx, cancel := context.WithCancel(ctx)
-		var wg sync.WaitGroup
-		for _, r := range e.Rules() {
-			wg.Add(1)
-			go func(r *Rule) {
-				defer wg.Done()
-				every := r.Every
-				if every <= 0 {
-					every = e.opts.DefaultEvery
-				}
-				for {
-					select {
-					case <-rctx.Done():
-						return
-					case <-e.opts.Clock.After(every):
-					}
-					e.evalRule(r)
-				}
-			}(r)
-		}
-		select {
-		case <-ctx.Done():
-			cancel()
-			wg.Wait()
-			return
-		case <-e.reload:
-			cancel()
-			wg.Wait()
-		}
-	}
-}
-
-// EvalNow evaluates every rule once, synchronously — the one-shot
-// entry for tests and callers that drive their own cadence.
-func (e *Engine) EvalNow() {
-	for _, r := range e.Rules() {
-		e.evalRule(r)
-	}
-}
-
 // group is one output series' cached membership: the by-dimension
 // identity (source, interned output labels) and the member keys.
-// Immutable once published in a resolution.
 type group struct {
 	source string
 	labels monitor.Labels
 	keys   []monitor.Key
 }
 
-// resolve returns the rule's grouped selector resolution, served from
-// the per-rule cache while the store's index generation holds still
-// (new series are rare after warm-up, so steady-state evaluation does
-// zero matching and grouping work), rebuilt through the store's
-// selector index when it moves.  It also hands out the rule's reusable
-// window buffer; the caller returns it in its bookkeeping pass.
-//
-// The generation is read BEFORE resolving, so a series created
-// mid-resolve is missed only at a generation the cache already
-// considers stale — the next evaluation re-resolves.
-func (e *Engine) resolve(r *Rule, derived map[string]bool) (*resolution, []monitor.Point) {
-	gen := e.opts.Store.IndexGen()
-	e.mu.Lock()
-	st := e.state[r.Name]
-	if st != nil && st.res != nil && st.res.gen == gen {
-		res := st.res
-		window := st.window
-		st.window = nil // this evaluation owns the buffer now
-		e.mu.Unlock()
-		if e.tResHit != nil {
-			e.tResHit.Inc()
-		}
-		return res, window
+// Engine evaluates recorded rules against the store on a per-rule wall
+// cadence and appends their outputs back into it.  Cadence, hot reload,
+// the cached selector resolution and the per-rule bookkeeping are the
+// shared rule runtime's (internal/rules); the engine adds grouping,
+// the cross-member combine and the emit.
+type Engine struct {
+	opts Options
+	rt   *rules.Runtime[*Rule, *resolution]
+
+	// mu guards stats: one entry per loaded rule, so its key set is also
+	// the output-name set wildcard selectors exclude.  The map is replaced
+	// wholesale on reload, never mutated — a resolution reads the one it
+	// grabbed race-free.  mu is taken before the runtime's own lock, never
+	// while holding it.
+	mu    sync.Mutex
+	stats map[string]*ruleStats
+
+	tEmitted *telemetry.Counter // nil without Options.Telemetry
+	tFanout  *telemetry.Histogram
+}
+
+// NewEngine creates an engine over the given rules.
+func NewEngine(opts Options, ruleSet []*Rule) (*Engine, error) {
+	if opts.Store == nil {
+		return nil, fmt.Errorf("derive: engine needs a store")
 	}
+	e := &Engine{opts: opts}
+	e.setRules(ruleSet)
+	e.rt = rules.New(rules.Config[*Rule, *resolution]{
+		Kind:         "derive",
+		Store:        opts.Store,
+		Clock:        opts.Clock,
+		DefaultEvery: opts.DefaultEvery,
+		OnError:      opts.OnError,
+		Telemetry:    opts.Telemetry,
+		Resolve:      e.resolve,
+		Evaluate:     e.evaluate,
+	}, ruleSet)
+	if reg := opts.Telemetry; reg != nil {
+		e.tEmitted = reg.Counter("likwid_derive_emitted_total")
+		e.tFanout = reg.Histogram("likwid_derive_selector_series", telemetry.SizeBuckets)
+	}
+	return e, nil
+}
+
+// setRules replaces the stats map, carrying each surviving rule's
+// entry over.  Callers hold mu (or are the constructor).
+func (e *Engine) setRules(ruleSet []*Rule) {
+	stats := make(map[string]*ruleStats, len(ruleSet))
+	for _, r := range ruleSet {
+		if stats[r.Name] = e.stats[r.Name]; stats[r.Name] == nil {
+			stats[r.Name] = &ruleStats{}
+		}
+	}
+	e.stats = stats
+}
+
+// Rules returns a snapshot of the engine's rules in file order.
+func (e *Engine) Rules() []*Rule { return e.rt.Rules() }
+
+// Reload atomically swaps the rule set — the hot-reload path behind
+// likwid-agent's SIGHUP handler and POST /derive/reload, with the shared
+// runtime's semantics (rules.Runtime.Reload).  A changed set re-resolves
+// EVERY rule, not just the edited ones: wildcard selectors exclude the
+// derived output-name set, which the reload just replaced.  Output
+// series already in the store stay: they are first-class data with
+// their own retention, not engine state.
+func (e *Engine) Reload(ruleSet []*Rule) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.setRules(ruleSet)
+	e.rt.Reload(ruleSet)
+}
+
+// Run evaluates every rule on its cadence until the context is
+// cancelled, then returns once all rule goroutines have stopped.
+func (e *Engine) Run(ctx context.Context) { e.rt.Run(ctx) }
+
+// EvalNow evaluates every rule once, synchronously — the one-shot
+// entry for tests and callers that drive their own cadence.
+func (e *Engine) EvalNow() { e.rt.EvalNow() }
+
+// resolve matches and groups the rule's inputs through the store's
+// index — the runtime's cold path; the result is cached per index
+// generation, so steady-state evaluation does no matching or grouping.
+func (e *Engine) resolve(r *Rule) *resolution {
+	e.mu.Lock()
+	derived := e.stats
 	e.mu.Unlock()
 
 	keys := e.opts.Store.Select(monitor.Selector{
@@ -284,7 +168,7 @@ func (e *Engine) resolve(r *Rule, derived map[string]bool) (*resolution, []monit
 	// wildcard selector skips alert histories and every loaded rule's
 	// output so a sweep cannot feed on roll-ups.
 	wild := strings.Contains(r.Metric, "*")
-	res := &resolution{gen: gen}
+	res := &resolution{}
 	// Group identity is the by-dimension value tuple; a series missing a
 	// grouped label lands in the group without it, so partially-labelled
 	// fleets still roll up.
@@ -295,7 +179,7 @@ func (e *Engine) resolve(r *Rule, derived map[string]bool) (*resolution, []monit
 		if k.Metric == r.Name {
 			continue
 		}
-		if wild && (strings.HasPrefix(k.Metric, "alert/") || derived[k.Metric]) {
+		if wild && (strings.HasPrefix(k.Metric, "alert/") || derived[k.Metric] != nil) {
 			continue
 		}
 		res.matched++
@@ -342,62 +226,27 @@ func (e *Engine) resolve(r *Rule, derived map[string]bool) (*resolution, []monit
 		g.labels = labels
 		res.groups = append(res.groups, g)
 	}
-	if e.tResCold != nil {
-		e.tResCold.Inc()
-	}
-	e.mu.Lock()
-	var window []monitor.Point
-	if st := e.state[r.Name]; st != nil {
-		st.res = res
-		window = st.window
-		st.window = nil
-	}
-	e.mu.Unlock()
-	return res, window
+	return res
 }
 
-// invalidateResolutions drops every rule's cached selector resolution,
-// forcing the next evaluation to re-resolve through the index — the
-// hook the cold-resolve benchmark uses to separate resolution cost from
-// windowed reduction.
-func (e *Engine) invalidateResolutions() {
-	e.mu.Lock()
-	for _, st := range e.state {
-		st.res = nil
-	}
-	e.mu.Unlock()
-}
-
-// evalRule runs one evaluation of one rule: resolve (cached), reduce,
-// emit.  Windows and appends go through the same store paths as every
-// other reader and collector, so evaluation never touches the append
-// hot path's locks.
-func (e *Engine) evalRule(r *Rule) {
-	if e.tEvals != nil {
-		e.tEvals.Inc()
-		start := time.Now()
-		defer func() { e.tEvalSec.Observe(time.Since(start).Seconds()) }()
-	}
-	e.mu.Lock()
-	derived := e.derived
-	e.mu.Unlock()
-
-	res, window := e.resolve(r, derived)
+// evaluate runs one evaluation of one rule over its resolution: reduce
+// and emit.  Windows and appends go through the same store paths as
+// every other reader and collector, so evaluation never touches the
+// append hot path's locks.
+func (e *Engine) evaluate(r *Rule, res *resolution, window []monitor.Point) ([]monitor.Point, error) {
 	if e.tFanout != nil {
 		e.tFanout.Observe(float64(res.matched))
 	}
-
 	var evalErr error
 	var emitted []monitor.Sample
 	if res.matched == 0 {
 		evalErr = fmt.Errorf("no series matches %s(%s)", r.Fn, r.Metric)
-	} else {
-		for _, g := range res.groups {
-			var s monitor.Sample
-			var ok bool
-			if s, ok, window = e.evalGroup(r, g, window); ok {
-				emitted = append(emitted, s)
-			}
+	}
+	for _, g := range res.groups {
+		var s monitor.Sample
+		var ok bool
+		if s, ok, window = e.evalGroup(r, g, window); ok {
+			emitted = append(emitted, s)
 		}
 	}
 	if len(emitted) > 0 {
@@ -416,31 +265,14 @@ func (e *Engine) evalRule(r *Rule) {
 			})
 		}
 	}
-
 	e.mu.Lock()
-	st := e.state[r.Name]
-	if st == nil {
-		// The rule was reloaded away while this evaluation ran; its
-		// bookkeeping is gone and nothing is left to record.
-		e.mu.Unlock()
-		return
-	}
-	st.evals++
-	st.emitted += uint64(len(emitted))
-	st.series = res.matched
-	st.groups = len(res.groups)
-	st.lastEval = e.opts.Clock.Now()
-	st.lastErr = ""
-	if evalErr != nil {
-		st.lastErr = evalErr.Error()
-	}
-	if st.window == nil && window != nil {
-		st.window = window // return the scratch buffer
+	if st := e.stats[r.Name]; st != nil { // nil: reloaded away mid-evaluation
+		st.emitted += uint64(len(emitted))
+		st.series = res.matched
+		st.groups = len(res.groups)
 	}
 	e.mu.Unlock()
-	if evalErr != nil && e.opts.OnError != nil {
-		e.opts.OnError(r.Name, evalErr)
-	}
+	return window, evalErr
 }
 
 // evalGroup reduces one group's member windows to a single output
@@ -457,15 +289,8 @@ func (e *Engine) evalGroup(r *Rule, g *group, window []monitor.Point) (monitor.S
 		simNow = math.Inf(-1)
 	)
 	for _, k := range g.keys {
-		latest, ok := e.opts.Store.Latest(k)
-		if !ok {
-			continue
-		}
-		pts := e.opts.Store.WindowInto(k, latest.Time-r.Over, -1, window)
-		if pts != nil {
-			window = pts
-		}
-		v, ok := memberValue(r.Fn, pts)
+		v, at, ok, buf := fnReducers[r.Fn].Newest(e.opts.Store, k, r.Over, window)
+		window = buf
 		if !ok {
 			continue
 		}
@@ -480,9 +305,7 @@ func (e *Engine) evalGroup(r *Rule, g *group, window []monitor.Point) (monitor.S
 			agg += v
 		}
 		count++
-		if latest.Time > simNow {
-			simNow = latest.Time
-		}
+		simNow = math.Max(simNow, at)
 	}
 	if count == 0 {
 		return monitor.Sample{}, false, window
@@ -510,84 +333,24 @@ func (e *Engine) evalGroup(r *Rule, g *group, window []monitor.Point) (monitor.S
 	}, true, window
 }
 
-// memberValue reduces one member series' window to its contribution:
-// the window mean for sum/avg, the extremum for min/max, presence for
-// count, the per-second slope for rate.  ok is false when the window
-// cannot support the function (empty, or a rate over a single
-// instant).
-func memberValue(fn Fn, pts []monitor.Point) (float64, bool) {
-	if len(pts) == 0 {
-		return 0, false
-	}
-	switch fn {
-	case FnSum, FnAvg:
-		sum := 0.0
-		for _, p := range pts {
-			sum += p.Value
-		}
-		return sum / float64(len(pts)), true
-	case FnMin:
-		v := pts[0].Value
-		for _, p := range pts[1:] {
-			v = math.Min(v, p.Value)
-		}
-		return v, true
-	case FnMax:
-		v := pts[0].Value
-		for _, p := range pts[1:] {
-			v = math.Max(v, p.Value)
-		}
-		return v, true
-	case FnCount:
-		return 1, true
-	case FnRate:
-		first, last := pts[0], pts[len(pts)-1]
-		if last.Time <= first.Time {
-			return 0, false
-		}
-		return (last.Value - first.Value) / (last.Time - first.Time), true
-	}
-	return 0, false
-}
-
-// RuleStatus is one rule's bookkeeping in API shape.
+// RuleStatus is one rule's bookkeeping in API shape: the runtime's
+// common fields plus what the rule emitted.
 type RuleStatus struct {
-	Name      string `json:"name"`
-	Spec      string `json:"spec"`
-	Every     string `json:"every"`
-	Evals     uint64 `json:"evals"`
-	Emitted   uint64 `json:"emitted"`
-	Series    int    `json:"series"`              // selector fan-out of the newest evaluation
-	Groups    int    `json:"groups"`              // output groups of the newest evaluation
-	LastEval  string `json:"last_eval,omitempty"` // RFC 3339 wall time
-	LastError string `json:"last_error,omitempty"`
+	rules.Status
+	Emitted uint64 `json:"emitted"`
+	Series  int    `json:"series"` // selector fan-out of the newest evaluation
+	Groups  int    `json:"groups"` // output groups of the newest evaluation
 }
 
 // RuleStatuses snapshots per-rule bookkeeping in file order.
 func (e *Engine) RuleStatuses() []RuleStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]RuleStatus, 0, len(e.rules))
-	for _, r := range e.rules {
-		st := e.state[r.Name]
-		every := r.Every
-		if every <= 0 {
-			every = e.opts.DefaultEvery
-		}
-		rs := RuleStatus{
-			Name:      r.Name,
-			Spec:      r.String(),
-			Every:     every.String(),
-			Evals:     st.evals,
-			Emitted:   st.emitted,
-			Series:    st.series,
-			Groups:    st.groups,
-			LastError: st.lastErr,
-		}
-		if !st.lastEval.IsZero() {
-			rs.LastEval = st.lastEval.Format(time.RFC3339)
-		}
-		out = append(out, rs)
+	sts := e.rt.Statuses()
+	out := make([]RuleStatus, len(sts))
+	for i, st := range sts {
+		stats := e.stats[st.Name]
+		out[i] = RuleStatus{Status: st, Emitted: stats.emitted, Series: stats.series, Groups: stats.groups}
 	}
 	return out
 }

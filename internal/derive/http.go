@@ -1,10 +1,10 @@
 package derive
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"likwid/internal/monitor"
+	"likwid/internal/rules"
 )
 
 // The derive API, mounted onto the agent's HTTPSink next to /metrics
@@ -31,22 +31,15 @@ type statusResponse struct {
 // without routes), so both engine and routes may be nil.
 func StatusHandler(e *Engine, routes func() []monitor.RouteStatus) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
 		resp := statusResponse{Rules: []RuleStatus{}, Routes: []monitor.RouteStatus{}}
 		if e != nil {
-			if rs := e.RuleStatuses(); rs != nil {
-				resp.Rules = rs
-			}
+			resp.Rules = e.RuleStatuses()
 		}
 		if routes != nil {
 			if sts := routes(); sts != nil {
 				resp.Routes = sts
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		rules.ServeJSON(w, r, resp)
 	})
 }

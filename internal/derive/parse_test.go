@@ -219,30 +219,54 @@ func TestParseRouteErrors(t *testing.T) {
 func TestRuleMatches(t *testing.T) {
 	lbm, _ := monitor.MakeLabels(map[string]string{"job": "lbm"})
 	r := &Rule{Name: "out", Fn: FnSum, Metric: "bw", Scope: monitor.ScopeNode, Over: 30}
-	derived := map[string]bool{"out": true, "other_out": true}
+	wild := &Rule{Name: "sweep", Fn: FnCount, Metric: "*", Scope: monitor.ScopeNode, Over: 30}
+	chain := &Rule{Name: "c", Fn: FnRate, Metric: "other_out", Scope: monitor.ScopeNode, Over: 30}
+	other := &Rule{Name: "other_out", Fn: FnSum, Metric: "bw", Scope: monitor.ScopeNode, Over: 30}
 
-	if !r.Matches(monitor.Key{Source: "nodeA", Metric: "bw", Scope: monitor.ScopeNode}, derived) {
+	// The live path: every key below sits in one store under an engine
+	// whose loaded rules make "out" and "other_out" derived names, and a
+	// rule matches a key when its resolution has the key in some group.
+	remote := monitor.Key{Source: "nodeA", Metric: "bw", Scope: monitor.ScopeNode}
+	local := monitor.Key{Metric: "bw", Scope: monitor.ScopeNode, Labels: lbm}
+	ownOut := monitor.Key{Metric: "out", Scope: monitor.ScopeNode}
+	socket := monitor.Key{Metric: "bw", Scope: monitor.ScopeSocket}
+	history := monitor.Key{Metric: "alert/mem_bw_low", Scope: monitor.ScopeNode}
+	otherOut := monitor.Key{Metric: "other_out", Scope: monitor.ScopeNode}
+	st := monitor.NewStore(4)
+	for _, k := range []monitor.Key{remote, local, ownOut, socket, history, otherOut} {
+		st.Append(k, monitor.Point{Time: 1, Value: 1})
+	}
+	e := newTestEngine(t, st, r, other)
+	matches := func(r *Rule, k monitor.Key) bool {
+		for _, g := range e.resolve(r).groups {
+			for _, member := range g.keys {
+				if member == k {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	if !matches(r, remote) {
 		t.Error("omitted source must match remote series (fleet roll-up)")
 	}
-	if !r.Matches(monitor.Key{Metric: "bw", Scope: monitor.ScopeNode, Labels: lbm}, derived) {
+	if !matches(r, local) {
 		t.Error("omitted source must match local series too")
 	}
-	if r.Matches(monitor.Key{Metric: "out", Scope: monitor.ScopeNode}, derived) {
+	if matches(r, ownOut) {
 		t.Error("a rule must not match its own output")
 	}
-	if r.Matches(monitor.Key{Metric: "bw", Scope: monitor.ScopeSocket}, derived) {
+	if matches(r, socket) {
 		t.Error("scope mismatch must not match")
 	}
-
-	wild := &Rule{Name: "sweep", Fn: FnCount, Metric: "*", Scope: monitor.ScopeNode, Over: 30}
-	if wild.Matches(monitor.Key{Metric: "alert/mem_bw_low", Scope: monitor.ScopeNode}, derived) {
+	if matches(wild, history) {
 		t.Error("wildcard must not match alert histories")
 	}
-	if wild.Matches(monitor.Key{Metric: "other_out", Scope: monitor.ScopeNode}, derived) {
+	if matches(wild, otherOut) {
 		t.Error("wildcard must not match other rules' outputs")
 	}
-	chain := &Rule{Name: "c", Fn: FnRate, Metric: "other_out", Scope: monitor.ScopeNode, Over: 30}
-	if !chain.Matches(monitor.Key{Metric: "other_out", Scope: monitor.ScopeNode}, derived) {
+	if !matches(chain, otherOut) {
 		t.Error("an explicit name must match another rule's output (chaining)")
 	}
 }
