@@ -81,7 +81,7 @@ func parseAgentFlags(args []string, errOut io.Writer) (*agentConfig, error) {
 	collectorSet := fs.String("collectors", "", "comma-separated collectors (default: all registered)")
 	loadSpec := fs.String("load", "stream", "background load: stream[:NTASKS] | idle")
 	buffer := fs.Int("buffer", 64, "sink queue depth")
-	retain := fs.Int("retain", 1024, "raw ring-buffer points per series")
+	retain := fs.Int("retain", 1024, "most raw points kept per series (the ring grows up to it)")
 	tierSpec := fs.String("tiers", "", "downsampled retention tiers, e.g. 10s:360,1m:720")
 	raw := fs.Bool("raw", false, "emit per-event rates too")
 	receiver := fs.String("receiver", "", "run as aggregation receiver on this listen address (no collectors)")

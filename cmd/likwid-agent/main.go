@@ -29,7 +29,9 @@
 //	-collectors L  comma-separated collector set (default all registered)
 //	-load SPEC     synthetic background load: stream[:NTASKS] | idle
 //	-buffer N      sink queue depth (drop-and-count beyond it, default 64)
-//	-retain N      raw ring-buffer points kept per series (default 1024)
+//	-retain N      most raw points kept per series (default 1024); a
+//	               series' ring grows with the points it holds (at most
+//	               2x that while growing), never past N slots
 //	-tiers SPEC    downsampled retention tiers, e.g. 10s:360,1m:720:
 //	               evicted raw points compact into min/median/max/avg
 //	               buckets, and windowed queries stitch tiers with raw

@@ -11,13 +11,14 @@ import (
 	"testing"
 )
 
-// PerSample runs op b.N times — after one untimed warm-up call, so
-// scratch buffers are grown and a `-benchtime 1x` smoke reports the
-// steady state — and reports ns/sample, B/sample and allocs/sample next
-// to the usual per-op columns.  samplesPerOp is how many samples one op
-// handles.
+// PerSample runs op b.N times — after two untimed warm-up calls, so
+// every scratch buffer is grown, both halves of a double-buffered queue
+// included, and a `-benchtime 1x` smoke reports the steady state — and
+// reports ns/sample, B/sample and allocs/sample next to the usual per-op
+// columns.  samplesPerOp is how many samples one op handles.
 func PerSample(b *testing.B, samplesPerOp int, op func()) {
 	b.Helper()
+	op()
 	op()
 	b.ReportAllocs()
 	var before, after runtime.MemStats

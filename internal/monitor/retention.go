@@ -20,7 +20,7 @@ import (
 // raw_capacity * interval + sum(Resolution * Capacity) seconds.
 type Tier struct {
 	Resolution float64 // bucket width in simulated seconds
-	Capacity   int     // buckets retained per series
+	Capacity   int     // most buckets retained per series; slots are allocated as they fill
 }
 
 // Span is the simulated time covered by a full tier.
@@ -102,9 +102,7 @@ func (b Bucket) Point() Point { return Point{Time: b.Start, Value: b.Avg} }
 // guarded by the owning series' mutex.
 type tierRing struct {
 	res  float64
-	buf  []Bucket
-	head int
-	n    int
+	ring ring[Bucket]
 	next *tierRing // cascade target for evicted buckets; nil on the coarsest
 
 	// step switches the sealed bucket's windowed value (Avg and Median)
@@ -132,7 +130,7 @@ type tierRing struct {
 }
 
 func newTierRing(t Tier) *tierRing {
-	return &tierRing{res: t.Resolution, buf: make([]Bucket, t.Capacity)}
+	return &tierRing{res: t.Resolution, ring: ring[Bucket]{max: t.Capacity}}
 }
 
 // bucketStart aligns a timestamp down to its bucket boundary.
@@ -208,25 +206,9 @@ func (t *tierRing) seal() {
 	// buffer, so the in-place (allocation-free) summary is safe here.
 	t.seals++
 	b := t.bucket(stats.SummarizeInPlace(t.medians).Median)
-	if evicted, full := t.push(b); full && t.next != nil {
+	if evicted, full := t.ring.push(b); full && t.next != nil {
 		t.next.absorbBucket(evicted)
 	}
-}
-
-// push inserts a sealed bucket, returning the bucket it evicted (and
-// whether one was evicted) once the ring is full.
-func (t *tierRing) push(b Bucket) (Bucket, bool) {
-	var evicted Bucket
-	full := t.n == len(t.buf)
-	if full {
-		evicted = t.buf[t.head]
-	}
-	t.buf[t.head] = b
-	t.head = (t.head + 1) % len(t.buf)
-	if !full {
-		t.n++
-	}
-	return evicted, full
 }
 
 // bucket shapes the open accumulator into a Bucket.  Step series report
@@ -252,14 +234,7 @@ func (t *tierRing) bucket(median float64) Bucket {
 // snapshot copies the sealed buckets oldest-first, appending the open
 // bucket as a provisional aggregate so fresh evictions stay queryable.
 func (t *tierRing) snapshot() []Bucket {
-	out := make([]Bucket, 0, t.n+1)
-	start := t.head - t.n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.buf[(start+i)%len(t.buf)])
-	}
+	out := t.ring.appendTo(make([]Bucket, 0, t.ring.n+1))
 	if t.open && t.count > 0 {
 		// Snapshots run under a shared read lock: the copying summary
 		// keeps concurrent readers from sorting the scratch buffer.

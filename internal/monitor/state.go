@@ -52,25 +52,9 @@ func (st *Store) DumpState() []SeriesState {
 func (s *series) dumpState() SeriesState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	state := SeriesState{Key: s.key}
-	state.Raw = make([]Point, 0, s.n)
-	start := s.head - s.n
-	if start < 0 {
-		start += len(s.buf)
-	}
-	for i := 0; i < s.n; i++ {
-		state.Raw = append(state.Raw, s.buf[(start+i)%len(s.buf)])
-	}
+	state := SeriesState{Key: s.key, Raw: s.raw.appendTo(make([]Point, 0, s.raw.n))}
 	for _, t := range s.tiers {
-		ts := TierState{Res: t.res}
-		ts.Buckets = make([]Bucket, 0, t.n)
-		bstart := t.head - t.n
-		if bstart < 0 {
-			bstart += len(t.buf)
-		}
-		for i := 0; i < t.n; i++ {
-			ts.Buckets = append(ts.Buckets, t.buf[(bstart+i)%len(t.buf)])
-		}
+		ts := TierState{Res: t.res, Buckets: t.ring.appendTo(make([]Bucket, 0, t.ring.n))}
 		if t.open && t.count > 0 {
 			ts.Open = &OpenBucketState{
 				Start: t.openStart, Count: t.count,
@@ -112,13 +96,7 @@ func (st *Store) RestoreState(states []SeriesState) {
 func (s *series) restoreState(state SeriesState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	raw := state.Raw
-	if len(raw) > len(s.buf) {
-		raw = raw[len(raw)-len(s.buf):]
-	}
-	n := copy(s.buf, raw)
-	s.n = n
-	s.head = n % len(s.buf)
+	s.raw.reset(state.Raw)
 	s.appends += uint64(len(state.Raw))
 	for _, t := range s.tiers {
 		t.step = state.Compaction == CompactLast
@@ -133,13 +111,7 @@ func (s *series) restoreState(state SeriesState) {
 }
 
 func (t *tierRing) restoreState(ts TierState) {
-	buckets := ts.Buckets
-	if len(buckets) > len(t.buf) {
-		buckets = buckets[len(buckets)-len(t.buf):]
-	}
-	n := copy(t.buf, buckets)
-	t.n = n
-	t.head = n % len(t.buf)
+	t.ring.reset(ts.Buckets)
 	t.seals += uint64(len(ts.Buckets))
 	t.open = false
 	if o := ts.Open; o != nil && o.Count > 0 {

@@ -31,17 +31,18 @@ const (
 	CompactLast
 )
 
-// series is one metric's fixed-capacity ring buffer plus its downsampled
-// retention tiers.  Old points are not discarded when the ring is full:
-// they are compacted into the tiers' buckets before being overwritten, so
-// long retentions degrade in resolution instead of silently losing
-// history.
+// series is one metric's ring of raw points plus its downsampled
+// retention tiers.  Both grow with what they hold — at most twice that
+// while growing, never more than the store's capacity (-retain) raw
+// slots or Tier.Capacity buckets — so a series costs memory for its
+// data, not for its bound.  Old points are not discarded when the ring
+// is full: they are compacted into the tiers' buckets as they are
+// overwritten, so long retentions degrade in resolution instead of
+// silently losing history.
 type series struct {
 	mu    sync.RWMutex
 	key   Key // immutable after create; lets interned handles journal
-	buf   []Point
-	head  int // next write position
-	n     int // filled entries, <= len(buf)
+	raw   ring[Point]
 	tiers []*tierRing
 
 	// Self-telemetry accounting.  Plain (non-atomic) counters bumped
@@ -69,20 +70,15 @@ func (s *series) appendColumns(times, values []float64) {
 }
 
 func (s *series) appendLocked(p Point) {
-	if s.n == len(s.buf) {
+	s.appends++
+	if old, full := s.raw.push(p); full {
 		s.evictions++
 		if len(s.tiers) > 0 {
 			// Evictions feed the finest tier only; buckets evicted from tier
 			// N's ring cascade into tier N+1 inside seal, so each tier's data
 			// flows downward instead of every tier re-reading raw points.
-			s.tiers[0].absorb(s.buf[s.head])
+			s.tiers[0].absorb(old)
 		}
-	}
-	s.appends++
-	s.buf[s.head] = p
-	s.head = (s.head + 1) % len(s.buf)
-	if s.n < len(s.buf) {
-		s.n++
 	}
 }
 
@@ -92,14 +88,7 @@ func (s *series) appendLocked(p Point) {
 func (s *series) retainedInto(buf []Point) ([]Point, [][]Bucket) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	raw := buf
-	start := s.head - s.n
-	if start < 0 {
-		start += len(s.buf)
-	}
-	for i := 0; i < s.n; i++ {
-		raw = append(raw, s.buf[(start+i)%len(s.buf)])
-	}
+	raw := s.raw.appendTo(buf)
 	var tiers [][]Bucket
 	for _, t := range s.tiers {
 		tiers = append(tiers, t.snapshot())
@@ -110,20 +99,13 @@ func (s *series) retainedInto(buf []Point) ([]Point, [][]Bucket) {
 func (s *series) latest() (Point, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.n == 0 {
-		return Point{}, false
-	}
-	idx := s.head - 1
-	if idx < 0 {
-		idx += len(s.buf)
-	}
-	return s.buf[idx], true
+	return s.raw.newest()
 }
 
 func (s *series) len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.n
+	return s.raw.n
 }
 
 // Store is the agent's in-memory time-series database: one bounded ring
@@ -245,7 +227,7 @@ func (st *Store) create(k Key) *series {
 // not pin for the life of the store.
 func (st *Store) newSeries(k Key) *series {
 	k.Source, k.Metric = strings.Clone(k.Source), strings.Clone(k.Metric)
-	s := &series{key: k, buf: make([]Point, st.capacity)}
+	s := &series{key: k, raw: ring[Point]{max: st.capacity}}
 	for _, t := range st.tiers {
 		s.tiers = append(s.tiers, newTierRing(t))
 	}

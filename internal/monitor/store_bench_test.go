@@ -28,11 +28,24 @@ func benchKeys(n int) []Key {
 	return keys
 }
 
+// fillRings appends capacity points to each key before the timer starts,
+// so an append benchmark measures the full-ring path (evict and
+// overwrite) a long-running series lives on, not the ring's one-time
+// growth.
+func fillRings(st *Store, capacity int, keys ...Key) {
+	for _, k := range keys {
+		for i := -capacity; i < 0; i++ {
+			st.Append(k, Point{Time: float64(i), Value: float64(i)})
+		}
+	}
+}
+
 // BenchmarkStoreAppend measures the single-series hot path: one point
 // into one ring.
 func BenchmarkStoreAppend(b *testing.B) {
 	st := NewStore(1024)
 	k := Key{Metric: "memory_bandwidth_mbytes_s", Scope: ScopeSocket, ID: 0}
+	fillRings(st, 1024, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,6 +58,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 func BenchmarkStoreAppendManySeries(b *testing.B) {
 	st := NewStore(1024)
 	keys := benchKeys(32)
+	fillRings(st, 1024, keys...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,6 +77,7 @@ func BenchmarkStoreAppendLabeled(b *testing.B) {
 		b.Fatal(err)
 	}
 	k := Key{Metric: "memory_bandwidth_mbytes_s", Scope: ScopeSocket, ID: 0, Labels: ls}
+	fillRings(st, 1024, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,6 +94,7 @@ func BenchmarkStoreAppendInstrumented(b *testing.B) {
 	st := NewStore(1024)
 	st.Instrument(telemetry.New())
 	k := Key{Metric: "memory_bandwidth_mbytes_s", Scope: ScopeSocket, ID: 0}
+	fillRings(st, 1024, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
