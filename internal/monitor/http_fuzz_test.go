@@ -150,7 +150,8 @@ func fuzzV4Seeds(tb testing.TB) map[string]struct {
 		"v1_shim":      {shim, false},
 		"invalid_time": {invalid, false},
 		"truncated":    {valid[:len(valid)-4], false},
-		"magic_only":   {[]byte("LKW4"), false},
+		"magic_only":   {[]byte(v4Magic), false},
+		"retired_lkw4": {retiredV4Payload("job", "lbm"), false},
 		"bad_magic":    {[]byte("LKW3\x01\x02\x03"), false},
 		"json_as_v4":   {[]byte(`{"time":1,"metric":"bw","scope":"node","id":0,"value":1}`), false},
 		"empty":        {nil, false},

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -418,6 +419,43 @@ func TestReplaySkipsFramesOfThePreColumnarWAL(t *testing.T) {
 	}
 	if got := fileSize(t, path); got != size {
 		t.Errorf("WAL shrank from %d to %d bytes: skipped frames are whole, nothing to truncate", size, got)
+	}
+}
+
+// TestReplaySkipsFramesOfTheRetiredV4Layout: a wal.log left by an
+// unclean stop of a version writing the retired per-group v4 layout
+// (magic "LKW4") holds CRC-valid frames the current decoder rejects.
+// Such a frame in the middle of the log is counted invalid and skipped,
+// and the frames after it still replay.
+func TestReplaySkipsFramesOfTheRetiredV4Layout(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	k := testKey()
+	appendSamples(t, path, sampleOf(k, 1, 1))
+	// One sample of the retired layout: "LKW4", one group with its
+	// identity and label pair inline, per-group columns led by raw words.
+	old := append([]byte("LKW4"), 1)
+	for _, s := range []string{"", "nodeA", "bw", "node"} {
+		old = append(append(old, byte(len(s))), s...)
+	}
+	old = append(old, 0, 1, 3, 'j', 'o', 'b', 3, 'l', 'b', 'm', 1)
+	for _, v := range []float64{2, 0, 2} { // time, sent_at, value
+		old = binary.BigEndian.AppendUint64(append(old, 8), math.Float64bits(v))
+	}
+	appendFrame(t, path, old)
+	appendSamples(t, path, sampleOf(k, 3, 3))
+
+	st := monitor.NewStore(16)
+	m, err := Open(dir, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got := m.replayInvalid.Load(); got != 1 {
+		t.Errorf("replay_invalid = %d, want the 1 retired-layout frame", got)
+	}
+	if got, want := st.Window(k, 0, -1), []monitor.Point{{Time: 1, Value: 1}, {Time: 3, Value: 3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered %v, want %v: the frames around the retired one", got, want)
 	}
 }
 

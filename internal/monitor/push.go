@@ -59,9 +59,9 @@ type PushOptions struct {
 	Logger *slog.Logger
 	// Format selects the wire encoding: WireJSON (the default) is the
 	// v1–v3 gzipped JSON-lines schema, WireV4 the binary columnar batch
-	// format.  v4 needs a receiver that understands its Content-Type
-	// (this suite's, of any version shipping decodeV4) — upgrade
-	// receivers before agents.
+	// format.  v4 needs a receiver that decodes the same v4 layout (its
+	// magic) — upgrade receivers before, or together with, agents; a
+	// payload a receiver cannot decode is 400'd and stays buffered.
 	Format WireFormat
 }
 
@@ -71,8 +71,9 @@ type WireFormat int
 const (
 	// WireJSON is the self-describing v1–v3 JSON-lines schema, gzipped.
 	WireJSON WireFormat = iota
-	// WireV4 is the binary columnar batch format: per-series column
-	// groups, delta-of-delta timestamps, Gorilla XOR values.
+	// WireV4 is the binary columnar batch format: a per-payload string
+	// and label-set dictionary, a series directory, and batch-wide
+	// delta-of-delta timestamp and Gorilla XOR value columns.
 	WireV4
 )
 

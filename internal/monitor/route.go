@@ -174,7 +174,7 @@ func (r *Router) apply(b *groupBatch) error {
 			case RouteRelabel:
 				if !copied {
 					g.pairs = append(make([]Label, 0, len(g.pairs)+len(rs.route.Set)), g.pairs...)
-					copied = true
+					g.set, copied = nil, true // the group owns its pairs now
 				}
 				for _, set := range rs.route.Set {
 					g.pairs = setPair(g.pairs, set)

@@ -25,7 +25,7 @@ func groupsOf(groups ...testGroup) *groupBatch {
 		for name, value := range tg.labels {
 			pairs = append(pairs, Label{Name: name, Value: value})
 		}
-		if err := sortPairs(pairs); err != nil {
+		if err := checkPairs(pairs); err != nil {
 			panic(err)
 		}
 		b.groups = append(b.groups, sampleGroup{
@@ -118,6 +118,38 @@ func TestRouterRelabelCopiesSharedMaps(t *testing.T) {
 	}
 	if len(shared) != 1 || shared[0] != (Label{Name: "job", Value: "lbm"}) {
 		t.Fatalf("relabel mutated the shared pairs in place: %v", shared)
+	}
+}
+
+// TestRouterRelabelLeavesSharedSet: the groups of a v4 payload share
+// their label set's validated pairs, and interning runs once per set.  A
+// relabelled group takes its own copy and interns that; the set, and
+// every other group referencing it, keep the payload's labels.
+func TestRouterRelabelLeavesSharedSet(t *testing.T) {
+	lbm := mustLabels(t, "job=lbm")
+	var rows []wireSample
+	for _, src := range []string{"nodeA", "nodeB", "nodeC"} {
+		rows = append(rows, wireSample{Sample: Sample{Source: src, Metric: "bw", Scope: ScopeNode, Labels: lbm, Time: 1, Value: 1}})
+	}
+	b, err := decodeV4Batch(encodeV4(t, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.sets) != 1 || b.groups[0].set != &b.sets[0] || b.groups[2].set != &b.sets[0] {
+		t.Fatalf("decoded %d label sets, want the 3 groups sharing one", len(b.sets))
+	}
+	r := NewRouter([]IngestRoute{{Source: "nodeB", Metric: "bw", Action: RouteRelabel, Set: []Label{{Name: "cluster", Value: "emmy"}}}})
+	if err := r.apply(b); err != nil {
+		t.Fatal(err)
+	}
+	b.internLabels()
+	for i, want := range []string{"job=lbm", "cluster=emmy,job=lbm", "job=lbm"} {
+		if got := b.groups[i].key.Labels.String(); got != want {
+			t.Errorf("group %d labels = %q, want %q", i, got, want)
+		}
+	}
+	if got := encodePairs(b.sets[0].pairs); got != "job=lbm" {
+		t.Errorf("relabel mutated the shared set: %q", got)
 	}
 }
 

@@ -4,17 +4,23 @@ package monitor
 // on POST /ingest alongside the JSON-lines schema via the Content-Type
 // "application/x-likwid-v4", and the frame payload of the persist WAL.
 //
-// A batch is grouped into per-series column groups — all samples sharing
-// one (collector, source, metric, scope, id, labels) identity — so the
-// per-sample cost is three columns, not a repeated JSON object:
+// A payload states every identity once and runs its columns across the
+// whole batch.  A string table holds each distinct collector, source,
+// metric, scope and label string; a set table holds each distinct label
+// set as references into it; a group directory names each series of the
+// batch — all samples sharing one (collector, source, metric, scope, id,
+// labels) identity — by reference, with its row count; and three columns
+// hold every row, group-major in directory order:
 //
-//	payload := "LKW4" uvarint(groupCount) group*
-//	group   := str(collector) str(source) str(metric) str(scope)
-//	           uvarint(id)
-//	           uvarint(labelCount) (str(name) str(value))*   // sorted by name
-//	           uvarint(sampleCount)
+//	payload := "LKD4" uvarint(nStrings) str*
+//	           uvarint(nSets) set*
+//	           uvarint(nGroups) group*
 //	           col(times) col(sentAts) col(values)
 //	str     := uvarint(len) bytes
+//	set     := uvarint(nPairs) (ref(name) ref(value))*   // sorted by name
+//	group   := ref(collector) ref(source) ref(metric) ref(scope)
+//	           uvarint(id) ref(set) uvarint(rows)
+//	ref     := uvarint(index into its table)
 //	col     := uvarint(len) bytes
 //
 // The time and sent_at columns are delta-of-delta codes over the int64
@@ -22,17 +28,26 @@ package monitor
 // prefix-coded zigzag fields, two's-complement wrap): lossless for every
 // float64, and because the bit patterns of a regularly-sampled monotone
 // series have near-constant deltas within a binade, the second
-// difference is usually zero — one bit per sample, and sent_at
-// (constant per flush) is one bit always.
+// difference is usually zero — one bit per row.  Only the batch's first
+// row is written raw.  A group's first row is coded against the row
+// before it with the previous delta taken as 0, and it does not seed the
+// next delta, so a group boundary costs one code and a deep group's
+// cadence is its own.  A wide flush — one row per group, every row
+// sharing one timestamp and one sent_at — pays one bit per row in each.
 // The value column is the classic Gorilla XOR bitstream (Pelkonen et
-// al., VLDB 2015): 1 bit for a repeated value, a reused
-// leading/trailing-zero window for slowly-moving ones.
+// al., VLDB 2015) over all rows, each XORed with the row before it: 1 bit
+// for a repeated value, a reused leading/trailing-zero window for
+// slowly-moving ones.  It keeps two windows by the same split: one
+// carried from group-first row to group-first row, one inside a group,
+// cleared at its first row — so the XOR between two series never widens
+// the window a deep group's own rows code in.
 //
 // Both directions work on the store's own types: the encoder groups
 // []Sample by the interned Key; the decoder produces a groupBatch whose
 // identity strings are substrings of one copy of the payload, so a group
-// costs no allocations of its own and nothing is interned until the
-// whole payload has validated.
+// costs no allocations of its own, each string, scope and label set is
+// checked once per payload, and nothing is interned until the whole
+// payload has validated.
 
 import (
 	"encoding/binary"
@@ -48,15 +63,12 @@ import (
 const V4ContentType = "application/x-likwid-v4"
 
 // v4Magic leads every v4 payload; a JSON-lines body posted with the v4
-// Content-Type fails here, loudly.
-const v4Magic = "LKW4"
+// Content-Type, or a payload of a retired layout, fails here, loudly.
+const v4Magic = "LKD4"
 
-// v4 sanity caps: counts are validated against these (and the payload
-// size) before any allocation.
-const (
-	v4MaxGroups          = 1 << 20
-	v4MaxSamplesPerGroup = 1 << 24
-)
+// v4MaxEntries caps each table's entry count, validated (with the payload
+// size) before the table is allocated.
+const v4MaxEntries = 1 << 20
 
 // ---- bit I/O --------------------------------------------------------------
 
@@ -166,13 +178,37 @@ func closeColumn(dst []byte, at int) []byte {
 // dodWidths are the payload widths behind the delta column's prefixes.
 var dodWidths = [...]uint{0, 7, 12, 20, 32, 64}
 
+// groupStarts walks a column's rows, in order from row 0, in step with
+// the ascending first rows of its groups (an empty group shares the next
+// one's first row).  The zero next makes row 0 a first row, as it is.
+type groupStarts struct {
+	starts []int32 // first rows not yet passed
+	next   int     // the next first row; -1 once none is left
+}
+
+// at reports whether row i is the first row of a group.
+func (g *groupStarts) at(i int) bool {
+	if i != g.next {
+		return false
+	}
+	for len(g.starts) > 0 && int(g.starts[0]) <= i {
+		g.starts = g.starts[1:]
+	}
+	g.next = -1
+	if len(g.starts) > 0 {
+		g.next = int(g.starts[0])
+	}
+	return true
+}
+
 // appendDeltaColumn appends a length-prefixed delta-of-delta column over
-// the int64 reinterpretation of each value's bit pattern.  Wrapping
-// int64 arithmetic makes the round trip exact for every input, including
-// NaN and infinities (the ingest validator rejects those later, not the
-// codec).  The first entry is 64 raw bits; every later entry is the
-// second difference under a Gorilla-style prefix code, so a regular
-// series (second difference zero) costs one bit per sample:
+// the int64 reinterpretation of each value's bit pattern; starts lists
+// the first row of every group, ascending.  Wrapping int64 arithmetic
+// makes the round trip exact for every input, including NaN and
+// infinities (the ingest validator rejects those later, not the codec).
+// The first entry is 64 raw bits; every later entry is the second
+// difference under a Gorilla-style prefix code, so a regular series
+// (second difference zero) costs one bit per row:
 //
 //	'0'                 dod == 0
 //	'10'    + 7 bits    zigzag(dod) < 2^7
@@ -180,12 +216,16 @@ var dodWidths = [...]uint{0, 7, 12, 20, 32, 64}
 //	'1110'  + 20 bits   zigzag(dod) < 2^20
 //	'11110' + 32 bits   zigzag(dod) < 2^32
 //	'11111' + 64 bits   everything else
-func appendDeltaColumn(dst []byte, vals []float64) []byte {
+//
+// A group's first row takes the previous delta as 0 and leaves it 0.
+func appendDeltaColumn(dst []byte, vals []float64, starts []int32) []byte {
 	at := len(dst)
 	w := bitWriter{b: append(dst, 0)}
+	gs := groupStarts{starts: starts}
 	var prev, prevDelta int64
 	for i, v := range vals {
 		b := int64(math.Float64bits(v))
+		first := gs.at(i)
 		if i == 0 {
 			w.writeBits(uint64(b), 64)
 			prev = b
@@ -195,6 +235,9 @@ func appendDeltaColumn(dst []byte, vals []float64) []byte {
 		prev = b
 		dod := delta - prevDelta
 		prevDelta = delta
+		if first {
+			dod, prevDelta = delta, 0
+		}
 		z := uint64(dod)<<1 ^ uint64(dod>>63) // zigzag
 		class := uint(0)                      // number of leading 1s in the prefix
 		for z>>dodWidths[class] != 0 && class < 5 {
@@ -211,20 +254,23 @@ func appendDeltaColumn(dst []byte, vals []float64) []byte {
 }
 
 // columnFits reports whether col can hold n entries at all (64 bits for
-// the first, at least one for every other), so a hostile sample count is
+// the first, at least one for every other), so a hostile row count is
 // rejected before the columns grow to it.
 func columnFits(col []byte, n int) bool {
 	return n == 0 || uint64(n)+63 <= uint64(len(col))*8
 }
 
-// decodeDeltaColumn appends the n entries of a delta column to dst.
-func decodeDeltaColumn(col []byte, n int, dst []float64) ([]float64, error) {
+// decodeDeltaColumn appends the n entries of a delta column, whose
+// groups begin at starts, to dst.
+func decodeDeltaColumn(col []byte, n int, starts []int32, dst []float64) ([]float64, error) {
 	if !columnFits(col, n) {
 		return dst, fmt.Errorf("truncated delta column: %d bytes cannot hold %d entries", len(col), n)
 	}
 	r := bitReader{b: col}
+	gs := groupStarts{starts: starts}
 	var prev, prevDelta int64
 	for i := 0; i < n && !r.short; i++ {
+		first := gs.at(i)
 		if i == 0 {
 			prev = int64(r.readBits(64))
 		} else {
@@ -233,27 +279,53 @@ func decodeDeltaColumn(col []byte, n int, dst []float64) ([]float64, error) {
 				class++
 			}
 			z := r.readBits(dodWidths[class])
-			prevDelta += int64(z>>1) ^ -int64(z&1) // unzigzag
-			prev += prevDelta
+			dod := int64(z>>1) ^ -int64(z&1) // unzigzag
+			if first {
+				prev += dod // prevDelta is 0 here, and stays 0
+				prevDelta = 0
+			} else {
+				prevDelta += dod
+				prev += prevDelta
+			}
 		}
 		dst = append(dst, math.Float64frombits(uint64(prev)))
 	}
 	return dst, r.done("delta")
 }
 
-// appendXORColumn appends a length-prefixed Gorilla value column: the
-// first value verbatim (64 bits); then per value either a 0 bit
-// (unchanged), or 1+0 and the XOR's meaningful bits inside the previous
-// leading/trailing-zero window, or 1+1 and an explicit 5-bit
-// leading-zero count, 6-bit significant-bit count minus one, and the
-// bits themselves.
-func appendXORColumn(dst []byte, vals []float64) []byte {
+// xorWindow is a value column's leading-zero count and significant-bit
+// count; sig == 0 means none is set yet.
+type xorWindow struct{ lead, sig uint }
+
+// windowFor picks the window row i codes against: a group's first row
+// uses (and keeps) the window carried between group-first rows; any
+// other row the window carried inside its group, which each group's
+// first row clears.  A deep group's rows thus code as if the group stood
+// alone, and the XOR from one series to the next cannot widen it.
+func windowFor(wins *[2]xorWindow, first bool) *xorWindow {
+	if first {
+		wins[0] = xorWindow{}
+		return &wins[1]
+	}
+	return &wins[0]
+}
+
+// appendXORColumn appends a length-prefixed Gorilla value column; starts
+// lists the first row of every group, ascending.  The first value is
+// verbatim (64 bits); then per value either a 0 bit (unchanged), or 1+0
+// and the XOR with the previous row's meaningful bits inside the current
+// leading/trailing-zero window (see windowFor), or 1+1 and an explicit
+// 5-bit leading-zero count, 6-bit significant-bit count minus one, and
+// the bits themselves, which become the current window.
+func appendXORColumn(dst []byte, vals []float64, starts []int32) []byte {
 	at := len(dst)
 	w := bitWriter{b: append(dst, 0)}
+	gs := groupStarts{starts: starts}
+	var wins [2]xorWindow
 	var prev uint64
-	prevLead, prevSig := uint(0), uint(0) // prevSig==0: no window yet
 	for i, v := range vals {
 		b := math.Float64bits(v)
+		win := windowFor(&wins, gs.at(i))
 		if i == 0 {
 			w.writeBits(b, 64)
 			prev = b
@@ -268,28 +340,31 @@ func appendXORColumn(dst []byte, vals []float64) []byte {
 		lead := min(uint(bits.LeadingZeros64(xor)), 31) // 5-bit field; more zeros just ride inside the window
 		trail := uint(bits.TrailingZeros64(xor))
 		sig := 64 - lead - trail
-		if prevSig > 0 && lead >= prevLead && 64-prevLead-prevSig <= trail {
-			// The XOR fits the previous window: reuse it.
+		if win.sig > 0 && lead >= win.lead && 64-win.lead-win.sig <= trail {
+			// The XOR fits the current window: reuse it.
 			w.writeBits(0b10, 2)
-			w.writeBits(xor>>(64-prevLead-prevSig), prevSig)
+			w.writeBits(xor>>(64-win.lead-win.sig), win.sig)
 			continue
 		}
 		w.writeBits(0b11<<11|uint64(lead)<<6|uint64(sig-1), 2+5+6)
 		w.writeBits(xor>>trail, sig)
-		prevLead, prevSig = lead, sig
+		*win = xorWindow{lead, sig}
 	}
 	return closeColumn(w.finish(), at)
 }
 
-// decodeXORColumn appends the n entries of a value column to dst.
-func decodeXORColumn(col []byte, n int, dst []float64) ([]float64, error) {
+// decodeXORColumn appends the n entries of a value column, whose groups
+// begin at starts, to dst.
+func decodeXORColumn(col []byte, n int, starts []int32, dst []float64) ([]float64, error) {
 	if !columnFits(col, n) {
 		return dst, fmt.Errorf("truncated value column: %d bytes cannot hold %d entries", len(col), n)
 	}
 	r := bitReader{b: col}
+	gs := groupStarts{starts: starts}
+	var wins [2]xorWindow
 	var prev uint64
-	prevLead, prevSig := uint(0), uint(0)
 	for i := 0; i < n && !r.short; i++ {
+		win := windowFor(&wins, gs.at(i))
 		switch {
 		case i == 0:
 			prev = r.readBits(64)
@@ -297,14 +372,14 @@ func decodeXORColumn(col []byte, n int, dst []float64) ([]float64, error) {
 		default:
 			if r.readBit() == 1 { // a new window
 				window := r.readBits(5 + 6)
-				prevLead, prevSig = uint(window>>6), uint(window&63)+1
-				if prevLead+prevSig > 64 {
-					return dst, fmt.Errorf("value column entry %d: window %d+%d exceeds 64 bits", i, prevLead, prevSig)
+				*win = xorWindow{uint(window >> 6), uint(window&63) + 1}
+				if win.lead+win.sig > 64 {
+					return dst, fmt.Errorf("value column entry %d: window %d+%d exceeds 64 bits", i, win.lead, win.sig)
 				}
-			} else if prevSig == 0 && !r.short {
+			} else if win.sig == 0 && !r.short {
 				return dst, fmt.Errorf("value column entry %d reuses a window before one was set", i)
 			}
-			prev ^= r.readBits(prevSig) << (64 - prevLead - prevSig)
+			prev ^= r.readBits(win.sig) << (64 - win.lead - win.sig)
 		}
 		dst = append(dst, math.Float64frombits(prev))
 	}
@@ -328,25 +403,36 @@ type v4GroupKey struct {
 
 type v4Group struct {
 	key      v4GroupKey
-	start, n int32 // the group's run in V4Encoder.order
+	start, n int32    // the group's run in V4Encoder.order
+	refs     [4]int32 // string refs: collector, source, metric, scope
+	set      int32    // label set ref
 }
 
 // V4Encoder renders sample batches as v4 payloads, reusing its grouping
-// scratch across calls: a warm encoder allocates nothing beyond what dst
-// needs to grow.  The zero value is ready; not safe for concurrent use.
+// scratch and tables across calls: a warm encoder allocates nothing
+// beyond what dst needs to grow.  The zero value is ready; not safe for
+// concurrent use.
 type V4Encoder struct {
 	index  map[v4GroupKey]int32
 	groups []v4Group
 	gid    []int32 // group of each sample
 	order  []int32 // sample indexes, group-major, arrival order within a group
+	starts []int32 // each group's first row
 
-	times, sentAts, values []float64 // the columns of the group being packed
+	strIndex map[string]int32
+	strs     []string
+	setIndex map[Labels]int32
+	sets     []Labels
+	pairRefs []int32 // string refs of every set's pairs, name then value, set-major
+
+	times, sentAts, values []float64 // the batch columns, group-major
 }
 
 // Encode appends the v4 payload of samples to dst with an empty collector
 // and no sent_at stamps — the form the persist WAL frames.  Groups come
-// in first-appearance order, a group's samples in arrival order, so the
-// encoding is deterministic; DecodeV4Samples is its inverse.
+// in first-appearance order, a group's samples in arrival order, and
+// table entries in the order the groups first use them, so the encoding
+// is deterministic; DecodeV4Samples is its inverse.
 func (e *V4Encoder) Encode(dst []byte, samples []Sample) ([]byte, error) {
 	return e.encode(dst, samples, nil)
 }
@@ -356,6 +442,8 @@ func (e *V4Encoder) Encode(dst []byte, samples []Sample) ([]byte, error) {
 func (e *V4Encoder) encode(dst []byte, samples []Sample, meta []sampleMeta) ([]byte, error) {
 	if e.index == nil {
 		e.index = make(map[v4GroupKey]int32)
+		e.strIndex = make(map[string]int32)
+		e.setIndex = make(map[Labels]int32)
 	}
 	clear(e.index)
 	e.groups = e.groups[:0]
@@ -384,50 +472,106 @@ func (e *V4Encoder) encode(dst []byte, samples []Sample, meta []sampleMeta) ([]b
 	}
 	// Counting sort: each group's samples become one run of order.
 	var next int32
+	e.starts = e.starts[:0]
 	for gi := range e.groups {
 		g := &e.groups[gi]
 		g.start, next, g.n = next, next+g.n, 0
+		e.starts = append(e.starts, g.start)
 	}
 	for i, gi := range e.gid {
 		g := &e.groups[gi]
 		e.order[g.start+g.n] = int32(i)
 		g.n++
 	}
+	e.tables()
 
 	dst = append(dst, v4Magic...)
+	dst = binary.AppendUvarint(dst, uint64(len(e.strs)))
+	for _, s := range e.strs {
+		dst = appendString(dst, s)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(e.sets)))
+	refs := e.pairRefs
+	for _, ls := range e.sets {
+		n := 2 * ls.Len()
+		dst = binary.AppendUvarint(dst, uint64(n/2))
+		for _, r := range refs[:n] {
+			dst = binary.AppendUvarint(dst, uint64(r))
+		}
+		refs = refs[n:]
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(e.groups)))
 	for _, g := range e.groups {
-		k := g.key.key
-		dst = appendString(dst, g.key.collector)
-		dst = appendString(dst, k.Source)
-		dst = appendString(dst, k.Metric)
-		dst = appendString(dst, k.Scope.String())
-		dst = binary.AppendUvarint(dst, uint64(k.ID))
-		dst = binary.AppendUvarint(dst, uint64(k.Labels.Len()))
-		if k.Labels.set != nil {
-			for _, p := range k.Labels.set.pairs { // interned: already sorted by name
-				dst = appendString(dst, p.Name)
-				dst = appendString(dst, p.Value)
-			}
+		for _, r := range g.refs {
+			dst = binary.AppendUvarint(dst, uint64(r))
 		}
+		dst = binary.AppendUvarint(dst, uint64(g.key.key.ID))
+		dst = binary.AppendUvarint(dst, uint64(g.set))
 		dst = binary.AppendUvarint(dst, uint64(g.n))
-		e.times, e.sentAts, e.values = e.times[:0], e.sentAts[:0], e.values[:0]
-		for _, i := range e.order[g.start : g.start+g.n] {
-			e.times, e.values = append(e.times, samples[i].Time), append(e.values, samples[i].Value)
-			if meta != nil {
-				e.sentAts = append(e.sentAts, meta[i].sentAt)
-			} else {
-				e.sentAts = append(e.sentAts, 0)
-			}
-		}
-		dst = appendDeltaColumn(dst, e.times)
-		dst = appendDeltaColumn(dst, e.sentAts)
-		dst = appendXORColumn(dst, e.values)
 	}
-	return dst, nil
+	e.times, e.sentAts, e.values = e.times[:0], e.sentAts[:0], e.values[:0]
+	for _, i := range e.order {
+		e.times, e.values = append(e.times, samples[i].Time), append(e.values, samples[i].Value)
+		if meta != nil {
+			e.sentAts = append(e.sentAts, meta[i].sentAt)
+		} else {
+			e.sentAts = append(e.sentAts, 0)
+		}
+	}
+	dst = appendDeltaColumn(dst, e.times, e.starts)
+	dst = appendDeltaColumn(dst, e.sentAts, e.starts)
+	return appendXORColumn(dst, e.values, e.starts), nil
 }
 
-// appendString is the length-prefixed string of the group header.
+// tables resolves every group's string and label set refs, filling the
+// tables in first-use order.  Neighbouring groups mostly share all but
+// their metric (and the metric with a run of ids), so a field equal to
+// the previous group's reuses its ref without a hash.
+func (e *V4Encoder) tables() {
+	clear(e.strIndex)
+	clear(e.setIndex)
+	e.strs, e.sets, e.pairRefs = e.strs[:0], e.sets[:0], e.pairRefs[:0]
+	for gi := range e.groups {
+		g := &e.groups[gi]
+		k := &g.key.key
+		for f, s := range [4]string{g.key.collector, k.Source, k.Metric, k.Scope.String()} {
+			if gi > 0 && s == e.strs[e.groups[gi-1].refs[f]] {
+				g.refs[f] = e.groups[gi-1].refs[f]
+			} else {
+				g.refs[f] = e.ref(s)
+			}
+		}
+		if gi > 0 && k.Labels == e.groups[gi-1].key.key.Labels {
+			g.set = e.groups[gi-1].set
+			continue
+		}
+		set, ok := e.setIndex[k.Labels]
+		if !ok {
+			set = int32(len(e.sets))
+			e.setIndex[k.Labels] = set
+			e.sets = append(e.sets, k.Labels)
+			if k.Labels.set != nil {
+				for _, p := range k.Labels.set.pairs { // interned: already sorted by name
+					e.pairRefs = append(e.pairRefs, e.ref(p.Name), e.ref(p.Value))
+				}
+			}
+		}
+		g.set = set
+	}
+}
+
+// ref is the string table index of s, adding it on first use.
+func (e *V4Encoder) ref(s string) int32 {
+	r, ok := e.strIndex[s]
+	if !ok {
+		r = int32(len(e.strs))
+		e.strIndex[s] = r
+		e.strs = append(e.strs, s)
+	}
+	return r
+}
+
+// appendString is a length-prefixed string-table entry.
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -441,14 +585,25 @@ func appendString(dst []byte, s string) []byte {
 // in), and the store series the rows land in.
 type sampleGroup struct {
 	key    Key
-	pairs  []Label // validated, sorted by name, duplicate-free; not interned
-	lo, hi int     // rows [lo, hi) of the batch columns
+	pairs  []Label  // validated, sorted by name, duplicate-free; not interned
+	set    *wireSet // the payload's label set pairs came from; nil once the group owns them
+	lo, hi int      // rows [lo, hi) of the batch columns
 	series *series
+}
+
+// wireSet is one entry of a v4 payload's label set table: its validated
+// pairs, shared by every group that references it, and their interned
+// handle once internLabels has run (the zero handle before, and for the
+// empty set, whose interning is free).
+type wireSet struct {
+	pairs  []Label
+	labels Labels
 }
 
 // groupBatch is one decoded ingest payload — what decodeV4 and
 // decodeIngest both produce and every ingest stage runs over: identity
-// and label pairs once per group, the columns in shared backing arrays.
+// once per group, label pairs once per group (JSON) or per label set
+// (v4), the columns in shared backing arrays.
 // Decoding validates everything and interns nothing, so a rejected
 // payload leaves no residue anywhere.
 type groupBatch struct {
@@ -456,7 +611,8 @@ type groupBatch struct {
 	times   []float64
 	sentAts []float64 // 0 where the record carried no stamp
 	values  []float64
-	pairs   []Label // backing array of the groups' pairs
+	pairs   []Label   // backing array of the groups' (or sets') pairs
+	sets    []wireSet // a v4 payload's label sets
 }
 
 // rows counts the samples the batch's groups hold (a routed batch keeps
@@ -487,8 +643,17 @@ func (b *groupBatch) appendSamples(dst []Sample) []Sample {
 // cmpLabelName orders label pairs by name.
 func cmpLabelName(a, b Label) int { return strings.Compare(a.Name, b.Name) }
 
-// sortPairs orders a group's label pairs by name and rejects duplicates.
-func sortPairs(pairs []Label) error {
+// checkPairs validates one label set's wire pairs — count, names, values
+// — and orders them by name, rejecting duplicates.
+func checkPairs(pairs []Label) error {
+	if len(pairs) > maxLabels {
+		return fmt.Errorf("monitor: %d labels exceed the limit of %d", len(pairs), maxLabels)
+	}
+	for _, p := range pairs {
+		if err := checkLabel(p.Name, p.Value); err != nil {
+			return err
+		}
+	}
 	slices.SortFunc(pairs, cmpLabelName)
 	for i := 1; i < len(pairs); i++ {
 		if pairs[i].Name == pairs[i-1].Name {
@@ -498,24 +663,73 @@ func sortPairs(pairs []Label) error {
 	return nil
 }
 
+// checkMetric rejects a metric name that is empty or only whitespace.
+func checkMetric(name string) error {
+	if strings.TrimSpace(name) == "" {
+		return fmt.Errorf("empty metric")
+	}
+	return nil
+}
+
+// check is the record validation of the JSON decoder, which has no tables
+// to run it once per string or set: it resolves the group's scope and id,
+// orders its label pairs, and screens identity, labels and every row.
+func (b *groupBatch) check(g *sampleGroup, scopeName string, id int64) (err error) {
+	if g.key.Scope, err = ParseScope(scopeName); err != nil {
+		return err
+	}
+	if err := checkMetric(g.key.Metric); err != nil {
+		return err
+	}
+	if id < 0 || id > math.MaxInt32 {
+		return fmt.Errorf("bad id %d", id)
+	}
+	g.key.ID = int(id)
+	if err := checkPairs(g.pairs); err != nil {
+		return err
+	}
+	return b.checkRows(g.lo, g.hi)
+}
+
+// checkRows screens rows [lo, hi) of the columns: finite, non-negative
+// times and finite values.
+func (b *groupBatch) checkRows(lo, hi int) error {
+	for r := lo; r < hi; r++ {
+		if t := b.times[r]; math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+			return fmt.Errorf("sample %d: bad time %v", r-lo, t)
+		}
+		if v := b.values[r]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sample %d: bad value %v", r-lo, v)
+		}
+	}
+	return nil
+}
+
 // internLabels interns every group's pairs — the step that waits until
-// the whole payload has validated.  Consecutive groups almost always
-// share one set, so an equal neighbour reuses the handle.
+// the whole payload has validated.  A v4 label set is interned once, on
+// its first use; a group that owns its pairs (a JSON record, a relabelled
+// group) reuses an equal neighbour's handle, which is the common case.
 func (b *groupBatch) internLabels() {
 	for i := range b.groups {
 		g := &b.groups[i]
-		if i > 0 && slices.Equal(g.pairs, b.groups[i-1].pairs) {
+		switch {
+		case g.set != nil:
+			if g.set.labels == (Labels{}) {
+				g.set.labels = internLabels(g.set.pairs)
+			}
+			g.key.Labels = g.set.labels
+		case i > 0 && slices.Equal(g.pairs, b.groups[i-1].pairs):
 			g.key.Labels = b.groups[i-1].key.Labels
-			continue
+		default:
+			g.key.Labels = internLabels(g.pairs)
 		}
-		g.key.Labels = internLabels(g.pairs)
 	}
 }
 
 // v4Decoder walks a payload.  The first error sticks — every read after
-// it returns zero values — so callers check d.err once per group.  The
+// it returns zero values — so callers check d.err once per entry.  The
 // payload is held twice: as bytes for the bit-packed columns, and as one
-// string copy that every identity field is a substring of.
+// string copy that every table string is a substring of.
 type v4Decoder struct {
 	b   []byte
 	s   string
@@ -536,6 +750,32 @@ func (d *v4Decoder) uvarint(what string) uint64 {
 	return v
 }
 
+// count reads a table's entry count, bounded by v4MaxEntries and by what
+// the rest of the payload can hold at minSize bytes an entry.
+func (d *v4Decoder) count(what string, minSize int) int {
+	n := d.uvarint(what)
+	if d.err == nil && (n > v4MaxEntries || n > uint64((len(d.b)-d.off)/minSize)) {
+		d.err = fmt.Errorf("implausible %s %d", what, n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// ref reads a reference into a table of n entries.  After an error it
+// returns 0, which may be out of range: check d.err before using it.
+func (d *v4Decoder) ref(what string, n int) int {
+	r := d.uvarint(what)
+	if d.err == nil && r >= uint64(n) {
+		d.err = fmt.Errorf("%s ref %d out of range (%d entries)", what, r, n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(r)
+}
+
 // span reads a length prefix and returns the [from, to) it announces.
 func (d *v4Decoder) span(what string) (from, to int) {
 	n := d.uvarint(what)
@@ -550,159 +790,166 @@ func (d *v4Decoder) span(what string) (from, to int) {
 	return from, to
 }
 
-func (d *v4Decoder) str(what string) string {
-	from, to := d.span(what)
-	return d.s[from:to]
-}
-
 func (d *v4Decoder) column(what string) []byte {
 	from, to := d.span(what)
 	return d.b[from:to]
 }
 
+// v4String is one string-table entry and what its uses have checked of
+// it, so each role's check runs once per payload.
+type v4String struct {
+	s      string
+	scope  int8 // 1 + the Scope it names, once resolved
+	metric bool // checked as a metric name
+}
+
+func (s *v4String) asScope() (Scope, error) {
+	if s.scope == 0 {
+		sc, err := ParseScope(s.s)
+		if err != nil {
+			return 0, err
+		}
+		s.scope = int8(sc) + 1
+	}
+	return Scope(s.scope - 1), nil
+}
+
+func (s *v4String) asMetric() (string, error) {
+	if !s.metric {
+		if err := checkMetric(s.s); err != nil {
+			return "", err
+		}
+		s.metric = true
+	}
+	return s.s, nil
+}
+
 // decodeV4 parses and validates one v4 payload into b, all-or-nothing:
-// any malformed group rejects the whole batch, with nothing interned.
-// Identity strings alias one copy of data; what outlives the batch (a
-// new series' key, a new label set) is cloned where it is retained.
-// Groups without samples are dropped.
+// any malformed table entry, group or row rejects the whole batch, with
+// nothing interned.  The directory's row total is checked against the
+// columns before they are allocated.  Table strings alias one copy of
+// data; what outlives the batch (a new series' key, a new label set) is
+// cloned where it is retained.  Groups without rows are dropped.
 func decodeV4(data []byte, b *groupBatch) error {
 	if len(data) < len(v4Magic) || string(data[:len(v4Magic)]) != v4Magic {
-		return fmt.Errorf("not a v4 payload (missing %q magic)", v4Magic)
+		return fmt.Errorf("not a v4 payload (want %q magic, have %q)", v4Magic, data[:min(len(data), len(v4Magic))])
 	}
 	d := &v4Decoder{b: data, s: string(data), off: len(v4Magic)}
-	groupCount := d.uvarint("group count")
+	strs := make([]v4String, d.count("string count", 1))
+	for i := range strs {
+		from, to := d.span("string")
+		strs[i].s = d.s[from:to]
+	}
+	b.sets = make([]wireSet, d.count("set count", 1))
+	for i := range b.sets {
+		if err := d.set(b, strs, &b.sets[i]); err != nil {
+			return fmt.Errorf("label set %d: %w", i, err)
+		}
+	}
+	nGroups := d.count("group count", 7) // a group is at least seven one-byte fields
 	if d.err != nil {
 		return d.err
 	}
-	if groupCount > v4MaxGroups || groupCount > uint64(len(data)) {
-		return fmt.Errorf("implausible group count %d", groupCount)
-	}
-	d.reserve(b, groupCount)
-	for gi := uint64(0); gi < groupCount; gi++ {
-		if err := d.group(b); err != nil {
+	b.groups = slices.Grow(b.groups, nGroups)
+	starts := make([]int32, nGroups)
+	maxRows, rows := min(8*len(data), math.MaxInt32), 0 // every row takes at least a bit of each column
+	for gi := range nGroups {
+		g, n, err := d.group(strs, b.sets)
+		if err == nil && n > uint64(maxRows-rows) {
+			err = fmt.Errorf("%d rows overrun what the payload can hold", n)
+		}
+		if err != nil {
 			return fmt.Errorf("group %d: %w", gi, err)
 		}
-	}
-	if d.off != len(data) {
-		return fmt.Errorf("%d trailing bytes after last group", len(data)-d.off)
-	}
-	return nil
-}
-
-// reserve sums the counts the groups announce in one structural pass (no
-// validation: the decode proper reports what is wrong) and sizes b for
-// them, so the columns are allocated once instead of growing — and being
-// copied — group by group.  The payload bounds what hostile counts can
-// reserve: a group takes ten bytes, a label pair two, an entry one bit.
-func (d *v4Decoder) reserve(b *groupBatch, groupCount uint64) {
-	start := d.off
-	var pairs, rows uint64
-	for gi := uint64(0); gi < groupCount && d.err == nil; gi++ {
-		for range 4 { // collector, source, metric, scope
-			d.span("field")
-		}
-		d.uvarint("id")
-		labels := min(d.uvarint("label count"), maxLabels)
-		for range 2 * labels {
-			d.span("label")
-		}
-		samples := d.uvarint("sample count")
-		for range 3 {
-			d.span("column")
-		}
-		if d.err == nil {
-			pairs, rows = pairs+labels, rows+min(samples, v4MaxSamplesPerGroup)
-		}
-	}
-	d.off, d.err = start, nil
-	size := uint64(len(d.b))
-	b.groups = slices.Grow(b.groups, int(min(groupCount, size/10)))
-	b.pairs = slices.Grow(b.pairs, int(min(pairs, size/2)))
-	b.times = slices.Grow(b.times, int(min(rows, size*8)))
-	b.sentAts = slices.Grow(b.sentAts, int(min(rows, size*8)))
-	b.values = slices.Grow(b.values, int(min(rows, size*8)))
-}
-
-// group decodes and validates one column group onto b.
-func (d *v4Decoder) group(b *groupBatch) error {
-	// Collector is wire metadata the store does not key on: dropped.
-	d.str("collector")
-	g := sampleGroup{key: Key{Source: d.str("source"), Metric: d.str("metric")}}
-	scopeName := d.str("scope")
-	id := d.uvarint("id")
-	labelCount := d.uvarint("label count")
-	if d.err == nil && labelCount > maxLabels {
-		d.err = fmt.Errorf("monitor: %d labels exceed the limit of %d", labelCount, maxLabels)
-	}
-	first := len(b.pairs)
-	for li := uint64(0); li < labelCount && d.err == nil; li++ {
-		b.pairs = append(b.pairs, Label{Name: d.str("label name"), Value: d.str("label value")})
-	}
-	sampleCount := d.uvarint("sample count")
-	if d.err == nil && sampleCount > v4MaxSamplesPerGroup {
-		d.err = fmt.Errorf("implausible sample count %d", sampleCount)
+		starts[gi] = int32(rows)
+		g.lo, g.hi = rows, rows+int(n)
+		rows = g.hi
+		b.groups = append(b.groups, g)
 	}
 	timeCol, sentAtCol, valueCol := d.column("time column"), d.column("sent_at column"), d.column("value column")
 	if d.err != nil {
 		return d.err
 	}
-	// Capacity-clipped: a later relabel appends to its own copy, never
-	// over the next group's pairs.
-	g.pairs = b.pairs[first:len(b.pairs):len(b.pairs)]
+	if d.off != len(data) {
+		return fmt.Errorf("%d trailing bytes after the value column", len(data)-d.off)
+	}
+	for _, col := range [...][]byte{timeCol, sentAtCol, valueCol} {
+		if !columnFits(col, rows) {
+			return fmt.Errorf("directory announces %d rows, a %d-byte column cannot hold them", rows, len(col))
+		}
+	}
+	cols := make([]float64, 0, 3*rows) // one allocation backs all three
 	var err error
-	n := int(sampleCount)
-	g.lo = len(b.times)
-	if b.times, err = decodeDeltaColumn(timeCol, n, b.times); err != nil {
+	if b.times, err = decodeDeltaColumn(timeCol, rows, starts, cols[:0:rows]); err != nil {
 		return fmt.Errorf("time: %w", err)
 	}
-	if b.sentAts, err = decodeDeltaColumn(sentAtCol, n, b.sentAts); err != nil {
+	if b.sentAts, err = decodeDeltaColumn(sentAtCol, rows, starts, cols[rows:rows:2*rows]); err != nil {
 		return fmt.Errorf("sent_at: %w", err)
 	}
-	if b.values, err = decodeXORColumn(valueCol, n, b.values); err != nil {
+	if b.values, err = decodeXORColumn(valueCol, rows, starts, cols[2*rows:2*rows:3*rows]); err != nil {
 		return fmt.Errorf("value: %w", err)
 	}
-	g.hi = len(b.times)
-	if err := b.check(&g, scopeName, int64(id)); err != nil || n == 0 {
-		return err
+	kept := b.groups[:0]
+	for gi, g := range b.groups {
+		if err := b.checkRows(g.lo, g.hi); err != nil {
+			return fmt.Errorf("group %d: %w", gi, err)
+		}
+		if g.hi > g.lo {
+			kept = append(kept, g)
+		}
 	}
-	b.groups = append(b.groups, g)
+	b.groups = kept
 	return nil
 }
 
-// check is the record validation both decoders share: it resolves the
-// group's scope and id, orders its label pairs, and screens identity,
-// labels and every row.
-func (b *groupBatch) check(g *sampleGroup, scopeName string, id int64) (err error) {
-	if g.key.Scope, err = ParseScope(scopeName); err != nil {
-		return err
+// set decodes and validates one label set-table entry onto b.pairs.
+func (d *v4Decoder) set(b *groupBatch, strs []v4String, s *wireSet) error {
+	n := d.uvarint("pair count")
+	if d.err == nil && n > maxLabels {
+		d.err = fmt.Errorf("monitor: %d labels exceed the limit of %d", n, maxLabels)
 	}
-	if strings.TrimSpace(g.key.Metric) == "" {
-		return fmt.Errorf("empty metric")
+	if d.err != nil {
+		return d.err
 	}
-	if id < 0 || id > math.MaxInt32 {
-		return fmt.Errorf("bad id %d", id)
-	}
-	g.key.ID = int(id)
-	if len(g.pairs) > maxLabels {
-		return fmt.Errorf("monitor: %d labels exceed the limit of %d", len(g.pairs), maxLabels)
-	}
-	for _, p := range g.pairs {
-		if err := checkLabel(p.Name, p.Value); err != nil {
-			return err
+	first := len(b.pairs)
+	b.pairs = slices.Grow(b.pairs, int(n))
+	for range n {
+		name, value := d.ref("label name", len(strs)), d.ref("label value", len(strs))
+		if d.err != nil {
+			return d.err
 		}
+		b.pairs = append(b.pairs, Label{Name: strs[name].s, Value: strs[value].s})
 	}
-	if err := sortPairs(g.pairs); err != nil {
-		return err
+	// Capacity-clipped: a later relabel appends to its own copy, never
+	// over the next set's pairs.
+	s.pairs = b.pairs[first:len(b.pairs):len(b.pairs)]
+	return checkPairs(s.pairs)
+}
+
+// group decodes and validates one directory entry, returning it with
+// its row count.
+func (d *v4Decoder) group(strs []v4String, sets []wireSet) (g sampleGroup, rows uint64, err error) {
+	d.ref("collector", len(strs)) // wire metadata the store does not key on
+	source, metric, scope := d.ref("source", len(strs)), d.ref("metric", len(strs)), d.ref("scope", len(strs))
+	id := d.uvarint("id")
+	set := d.ref("label set", len(sets))
+	rows = d.uvarint("row count")
+	if d.err != nil {
+		return g, 0, d.err
 	}
-	for r := g.lo; r < g.hi; r++ {
-		if t := b.times[r]; math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
-			return fmt.Errorf("sample %d: bad time %v", r-g.lo, t)
-		}
-		if v := b.values[r]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("sample %d: bad value %v", r-g.lo, v)
-		}
+	if id > math.MaxInt32 {
+		return g, 0, fmt.Errorf("bad id %d", id)
 	}
-	return nil
+	g.key = Key{Source: strs[source].s, ID: int(id)}
+	if g.key.Metric, err = strs[metric].asMetric(); err != nil {
+		return g, 0, err
+	}
+	if g.key.Scope, err = strs[scope].asScope(); err != nil {
+		return g, 0, err
+	}
+	g.set = &sets[set]
+	g.pairs = g.set.pairs
+	return g, rows, nil
 }
 
 // DecodeV4Samples appends the samples of one v4 payload to dst, labels

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -61,72 +62,125 @@ func v4WireSamples(tb testing.TB) []wireSample {
 	}
 }
 
+// v4MixedSamples is a group-major fixture exercising every table and
+// column path at once: a deep group next to one-point groups, several
+// sources and every scope, label sets that are empty, shared and
+// distinct, and sent_at stamps that vary inside the batch.
+func v4MixedSamples(tb testing.TB) []wireSample {
+	lbm, err := MakeLabels(map[string]string{"job": "lbm"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	emmy, err := MakeLabels(map[string]string{"cluster": "emmy", "job": "lbm"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var rows []wireSample
+	for i := 0; i < 40; i++ { // deep: two flushes' worth of one series
+		rows = append(rows, wireSample{
+			Sample: Sample{Source: "nodeA", Metric: "bw", Scope: ScopeSocket, ID: 1, Labels: lbm,
+				Time: 0.25 * float64(i), Value: 100 + float64(i%3)},
+			Collector: "perfgroup/MEM_DP", SentAt: 1700000000 + float64(i/20),
+		})
+	}
+	for i, src := range []string{"nodeA", "nodeB", "rack1"} { // wide: one point each
+		for s := ScopeThread; s <= ScopeNode; s++ {
+			rows = append(rows, wireSample{
+				Sample: Sample{Source: src, Metric: fmt.Sprintf("m%d", s), Scope: s, ID: i,
+					Labels: []Labels{{}, lbm, emmy}[(i+int(s))%3], Time: 5, Value: 1.5*float64(i) + float64(s)},
+				Collector: "synthetic", SentAt: 1700000000.5 + float64(i),
+			})
+		}
+	}
+	for i := 0; i < 5; i++ { // deep again, after the boundary jump back in time
+		rows = append(rows, wireSample{
+			Sample:    Sample{Source: "nodeB", Metric: "bw", Scope: ScopeSocket, Time: 0.5 * float64(i), Value: -3e9 * float64(i)},
+			Collector: "perfgroup/MEM_DP",
+		})
+	}
+	return rows
+}
+
 // TestV4RoundTrip pins the codec end to end: encode → decode returns the
 // rows in order with the exact identities, times, values, label pairs
 // and sent_at stamps — grouped, and with nothing interned.
 func TestV4RoundTrip(t *testing.T) {
-	in := v4WireSamples(t)
-	before := InternedLabelSets()
-	b, err := decodeV4Batch(encodeV4(t, in))
-	if err != nil {
-		t.Fatalf("decodeV4: %v", err)
-	}
-	if got := InternedLabelSets(); got != before {
-		t.Errorf("decode interned %d label sets, want none before the payload is accepted", got-before)
-	}
-	// Grouping reorders across series (group-major) but keeps arrival
-	// order within a series; the fixture is already group-major, so the
-	// decode must match it one to one.
-	if len(b.groups) != 2 || b.rows() != len(in) || len(b.times) != len(in) ||
-		len(b.sentAts) != len(in) || len(b.values) != len(in) {
-		t.Fatalf("decode = %d groups / %d rows / %d+%d+%d column entries, want 2 groups of %d rows",
-			len(b.groups), b.rows(), len(b.times), len(b.sentAts), len(b.values), len(in))
-	}
-	row := 0
-	for _, g := range b.groups {
-		if g.key.Labels != (Labels{}) {
-			t.Errorf("group %+v has interned labels, want unset (decode must not intern)", g)
+	for name, in := range map[string][]wireSample{"two series": v4WireSamples(t), "mixed": v4MixedSamples(t)} {
+		before := InternedLabelSets()
+		b, err := decodeV4Batch(encodeV4(t, in))
+		if err != nil {
+			t.Fatalf("%s: decodeV4: %v", name, err)
 		}
-		for r := g.lo; r < g.hi; r++ {
-			want := in[row]
-			row++
-			if k := want.Key(); g.key.Source != k.Source || g.key.Metric != k.Metric || g.key.Scope != k.Scope || g.key.ID != k.ID ||
-				b.times[r] != want.Time || b.values[r] != want.Value || b.sentAts[r] != want.SentAt {
-				t.Errorf("row %d = %+v t=%v v=%v sent_at=%v, want the encoding of %+v",
-					r, g, b.times[r], b.values[r], b.sentAts[r], want)
-			}
-			if encodePairs(g.pairs) != want.Labels.String() {
-				t.Errorf("row %d labels = %v, want %v", r, g.pairs, want.Labels)
+		if got := InternedLabelSets(); got != before {
+			t.Errorf("%s: decode interned %d label sets, want none before the payload is accepted", name, got-before)
+		}
+		// Grouping reorders across series (group-major) but keeps arrival
+		// order within a series; the fixtures are already group-major, so
+		// the decode must match them one to one.
+		groups := 1
+		for i := 1; i < len(in); i++ {
+			if in[i].Key() != in[i-1].Key() || in[i].Collector != in[i-1].Collector {
+				groups++
 			}
 		}
-	}
+		if len(b.groups) != groups || b.rows() != len(in) || len(b.times) != len(in) ||
+			len(b.sentAts) != len(in) || len(b.values) != len(in) {
+			t.Fatalf("%s: decode = %d groups / %d rows / %d+%d+%d column entries, want %d groups of %d rows",
+				name, len(b.groups), b.rows(), len(b.times), len(b.sentAts), len(b.values), groups, len(in))
+		}
+		row := 0
+		for _, g := range b.groups {
+			if g.key.Labels != (Labels{}) {
+				t.Errorf("%s: group %+v has interned labels, want unset (decode must not intern)", name, g)
+			}
+			for r := g.lo; r < g.hi; r++ {
+				want := in[row]
+				row++
+				if k := want.Key(); g.key.Source != k.Source || g.key.Metric != k.Metric || g.key.Scope != k.Scope || g.key.ID != k.ID ||
+					b.times[r] != want.Time || b.values[r] != want.Value || b.sentAts[r] != want.SentAt {
+					t.Errorf("%s: row %d = %+v t=%v v=%v sent_at=%v, want the encoding of %+v",
+						name, r, g, b.times[r], b.values[r], b.sentAts[r], want)
+				}
+				if encodePairs(g.pairs) != want.Labels.String() {
+					t.Errorf("%s: row %d labels = %v, want %v", name, r, g.pairs, want.Labels)
+				}
+			}
+		}
 
-	// The exported inverse: samples back, labels interned.
-	samples := make([]Sample, len(in))
-	for i, r := range in {
-		samples[i] = r.Sample
-	}
-	payload, err := new(V4Encoder).Encode(nil, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeV4Samples(payload, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, samples) {
-		t.Errorf("DecodeV4Samples(Encode(samples)) = %+v, want %+v", got, samples)
+		// The exported inverse: samples back, labels interned.
+		samples := make([]Sample, len(in))
+		for i, r := range in {
+			samples[i] = r.Sample
+		}
+		payload, err := new(V4Encoder).Encode(nil, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeV4Samples(payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, samples) {
+			t.Errorf("%s: DecodeV4Samples(Encode(samples)) = %+v, want %+v", name, got, samples)
+		}
 	}
 }
 
 // TestV4ColumnCodecsRoundTripRandom sweeps the two column codecs with
 // random data: the delta-of-delta timestamp codec must be lossless for
 // arbitrary float64s (it runs over bit patterns, not values), and the
-// Gorilla XOR value codec likewise.
+// Gorilla XOR value codec likewise.  The delta codec runs over random
+// group boundaries, empty groups included.
 func TestV4ColumnCodecsRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(300)
+		starts := []int32{0}
+		for i := 0; i <= n; i++ {
+			for rng.Intn(4) == 0 {
+				starts = append(starts, int32(i))
+			}
+		}
 		vals := make([]float64, n)
 		for i := range vals {
 			switch rng.Intn(5) {
@@ -142,7 +196,7 @@ func TestV4ColumnCodecsRoundTripRandom(t *testing.T) {
 				vals[i] = rng.NormFloat64()
 			}
 		}
-		got, err := decodeDeltaColumn(columnBody(t, appendDeltaColumn(nil, vals)), n, nil)
+		got, err := decodeDeltaColumn(columnBody(t, appendDeltaColumn(nil, vals, starts)), n, starts, nil)
 		if err != nil {
 			t.Fatalf("trial %d: delta decode: %v", trial, err)
 		}
@@ -152,7 +206,7 @@ func TestV4ColumnCodecsRoundTripRandom(t *testing.T) {
 					trial, i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
 			}
 		}
-		got, err = decodeXORColumn(columnBody(t, appendXORColumn(nil, vals)), n, nil)
+		got, err = decodeXORColumn(columnBody(t, appendXORColumn(nil, vals, starts)), n, starts, nil)
 		if err != nil {
 			t.Fatalf("trial %d: xor decode: %v", trial, err)
 		}
@@ -186,7 +240,8 @@ func TestV4DecodeRejectsMalformed(t *testing.T) {
 		"json body":      []byte(`{"time":1,"metric":"bw","scope":"node","id":0,"value":1}`),
 		"truncated":      valid[:len(valid)-3],
 		"trailing bytes": append(append([]byte{}, valid...), 0xAA),
-		"magic only":     []byte("LKW4"),
+		"magic only":     []byte(v4Magic),
+		"retired layout": retiredV4Payload("job", "lbm"),
 	}
 	for name, payload := range bad {
 		if _, err := decodeV4Batch(payload); err == nil {
@@ -217,31 +272,151 @@ func TestV4DecodeRejectsMalformed(t *testing.T) {
 		}
 	}
 
-	// Label pairs may arrive in any order (a foreign encoder), but never
-	// twice under one name.
-	group := func(labels ...string) []byte {
-		p := append([]byte(v4Magic), 1, 0, 0) // one group; empty collector and source
-		p = appendString(p, "bw")
-		p = appendString(p, "node")
-		p = append(p, 0, byte(len(labels)/2))
-		for _, l := range labels {
-			p = appendString(p, l)
-		}
-		p = append(p, 1) // one sample
-		p = appendDeltaColumn(p, []float64{1})
-		p = appendDeltaColumn(p, []float64{0})
-		return appendXORColumn(p, []float64{2})
-	}
-	b, err := decodeV4Batch(group("rack", "r1", "job", "lbm"))
+	// Label pairs may arrive in any order (a foreign encoder).
+	unsorted := rawV4Base()
+	unsorted.strs = append(unsorted.strs, "rack", "r1")
+	unsorted.set = []uint64{6, 7, 4, 5}
+	b, err := decodeV4Batch(unsorted.bytes(t))
 	if err != nil {
 		t.Fatalf("unsorted label pairs rejected: %v", err)
 	}
-	if got := encodePairs(b.groups[0].pairs); got != "job=lbm,rack=r1" {
+	if got := encodePairs(b.groups[0].pairs); got != "job=never-seen-raw,rack=r1" {
 		t.Errorf("unsorted pairs decoded as %q, want them sorted", got)
 	}
-	if _, err := decodeV4Batch(group("job", "lbm", "job", "xhpl")); err == nil {
-		t.Error("duplicate label name accepted")
+
+	// Table and directory damage: each is a 400 through the handler, with
+	// no series created and nothing interned — the payload's one label set
+	// is novel, so interning it early would show.
+	tables := map[string]func(r *rawV4){
+		"string ref out of range": func(r *rawV4) { r.group[2] = uint64(len(r.strs)) },
+		"set ref out of range":    func(r *rawV4) { r.group[5] = 1 },
+		"label ref out of range":  func(r *rawV4) { r.set[1] = uint64(len(r.strs)) },
+		"set with a duplicate name": func(r *rawV4) {
+			r.strs = append(r.strs, "xhpl")
+			r.set = append(r.set, 4, uint64(len(r.strs)-1))
+		},
+		"unknown scope string":         func(r *rawV4) { r.strs[3] = "galaxy" },
+		"id beyond int32":              func(r *rawV4) { r.group[4] = 1 << 31 },
+		"row total beyond the columns": func(r *rawV4) { r.group[6] = 100 },
+		"row total beyond the payload": func(r *rawV4) { r.group[6] = 1 << 40 },
+		"trailing bits in a column":    func(r *rawV4) { r.padValues = true },
 	}
+	h := fuzzSink()
+	for name, mutate := range tables {
+		r := rawV4Base()
+		mutate(&r)
+		payload := r.bytes(t)
+		b, err := decodeV4Batch(payload)
+		if err == nil {
+			t.Errorf("%s: decodeV4 succeeded, want error", name)
+			continue
+		}
+		if strings.HasPrefix(name, "row total") && cap(b.times)+cap(b.sentAts)+cap(b.values) != 0 {
+			t.Errorf("%s: columns were allocated before the row total was rejected (%v)", name, err)
+		}
+		keys, interned := len(h.store.Keys()), InternedLabelSets()
+		rejected := h.tRejected["decode"].Value()
+		if code := postV4(h, payload); code != http.StatusBadRequest {
+			t.Errorf("%s: /ingest = %d, want 400", name, code)
+		}
+		if got := h.tRejected["decode"].Value(); got != rejected+1 {
+			t.Errorf("%s: rejected{reason=decode} moved by %d, want 1", name, got-rejected)
+		}
+		if len(h.store.Keys()) != keys || InternedLabelSets() != interned {
+			t.Errorf("%s: rejected payload left %d series and %d label sets behind",
+				name, len(h.store.Keys())-keys, InternedLabelSets()-interned)
+		}
+	}
+	if code := postV4(h, rawV4Base().bytes(t)); code != http.StatusOK {
+		t.Errorf("the undamaged base payload = %d, want 200", code)
+	}
+}
+
+// rawV4 is a hand-assembled one-set, one-group, one-row v4 payload (time
+// 1, sent_at 0, value 2), for the shapes no encoder writes: its tables
+// and directory entry are spelled out as refs.
+type rawV4 struct {
+	strs      []string
+	set       []uint64  // string refs, name then value
+	group     [7]uint64 // collector, source, metric, scope, id, set, rows
+	padValues bool      // one spare byte at the end of the value column
+}
+
+// rawV4Base is "bw" on node 0 of nodeA, under a label set no other test
+// interns.
+func rawV4Base() rawV4 {
+	return rawV4{
+		strs:  []string{"", "nodeA", "bw", "node", "job", "never-seen-raw"},
+		set:   []uint64{4, 5},
+		group: [7]uint64{0, 1, 2, 3, 0, 0, 1},
+	}
+}
+
+func (r rawV4) bytes(t *testing.T) []byte {
+	p := binary.AppendUvarint([]byte(v4Magic), uint64(len(r.strs)))
+	for _, s := range r.strs {
+		p = appendString(p, s)
+	}
+	p = binary.AppendUvarint(append(p, 1), uint64(len(r.set)/2)) // one set
+	for _, ref := range r.set {
+		p = binary.AppendUvarint(p, ref)
+	}
+	p = append(p, 1) // one group
+	for _, v := range r.group {
+		p = binary.AppendUvarint(p, v)
+	}
+	p = appendDeltaColumn(p, []float64{1}, []int32{0})
+	p = appendDeltaColumn(p, []float64{0}, []int32{0})
+	values := appendXORColumn(nil, []float64{2}, []int32{0})
+	if r.padValues {
+		body := append(columnBody(t, values), 0)
+		values = append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+	}
+	return append(p, values...)
+}
+
+// postV4 runs one v4 POST /ingest through h's handler.
+func postV4(h *HTTPSink, payload []byte) int {
+	req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(payload))
+	req.Header.Set("Content-Type", V4ContentType)
+	w := httptest.NewRecorder()
+	h.handleIngest(w, req)
+	return w.Code
+}
+
+// TestV4StaleLayoutRejected: a payload of the retired per-group layout
+// (magic "LKW4") is a decode error — 400, reason="decode", no series, no
+// interned label set — never misread as the current layout.
+func TestV4StaleLayoutRejected(t *testing.T) {
+	h := fuzzSink()
+	keys, interned := len(h.store.Keys()), InternedLabelSets()
+	if code := postV4(h, retiredV4Payload("job", "never-seen-stale")); code != http.StatusBadRequest {
+		t.Fatalf("retired-layout POST = %d, want 400", code)
+	}
+	if got := h.tRejected["decode"].Value(); got != 1 {
+		t.Errorf("rejected{reason=decode} = %d, want 1", got)
+	}
+	if len(h.store.Keys()) != keys || InternedLabelSets() != interned {
+		t.Errorf("retired-layout POST left %d series and %d label sets behind",
+			len(h.store.Keys())-keys, InternedLabelSets()-interned)
+	}
+}
+
+// retiredV4Payload spells out one sample of the retired per-group layout:
+// "LKW4", one group carrying its identity strings and label pairs
+// inline, and per-group columns whose first entries are raw 64-bit words.
+func retiredV4Payload(labelName, labelValue string) []byte {
+	p := append([]byte("LKW4"), 1) // one group
+	for _, s := range []string{"c", "nodeA", "bw", "node"} {
+		p = appendString(p, s)
+	}
+	p = append(p, 0, 1) // id 0, one label pair
+	p = appendString(appendString(p, labelName), labelValue)
+	p = append(p, 1)                       // one sample
+	for _, v := range []float64{1, 0, 2} { // time, sent_at, value
+		p = binary.BigEndian.AppendUint64(append(p, 8), math.Float64bits(v))
+	}
+	return p
 }
 
 // TestV4IngestEndToEnd posts a v4 payload (identity and gzipped) at a
@@ -296,7 +471,7 @@ func TestV4IngestEndToEnd(t *testing.T) {
 
 	// A malformed v4 body is a 400, all-or-nothing.
 	before := len(store.Keys())
-	if code, _ := postIngest4(t, base, []byte("LKW4\xff\xff\xff"), false); code != http.StatusBadRequest {
+	if code, _ := postIngest4(t, base, []byte(v4Magic+"\xff\xff\xff"), false); code != http.StatusBadRequest {
 		t.Errorf("malformed v4 ingest = %d, want 400", code)
 	}
 	if after := len(store.Keys()); after != before {
@@ -392,12 +567,25 @@ func TestV4PushReceiveEndToEnd(t *testing.T) {
 	}
 }
 
-// TestV4WireDensity is the acceptance gate: on a realistic ingest batch
+// TestV4WireDensity is the acceptance gate: on a realistic deep batch
 // (regularly sampled series, slowly-moving values) the v4 wire must
-// spend at least 3× fewer bytes per sample than gzipped v3 JSON lines.
+// spend at least 3× fewer bytes per sample than gzipped v3 JSON lines,
+// and never more than the 3538 bytes the per-group layout took; on the
+// wide flush an agent ships every interval (one point per series) it
+// must stay at most 12 bytes per sample — the per-group layout took 85.
 func TestV4WireDensity(t *testing.T) {
+	wide := encodeV4(t, wideRows(t))
+	widePer := float64(len(wide)) / 512
+	t.Logf("wide bytes/sample: v4 %.2f", widePer)
+	if widePer > 12 {
+		t.Errorf("wide v4 = %.2f bytes/sample, want <= 12", widePer)
+	}
+
 	samples := densityWireSamples(t, 8, 512)
 	v4 := encodeV4(t, samples)
+	if len(v4) > 3538 {
+		t.Errorf("deep v4 = %d bytes, want <= 3538", len(v4))
+	}
 	var v3 bytes.Buffer
 	zw := gzip.NewWriter(&v3)
 	enc := json.NewEncoder(zw)
@@ -457,10 +645,10 @@ func TestV4FuzzCorpusSeeds(t *testing.T) {
 		if !bytes.HasPrefix(data, []byte("go test fuzz v1\n[]byte(")) {
 			t.Errorf("seed_%s is not a fuzz corpus entry:\n%s", name, data)
 		}
-		// The corpus was written by the encoder's previous generation:
-		// byte identity of every seed the encoder produces is the "not
-		// one wire byte changed" pin.  (The gzipped seed is exempt:
-		// compress/gzip's output is not stable across Go releases.)
+		// Byte identity of every seed the encoder produces pins the wire
+		// bytes: a layout change must regenerate the corpus on purpose.
+		// (The gzipped seed is exempt: compress/gzip's output is not
+		// stable across Go releases.)
 		if !seed.Gzip && !bytes.Equal(data, entry(name)) {
 			t.Errorf("seed_%s differs from what the encoder produces now:\n%s\nvs\n%s", name, data, entry(name))
 		}

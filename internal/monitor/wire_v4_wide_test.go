@@ -34,10 +34,9 @@ func wideBatch(tb testing.TB, tick int) Batch {
 }
 
 // TestPushSinkWireFormatGoldenV4Wide pins the v4 bytes at the wide
-// shape.  The golden was generated by the pre-Sample-native encoder
-// (the one that went through []jsonSample), so it holds the rewrite to
-// byte identity where agents actually live, not only on the deep
-// fixture.
+// shape, where agents actually live, not only on the deep fixture: one
+// string table, one label set, 512 seven-byte directory entries and
+// batch-wide columns.
 func TestPushSinkWireFormatGoldenV4Wide(t *testing.T) {
 	rec := &captureReceiver{}
 	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
