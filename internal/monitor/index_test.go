@@ -16,11 +16,11 @@ import (
 // original Keys() comparator.
 func bruteSelect(st *Store, sel Selector) []Key {
 	var out []Key
-	st.ForEachKey(func(k Key) {
+	for k := range *st.index.Load() {
 		if bruteMatch(sel, k) {
 			out = append(out, k)
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Source != out[j].Source {
 			return out[i].Source < out[j].Source

@@ -12,9 +12,9 @@ import (
 )
 
 // Tier configures one downsampled retention level of the store.  Raw
-// points evicted from a series' ring buffer are folded into buckets of
-// the finest tier's Resolution simulated seconds, and buckets evicted
-// from tier N's ring cascade into tier N+1 instead of being dropped;
+// points evicted from a series are folded into buckets of the finest
+// tier's Resolution simulated seconds, and buckets evicted from tier
+// N's ring cascade into tier N+1 instead of being dropped;
 // each series keeps the newest Capacity buckets per tier, so total
 // retention per series is genuinely additive:
 // raw_capacity * interval + sum(Resolution * Capacity) seconds.
@@ -244,7 +244,7 @@ func (t *tierRing) snapshot() []Bucket {
 }
 
 // Tiers returns the store's downsampling configuration (nil when the
-// store keeps raw rings only).
+// store keeps raw points only).
 func (st *Store) Tiers() []Tier { return append([]Tier(nil), st.tiers...) }
 
 // Buckets returns one series' downsampled buckets at the given tier
@@ -278,17 +278,16 @@ func (st *Store) Buckets(k Key, resolution, from, to float64) []Bucket {
 // stitch merges downsampled history below the raw coverage boundary with
 // the raw points themselves: each age range is served by the finest
 // level that still retains it (raw where available, then tier by tier
-// toward the coarsest).  A bucket is kept when it starts strictly below
-// the boundary: its members are evictions, all older than the retained
-// raw points, so the result stays non-overlapping and time-ordered.
-// (Skipping on End() > cover instead would drop the bucket holding data
-// older than — but within one resolution of — the oldest raw point,
-// losing e.g. a point that falls exactly on a sealed bucket's End.)
-func stitch(raw []Point, tiers [][]Bucket, from, to float64) []Point {
-	cover := math.Inf(1)
-	if len(raw) > 0 {
-		cover = raw[0].Time
-	}
+// toward the coarsest).  cover is the oldest raw time the series holds
+// (+Inf when it holds none) — not raw[0], since raw may be a window
+// that skipped the oldest blocks.  A bucket is kept when it starts
+// strictly below the boundary: its members are evictions, all older
+// than the retained raw points, so the result stays non-overlapping and
+// time-ordered.  (Skipping on End() > cover instead would drop the
+// bucket holding data older than — but within one resolution of — the
+// oldest raw point, losing e.g. a point that falls exactly on a sealed
+// bucket's End.)
+func stitch(raw []Point, cover float64, tiers [][]Bucket, from, to float64) []Point {
 	var older []Point
 	for _, buckets := range tiers {
 		lowest := cover

@@ -3,9 +3,10 @@ package monitor
 import "math"
 
 // SeriesState is the portable snapshot of one series: everything needed
-// to rebuild its raw ring and retention tiers in a fresh store.  It is
+// to rebuild its raw points and retention tiers in a fresh store.  It is
 // the unit the persist package serializes — domain types here, wire
-// DTOs there.
+// DTOs there.  Raw holds the points decoded: the sealed-block layout is
+// the store's own, and a restore re-seals them.
 type SeriesState struct {
 	Key        Key
 	Raw        []Point // oldest first
@@ -52,18 +53,9 @@ func (st *Store) DumpState() []SeriesState {
 func (s *series) dumpState() SeriesState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	state := SeriesState{Key: s.key, Raw: s.raw.appendTo(make([]Point, 0, s.raw.n))}
+	state := SeriesState{Key: s.key, Raw: s.raw.appendRange(make([]Point, 0, s.raw.n), math.Inf(-1), -1)}
 	for _, t := range s.tiers {
-		ts := TierState{Res: t.res, Buckets: t.ring.appendTo(make([]Bucket, 0, t.ring.n))}
-		if t.open && t.count > 0 {
-			ts.Open = &OpenBucketState{
-				Start: t.openStart, Count: t.count,
-				Min: t.min, Max: t.max, Sum: t.sum,
-				LastT: t.lastT, LastV: t.lastV,
-				Medians: append([]float64(nil), t.medians...),
-			}
-		}
-		state.Tiers = append(state.Tiers, ts)
+		state.Tiers = append(state.Tiers, t.state())
 	}
 	if len(s.tiers) > 0 && s.tiers[0].step {
 		state.Compaction = CompactLast
@@ -71,11 +63,24 @@ func (s *series) dumpState() SeriesState {
 	return state
 }
 
+func (t *tierRing) state() TierState {
+	ts := TierState{Res: t.res, Buckets: t.ring.appendTo(make([]Bucket, 0, t.ring.n))}
+	if t.open && t.count > 0 {
+		ts.Open = &OpenBucketState{
+			Start: t.openStart, Count: t.count,
+			Min: t.min, Max: t.max, Sum: t.sum,
+			LastT: t.lastT, LastV: t.lastV,
+			Medians: append([]float64(nil), t.medians...),
+		}
+	}
+	return ts
+}
+
 // RestoreState loads series states into the store, replacing any prior
 // contents of the named series.  Intended for boot-time recovery before
 // traffic (and before SetJournal, so restored points are not
 // re-journaled).  States are adapted to the store's current shape: raw
-// points beyond the ring capacity keep the newest, and tier states are
+// points beyond the store's capacity keep the newest, and tier states are
 // matched to configured tiers by resolution — a tier dumped under an
 // old configuration that no longer exists is dropped rather than
 // mis-folded.

@@ -31,18 +31,21 @@ const (
 	CompactLast
 )
 
-// series is one metric's ring of raw points plus its downsampled
-// retention tiers.  Both grow with what they hold — at most twice that
-// while growing, never more than the store's capacity (-retain) raw
-// slots or Tier.Capacity buckets — so a series costs memory for its
-// data, not for its bound.  Old points are not discarded when the ring
-// is full: they are compacted into the tiers' buckets as they are
-// overwritten, so long retentions degrade in resolution instead of
-// silently losing history.
+// series is one metric's raw points plus its downsampled retention
+// tiers.  The newest raw points sit in a small uncompressed head; every
+// blockPoints of them are sealed into a Gorilla-coded block (1–2 B a
+// point for steady series), and the oldest block is decoded back only
+// as its points are evicted (see rawPoints).  Both parts grow with what
+// they hold, never past the store's capacity (-retain) raw points or
+// Tier.Capacity buckets, so a series costs memory for its data, not for
+// its bound.  Old points are not discarded when the series is full:
+// they are compacted into the tiers' buckets one at a time as they are
+// evicted, so long retentions degrade in resolution instead of silently
+// losing history.
 type series struct {
 	mu    sync.RWMutex
 	key   Key // immutable after create; lets interned handles journal
-	raw   ring[Point]
+	raw   rawPoints
 	tiers []*tierRing
 
 	// Self-telemetry accounting.  Plain (non-atomic) counters bumped
@@ -71,9 +74,10 @@ func (s *series) appendColumns(times, values []float64) {
 
 func (s *series) appendLocked(p Point) {
 	s.appends++
-	if old, full := s.raw.push(p); full {
+	tiered := len(s.tiers) > 0
+	if old, full := s.raw.push(p, tiered); full {
 		s.evictions++
-		if len(s.tiers) > 0 {
+		if tiered {
 			// Evictions feed the finest tier only; buckets evicted from tier
 			// N's ring cascade into tier N+1 inside seal, so each tier's data
 			// flows downward instead of every tier re-reading raw points.
@@ -82,24 +86,33 @@ func (s *series) appendLocked(p Point) {
 	}
 }
 
-// retainedInto copies the raw points (into buf's backing array when it
-// fits) and every tier's buckets under one lock, so stitched Window
-// queries see a consistent cut of the series.
-func (s *series) retainedInto(buf []Point) ([]Point, [][]Bucket) {
+// retainedInto copies the raw points that may fall in [from, to] (into
+// buf's backing array when it fits) and every tier's buckets under one
+// lock, so stitched Window queries see a consistent cut of the series.
+// cover is the oldest raw time held — the stitch boundary — and is only
+// computed for a tiered series.
+func (s *series) retainedInto(buf []Point, from, to float64) (raw []Point, tiers [][]Bucket, cover float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	raw := s.raw.appendTo(buf)
-	var tiers [][]Bucket
+	raw = s.raw.appendRange(buf, from, to)
+	if raw == nil && s.raw.n > 0 {
+		// A series with points answers an empty window with an empty
+		// slice, not nil: /query renders the two differently.
+		raw = []Point{}
+	}
 	for _, t := range s.tiers {
 		tiers = append(tiers, t.snapshot())
 	}
-	return raw, tiers
+	if len(tiers) > 0 {
+		cover = s.raw.oldestTime()
+	}
+	return raw, tiers, cover
 }
 
 func (s *series) latest() (Point, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.raw.newest()
+	return s.raw.last, s.raw.n > 0
 }
 
 func (s *series) len() int {
@@ -108,10 +121,10 @@ func (s *series) len() int {
 	return s.raw.n
 }
 
-// Store is the agent's in-memory time-series database: one bounded ring
-// buffer per (source, metric, scope, id) series behind an interned,
-// copy-on-write key index, with optional downsampled retention tiers
-// fed by ring evictions.
+// Store is the agent's in-memory time-series database: one bounded
+// series of raw points per (source, metric, scope, id) behind an
+// interned, copy-on-write key index, with optional downsampled
+// retention tiers fed by raw evictions.
 //
 // The index is an immutable map snapshot behind an atomic pointer: the
 // hot lookup is one atomic load plus one typed map access — the runtime
@@ -128,8 +141,8 @@ type Store struct {
 	index atomic.Pointer[map[Key]*series] // immutable snapshot
 	mu    sync.Mutex                      // serializes snapshot replacement
 
-	// journal, when set, observes every append after it lands in the
-	// ring — the write-ahead-log hook.  It is an atomic pointer so the
+	// journal, when set, observes every append after it lands in its
+	// series — the write-ahead-log hook.  It is an atomic pointer so the
 	// hot append path pays one load and no lock; implementations must
 	// not block (the persist WAL copies points into a bounded queue and
 	// drops-with-a-counter when it is full).
@@ -141,7 +154,7 @@ type Store struct {
 }
 
 // Journal observes appends for durability, after the points landed in
-// their rings.  Single appends (Store.Append, Series.Append) arrive
+// their series.  Single appends (Store.Append, Series.Append) arrive
 // through Record as plain values, so the hot path never allocates; batch
 // appends (AppendBatch, an accepted /ingest payload) arrive whole through
 // RecordBatch.  Both must be safe for concurrent use and must not block,
@@ -170,7 +183,7 @@ func (st *Store) record(k Key, p Point) {
 
 // NewStore creates a store retaining up to capacity raw points per series
 // (default 1024 when capacity <= 0).  Optional tiers add downsampled
-// retention: raw points evicted from the ring are compacted into
+// retention: raw points evicted from a series are compacted into
 // min/median/max/avg buckets of the finest tier, and buckets evicted
 // from each tier's ring cascade into the next-coarser tier.
 func NewStore(capacity int, tiers ...Tier) *Store {
@@ -221,13 +234,13 @@ func (st *Store) create(k Key) *series {
 	return s
 }
 
-// newSeries builds one series ring with the store's tier configuration.
+// newSeries builds one series with the store's tier configuration.
 // It keeps its own copies of the key's strings: ingest and WAL replay
 // resolve keys whose strings alias a whole payload, which the index must
 // not pin for the life of the store.
 func (st *Store) newSeries(k Key) *series {
 	k.Source, k.Metric = strings.Clone(k.Source), strings.Clone(k.Metric)
-	s := &series{key: k, raw: ring[Point]{max: st.capacity}}
+	s := &series{key: k, raw: newRawPoints(st.capacity)}
 	for _, t := range st.tiers {
 		s.tiers = append(s.tiers, newTierRing(t))
 	}
@@ -273,7 +286,7 @@ func (st *Store) ensureMany(keys []Key) {
 }
 
 // Series is an interned handle to one series: resolving the key once
-// pins the ring, so hot paths appending the same series repeatedly (a
+// pins the series, so hot paths appending the same series repeatedly (a
 // receiver fanning in a pushed batch, a benchmark loop) skip the shard
 // map lookup per point.
 type Series struct {
@@ -386,7 +399,7 @@ func (st *Store) SetCompaction(k Key, c Compaction) {
 
 // Window returns the retained points of one series with from <= Time <= to,
 // oldest first.  A negative "to" means "until the newest point".  Ranges
-// older than the raw ring are served from the downsampled tiers, finest
+// older than the raw points are served from the downsampled tiers, finest
 // resolution first: each bucket becomes one point (bucket start, average —
 // or newest member for CompactLast series), clipped so the stitched
 // result is non-overlapping and time-ordered.
@@ -397,19 +410,20 @@ func (st *Store) Window(k Key, from, to float64) []Point {
 // WindowInto is Window with caller-owned buffer reuse: the result is
 // built in buf's backing array when it fits, so a caller evaluating
 // windows in a loop (the alert and derive engines, the streaming /query
-// encoder) amortizes the copy to zero steady-state allocations.  The
-// returned slice aliases buf; pass it back (or its cap-grown successor)
-// on the next call.  Tiered series still allocate for the stitched
-// portion.
+// encoder) amortizes the copy to zero steady-state allocations.  Only
+// the sealed blocks overlapping [from, to] are decoded, straight into
+// buf.  The returned slice aliases buf; pass it back (or its cap-grown
+// successor) on the next call.  Tiered series still allocate for the
+// stitched portion.
 func (st *Store) WindowInto(k Key, from, to float64, buf []Point) []Point {
 	s := st.lookup(k)
 	if s == nil {
 		return nil
 	}
-	raw, tiers := s.retainedInto(buf[:0])
+	raw, tiers, cover := s.retainedInto(buf[:0], from, to)
 	// Appends are normally time-ordered, but ingested batches may not be
 	// (an agent restart resets its clock): sort defensively so the
-	// oldest-first contract — and stitch's coverage boundary — hold.
+	// oldest-first contract holds.
 	sorted := true
 	for i := 1; i < len(raw); i++ {
 		if raw[i].Time < raw[i-1].Time {
@@ -431,7 +445,7 @@ func (st *Store) WindowInto(k Key, from, to float64, buf []Point) []Point {
 		}
 		return out
 	}
-	return stitch(raw, tiers, from, to)
+	return stitch(raw, cover, tiers, from, to)
 }
 
 // Latest returns the newest point of a series.
@@ -450,17 +464,6 @@ func (st *Store) Len(k Key) int {
 		return 0
 	}
 	return s.len()
-}
-
-// ForEachKey calls f for every series key in unspecified order — the
-// allocation-light path for filters (the alert engine's selectors run
-// once per rule per evaluation tick) that do not need Keys' sorted
-// copy.  f iterates an immutable index snapshot: no lock is held, and
-// series created while it runs may or may not be visited.
-func (st *Store) ForEachKey(f func(Key)) {
-	for k := range *st.index.Load() {
-		f(k)
-	}
 }
 
 // StoreStats is one pass over the store's self-accounting: series count

@@ -28,13 +28,15 @@ func benchKeys(n int) []Key {
 	return keys
 }
 
-// fillRings appends capacity points to each key before the timer starts,
-// so an append benchmark measures the full-ring path (evict and
-// overwrite) a long-running series lives on, not the ring's one-time
-// growth.
+// fillRings appends capacity + blockPoints points to each key before the
+// timer starts, so an append benchmark measures the path a long-running
+// series lives on — evicting from the tail, draining it and popping the
+// next sealed block, sealing the head — not the series' one-time growth.
+// The fill ends just after a seal, so a -benchtime 1x smoke run times a
+// plain append.
 func fillRings(st *Store, capacity int, keys ...Key) {
 	for _, k := range keys {
-		for i := -capacity; i < 0; i++ {
+		for i := -capacity - blockPoints; i < 0; i++ {
 			st.Append(k, Point{Time: float64(i), Value: float64(i)})
 		}
 	}
@@ -114,20 +116,50 @@ func BenchmarkStoreAppendTiered(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreWindow measures the windowed read path the alert engine
-// runs once per rule per evaluation.
+// BenchmarkStoreSeal measures sealing one full head of blockPoints
+// points — a value stepping slowly over a steady cadence, the shape of
+// counter-derived rates — into a block, reusing the previous block's
+// bytes as a full series does.  It reports ns per point: the share of
+// every append that compression costs.
+func BenchmarkStoreSeal(b *testing.B) {
+	head := make([]Point, blockPoints)
+	for i := range head {
+		head[i] = Point{Time: 1.7e9 + float64(i), Value: 4200 + float64(i/16)*0.125}
+	}
+	var spare []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spare = sealBlock(head, spare).data
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockPoints), "ns/point")
+}
+
+// BenchmarkStoreWindow measures the windowed read path on a full
+// 1024-point series through a reused buffer.  /recent is the newest 5 %,
+// the shape the alert and derive engines read once per rule per
+// evaluation (only the newest blocks are decoded); /mid is a quarter of
+// the series from its middle.
 func BenchmarkStoreWindow(b *testing.B) {
 	st := NewStore(1024)
 	k := Key{Metric: "memory_bandwidth_mbytes_s", Scope: ScopeSocket, ID: 0}
 	for i := 0; i < 1024; i++ {
 		st.Append(k, Point{Time: float64(i), Value: float64(i)})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pts := st.Window(k, 512, 768); len(pts) == 0 {
-			b.Fatal("empty window")
-		}
+	for _, tc := range []struct {
+		name     string
+		from, to float64
+	}{{"recent", 1024 * 0.95, -1}, {"mid", 512, 768}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var buf []Point
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf = st.WindowInto(k, tc.from, tc.to, buf); len(buf) == 0 {
+					b.Fatal("empty window")
+				}
+			}
+		})
 	}
 }
 

@@ -167,23 +167,3 @@ func TestStoreInternHandle(t *testing.T) {
 		t.Fatalf("Len = %d after second handle append, want 4", n)
 	}
 }
-
-func TestForEachKeyVisitsEverySeries(t *testing.T) {
-	st := NewStore(8)
-	want := map[Key]bool{}
-	for i := 0; i < 20; i++ {
-		k := Key{Metric: "m", Scope: ScopeThread, ID: i}
-		st.Append(k, Point{Time: 1, Value: 1})
-		want[k] = true
-	}
-	got := map[Key]bool{}
-	st.ForEachKey(func(k Key) { got[k] = true })
-	if len(got) != len(want) {
-		t.Fatalf("visited %d keys, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("key %+v not visited", k)
-		}
-	}
-}

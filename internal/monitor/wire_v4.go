@@ -106,41 +106,64 @@ func (w *bitWriter) finish() []byte {
 
 // bitReader reads the fields back.  Reading past the end sets short and
 // yields zeros from then on, so a column decoder checks once per column.
+// It buffers the column a word at a time: a decoder peeks at the next
+// bits, parses a whole entry from them and skips it, so a steady entry
+// costs a few register operations.
 type bitReader struct {
 	b     []byte
-	pos   uint // bit cursor
+	next  int    // next byte of b to buffer
+	acc   uint64 // buffered bits, left-aligned
+	n     uint   // buffered bits valid in acc
 	short bool
 }
 
-// readBit is readBits(1) without the word load: steady columns are one
-// bit per entry.
-func (r *bitReader) readBit() uint64 {
-	if r.short = r.short || r.pos >= uint(len(r.b))*8; r.short {
-		return 0
+// fill buffers at least 57 bits, or everything left.  It runs once per
+// word or so; kept out of line so that peek inlines.
+//
+//go:noinline
+func (r *bitReader) fill() {
+	if r.next+8 <= len(r.b) {
+		// Load a whole word; count only its whole bytes that fit.  The
+		// bits of a partly fitting byte are loaded again, in place, by the
+		// next fill.
+		r.acc |= binary.BigEndian.Uint64(r.b[r.next:]) >> r.n
+		k := (64 - r.n) / 8
+		r.next += int(k)
+		r.n += 8 * k
+		return
 	}
-	bit := uint64(r.b[r.pos>>3]>>(7-r.pos&7)) & 1
-	r.pos++
-	return bit
+	for ; r.n <= 56 && r.next < len(r.b); r.next++ {
+		r.acc |= uint64(r.b[r.next]) << (56 - r.n)
+		r.n += 8
+	}
 }
 
-// readBits reads an nbits-wide field (at most 64) with one word load.
+// peek returns the next bits without consuming them: at least 57 valid
+// ones, zeros past the end.
+func (r *bitReader) peek() uint64 {
+	if r.n < 57 && r.next < len(r.b) {
+		r.fill()
+	}
+	return r.acc
+}
+
+// skip consumes k <= 57 peeked bits; running past the end sets short.
+func (r *bitReader) skip(k uint) {
+	if r.short = r.short || k > r.n; !r.short {
+		r.acc <<= k
+		r.n -= k
+	}
+}
+
+// readBits reads an nbits-wide field (at most 64).
 func (r *bitReader) readBits(nbits uint) uint64 {
-	if r.short = r.short || r.pos+nbits > uint(len(r.b))*8; r.short || nbits == 0 {
+	if nbits > 57 {
+		hi := r.readBits(nbits - 32)
+		return hi<<32 | r.readBits(32)
+	}
+	w := r.peek() >> (64 - nbits) // a shift by 64 is 0
+	if r.skip(nbits); r.short {
 		return 0
-	}
-	i, off := int(r.pos>>3), r.pos&7
-	r.pos += nbits
-	var w uint64
-	if i+8 <= len(r.b) {
-		w = binary.BigEndian.Uint64(r.b[i:])
-	} else {
-		for j, c := range r.b[i:] {
-			w |= uint64(c) << (56 - 8*uint(j))
-		}
-	}
-	w = w << off >> (64 - nbits)
-	if spill := int(off+nbits) - 64; spill > 0 { // into a ninth byte (in range: checked above)
-		w |= uint64(r.b[i+8]) >> (8 - spill)
 	}
 	return w
 }
@@ -151,7 +174,7 @@ func (r *bitReader) done(what string) error {
 	if r.short {
 		return fmt.Errorf("truncated %s column", what)
 	}
-	if rest := uint(len(r.b))*8 - r.pos; rest >= 8 {
+	if rest := r.n + uint(len(r.b)-r.next)*8; rest >= 8 {
 		return fmt.Errorf("%d trailing bits after %s column", rest, what)
 	}
 	return nil
@@ -238,17 +261,22 @@ func appendDeltaColumn(dst []byte, vals []float64, starts []int32) []byte {
 		if first {
 			dod, prevDelta = delta, 0
 		}
+		if dod == 0 {
+			w.writeBits(0, 1)
+			continue
+		}
 		z := uint64(dod)<<1 ^ uint64(dod>>63) // zigzag
-		class := uint(0)                      // number of leading 1s in the prefix
+		class := uint(1)                      // number of leading 1s in the prefix
 		for z>>dodWidths[class] != 0 && class < 5 {
 			class++
 		}
-		if class < 5 {
-			w.writeBits((1<<class-1)<<1, class+1) // class 1s, then a 0
+		if width := dodWidths[class]; class < 5 {
+			// class 1s, a 0 and the field in one write: at most 37 bits.
+			w.writeBits((1<<class-1)<<(width+1)|z, class+1+width)
 		} else {
 			w.writeBits(0b11111, 5)
+			w.writeBits(z, width)
 		}
-		w.writeBits(z, dodWidths[class])
 	}
 	return closeColumn(w.finish(), at)
 }
@@ -274,12 +302,25 @@ func decodeDeltaColumn(col []byte, n int, starts []int32, dst []float64) ([]floa
 		if i == 0 {
 			prev = int64(r.readBits(64))
 		} else {
-			class := 0
-			for class < 5 && r.readBit() == 1 {
-				class++
+			// One peek parses the entry: the prefix's leading 1s give
+			// its class, and the field follows in the same peek unless
+			// it is a 64-bit one.
+			var dod int64
+			if w := r.peek(); w>>63 == 0 { // a steady cadence's '0'
+				r.skip(1)
+			} else {
+				class := min(uint(bits.LeadingZeros64(^w)), 5)
+				prefix, width := min(class+1, 5), dodWidths[class]
+				var z uint64
+				if prefix+width <= 57 {
+					z = w << prefix >> (64 - width)
+					r.skip(prefix + width)
+				} else {
+					r.skip(prefix)
+					z = r.readBits(width)
+				}
+				dod = int64(z>>1) ^ -int64(z&1) // unzigzag
 			}
-			z := r.readBits(dodWidths[class])
-			dod := int64(z>>1) ^ -int64(z&1) // unzigzag
 			if first {
 				prev += dod // prevDelta is 0 here, and stays 0
 				prevDelta = 0
@@ -341,13 +382,24 @@ func appendXORColumn(dst []byte, vals []float64, starts []int32) []byte {
 		trail := uint(bits.TrailingZeros64(xor))
 		sig := 64 - lead - trail
 		if win.sig > 0 && lead >= win.lead && 64-win.lead-win.sig <= trail {
-			// The XOR fits the current window: reuse it.
-			w.writeBits(0b10, 2)
-			w.writeBits(xor>>(64-win.lead-win.sig), win.sig)
+			// The XOR fits the current window: reuse it.  Control bits
+			// and field go in one write when they fit 64 bits.
+			field := xor >> (64 - win.lead - win.sig)
+			if win.sig <= 62 {
+				w.writeBits(0b10<<win.sig|field, 2+win.sig)
+			} else {
+				w.writeBits(0b10, 2)
+				w.writeBits(field, win.sig)
+			}
 			continue
 		}
-		w.writeBits(0b11<<11|uint64(lead)<<6|uint64(sig-1), 2+5+6)
-		w.writeBits(xor>>trail, sig)
+		head := 0b11<<11 | uint64(lead)<<6 | uint64(sig-1)
+		if sig <= 64-13 {
+			w.writeBits(head<<sig|xor>>trail, 13+sig)
+		} else {
+			w.writeBits(head, 13)
+			w.writeBits(xor>>trail, sig)
+		}
 		*win = xorWindow{lead, sig}
 	}
 	return closeColumn(w.finish(), at)
@@ -365,21 +417,35 @@ func decodeXORColumn(col []byte, n int, starts []int32, dst []float64) ([]float6
 	var prev uint64
 	for i := 0; i < n && !r.short; i++ {
 		win := windowFor(&wins, gs.at(i))
-		switch {
-		case i == 0:
+		// One peek parses an entry: control bits, any new window, and
+		// the field unless it runs past the 57 bits a peek guarantees.
+		if w := r.peek(); i == 0 {
 			prev = r.readBits(64)
-		case r.readBit() == 0: // unchanged
-		default:
-			if r.readBit() == 1 { // a new window
-				window := r.readBits(5 + 6)
+		} else if w>>63 == 0 { // '0': unchanged
+			r.skip(1)
+		} else {
+			ctl := uint(2) // '10': the current window
+			if w>>62 == 0b11 {
+				ctl = 2 + 5 + 6 // '11': a new window
+				window := w << 2 >> (64 - 11)
 				*win = xorWindow{uint(window >> 6), uint(window&63) + 1}
+			}
+			if r.skip(ctl); !r.short {
 				if win.lead+win.sig > 64 {
 					return dst, fmt.Errorf("value column entry %d: window %d+%d exceeds 64 bits", i, win.lead, win.sig)
 				}
-			} else if win.sig == 0 && !r.short {
-				return dst, fmt.Errorf("value column entry %d reuses a window before one was set", i)
+				if win.sig == 0 {
+					return dst, fmt.Errorf("value column entry %d reuses a window before one was set", i)
+				}
+				var field uint64
+				if ctl+win.sig <= 57 {
+					field = w << ctl >> (64 - win.sig)
+					r.skip(win.sig)
+				} else {
+					field = r.readBits(win.sig)
+				}
+				prev ^= field << (64 - win.lead - win.sig)
 			}
-			prev ^= r.readBits(win.sig) << (64 - win.lead - win.sig)
 		}
 		dst = append(dst, math.Float64frombits(prev))
 	}
