@@ -353,19 +353,23 @@ func (h *HTTPSink) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		return a.Labels.String() < b.Labels.String()
 	})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	buf := make([]byte, 0, 128*len(samples))
 	for _, s := range samples {
 		// Identity labels lead (source, then the structured set in
 		// canonical order), the topology labels close the block.
-		fmt.Fprintf(w, "likwid_%s{", SanitizeMetric(s.Metric))
+		buf = append(append(append(buf, "likwid_"...), SanitizeMetric(s.Metric)...), '{')
 		if s.Source != "" {
-			fmt.Fprintf(w, "source=%q,", s.Source)
+			buf = append(strconv.AppendQuote(append(buf, "source="...), s.Source), ',')
 		}
-		for _, p := range s.Labels.Pairs() {
-			fmt.Fprintf(w, "%s=%q,", p.Name, p.Value)
+		for _, p := range s.Labels.view() {
+			buf = append(strconv.AppendQuote(append(append(buf, p.Name...), '='), p.Value), ',')
 		}
-		fmt.Fprintf(w, "scope=%q,id=%q} %s %s\n",
-			s.Scope, strconv.Itoa(s.ID), formatValue(s.Value), formatTime(s.Time))
+		buf = strconv.AppendQuote(append(buf, "scope="...), s.Scope.String())
+		buf = append(strconv.AppendInt(append(buf, `,id="`...), int64(s.ID), 10), `"} `...)
+		buf = append(appendValue(buf, s.Value), ' ')
+		buf = append(appendTime(buf, s.Time), '\n')
 	}
+	_, _ = w.Write(buf)
 }
 
 // queryResponse is the /query JSON payload for one series.

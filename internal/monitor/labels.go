@@ -270,11 +270,15 @@ func (l Labels) Get(name string) (string, bool) {
 
 // Pairs returns the labels sorted by name (a copy; the interned set is
 // immutable).
-func (l Labels) Pairs() []Label {
+func (l Labels) Pairs() []Label { return slices.Clone(l.view()) }
+
+// view returns the interned pairs, sorted by name, without Pairs' copy —
+// for the package's encoders, which only read them.
+func (l Labels) view() []Label {
 	if l.set == nil {
 		return nil
 	}
-	return append([]Label(nil), l.set.pairs...)
+	return l.set.pairs
 }
 
 // Map returns the labels as a map — the wire shape of the v3 push

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -121,11 +120,13 @@ type PushSink struct {
 	meta    []sampleMeta // index-aligned with pending
 	enc     V4Encoder    // grouping scratch, reused across flushes
 	lastV4  int          // size of the previous v4 payload: the next one's capacity hint
+	lines   []byte       // JSON-lines scratch, reused: only its gzipped copy ships
 
-	sent    atomic.Uint64 // samples acknowledged by the receiver
-	pushes  atomic.Uint64 // successful POSTs
-	dropped atomic.Uint64 // samples evicted from the pending buffer
-	retries atomic.Uint64 // failed POST attempts
+	sent      atomic.Uint64 // samples acknowledged by the receiver
+	pushes    atomic.Uint64 // successful POSTs
+	dropped   atomic.Uint64 // samples evicted from the pending buffer
+	nonFinite atomic.Uint64 // samples refused at enqueue: NaN or ±Inf time or value
+	retries   atomic.Uint64 // failed POST attempts
 
 	// Telemetry instruments, resolved once by Instrument (nil until
 	// then; hot paths nil-check).  Instrument must run before the sink
@@ -173,6 +174,7 @@ func (p *PushSink) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("likwid_push_sent_total", func() float64 { return float64(p.sent.Load()) })
 	reg.CounterFunc("likwid_push_pushes_total", func() float64 { return float64(p.pushes.Load()) })
 	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.dropped.Load()) })
+	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.nonFinite.Load()) }, "reason", "non_finite")
 	reg.CounterFunc("likwid_push_retries_total", func() float64 { return float64(p.retries.Load()) })
 	p.tBatch = reg.Histogram("likwid_push_batch_samples", telemetry.SizeBuckets)
 	p.tBytes = map[string]*telemetry.Counter{
@@ -222,7 +224,11 @@ func (p *PushSink) Buffer(b Batch) {
 	p.trim()
 }
 
-// enqueue appends the batch to the pending buffer, unbounded.
+// enqueue appends the batch to the pending buffer, unbounded.  A sample
+// with a NaN or ±Inf time or value is dropped and counted instead: no
+// wire can carry it (JSON has no spelling for it, a v4 receiver 400s the
+// whole POST), so buffering it would fail every flush until trim aged it
+// out.
 func (p *PushSink) enqueue(b Batch) {
 	if p.tBatch != nil {
 		p.tBatch.Observe(float64(len(b.Samples)))
@@ -232,6 +238,13 @@ func (p *PushSink) enqueue(b Batch) {
 	// a backed-up push sink is visible end to end, not just its last hop.
 	m := sampleMeta{collector: b.Collector, sentAt: sentAtStamp(p.opts.Now())}
 	for _, sm := range b.Samples {
+		if !finite(sm.Time) || !finite(sm.Value) {
+			if p.nonFinite.Add(1) == 1 && p.opts.Logger != nil {
+				p.opts.Logger.Warn("push sink dropping non-finite samples (counted, further drops not logged)",
+					"url", p.opts.URL, "metric", sm.Metric)
+			}
+			continue
+		}
 		switch {
 		case sm.Source == "":
 			sm.Source = p.opts.Source
@@ -327,17 +340,18 @@ func (p *PushSink) Close() error {
 	return err
 }
 
-// encodePending renders the pending samples as JSON lines: one object
-// per sample, the same record shape the jsonl file sink writes.
+// encodePending renders the pending samples as JSON lines into the
+// sink's reused scratch: one object per sample, the same record shape
+// the jsonl file sink writes.
 func (p *PushSink) encodePending() ([]byte, error) {
-	var buf bytes.Buffer
-	lines := jsonLines{enc: json.NewEncoder(&buf)}
+	p.lines = p.lines[:0]
 	for i, sm := range p.pending {
-		if err := lines.encode(sm, p.meta[i].collector, p.meta[i].sentAt); err != nil {
+		var err error
+		if p.lines, err = appendJSONLine(p.lines, sm, p.meta[i].collector, p.meta[i].sentAt); err != nil {
 			return nil, err
 		}
 	}
-	return buf.Bytes(), nil
+	return p.lines, nil
 }
 
 func (p *PushSink) flush() error {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -635,6 +636,54 @@ func TestPushSinkNoSilentLossAtFlushThreshold(t *testing.T) {
 			}
 			if got := p.Sent(); got != total {
 				t.Errorf("Sent = %d, want all %d", got, total)
+			}
+		})
+	}
+}
+
+// TestPushSinkDropsNonFinite is the poisoned-buffer regression: a NaN or
+// ±Inf sample used to fail every flush on both wires — JSON cannot spell
+// it, a v4 receiver 400s the whole POST — and stayed pending until trim
+// aged it out.  enqueue now drops and counts it; the rest ships.
+func TestPushSinkDropsNonFinite(t *testing.T) {
+	for name, format := range map[string]WireFormat{"json": WireJSON, "v4": WireV4} {
+		t.Run(name, func(t *testing.T) {
+			store := NewStore(16)
+			recv, err := NewHTTPSink("127.0.0.1:0", store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer recv.Close()
+			p, err := NewPushSink(PushOptions{
+				URL: "http://" + recv.Addr() + "/ingest", FlushSamples: 4,
+				MaxAttempts: 1, RetryBase: time.Millisecond, Format: format,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := goldenBatches()[0]
+			bad.Samples[1].Value = math.NaN()
+			bad.Samples[3].Time = math.Inf(-1)
+			for _, b := range []Batch{bad, goldenBatches()[1]} {
+				if err := p.Write(b); err != nil {
+					t.Fatalf("Write: %v, want the finite samples flushed", err)
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Sent(); got != 6 {
+				t.Errorf("Sent = %d, want the 6 finite samples", got)
+			}
+			if got := p.nonFinite.Load(); got != 2 {
+				t.Errorf("non-finite drops = %d, want 2", got)
+			}
+			if got := p.Dropped(); got != 0 {
+				t.Errorf("Dropped = %d, want 0 (nothing evicted)", got)
+			}
+			k := Key{Metric: "dp_mflops_s", Scope: ScopeThread, ID: 1}
+			if pts := store.Window(k, 0, -1); len(pts) != 1 || pts[0].Value != 12.5 {
+				t.Errorf("receiver window for %v = %v, want only the finite 12.5", k, pts)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -152,6 +153,10 @@ func (d *Dispatcher) Instrument(reg *telemetry.Registry) {
 			continue // two sinks of one kind share the histogram
 		}
 		hists[s.Name()] = reg.Histogram("likwid_sink_write_seconds", telemetry.DurationBuckets, "sink", s.Name())
+		if sk, ok := s.(interface{ skippedNonFinite() uint64 }); ok {
+			reg.CounterFunc("likwid_sink_skipped_total", func() float64 { return float64(sk.skippedNonFinite()) },
+				"sink", s.Name(), "reason", "non_finite")
+		}
 	}
 	d.writeSeconds.Store(&hists)
 }
@@ -184,11 +189,99 @@ func (d *Dispatcher) Close() error {
 	return err
 }
 
-// formatValue renders sample values identically in CSV and JSON lines, so
-// the two file formats stay diffable against each other.
-func formatValue(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+// appendValue renders sample values identically in CSV and /metrics, so
+// the two text formats stay diffable against each other.
+func appendValue(dst []byte, v float64) []byte { return strconv.AppendFloat(dst, v, 'g', 6, 64) }
 
-func formatTime(t float64) string { return strconv.FormatFloat(t, 'f', 6, 64) }
+func appendTime(dst []byte, t float64) []byte { return strconv.AppendFloat(dst, t, 'f', 6, 64) }
+
+// finite reports whether f is neither NaN nor ±Inf — the values JSON
+// cannot spell and receivers reject.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// appendCSVRow appends one CSV row: time,collector[,source][,labels],
+// metric,scope,id,value.  The canonical label set holds commas between
+// pairs, so its cell is quoted to stay one column.
+func appendCSVRow(dst []byte, sm Sample, collector string, sourced, labelled bool) []byte {
+	dst = append(append(appendTime(dst, sm.Time), ','), collector...)
+	if sourced {
+		dst = append(append(dst, ','), sm.Source...)
+	}
+	if labelled {
+		dst = append(dst, ',')
+		if !sm.Labels.Empty() {
+			dst = append(append(append(dst, '"'), sm.Labels.String()...), '"')
+		}
+	}
+	dst = append(append(append(dst, ','), sm.Metric...), ',')
+	dst = append(append(dst, sm.Scope.String()...), ',')
+	dst = append(strconv.AppendInt(dst, int64(sm.ID), 10), ',')
+	return append(appendValue(dst, sm.Value), '\n')
+}
+
+// appendJSONLine appends one line-protocol record, byte-identical to
+// json.Encoder.Encode(jsonSample{...}) — HTML escaping, sorted label
+// keys and the trailing newline included.  A non-finite time, sent_at or
+// value fails the record as Encode does, leaving dst unchanged.
+func appendJSONLine(dst []byte, sm Sample, collector string, sentAt float64) ([]byte, error) {
+	for _, f := range [...]float64{sm.Time, sentAt, sm.Value} {
+		if !finite(f) {
+			return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		}
+	}
+	dst = appendJSONFloat(append(dst, `{"time":`...), sm.Time)
+	if sentAt != 0 {
+		dst = appendJSONFloat(append(dst, `,"sent_at":`...), sentAt)
+	}
+	dst = appendJSONString(append(dst, `,"collector":`...), collector)
+	if sm.Source != "" {
+		dst = appendJSONString(append(dst, `,"source":`...), sm.Source)
+	}
+	if !sm.Labels.Empty() {
+		dst = append(dst, `,"labels":`...)
+		sep := byte('{')
+		for _, p := range sm.Labels.view() {
+			dst = append(appendJSONString(append(dst, sep), p.Name), ':')
+			dst = appendJSONString(dst, p.Value)
+			sep = ','
+		}
+		dst = append(dst, '}')
+	}
+	dst = appendJSONString(append(dst, `,"metric":`...), sm.Metric)
+	dst = appendJSONString(append(dst, `,"scope":`...), sm.Scope.String())
+	dst = strconv.AppendInt(append(dst, `,"id":`...), int64(sm.ID), 10)
+	dst = appendJSONFloat(append(dst, `,"value":`...), sm.Value)
+	return append(dst, "}\n"...), nil
+}
+
+// appendJSONFloat appends a finite float64 as encoding/json writes it:
+// the shortest 'f' form, 'e' outside [1e-6, 1e21), with a one-digit
+// negative exponent's leading zero dropped (1e-07 becomes 1e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(dst, f, 'f', -1, 64)
+	}
+	dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+	if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString appends s as a JSON string.  Printable ASCII outside
+// encoding/json's escape set ('"', '\\' and the HTML-unsafe '<', '>',
+// '&') is copied verbatim — every name the suite emits; anything else
+// goes through json.Marshal, so the escaping rules stay json's own.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
 
 // ---- table sink -----------------------------------------------------------
 
@@ -258,6 +351,32 @@ func (t *tableSink) Write(b Batch) error {
 
 func (t *tableSink) Close() error { return nil }
 
+// textFile is the output half of the CSV and JSON-lines sinks: a Write
+// encodes its whole batch into buf, then hands it over in one write.
+type textFile struct {
+	w   *bufio.Writer
+	c   io.Closer // may be nil
+	buf []byte    // one batch's text, reused across Writes
+}
+
+// flush writes the encoded batch and flushes it through to the file.
+func (f *textFile) flush() error {
+	if _, err := f.w.Write(f.buf); err != nil {
+		return err
+	}
+	return f.w.Flush()
+}
+
+func (f *textFile) Close() error {
+	if err := f.w.Flush(); err != nil {
+		return err
+	}
+	if f.c != nil {
+		return f.c.Close()
+	}
+	return nil
+}
+
 // ---- CSV sink -------------------------------------------------------------
 
 // csvSink appends one row per sample: time,collector,metric,scope,id,value.
@@ -266,9 +385,7 @@ func (t *tableSink) Close() error { return nil }
 // streams a labels column after that (the canonical "k=v,k=v" set,
 // CSV-quoted); a local agent's file keeps the compact six-column schema.
 type csvSink struct {
-	name     string
-	w        *bufio.Writer
-	c        io.Closer
+	textFile
 	head     bool
 	sourced  bool
 	labelled bool
@@ -276,10 +393,10 @@ type csvSink struct {
 
 // NewCSVSink writes CSV to w, closing c (which may be nil) on Close.
 func NewCSVSink(w io.Writer, c io.Closer) Sink {
-	return &csvSink{name: "csv", w: bufio.NewWriter(w), c: c}
+	return &csvSink{textFile: textFile{w: bufio.NewWriter(w), c: c}}
 }
 
-func (s *csvSink) Name() string { return s.name }
+func (s *csvSink) Name() string { return "csv" }
 
 func (s *csvSink) Write(b Batch) error {
 	if !s.head {
@@ -307,48 +424,27 @@ func (s *csvSink) Write(b Batch) error {
 			return err
 		}
 	}
+	s.buf = s.buf[:0]
 	for _, sm := range b.Samples {
-		row := formatTime(sm.Time) + "," + b.Collector
-		if s.sourced {
-			row += "," + sm.Source
-		}
-		if s.labelled {
-			// The canonical set contains commas between pairs: CSV-quote
-			// the cell so it stays one column.
-			row += ","
-			if ls := sm.Labels.String(); ls != "" {
-				row += `"` + ls + `"`
-			}
-		}
-		if _, err := fmt.Fprintf(s.w, "%s,%s,%s,%d,%s\n",
-			row, sm.Metric, sm.Scope, sm.ID, formatValue(sm.Value)); err != nil {
-			return err
-		}
+		s.buf = appendCSVRow(s.buf, sm, b.Collector, s.sourced, s.labelled)
 	}
-	return s.w.Flush()
-}
-
-func (s *csvSink) Close() error {
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if s.c != nil {
-		return s.c.Close()
-	}
-	return nil
+	return s.flush()
 }
 
 // ---- JSON-lines sink ------------------------------------------------------
 
+// jsonlSink writes the line protocol.  JSON has no NaN or ±Inf, so a
+// sample carrying one is skipped and counted; the rest of its batch is
+// written.
 type jsonlSink struct {
-	w *bufio.Writer
-	c io.Closer
+	textFile
+	nonFinite atomic.Uint64
 }
 
 // NewJSONLSink writes one JSON object per sample to w, closing c (which
 // may be nil) on Close.
 func NewJSONLSink(w io.Writer, c io.Closer) Sink {
-	return &jsonlSink{w: bufio.NewWriter(w), c: c}
+	return &jsonlSink{textFile: textFile{w: bufio.NewWriter(w), c: c}}
 }
 
 // jsonSample fixes the field order of the line protocol — the v3 wire
@@ -380,51 +476,18 @@ type jsonSample struct {
 
 func (s *jsonlSink) Name() string { return "jsonl" }
 
-// jsonLines writes samples in the line protocol, reusing one wire label
-// map per run of samples sharing an interned set (the encoder only reads
-// it) — a batch's samples almost always share one.
-type jsonLines struct {
-	enc *json.Encoder
-	ls  Labels
-	m   map[string]string
-}
-
-func (j *jsonLines) encode(sm Sample, collector string, sentAt float64) error {
-	if sm.Labels != j.ls || j.m == nil {
-		j.ls, j.m = sm.Labels, sm.Labels.Map()
-	}
-	return j.enc.Encode(jsonSample{
-		Time:      sm.Time,
-		SentAt:    sentAt,
-		Collector: collector,
-		Source:    sm.Source,
-		Labels:    j.m,
-		Metric:    sm.Metric,
-		Scope:     sm.Scope.String(),
-		ID:        sm.ID,
-		Value:     sm.Value,
-	})
-}
-
 func (s *jsonlSink) Write(b Batch) error {
-	lines := jsonLines{enc: json.NewEncoder(s.w)}
+	s.buf = s.buf[:0]
 	for _, sm := range b.Samples {
-		if err := lines.encode(sm, b.Collector, 0); err != nil {
-			return err
+		var err error
+		if s.buf, err = appendJSONLine(s.buf, sm, b.Collector, 0); err != nil {
+			s.nonFinite.Add(1) // the only failure: nothing was appended
 		}
 	}
-	return s.w.Flush()
+	return s.flush()
 }
 
-func (s *jsonlSink) Close() error {
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if s.c != nil {
-		return s.c.Close()
-	}
-	return nil
-}
+func (s *jsonlSink) skippedNonFinite() uint64 { return s.nonFinite.Load() }
 
 // ---- sink spec parsing ----------------------------------------------------
 

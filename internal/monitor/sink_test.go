@@ -3,13 +3,20 @@ package monitor
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"likwid/internal/benchreport"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -313,4 +320,194 @@ func TestDispatcherDeliversInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "sink_csv.golden", buf.Bytes())
+}
+
+// agentBatch is one agent-node tick: 11 metrics over 12 threads and 2
+// sockets plus 3 node roll-ups — 157 samples, optionally stamped with a
+// label set the way -labels stamps every sample.
+func agentBatch(labelled bool) Batch {
+	var ls Labels
+	if labelled {
+		ls, _ = ParseLabelSpec("job=lbm,cluster=emmy")
+	}
+	metrics := []string{"dp_mflops_s", "sp_mflops_s", "memory_bandwidth_mbytes_s", "memory_data_volume_gbytes",
+		"runtime_rdtsc_s", "clock_mhz", "cpi", "l2_bandwidth_mbytes_s", "l3_bandwidth_mbytes_s", "energy_j", "power_w"}
+	b := Batch{Collector: "perfgroup/MEM_DP", Time: 12.5}
+	add := func(m string, sc Scope, id int) {
+		v := float64(len(b.Samples)+1) * 1234.5678
+		b.Samples = append(b.Samples, Sample{Metric: m, Scope: sc, ID: id, Labels: ls, Time: 12.5, Value: v})
+	}
+	for _, m := range metrics {
+		for id := 0; id < 12; id++ {
+			add(m, ScopeThread, id)
+		}
+		for id := 0; id < 2; id++ {
+			add(m, ScopeSocket, id)
+		}
+	}
+	for _, m := range metrics[:3] {
+		add(m, ScopeNode, 0)
+	}
+	return b
+}
+
+func textSink(kind string) Sink {
+	if kind == "csv" {
+		return NewCSVSink(io.Discard, nil)
+	}
+	return NewJSONLSink(io.Discard, nil)
+}
+
+// TestTextSinksZeroAllocs pins the append encoders' promise: once its
+// buffer has grown, a text sink writes a whole batch without allocating.
+func TestTextSinksZeroAllocs(t *testing.T) {
+	for _, kind := range []string{"csv", "jsonl"} {
+		for _, labelled := range []bool{false, true} {
+			s, b := textSink(kind), agentBatch(labelled)
+			if err := s.Write(b); err != nil { // header, buffer growth
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(20, func() { _ = s.Write(b) }); n != 0 {
+				t.Errorf("%s (labelled %v): %v allocs per warm Write, want 0", kind, labelled, n)
+			}
+		}
+	}
+}
+
+// BenchmarkSinkWrite times the text sinks on one agent-node tick.
+func BenchmarkSinkWrite(b *testing.B) {
+	for _, kind := range []string{"csv", "jsonl"} {
+		for _, shape := range []string{"plain", "labelled"} {
+			b.Run(kind+"/"+shape, func(b *testing.B) {
+				s, batch := textSink(kind), agentBatch(shape == "labelled")
+				benchreport.PerSample(b, len(batch.Samples), func() {
+					if err := s.Write(batch); err != nil {
+						b.Fatal(err)
+					}
+				})
+			})
+		}
+	}
+}
+
+// parentCSVRow is the CSV row as the sink built it with string
+// concatenation and fmt — the oracle appendCSVRow must match.
+func parentCSVRow(sm Sample, collector string, sourced, labelled bool) string {
+	row := strconv.FormatFloat(sm.Time, 'f', 6, 64) + "," + collector
+	if sourced {
+		row += "," + sm.Source
+	}
+	if labelled {
+		row += ","
+		if ls := sm.Labels.String(); ls != "" {
+			row += `"` + ls + `"`
+		}
+	}
+	return fmt.Sprintf("%s,%s,%s,%d,%s\n", row, sm.Metric, sm.Scope, sm.ID, strconv.FormatFloat(sm.Value, 'g', 6, 64))
+}
+
+func TestAppendCSVRowMatchesFmt(t *testing.T) {
+	lbm := mustLabels(t, "job=lbm,cluster=emmy")
+	samples := []Sample{
+		{Metric: "dp_mflops_s", Scope: ScopeThread, ID: 3, Time: 0.5, Value: 571.25},
+		{Metric: "bw", Scope: ScopeSocket, ID: 1, Time: 1e9 + 0.123456789, Value: 13714.285714},
+		{Metric: "x/min", Scope: ScopeNode, Time: -0.0, Value: -0.0},
+		{Metric: "tiny", Scope: ScopeCore, ID: 7, Time: 3, Value: 1e-7},
+		{Metric: "huge", Scope: ScopeNode, Time: 3, Value: 1e21},
+		{Metric: "nan", Scope: ScopeNode, Time: 3, Value: math.NaN()},
+		{Metric: "inf", Scope: ScopeNode, Time: math.Inf(1), Value: math.Inf(-1)},
+		{Metric: "odd", Scope: Scope(9), ID: -2, Time: 4, Value: 5e-324},
+		{Source: "nodeA-7", Metric: "bw", Scope: ScopeNode, Time: 2, Value: 100},
+		{Source: "nodeB-9", Labels: lbm, Metric: "bw", Scope: ScopeNode, Time: 2, Value: 200},
+		{Labels: lbm, Metric: "bw", Scope: ScopeThread, ID: 11, Time: 2, Value: 300.5},
+	}
+	for _, schema := range []struct {
+		name              string
+		sourced, labelled bool
+	}{{"plain", false, false}, {"sourced", true, false}, {"labelled", false, true}, {"sourced+labelled", true, true}} {
+		for _, sm := range samples {
+			want := parentCSVRow(sm, "perfgroup/MEM_DP", schema.sourced, schema.labelled)
+			got := appendCSVRow([]byte("prefix"), sm, "perfgroup/MEM_DP", schema.sourced, schema.labelled)
+			if string(got) != "prefix"+want {
+				t.Errorf("%s %+v:\n got %q\nwant %q", schema.name, sm, got[len("prefix"):], want)
+			}
+		}
+	}
+}
+
+// FuzzJSONLine checks appendJSONLine against encoding/json, the oracle
+// it replaces: the same bytes for every record json can encode (HTML
+// escaping, invalid UTF-8, U+2028/2029, float forms and all), and an
+// error with dst unchanged exactly where json errors.  A non-empty
+// label name adds a two-pair set (name, name_) with the given value.
+func FuzzJSONLine(f *testing.F) {
+	type seed struct {
+		tm, sentAt, v                            float64
+		collector, source, metric, lname, lvalue string
+		scope                                    uint8
+		id                                       int
+	}
+	for _, s := range []seed{
+		{0.5, 0, 571.25, "perfgroup/MEM_DP", "", "dp_mflops_s", "", "", 0, 0},
+		{1, 100.5, 13714.285, "perfgroup/MEM_DP", "nodeA-7", "memory_bandwidth_mbytes_s", "job", "lbm", 2, 1},
+		{2, 0, 1, "<script>&amp;", "a\"b\\c", "x>y", "j<b", "v&w", 3, 0},
+		{2, 0, 1, "ctl\x00\x01\x1f\x7f", "tab\there", "nl\nx", "k", "\r", 1, 5},
+		{2, 0, 1, "bad\xff\xfeutf8", "\xc3", "ok", "k", "\xed\xa0\x80", 0, 0},
+		{2, 0, 1, "line\u2028sep\u2029", "é", "µs", "k", "日本", 0, 0},
+		{math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1), "c", "", "m", "", "", 0, -1},
+		{1e-7, 1e-6, 1e21, "c", "", "m", "", "", 0, 0},
+		{9.99e-7, 1e20, 1e-300, "c", "", "m", "", "", 0, 1 << 40},
+		{5e-324, 2.2250738585072014e-308, math.MaxFloat64, "c", "", "m", "", "", 0, 0},
+		{-1.5e-8, -123456789.123, -1e22, "c", "", "m", "", "", 9, 0},
+		{math.NaN(), 0, 1, "c", "", "m", "", "", 0, 0},
+		{1, math.Inf(1), 1, "c", "", "m", "", "", 0, 0},
+		{1, 0, math.Inf(-1), "c", "", "m", "", "", 0, 0},
+	} {
+		f.Add(s.tm, s.sentAt, s.v, s.collector, s.source, s.metric, s.lname, s.lvalue, s.scope, s.id)
+	}
+	f.Fuzz(func(t *testing.T, tm, sentAt, v float64, collector, source, metric, lname, lvalue string, scope uint8, id int) {
+		sm := Sample{Source: source, Metric: metric, Scope: Scope(scope), ID: id, Time: tm, Value: v}
+		if lname != "" {
+			// Built by hand, not interned: the oracle is about escaping,
+			// so the pairs need not pass label validation.
+			sm.Labels = Labels{set: &labelSet{pairs: []Label{{lname, lvalue}, {lname + "_", lvalue}}}}
+		}
+		want, werr := json.Marshal(jsonSample{
+			Time: tm, SentAt: sentAt, Collector: collector, Source: source, Labels: sm.Labels.Map(),
+			Metric: metric, Scope: sm.Scope.String(), ID: id, Value: v,
+		})
+		got, gerr := appendJSONLine([]byte("prefix"), sm, collector, sentAt)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("error mismatch: json %v, appendJSONLine %v", werr, gerr)
+		}
+		if werr != nil {
+			if string(got) != "prefix" {
+				t.Fatalf("failed record left %q behind", got)
+			}
+			return
+		}
+		if want = append([]byte("prefix"), append(want, '\n')...); !bytes.Equal(got, want) {
+			t.Fatalf("record mismatch:\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// TestJSONLSinkSkipsNonFinite pins that one NaN or ±Inf reading costs
+// its own line, not the rest of the batch: JSON cannot spell it, so the
+// sample is skipped and counted.
+func TestJSONLSinkSkipsNonFinite(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewJSONLSink(&buf, nil)
+	b := goldenBatches()[0]
+	b.Samples[0].Value = math.NaN()
+	b.Samples[2].Time = math.Inf(1)
+	if err := s.Write(b); err != nil {
+		t.Fatalf("Write: %v, want the finite samples written", err)
+	}
+	if lines := strings.Count(buf.String(), "\n"); lines != 2 {
+		t.Errorf("wrote %d lines, want the 2 finite samples:\n%s", lines, buf.String())
+	}
+	if got := s.(*jsonlSink).skippedNonFinite(); got != 2 {
+		t.Errorf("skipped = %d, want 2", got)
+	}
 }
