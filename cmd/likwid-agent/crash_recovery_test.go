@@ -42,24 +42,17 @@ func TestCrashRecoveryAcrossRestart(t *testing.T) {
 	}
 
 	// First life: ingest times 0..49, crash hard.
-	proc, base := startReceiver(t, bin, args)
+	kill, base := startReceiver(t, bin, args)
 	ingestRange(t, base, 0, 50)
 	if got := queryPoints(t, base, 0); len(got) != 50 {
 		t.Fatalf("pre-crash query returned %d points, want 50", len(got))
 	}
 	waitBWRecords(t, filepath.Join(walDir, "wal.log"), 50)
-	if err := proc.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	_ = proc.Wait()
+	kill()
 
 	// Second life: the 50 pre-crash points must be back before any new
 	// ingest, then the other half lands on the same series.
-	proc2, base2 := startReceiver(t, bin, args)
-	defer func() {
-		proc2.Process.Kill()
-		proc2.Wait()
-	}()
+	_, base2 := startReceiver(t, bin, args)
 	restored := queryPoints(t, base2, 0)
 	if len(restored) != 50 {
 		t.Fatalf("restored query returned %d points, want 50: %v", len(restored), restored)
@@ -105,8 +98,10 @@ func buildAgent(t *testing.T) string {
 }
 
 // startReceiver launches the binary and scrapes the actual listen
-// address (the :0 port) from its startup log line.
-func startReceiver(t *testing.T, bin string, args []string) (*exec.Cmd, string) {
+// address (the :0 port) from its startup log line.  The receiver is
+// SIGKILLed and reaped by the returned kill, or at the test's cleanup
+// at the latest, so a failing test leaves no process behind.
+func startReceiver(t *testing.T, bin string, args []string) (kill func(), base string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
@@ -116,6 +111,14 @@ func startReceiver(t *testing.T, bin string, args []string) (*exec.Cmd, string) 
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	var once sync.Once
+	kill = func() {
+		once.Do(func() {
+			_ = cmd.Process.Signal(syscall.SIGKILL) // fails only once it has exited
+			_ = cmd.Wait()                          // a killed process exits non-zero
+		})
+	}
+	t.Cleanup(kill)
 	addrCh := make(chan string, 1)
 	var logged sync.Mutex
 	var lines []string
@@ -140,12 +143,10 @@ func startReceiver(t *testing.T, bin string, args []string) (*exec.Cmd, string) 
 	}()
 	select {
 	case addr := <-addrCh:
-		base := "http://" + addr
+		base = "http://" + addr
 		waitHealthy(t, base)
-		return cmd, base
+		return kill, base
 	case <-time.After(10 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
 		logged.Lock()
 		defer logged.Unlock()
 		t.Fatalf("receiver never logged its listen address; log:\n%s", strings.Join(lines, "\n"))

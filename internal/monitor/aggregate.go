@@ -1,8 +1,11 @@
 package monitor
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"likwid/internal/stats"
 	"likwid/internal/topology"
@@ -19,10 +22,10 @@ import (
 type Aggregator struct {
 	socketOf map[int]int // processor -> socket
 	coreOf   map[int]int // processor -> dense node-wide core index
-	sockets  []int
 
 	mu   sync.RWMutex
 	mean map[string]bool // metrics combined by mean instead of sum
+	gen  atomic.Uint64   // moved by SetMean: plans built before it are stale
 }
 
 // AggregationHinter is implemented by collectors whose metrics are not all
@@ -67,141 +70,192 @@ func NewAggregator(info *topology.Info, cpus []int) *Aggregator {
 	for i, pc := range cores {
 		coreIndex[pc] = i
 	}
-	socketSeen := map[int]bool{}
 	for _, t := range info.Threads {
 		if len(monitored) > 0 && !monitored[t.Proc] {
 			continue
 		}
 		a.socketOf[t.Proc] = t.SocketID
 		a.coreOf[t.Proc] = coreIndex[physCore{socket: t.SocketID, core: t.CoreID}]
-		if !socketSeen[t.SocketID] {
-			socketSeen[t.SocketID] = true
-			a.sockets = append(a.sockets, t.SocketID)
-		}
 	}
-	sort.Ints(a.sockets)
 	return a
 }
 
-// SetMean marks metrics as intensive (combined by mean).
+// SetMean marks metrics as intensive (combined by mean).  It moves the
+// aggregator's generation, so every cached roll-up plan rebuilds.
 func (a *Aggregator) SetMean(metrics ...string) {
 	a.mu.Lock()
 	for _, m := range metrics {
 		a.mean[m] = true
 	}
+	a.gen.Add(1)
 	a.mu.Unlock()
-}
-
-func (a *Aggregator) isMean(metric string) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.mean[metric]
-}
-
-// bucket accumulates one domain's member values.
-type bucket struct {
-	sum float64
-	n   int
-}
-
-func (b *bucket) add(v float64) { b.sum += v; b.n++ }
-
-func (b bucket) value(mean bool) float64 {
-	if mean && b.n > 0 {
-		return b.sum / float64(b.n)
-	}
-	return b.sum
 }
 
 // Rollup derives the higher-scope samples of a batch.  Thread samples roll
 // into core, socket and node sums/means plus node min/median/max series
 // ("<metric>/min", "<metric>/median", "<metric>/max"); socket samples
 // (uncore metrics) roll into the node sum only.  The input samples are not
-// returned; callers append the roll-ups to the batch.
+// returned; callers append the roll-ups to the batch.  Each call plans
+// the batch's shape afresh; the scheduler keeps its plans across ticks.
 func (a *Aggregator) Rollup(samples []Sample) []Sample {
-	type metricAgg struct {
-		cores   map[int]*bucket
-		sockets map[int]*bucket
-		node    bucket
-		values  []float64 // per-member values for the distribution stats
-		time    float64
-	}
-	perMetric := map[string]*metricAgg{}
-	order := []string{}
-	get := func(metric string) *metricAgg {
-		ma := perMetric[metric]
-		if ma == nil {
-			ma = &metricAgg{cores: map[int]*bucket{}, sockets: map[int]*bucket{}}
-			perMetric[metric] = ma
-			order = append(order, metric)
-		}
-		return ma
-	}
-	getBucket := func(m map[int]*bucket, id int) *bucket {
-		b := m[id]
-		if b == nil {
-			b = &bucket{}
-			m[id] = b
-		}
-		return b
-	}
-
-	for _, s := range samples {
-		ma := get(s.Metric)
-		if s.Time > ma.time {
-			ma.time = s.Time
-		}
-		switch s.Scope {
-		case ScopeThread:
-			core, ok := a.coreOf[s.ID]
-			if !ok {
-				continue // unmapped processor: nothing to attribute
-			}
-			getBucket(ma.cores, core).add(s.Value)
-			getBucket(ma.sockets, a.socketOf[s.ID]).add(s.Value)
-			ma.node.add(s.Value)
-			ma.values = append(ma.values, s.Value)
-		case ScopeSocket:
-			ma.node.add(s.Value)
-			ma.values = append(ma.values, s.Value)
-		}
-	}
-
-	var out []Sample
-	emit := func(metric string, scope Scope, id int, t, v float64) {
-		out = append(out, Sample{Metric: metric, Scope: scope, ID: id, Time: t, Value: v})
-	}
-	for _, metric := range order {
-		ma := perMetric[metric]
-		if ma.node.n == 0 {
-			continue
-		}
-		mean := a.isMean(metric)
-		for _, id := range sortedIDs(ma.cores) {
-			emit(metric, ScopeCore, id, ma.time, ma.cores[id].value(mean))
-		}
-		for _, id := range sortedIDs(ma.sockets) {
-			emit(metric, ScopeSocket, id, ma.time, ma.sockets[id].value(mean))
-		}
-		emit(metric, ScopeNode, 0, ma.time, ma.node.value(mean))
-		if len(ma.values) > 1 {
-			sum := stats.Summarize(ma.values)
-			emit(metric+"/min", ScopeNode, 0, ma.time, sum.Min)
-			emit(metric+"/median", ScopeNode, 0, ma.time, sum.Median)
-			emit(metric+"/max", ScopeNode, 0, ma.time, sum.Max)
-		}
-	}
-	return out
+	return a.plan(samples).run(nil, samples)
 }
 
-// Sockets lists the monitored sockets.
-func (a *Aggregator) Sockets() []int { return append([]int(nil), a.sockets...) }
+// rollupPlan is Rollup resolved for one batch shape: where each input
+// row's value goes and what each output row is.  Running it is one pass
+// over the rows with no map and no string building.
+type rollupPlan struct {
+	gen uint64      // the aggregator generation whose mean flags it holds
+	in  []rollupIn  // one per input row
+	out []rollupOut // one per output row, in Rollup's order
 
-func sortedIDs(m map[int]*bucket) []int {
-	out := make([]int, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+	// Per-run buffers: one accumulator per output row, the newest time
+	// of each metric, and each metric's member values in input order.
+	acc, times, vals []float64
+}
+
+// rollupIn routes one input row: the metric whose time it advances and,
+// for a member row, the output rows it adds into (-1 where none) and its
+// slot among the metric's member values.
+type rollupIn struct {
+	metric, core, socket, node, val int32
+}
+
+// rollupOut is one output row.  A domain row's value is its accumulator,
+// divided by its member count n when the metric is a mean; a summary row
+// (stat > 0) is the minimum, median or maximum of vals[lo:hi].
+type rollupOut struct {
+	key    Key
+	metric int32
+	stat   int8
+	mean   bool
+	n      float64
+	lo, hi int32
+}
+
+const (
+	statNone = iota
+	statMin
+	statMedian
+	statMax
+)
+
+// plan builds the roll-up plan of a batch shape.  Metrics keep their
+// first-appearance order; within a metric, cores and sockets are emitted
+// by id, then the node, then the distribution summary when the metric
+// has more than one member.
+func (a *Aggregator) plan(samples []Sample) *rollupPlan {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	type metricRows struct {
+		name           string
+		cores, sockets map[int]int32 // member domain id -> members, then output row
+		node, n, next  int32         // node output row, members, next vals slot
 	}
-	sort.Ints(out)
-	return out
+	p := &rollupPlan{gen: a.gen.Load(), in: make([]rollupIn, len(samples))}
+	var metrics []*metricRows
+	byName := map[string]int32{}
+	// Metrics and their member domains, in first-appearance order; a
+	// member row is marked with node 0 and its core and socket ids.
+	for i, s := range samples {
+		m, ok := byName[s.Metric]
+		if !ok {
+			m = int32(len(metrics))
+			byName[s.Metric] = m
+			metrics = append(metrics, &metricRows{name: s.Metric, cores: map[int]int32{}, sockets: map[int]int32{}})
+		}
+		mr, r := metrics[m], rollupIn{metric: m, core: -1, socket: -1, node: -1}
+		core, mapped := a.coreOf[s.ID] // an unmapped processor has nothing to attribute
+		switch {
+		case s.Scope == ScopeThread && mapped:
+			r.core, r.socket = int32(core), int32(a.socketOf[s.ID])
+			mr.cores[core]++
+			mr.sockets[a.socketOf[s.ID]]++
+			fallthrough
+		case s.Scope == ScopeSocket:
+			r.node = 0
+			mr.n++
+		}
+		p.in[i] = r
+	}
+	nvals := int32(0)
+	for m, mr := range metrics {
+		if mr.n == 0 {
+			continue
+		}
+		mean := a.mean[mr.name]
+		emit := func(metric string, scope Scope, id int, stat int8, n int32) int32 {
+			p.out = append(p.out, rollupOut{key: Key{Metric: metric, Scope: scope, ID: id}, metric: int32(m),
+				stat: stat, mean: mean && stat == statNone, n: float64(n), lo: nvals, hi: nvals + mr.n})
+			return int32(len(p.out) - 1)
+		}
+		for _, id := range slices.Sorted(maps.Keys(mr.cores)) {
+			mr.cores[id] = emit(mr.name, ScopeCore, id, statNone, mr.cores[id])
+		}
+		for _, id := range slices.Sorted(maps.Keys(mr.sockets)) {
+			mr.sockets[id] = emit(mr.name, ScopeSocket, id, statNone, mr.sockets[id])
+		}
+		mr.node = emit(mr.name, ScopeNode, 0, statNone, mr.n)
+		if mr.n > 1 {
+			emit(mr.name+"/min", ScopeNode, 0, statMin, mr.n)
+			emit(mr.name+"/median", ScopeNode, 0, statMedian, mr.n)
+			emit(mr.name+"/max", ScopeNode, 0, statMax, mr.n)
+		}
+		mr.next = nvals
+		nvals += mr.n
+	}
+	for i := range p.in {
+		if r, mr := &p.in[i], metrics[p.in[i].metric]; r.node == 0 {
+			if r.core >= 0 {
+				r.core, r.socket = mr.cores[int(r.core)], mr.sockets[int(r.socket)]
+			}
+			r.node, r.val = mr.node, mr.next
+			mr.next++
+		}
+	}
+	p.acc, p.times, p.vals = make([]float64, len(p.out)), make([]float64, len(metrics)), make([]float64, nvals)
+	return p
+}
+
+// run appends the roll-ups of samples, which must have the shape p was
+// planned for, to dst.  Every accumulator adds its members in input
+// order, so the result is Rollup's bit for bit.
+func (p *rollupPlan) run(dst, samples []Sample) []Sample {
+	clear(p.acc)
+	clear(p.times)
+	for i, r := range p.in {
+		s := &samples[i]
+		if s.Time > p.times[r.metric] {
+			p.times[r.metric] = s.Time
+		}
+		if r.node < 0 {
+			continue
+		}
+		p.acc[r.node] += s.Value
+		p.vals[r.val] = s.Value
+		if r.core >= 0 {
+			p.acc[r.core] += s.Value
+			p.acc[r.socket] += s.Value
+		}
+	}
+	dst = slices.Grow(dst, len(p.out))
+	var sum stats.Summary
+	for j, o := range p.out {
+		v := p.acc[j]
+		switch o.stat {
+		case statNone:
+			if o.mean {
+				v /= o.n
+			}
+		case statMin:
+			sum = stats.SummarizeInPlace(p.vals[o.lo:o.hi])
+			v = sum.Min
+		case statMedian:
+			v = sum.Median
+		case statMax:
+			v = sum.Max
+		}
+		dst = append(dst, Sample{Metric: o.key.Metric, Scope: o.key.Scope, ID: o.key.ID, Time: p.times[o.metric], Value: v})
+	}
+	return dst
 }

@@ -1,14 +1,23 @@
 package monitor
 
 import (
+	"context"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
+	"time"
 
 	"likwid/internal/hwdef"
 	"likwid/internal/machine"
+	"likwid/internal/perfctr"
+	"likwid/internal/stats"
 	"likwid/internal/topology"
 )
 
-func testMachine(t *testing.T, arch string) *machine.Machine {
+func testMachine(t testing.TB, arch string) *machine.Machine {
 	t.Helper()
 	a, err := hwdef.Lookup(arch)
 	if err != nil {
@@ -156,3 +165,241 @@ func TestRollupIgnoresUnmappedAndNodeScope(t *testing.T) {
 		t.Errorf("Rollup emitted %+v for unmapped/node inputs, want nothing", out)
 	}
 }
+
+// referenceRollup is the map-based roll-up the plans replace, kept as
+// the model they must match bit for bit: a metric map in first-appearance
+// order, one bucket map per domain, ids sorted per scope.
+func referenceRollup(a *Aggregator, samples []Sample) []Sample {
+	type metricAgg struct {
+		cores   map[int]*bucket
+		sockets map[int]*bucket
+		node    bucket
+		values  []float64
+		time    float64
+	}
+	perMetric := map[string]*metricAgg{}
+	order := []string{}
+	get := func(metric string) *metricAgg {
+		ma := perMetric[metric]
+		if ma == nil {
+			ma = &metricAgg{cores: map[int]*bucket{}, sockets: map[int]*bucket{}}
+			perMetric[metric] = ma
+			order = append(order, metric)
+		}
+		return ma
+	}
+	getBucket := func(m map[int]*bucket, id int) *bucket {
+		b := m[id]
+		if b == nil {
+			b = &bucket{}
+			m[id] = b
+		}
+		return b
+	}
+	for _, s := range samples {
+		ma := get(s.Metric)
+		if s.Time > ma.time {
+			ma.time = s.Time
+		}
+		switch s.Scope {
+		case ScopeThread:
+			core, ok := a.coreOf[s.ID]
+			if !ok {
+				continue
+			}
+			getBucket(ma.cores, core).add(s.Value)
+			getBucket(ma.sockets, a.socketOf[s.ID]).add(s.Value)
+			ma.node.add(s.Value)
+			ma.values = append(ma.values, s.Value)
+		case ScopeSocket:
+			ma.node.add(s.Value)
+			ma.values = append(ma.values, s.Value)
+		}
+	}
+	var out []Sample
+	emit := func(metric string, scope Scope, id int, t, v float64) {
+		out = append(out, Sample{Metric: metric, Scope: scope, ID: id, Time: t, Value: v})
+	}
+	for _, metric := range order {
+		ma := perMetric[metric]
+		if ma.node.n == 0 {
+			continue
+		}
+		a.mu.RLock()
+		mean := a.mean[metric]
+		a.mu.RUnlock()
+		for _, id := range slices.Sorted(maps.Keys(ma.cores)) {
+			emit(metric, ScopeCore, id, ma.time, ma.cores[id].value(mean))
+		}
+		for _, id := range slices.Sorted(maps.Keys(ma.sockets)) {
+			emit(metric, ScopeSocket, id, ma.time, ma.sockets[id].value(mean))
+		}
+		emit(metric, ScopeNode, 0, ma.time, ma.node.value(mean))
+		if len(ma.values) > 1 {
+			sum := stats.Summarize(ma.values)
+			emit(metric+"/min", ScopeNode, 0, ma.time, sum.Min)
+			emit(metric+"/median", ScopeNode, 0, ma.time, sum.Median)
+			emit(metric+"/max", ScopeNode, 0, ma.time, sum.Max)
+		}
+	}
+	return out
+}
+
+// bucket accumulates one domain's member values.
+type bucket struct {
+	sum float64
+	n   int
+}
+
+func (b *bucket) add(v float64) { b.sum += v; b.n++ }
+
+func (b bucket) value(mean bool) float64 {
+	if mean && b.n > 0 {
+		return b.sum / float64(b.n)
+	}
+	return b.sum
+}
+
+// sameSamples fails unless got and want hold the same samples in the
+// same order, times and values compared bit for bit.
+func sameSamples(t *testing.T, what string, got, want []Sample) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d:\n got %+v\nwant %+v", what, len(got), len(want), got, want)
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Key() != w.Key() || math.Float64bits(g.Time) != math.Float64bits(w.Time) ||
+			math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+			t.Fatalf("%s: sample %d = %+v, want %+v", what, i, g, w)
+		}
+	}
+}
+
+// TestRollupPlanMatchesReference holds the roll-up plans to the map
+// model: real ticks of every shipped machine and group, then random
+// batches with unmapped processors, node and core rows, SMT siblings,
+// mean metrics, missing rows, repeated keys and non-finite values.  A
+// plan is also rerun on the next tick of its shape, as the scheduler
+// reuses it.
+func TestRollupPlanMatchesReference(t *testing.T) {
+	for _, arch := range hwdef.Names() {
+		m := testMachine(t, arch)
+		info, err := topology.Probe(m.CPUs, m.Arch.ClockMHz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, group := range perfctr.GroupNames(m.Arch) {
+			m := testMachine(t, arch)
+			c, err := DefaultRegistry.Build("perfgroup", Config{
+				Machine: m, Group: group, Interval: 10 * time.Millisecond, RawEvents: true,
+				Advance: streamAdvance(t, m, 0, m.OS.NumCPUs()-1),
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", arch, group, err)
+			}
+			a := NewAggregator(info, nil)
+			a.SetMean(c.(AggregationHinter).MeanMetrics()...)
+			var p *rollupPlan
+			var keys []Key
+			for tick := 0; tick < 3; tick++ {
+				samples, err := c.Collect(context.Background())
+				if err != nil {
+					t.Fatalf("%s/%s: %v", arch, group, err)
+				}
+				what := fmt.Sprintf("%s/%s tick %d", arch, group, tick)
+				want := referenceRollup(a, samples)
+				sameSamples(t, what, a.Rollup(samples), want)
+				if !slices.Equal(keys, sampleKeys(samples)) {
+					p, keys = a.plan(samples), sampleKeys(samples)
+				}
+				sameSamples(t, what+" (cached plan)", p.run(nil, samples), want)
+			}
+			_ = c.(*PerfGroupCollector).Stop()
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(37, 1))
+	a := testAggregator(t, []int{0, 1, 2, 6, 12, 13, 18}) // SMT pairs 0/12, 1/13, 6/18
+	a.SetMean("cpi", "c")
+	lbm := mustLabels(t, "job=lbm")
+	metrics := []string{"bw", "cpi", "c", "bw/min", "x"}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, -1, 1e300}
+	value := func() float64 {
+		if rng.IntN(8) == 0 {
+			return specials[rng.IntN(len(specials))]
+		}
+		return rng.NormFloat64() * 1e3
+	}
+	for n := 0; n < 2000; n++ {
+		var batch []Sample
+		for i, rows := 0, rng.IntN(40); i < rows; i++ {
+			if i > 0 && rng.IntN(10) == 0 {
+				batch = append(batch, batch[rng.IntN(len(batch))]) // a repeated key
+				continue
+			}
+			sm := Sample{Metric: metrics[rng.IntN(len(metrics))], Scope: Scope(rng.IntN(4)), ID: rng.IntN(26) - 1,
+				Time: float64(rng.IntN(5)) - 1, Value: value()}
+			if rng.IntN(6) == 0 {
+				sm.Source, sm.Labels = "nodeB", lbm
+			}
+			batch = append(batch, sm)
+		}
+		what := fmt.Sprintf("random batch %d", n)
+		p := a.plan(batch)
+		sameSamples(t, what, p.run(nil, batch), referenceRollup(a, batch))
+		for i := range batch { // the next tick: same keys, new readings
+			batch[i].Time, batch[i].Value = batch[i].Time+1, value()
+		}
+		sameSamples(t, what+" rerun", p.run(nil, batch), referenceRollup(a, batch))
+	}
+}
+
+func sampleKeys(samples []Sample) []Key {
+	keys := make([]Key, len(samples))
+	for i, sm := range samples {
+		keys[i] = sm.Key()
+	}
+	return keys
+}
+
+// BenchmarkRollup times one westmereEP MEM_DP tick: the scheduler's
+// cached plan (its one allocation is the grown output slice), a
+// one-shot Rollup that plans the shape first, and the map model.
+func BenchmarkRollup(b *testing.B) {
+	m := testMachine(b, "westmereEP")
+	info, err := topology.Probe(m.CPUs, m.Arch.ClockMHz)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := DefaultRegistry.Build("perfgroup", Config{Machine: m, Group: "MEM_DP", Interval: 10 * time.Millisecond,
+		Advance: streamAdvance(b, m)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tick, err := c.Collect(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := NewAggregator(info, nil)
+	a.SetMean(c.(AggregationHinter).MeanMetrics()...)
+	p := a.plan(tick)
+	for _, bc := range []struct {
+		name string
+		run  func() []Sample
+	}{
+		{"plan", func() []Sample { return p.run(slices.Clip(tick), tick) }},
+		{"oneshot", func() []Sample { return a.Rollup(tick) }},
+		{"reference", func() []Sample { return referenceRollup(a, tick) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rollupSink = bc.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tick")
+		})
+	}
+}
+
+var rollupSink []Sample

@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,6 +40,10 @@ type compiledMetric struct {
 	mean   bool // intensive (no /time): combine by mean across domains
 }
 
+// socketLeader is the cpu column whose counters stand for its socket's
+// uncore: the socket's lowest-numbered monitored cpu.
+type socketLeader struct{ socket, col int }
+
 // PerfGroupCollector samples a preconfigured perfctr event group
 // continuously: each tick advances simulated time, snapshots the live
 // counters without stopping them, and converts the interval deltas into
@@ -51,15 +56,13 @@ type PerfGroupCollector struct {
 	m        *machine.Machine
 	mu       *sync.Mutex
 	col      *perfctr.Collector
-	group    perfctr.GroupDef
 	metrics  []compiledMetric
 	interval time.Duration
 	advance  func(dt float64)
 	raw      bool
 
-	cpus     []int
-	socketOf []int       // socket of each cpu column
-	leader   map[int]int // socket -> leader column index
+	cpus    []int
+	leaders []socketLeader // one per socket, ordered by socket id
 
 	prev     perfctr.Results
 	prevTime float64
@@ -93,12 +96,10 @@ func newPerfGroupCollector(cfg Config) (Collector, error) {
 		m:        cfg.Machine,
 		mu:       cfg.MachineMu,
 		col:      col,
-		group:    group,
 		interval: cfg.Interval,
 		advance:  cfg.Advance,
 		raw:      cfg.RawEvents,
 		cpus:     cpus,
-		leader:   map[int]int{},
 	}
 	if c.interval <= 0 {
 		c.interval = time.Second
@@ -128,14 +129,16 @@ func newPerfGroupCollector(cfg Config) (Collector, error) {
 		}
 		c.metrics = append(c.metrics, cm)
 	}
-	c.socketOf = make([]int, len(cpus))
 	for i, cpu := range cpus {
 		s := cfg.Machine.SocketOf(cpu)
-		c.socketOf[i] = s
-		if li, ok := c.leader[s]; !ok || cpus[li] > cpu {
-			c.leader[s] = i
+		if j := slices.IndexFunc(c.leaders, func(l socketLeader) bool { return l.socket == s }); j < 0 {
+			c.leaders = append(c.leaders, socketLeader{socket: s, col: i})
+		} else if cpus[c.leaders[j].col] > cpu {
+			c.leaders[j].col = i
 		}
 	}
+	// A fixed row order: sinks and the scheduler's plans key on position.
+	slices.SortFunc(c.leaders, func(a, b socketLeader) int { return a.socket - b.socket })
 	if err := col.Start(); err != nil {
 		return nil, err
 	}
@@ -163,9 +166,6 @@ func (c *PerfGroupCollector) MeanMetrics() []string {
 	}
 	return out
 }
-
-// Group returns the resolved group definition.
-func (c *PerfGroupCollector) Group() perfctr.GroupDef { return c.group }
 
 // Collect advances simulated time by one interval, snapshots the counters,
 // and emits the interval's derived metrics.
@@ -209,12 +209,12 @@ func (c *PerfGroupCollector) Collect(ctx context.Context) ([]Sample, error) {
 	var out []Sample
 	for _, mtr := range c.metrics {
 		if mtr.socket {
-			for socket, li := range c.leader {
-				v, err := mtr.expr.Eval(envs[li])
+			for _, l := range c.leaders {
+				v, err := mtr.expr.Eval(envs[l.col])
 				if err != nil {
 					continue
 				}
-				out = append(out, Sample{Metric: mtr.name, Scope: ScopeSocket, ID: socket, Time: now, Value: v})
+				out = append(out, Sample{Metric: mtr.name, Scope: ScopeSocket, ID: l.socket, Time: now, Value: v})
 			}
 			continue
 		}

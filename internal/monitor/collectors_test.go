@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,9 +11,10 @@ import (
 	"likwid/internal/machine"
 )
 
-// streamAdvance drives two streaming tasks (one per socket) for dt
-// simulated seconds per tick, so the counters have traffic to show.
-func streamAdvance(t *testing.T, m *machine.Machine) func(float64) {
+// streamAdvance drives one streaming task on each of cpus (0 and 6, one
+// per Westmere EP socket, by default) for dt simulated seconds per tick,
+// so the counters have traffic to show.
+func streamAdvance(t testing.TB, m *machine.Machine, cpus ...int) func(float64) {
 	t.Helper()
 	perElem := machine.PerElem{
 		Cycles:       1.0,
@@ -20,8 +22,11 @@ func streamAdvance(t *testing.T, m *machine.Machine) func(float64) {
 		MemReadBytes: 16, MemWriteBytes: 8,
 		Streams: 3, Vector: true,
 	}
+	if len(cpus) == 0 {
+		cpus = []int{0, 6}
+	}
 	var works []*machine.ThreadWork
-	for _, cpu := range []int{0, 6} {
+	for _, cpu := range cpus {
 		task := m.OS.Spawn(fmt.Sprintf("load-%d", cpu), nil)
 		if err := m.OS.Pin(task, cpu); err != nil {
 			t.Fatal(err)
@@ -201,6 +206,33 @@ func TestSanitizeMetric(t *testing.T) {
 	for in, want := range cases {
 		if got := SanitizeMetric(in); got != want {
 			t.Errorf("SanitizeMetric(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestPerfGroupRowOrderIsStable pins the row order a collector's
+// consumers key on: every tick of one group emits the same identities
+// in the same order, socket rows included.
+func TestPerfGroupRowOrderIsStable(t *testing.T) {
+	m := testMachine(t, "westmereEP")
+	c, err := DefaultRegistry.Build("perfgroup", Config{Machine: m, Group: "MEM_DP", Interval: 10 * time.Millisecond,
+		Advance: streamAdvance(t, m)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []Key
+	for tick := 0; tick < 20; tick++ {
+		samples, err := c.Collect(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := sampleKeys(samples)
+		if tick == 0 {
+			first = keys
+			continue
+		}
+		if !slices.Equal(keys, first) {
+			t.Fatalf("tick %d emits\n%v\nafter\n%v", tick, keys, first)
 		}
 	}
 }

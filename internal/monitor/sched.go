@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,8 +207,8 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 	// Telemetry instruments, resolved once per collector goroutine so
 	// the tick path below is pure atomic updates.
 	var (
-		tRuns, tErrors, tBackoffs, tStretches, tSamples *telemetry.Counter
-		tRunSec, tLag                                   *telemetry.Histogram
+		tRuns, tErrors, tBackoffs, tStretches, tSamples, tRebuilds *telemetry.Counter
+		tRunSec, tLag                                              *telemetry.Histogram
 	)
 	if reg := s.opts.Telemetry; reg != nil {
 		name := e.c.Name()
@@ -216,6 +217,7 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 		tBackoffs = reg.Counter("likwid_collector_backoffs_total", "collector", name)
 		tStretches = reg.Counter("likwid_collector_stretches_total", "collector", name)
 		tSamples = reg.Counter("likwid_collector_samples_total", "collector", name)
+		tRebuilds = reg.Counter("likwid_collector_plan_rebuilds_total", "collector", name)
 		tRunSec = reg.Histogram("likwid_collector_run_seconds", telemetry.DurationBuckets, "collector", name)
 		tLag = reg.Histogram("likwid_sched_tick_lag_seconds", telemetry.DurationBuckets)
 	}
@@ -227,10 +229,41 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 	// the feature.  Such collectors just keep their declared cadence.
 	adaptive := s.opts.AdaptiveMax > interval
 	var prev map[Key]float64
-	// Per-goroutine (so lock-free) memo of the -labels stamp merge: a
-	// collector emits the same few label sets every tick, and the merge
-	// must not re-intern (global mutex + allocs) per sample per tick.
+	// The tick plan (see tickPlan) and, behind it, a per-goroutine (so
+	// lock-free) memo of the -labels stamp merge: a plan rebuild must not
+	// re-intern (global mutex + allocs) a label set it has merged before.
+	var plan tickPlan
+	var stamp func(Labels) Labels
 	var stampCache map[Labels]Labels
+	if !s.opts.Labels.Empty() {
+		stamp = func(ls Labels) Labels {
+			if merged, ok := stampCache[ls]; ok {
+				return merged
+			}
+			merged := ls
+			if !ls.Empty() && len(mergePairs(s.opts.Labels, ls)) > maxLabels {
+				// The union would break the wire cap every downstream
+				// receiver enforces: the agent stamp yields (before the
+				// over-cap union can reach the intern table), keeping the
+				// collector's own valid set — loudly, once per distinct set.
+				if s.opts.OnError != nil {
+					s.opts.OnError(e.c.Name(), fmt.Errorf(
+						"monitor: sample labels %q merged with the agent labels exceed the limit of %d; keeping the collector's set", ls, maxLabels))
+				}
+				if s.opts.Logger != nil {
+					s.opts.Logger.Warn("label merge exceeds the wire cap, keeping the collector's set",
+						"collector", e.c.Name(), "labels", ls.String(), "max", maxLabels)
+				}
+			} else {
+				merged = MergeLabels(s.opts.Labels, ls)
+			}
+			if stampCache == nil || len(stampCache) >= maxMergeCacheEntries {
+				stampCache = map[Labels]Labels{}
+			}
+			stampCache[ls] = merged
+			return merged
+		}
+	}
 	for {
 		armed := s.opts.Clock.Now()
 		select {
@@ -310,39 +343,17 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 		if len(samples) == 0 {
 			continue
 		}
-		if s.opts.Aggregator != nil {
-			samples = append(samples, s.opts.Aggregator.Rollup(samples)...)
-		}
-		if !s.opts.Labels.Empty() {
-			for i := range samples {
-				ls := samples[i].Labels
-				merged, ok := stampCache[ls]
-				if !ok {
-					if !ls.Empty() && len(mergePairs(s.opts.Labels, ls)) > maxLabels {
-						// The union would break the wire cap every
-						// downstream receiver enforces: the agent stamp
-						// yields (before the over-cap union can reach the
-						// intern table), keeping the collector's own valid
-						// set — loudly, once per distinct set.
-						merged = ls
-						if s.opts.OnError != nil {
-							s.opts.OnError(e.c.Name(), fmt.Errorf(
-								"monitor: sample labels %q merged with the agent labels exceed the limit of %d; keeping the collector's set", ls, maxLabels))
-						}
-						if s.opts.Logger != nil {
-							s.opts.Logger.Warn("label merge exceeds the wire cap, keeping the collector's set",
-								"collector", e.c.Name(), "labels", ls.String(), "max", maxLabels)
-						}
-					} else {
-						merged = MergeLabels(s.opts.Labels, ls)
-					}
-					if stampCache == nil || len(stampCache) >= maxMergeCacheEntries {
-						stampCache = map[Labels]Labels{}
-					}
-					stampCache[ls] = merged
-				}
-				samples[i].Labels = merged
+		if !plan.fits(samples, s.opts.Aggregator) {
+			plan.build(samples, s.opts.Aggregator, stamp)
+			if tRebuilds != nil {
+				tRebuilds.Inc()
 			}
+		}
+		if plan.rollup != nil {
+			samples = plan.rollup.run(samples, samples)
+		}
+		for i, ls := range plan.stamp { // empty without -labels
+			samples[i].Labels = ls
 		}
 		batch := Batch{Collector: e.c.Name(), Time: maxTime(samples), Samples: samples}
 		e.batches.Add(1)
@@ -351,12 +362,54 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 			tSamples.Add(uint64(len(samples)))
 		}
 		storeFloat(&e.last, batch.Time)
-		if s.opts.Store != nil {
-			s.opts.Store.AppendBatch(batch)
+		if st := s.opts.Store; st != nil {
+			if len(plan.rows) != len(samples) {
+				plan.rows = st.resolve(samples, plan.rows)
+			}
+			st.appendRows(samples, plan.rows)
 		}
 		if s.opts.Dispatcher != nil {
 			s.opts.Dispatcher.Publish(batch)
 		}
+	}
+}
+
+// tickPlan is what one collector's tick resolves once per batch shape:
+// the roll-up recipe, the -labels stamp and the store series of every
+// output row.  A collector's rows are the same series in the same order
+// tick after tick, so the plan is reused while they are — one Key
+// comparison per row — and while the aggregator's mean flags are
+// unchanged; any difference rebuilds it.
+type tickPlan struct {
+	keys   []Key       // the collector's rows the plan was built for
+	rollup *rollupPlan // nil without an aggregator
+	stamp  []Labels    // each output row's labels; empty without -labels
+	rows   []*series   // each output row's series, resolved on first use
+}
+
+// fits reports whether samples have the shape p was built for.
+func (p *tickPlan) fits(samples []Sample, agg *Aggregator) bool {
+	return slices.EqualFunc(samples, p.keys, func(s Sample, k Key) bool { return s.Key() == k }) &&
+		(agg == nil || p.rollup.gen == agg.gen.Load())
+}
+
+// build plans the shape of samples; stamp, when set, merges the agent
+// labels under a row's own.
+func (p *tickPlan) build(samples []Sample, agg *Aggregator, stamp func(Labels) Labels) {
+	p.keys, p.rollup, p.stamp, p.rows = p.keys[:0], nil, p.stamp[:0], p.rows[:0]
+	for _, sm := range samples {
+		p.keys = append(p.keys, sm.Key())
+	}
+	rows := len(samples)
+	if agg != nil {
+		p.rollup = agg.plan(samples)
+		rows += len(p.rollup.out)
+	}
+	for i := 0; stamp != nil && i < len(p.keys); i++ {
+		p.stamp = append(p.stamp, stamp(p.keys[i].Labels))
+	}
+	for stamp != nil && len(p.stamp) < rows { // roll-ups carry no labels of their own
+		p.stamp = append(p.stamp, stamp(Labels{}))
 	}
 }
 

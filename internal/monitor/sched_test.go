@@ -1,11 +1,15 @@
 package monitor
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"likwid/internal/telemetry"
 )
 
 // fakeCollector ticks a counter and optionally fails.
@@ -294,5 +298,112 @@ func TestFakeClockAdvanceFiresDueTimersOnly(t *testing.T) {
 	case <-long:
 	default:
 		t.Fatal("3 s timer did not fire after 3 s total")
+	}
+}
+
+// TestSchedulerPlanFollowsShapeChanges runs a collector whose shape
+// changes mid-stream through the scheduler's cached tick plan and holds
+// the store and the text sinks to an uncached model of every tick:
+// reference roll-up, label merge, AppendBatch and the row encoders.  The
+// plan must rebuild on exactly the ticks whose shape or mean flags
+// changed: the first, the one after SetMean, a dropped row, a renamed
+// metric and two swapped socket ids.
+func TestSchedulerPlanFollowsShapeChanges(t *testing.T) {
+	agentLabels, own := mustLabels(t, "job=lbm"), mustLabels(t, "cluster=emmy")
+	shape := func(tick int) []Sample {
+		var rows []Sample
+		for _, metric := range []string{"bw", "cpi"} {
+			for _, cpu := range []int{0, 1, 6, 12} {
+				rows = append(rows, Sample{Metric: metric, Scope: ScopeThread, ID: cpu})
+			}
+		}
+		rows = append(rows, Sample{Metric: "mem", Scope: ScopeSocket, ID: 0, Labels: own},
+			Sample{Metric: "mem", Scope: ScopeSocket, ID: 1, Labels: own})
+		if tick >= 3 {
+			rows = slices.Delete(rows, 2, 3) // bw on cpu 6 stops reporting
+		}
+		if tick >= 5 {
+			for i := range rows {
+				if rows[i].Metric == "cpi" {
+					rows[i].Metric = "ipc"
+				}
+			}
+		}
+		if tick >= 7 {
+			n := len(rows)
+			rows[n-2].ID, rows[n-1].ID = 1, 0
+		}
+		for i := range rows {
+			rows[i].Time, rows[i].Value = float64(tick), float64(tick*100+i)/3
+		}
+		return rows
+	}
+	rebuildTicks := []int{1, 2, 3, 5, 7}
+	const ticks = 8
+
+	clock, reg := NewFakeClock(), telemetry.New()
+	store, agg := NewStore(64), testAggregator(t, nil)
+	var csvOut, jsonOut bytes.Buffer
+	disp := NewDispatcher(ticks, NewCSVSink(&csvOut, nil), NewJSONLSink(&jsonOut, nil))
+	sched := NewScheduler(SchedulerOptions{Clock: clock, Store: store, Aggregator: agg, Dispatcher: disp,
+		Labels: agentLabels, Telemetry: reg})
+	sched.Add(&stubCollector{name: "stub", interval: time.Second, samples: shape})
+	rebuilds := reg.Counter("likwid_collector_plan_rebuilds_total", "collector", "stub")
+
+	refStore, refAgg := NewStore(64), testAggregator(t, nil)
+	var wantCSV, wantJSON []byte
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { sched.Run(ctx); close(done) }()
+	for tick := 1; tick <= ticks; tick++ {
+		if tick == 2 {
+			agg.SetMean("bw")
+			refAgg.SetMean("bw")
+		}
+		waitForWaiters(t, clock, 1)
+		clock.Advance(time.Second)
+		waitForWaiters(t, clock, 1) // re-armed: the tick has been stored and published
+		want := uint64(0)
+		for _, r := range rebuildTicks {
+			if r <= tick {
+				want++
+			}
+		}
+		if got := rebuilds.Value(); got != want {
+			t.Errorf("after tick %d: %d plan rebuilds, want %d", tick, got, want)
+		}
+
+		raw := shape(tick)
+		samples := append(raw, referenceRollup(refAgg, raw)...)
+		for i := range samples {
+			samples[i].Labels = MergeLabels(agentLabels, samples[i].Labels)
+		}
+		refStore.AppendBatch(Batch{Collector: "stub", Samples: samples})
+		for _, sm := range samples {
+			wantCSV = appendCSVRow(wantCSV, sm, "stub", false, true)
+			wantJSON, _ = appendJSONLine(wantJSON, sm, "stub", 0)
+		}
+	}
+	cancel()
+	<-done
+	if err := disp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	keys := store.Keys()
+	if !slices.Equal(keys, refStore.Keys()) {
+		t.Fatalf("store keys\n%v\nwant\n%v", keys, refStore.Keys())
+	}
+	for _, k := range keys {
+		if got, want := store.Window(k, 0, -1), refStore.Window(k, 0, -1); !slices.Equal(got, want) {
+			t.Errorf("%v window %v, want %v", k, got, want)
+		}
+	}
+	_, gotCSV, _ := bytes.Cut(csvOut.Bytes(), []byte("\n"))
+	if !bytes.Equal(gotCSV, wantCSV) {
+		t.Errorf("CSV rows\n%s\nwant\n%s", gotCSV, wantCSV)
+	}
+	if !bytes.Equal(jsonOut.Bytes(), wantJSON) {
+		t.Errorf("JSON lines\n%s\nwant\n%s", jsonOut.Bytes(), wantJSON)
 	}
 }

@@ -199,11 +199,17 @@ func appendTime(dst []byte, t float64) []byte { return strconv.AppendFloat(dst, 
 // cannot spell and receivers reject.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// appendCSVRow appends one CSV row: time,collector[,source][,labels],
-// metric,scope,id,value.  The canonical label set holds commas between
-// pairs, so its cell is quoted to stay one column.
-func appendCSVRow(dst []byte, sm Sample, collector string, sourced, labelled bool) []byte {
-	dst = append(append(appendTime(dst, sm.Time), ','), collector...)
+// The text rows split into three parts: the time, the identity (every
+// byte between time and value, fixed per series and collector) and the
+// value.  The CSV and JSON-lines sinks cache each collector's identities
+// (see rowCache); the push wire composes all three per row.
+
+// appendCSVIdentity appends a CSV row's identity:
+// ,collector[,source][,labels],metric,scope,id, — the canonical label
+// set holds commas between pairs, so its cell is quoted to stay one
+// column.
+func appendCSVIdentity(dst []byte, sm Sample, collector string, sourced, labelled bool) []byte {
+	dst = append(append(dst, ','), collector...)
 	if sourced {
 		dst = append(append(dst, ','), sm.Source...)
 	}
@@ -215,9 +221,10 @@ func appendCSVRow(dst []byte, sm Sample, collector string, sourced, labelled boo
 	}
 	dst = append(append(append(dst, ','), sm.Metric...), ',')
 	dst = append(append(dst, sm.Scope.String()...), ',')
-	dst = append(strconv.AppendInt(dst, int64(sm.ID), 10), ',')
-	return append(appendValue(dst, sm.Value), '\n')
+	return append(strconv.AppendInt(dst, int64(sm.ID), 10), ',')
 }
+
+func appendCSVValue(dst []byte, v float64) []byte { return append(appendValue(dst, v), '\n') }
 
 // appendJSONLine appends one line-protocol record, byte-identical to
 // json.Encoder.Encode(jsonSample{...}) — HTML escaping, sorted label
@@ -229,10 +236,20 @@ func appendJSONLine(dst []byte, sm Sample, collector string, sentAt float64) ([]
 			return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 		}
 	}
-	dst = appendJSONFloat(append(dst, `{"time":`...), sm.Time)
+	dst = appendJSONTime(dst, sm.Time)
 	if sentAt != 0 {
 		dst = appendJSONFloat(append(dst, `,"sent_at":`...), sentAt)
 	}
+	return appendJSONValue(appendJSONIdentity(dst, sm, collector), sm.Value), nil
+}
+
+func appendJSONTime(dst []byte, t float64) []byte {
+	return appendJSONFloat(append(dst, `{"time":`...), t)
+}
+
+// appendJSONIdentity appends a JSON line's identity, from the collector
+// field to the value's key.
+func appendJSONIdentity(dst []byte, sm Sample, collector string) []byte {
 	dst = appendJSONString(append(dst, `,"collector":`...), collector)
 	if sm.Source != "" {
 		dst = appendJSONString(append(dst, `,"source":`...), sm.Source)
@@ -250,9 +267,10 @@ func appendJSONLine(dst []byte, sm Sample, collector string, sentAt float64) ([]
 	dst = appendJSONString(append(dst, `,"metric":`...), sm.Metric)
 	dst = appendJSONString(append(dst, `,"scope":`...), sm.Scope.String())
 	dst = strconv.AppendInt(append(dst, `,"id":`...), int64(sm.ID), 10)
-	dst = appendJSONFloat(append(dst, `,"value":`...), sm.Value)
-	return append(dst, "}\n"...), nil
+	return append(dst, `,"value":`...)
 }
+
+func appendJSONValue(dst []byte, v float64) []byte { return append(appendJSONFloat(dst, v), "}\n"...) }
 
 // appendJSONFloat appends a finite float64 as encoding/json writes it:
 // the shortest 'f' form, 'e' outside [1e-6, 1e21), with a one-digit
@@ -357,6 +375,11 @@ type textFile struct {
 	w   *bufio.Writer
 	c   io.Closer // may be nil
 	buf []byte    // one batch's text, reused across Writes
+
+	rows map[string]*rowCache // per collector
+	// The newest encoded time: a batch's rows share one reading.
+	timeBits uint64
+	timeText []byte
 }
 
 // flush writes the encoded batch and flushes it through to the file.
@@ -375,6 +398,52 @@ func (f *textFile) Close() error {
 		return f.c.Close()
 	}
 	return nil
+}
+
+// rowsOf returns the identity cache of one collector's batches.
+func (f *textFile) rowsOf(collector string) *rowCache {
+	if f.rows[collector] == nil {
+		if f.rows == nil || len(f.rows) >= maxRowCaches {
+			f.rows = map[string]*rowCache{}
+		}
+		f.rows[collector] = &rowCache{ends: []int{0}}
+	}
+	return f.rows[collector]
+}
+
+// appendTime appends t's encoding, reusing the previous row's when the
+// time is the same.
+func (f *textFile) appendTime(dst []byte, t float64, encode func([]byte, float64) []byte) []byte {
+	if bits := math.Float64bits(t); bits != f.timeBits || f.timeText == nil {
+		f.timeBits, f.timeText = bits, encode(f.timeText[:0], t)
+	}
+	return append(dst, f.timeText...)
+}
+
+// maxRowCaches bounds a text sink's per-collector caches: an agent runs
+// a handful of collectors, so reaching it means arbitrary batch names.
+const maxRowCaches = 64
+
+// rowCache keeps, for each row position of one collector's batches, the
+// row's key and its encoded identity.  A collector emits the same series
+// in the same order every tick, so a row costs one Key comparison and a
+// copy; a position whose key differs is encoded again, with every
+// position after it.
+type rowCache struct {
+	keys []Key
+	ends []int // identity i is ids[ends[i]:ends[i+1]]
+	ids  []byte
+}
+
+// identity returns the identity of row i, sm, encoding it when the
+// cached row i is not sm's series.
+func (c *rowCache) identity(i int, sm Sample, encode func([]byte, Sample) []byte) []byte {
+	if k := sm.Key(); i >= len(c.keys) || c.keys[i] != k {
+		c.keys, c.ends = append(c.keys[:i], k), c.ends[:i+1]
+		c.ids = encode(c.ids[:c.ends[i]], sm)
+		c.ends = append(c.ends, len(c.ids))
+	}
+	return c.ids[c.ends[i]:c.ends[i+1]]
 }
 
 // ---- CSV sink -------------------------------------------------------------
@@ -425,8 +494,13 @@ func (s *csvSink) Write(b Batch) error {
 		}
 	}
 	s.buf = s.buf[:0]
-	for _, sm := range b.Samples {
-		s.buf = appendCSVRow(s.buf, sm, b.Collector, s.sourced, s.labelled)
+	rows := s.rowsOf(b.Collector)
+	encode := func(dst []byte, sm Sample) []byte {
+		return appendCSVIdentity(dst, sm, b.Collector, s.sourced, s.labelled)
+	}
+	for i, sm := range b.Samples {
+		s.buf = s.appendTime(s.buf, sm.Time, appendTime)
+		s.buf = appendCSVValue(append(s.buf, rows.identity(i, sm, encode)...), sm.Value)
 	}
 	return s.flush()
 }
@@ -478,11 +552,16 @@ func (s *jsonlSink) Name() string { return "jsonl" }
 
 func (s *jsonlSink) Write(b Batch) error {
 	s.buf = s.buf[:0]
-	for _, sm := range b.Samples {
-		var err error
-		if s.buf, err = appendJSONLine(s.buf, sm, b.Collector, 0); err != nil {
-			s.nonFinite.Add(1) // the only failure: nothing was appended
+	rows := s.rowsOf(b.Collector)
+	encode := func(dst []byte, sm Sample) []byte { return appendJSONIdentity(dst, sm, b.Collector) }
+	for i, sm := range b.Samples {
+		id := rows.identity(i, sm, encode) // every position, kept or not
+		if !finite(sm.Time) || !finite(sm.Value) {
+			s.nonFinite.Add(1)
+			continue
 		}
+		s.buf = s.appendTime(s.buf, sm.Time, appendJSONTime)
+		s.buf = appendJSONValue(append(s.buf, id...), sm.Value)
 	}
 	return s.flush()
 }

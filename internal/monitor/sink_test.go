@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -406,6 +408,11 @@ func parentCSVRow(sm Sample, collector string, sourced, labelled bool) string {
 	return fmt.Sprintf("%s,%s,%s,%d,%s\n", row, sm.Metric, sm.Scope, sm.ID, strconv.FormatFloat(sm.Value, 'g', 6, 64))
 }
 
+// appendCSVRow is a whole CSV row from the sink's three parts.
+func appendCSVRow(dst []byte, sm Sample, collector string, sourced, labelled bool) []byte {
+	return appendCSVValue(appendCSVIdentity(appendTime(dst, sm.Time), sm, collector, sourced, labelled), sm.Value)
+}
+
 func TestAppendCSVRowMatchesFmt(t *testing.T) {
 	lbm := mustLabels(t, "job=lbm,cluster=emmy")
 	samples := []Sample{
@@ -509,5 +516,116 @@ func TestJSONLSinkSkipsNonFinite(t *testing.T) {
 	}
 	if got := s.(*jsonlSink).skippedNonFinite(); got != 2 {
 		t.Errorf("skipped = %d, want 2", got)
+	}
+}
+
+// TestTextSinksRowCacheMatchesEncoders streams random batches through
+// the CSV and JSON-lines sinks and holds their cached identities and
+// times to the uncached row encoders: collectors interleave, shapes
+// change mid-stream (a row dropped or added, a metric renamed, an id
+// changed, two rows swapped), and rows carry sources, labels, NaN and
+// ±Inf.
+func TestTextSinksRowCacheMatchesEncoders(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 2))
+	lbm := mustLabels(t, "job=lbm,cluster=emmy")
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	reading := func(base float64) float64 {
+		if rng.IntN(10) == 0 {
+			return specials[rng.IntN(len(specials))]
+		}
+		return base + rng.Float64()
+	}
+	shapes := map[string][]Sample{}
+	for _, c := range []string{"perfgroup/MEM_DP", "membw", "topology"} {
+		for i, rows := 0, 5+rng.IntN(20); i < rows; i++ {
+			sm := Sample{Metric: fmt.Sprintf("m%d", rng.IntN(6)), Scope: Scope(rng.IntN(4)), ID: rng.IntN(8)}
+			switch rng.IntN(4) {
+			case 0:
+				sm.Source = "nodeB-9"
+			case 1:
+				sm.Labels = lbm
+			}
+			shapes[c] = append(shapes[c], sm)
+		}
+	}
+	collectors := []string{"perfgroup/MEM_DP", "membw", "topology"}
+	// A sourced, labelled first batch fixes the CSV schema with both
+	// columns.
+	stream := []Batch{{Collector: "self", Time: -1, Samples: []Sample{
+		{Source: "nodeB-9", Labels: lbm, Metric: "schema", Scope: ScopeNode, Time: -1, Value: 1}}}}
+	for n := 0; n < 400; n++ {
+		c := collectors[rng.IntN(len(collectors))]
+		rows := shapes[c]
+		switch i := rng.IntN(max(len(rows), 1)); rng.IntN(12) {
+		case 0:
+			rows = slices.Delete(slices.Clone(rows), i, i+1)
+		case 1:
+			rows = append(slices.Clone(rows), Sample{Metric: "added", Scope: ScopeNode})
+		case 2:
+			rows = slices.Clone(rows)
+			rows[i].Metric += "_renamed"
+		case 3:
+			rows = slices.Clone(rows)
+			rows[i].ID++
+		case 4:
+			rows = slices.Clone(rows)
+			j := rng.IntN(len(rows))
+			rows[i], rows[j] = rows[j], rows[i]
+		case 5:
+			rows = nil
+		}
+		if len(rows) > 0 {
+			shapes[c] = rows
+		}
+		b := Batch{Collector: c, Time: float64(n)}
+		for _, sm := range rows {
+			sm.Time, sm.Value = reading(float64(n)), reading(float64(n)*10)
+			if rng.IntN(3) > 0 {
+				sm.Time = b.Time // most rows share the batch's reading time
+			}
+			b.Samples = append(b.Samples, sm)
+		}
+		stream = append(stream, b)
+	}
+
+	var csvOut, jsonOut bytes.Buffer
+	csv, jsonl := NewCSVSink(&csvOut, nil), NewJSONLSink(&jsonOut, nil)
+	var wantCSV, wantJSON []byte
+	skipped := uint64(0)
+	for _, b := range stream {
+		if err := csv.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := jsonl.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		for _, sm := range b.Samples {
+			wantCSV = appendCSVRow(wantCSV, sm, b.Collector, true, true)
+			var err error
+			if wantJSON, err = appendJSONLine(wantJSON, sm, b.Collector, 0); err != nil {
+				skipped++
+			}
+		}
+	}
+	head, gotCSV, _ := bytes.Cut(csvOut.Bytes(), []byte("\n"))
+	if string(head) != "time,collector,source,labels,metric,scope,id,value" {
+		t.Fatalf("CSV header %q", head)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []byte
+	}{{"csv", gotCSV, wantCSV}, {"jsonl", jsonOut.Bytes(), wantJSON}} {
+		if !bytes.Equal(c.got, c.want) {
+			g, w := strings.Split(string(c.got), "\n"), strings.Split(string(c.want), "\n")
+			for i := range min(len(g), len(w)) {
+				if g[i] != w[i] {
+					t.Fatalf("%s line %d:\n got %q\nwant %q", c.name, i, g[i], w[i])
+				}
+			}
+			t.Fatalf("%s: %d lines, want %d", c.name, len(g), len(w))
+		}
+	}
+	if got := jsonl.(*jsonlSink).skippedNonFinite(); got != skipped || skipped == 0 {
+		t.Errorf("jsonl skipped %d non-finite rows, the encoder %d (want > 0)", got, skipped)
 	}
 }

@@ -211,27 +211,10 @@ func (st *Store) getOrCreate(k Key) *series {
 	return st.create(k)
 }
 
-// create clones the index snapshot with the new series and publishes it
-// — the rare cold path of getOrCreate.
+// create is the rare cold path of getOrCreate: a batch of one.
 func (st *Store) create(k Key) *series {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cur := *st.index.Load()
-	if s := cur[k]; s != nil { // lost the creation race
-		return s
-	}
-	s := st.newSeries(k)
-	next := make(map[Key]*series, len(cur)+1)
-	for kk, vv := range cur {
-		next[kk] = vv
-	}
-	next[s.key] = s
-	st.index.Store(&next)
-	// Index after publishing: the generation bump is the read-side
-	// "something new exists" signal, so caches that read the generation
-	// before resolving can never miss this series at a stale generation.
-	st.inv.add(s.key)
-	return s
+	st.ensureMany([]Key{k})
+	return st.lookup(k)
 }
 
 // newSeries builds one series with the store's tier configuration.
@@ -313,33 +296,49 @@ func (st *Store) Append(k Key, p Point) {
 	st.record(k, p)
 }
 
-// AppendBatch records every sample of a batch.  Unseen series are
-// created in one bulk pass first (one snapshot clone, one index
-// re-sort), consecutive same-key samples — the layout a v4 decode and
-// per-collector batches produce — share one series lookup, and the
-// journal observes the batch in one call.
+// AppendBatch records every sample of a batch: each row's series is
+// resolved with one index lookup (unseen series created together in one
+// snapshot clone and one index re-sort), the points are appended, and
+// the journal observes the batch in one call.
 func (st *Store) AppendBatch(b Batch) {
+	var buf [256]*series // a tick's rows resolve without allocating
+	st.appendRows(b.Samples, st.resolve(b.Samples, buf[:]))
+}
+
+// resolve returns the series of every sample in rows' backing array,
+// creating the unseen ones in one ensureMany pass.  The scheduler keeps
+// the result across ticks: series live as long as the store.
+func (st *Store) resolve(samples []Sample, rows []*series) []*series {
+	rows = rows[:0]
 	idx := *st.index.Load()
 	var fresh []Key
-	for _, s := range b.Samples {
-		if k := s.Key(); idx[k] == nil {
-			fresh = append(fresh, k)
+	for _, s := range samples {
+		sr := idx[s.Key()]
+		if sr == nil {
+			fresh = append(fresh, s.Key())
 		}
+		rows = append(rows, sr)
 	}
 	if len(fresh) > 0 {
 		st.ensureMany(fresh)
-	}
-	var sr *series
-	var last Key
-	for i, s := range b.Samples {
-		k := s.Key()
-		if i == 0 || k != last {
-			sr, last = st.getOrCreate(k), k
+		idx = *st.index.Load()
+		for i, sr := range rows {
+			if sr == nil {
+				rows[i] = idx[samples[i].Key()]
+			}
 		}
-		sr.append(Point{Time: s.Time, Value: s.Value})
 	}
-	if jp := st.journal.Load(); jp != nil && len(b.Samples) > 0 {
-		(*jp).RecordBatch(b.Samples)
+	return rows
+}
+
+// appendRows appends each sample to its resolved series and journals
+// the batch once.
+func (st *Store) appendRows(samples []Sample, rows []*series) {
+	for i, s := range samples {
+		rows[i].append(Point{Time: s.Time, Value: s.Value})
+	}
+	if jp := st.journal.Load(); jp != nil && len(samples) > 0 {
+		(*jp).RecordBatch(samples)
 	}
 }
 
