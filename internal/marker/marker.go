@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"likwid/internal/cli"
 	"likwid/internal/perfctr"
 )
 
@@ -161,7 +160,8 @@ func (m *Marker) colIndex(cpu int) int {
 }
 
 // Report renders all regions in the paper's marker-mode format: a
-// "Region:" banner per region followed by the event and metric tables.
+// "Region:" banner per region followed by the event and metric tables,
+// each column's "time" being the region's time on that core.
 func (m *Marker) Report(group *perfctr.GroupDef) string {
 	var b strings.Builder
 	for _, region := range m.regions {
@@ -171,54 +171,7 @@ func (m *Marker) Report(group *perfctr.GroupDef) string {
 			Events: m.col.EventNames(),
 			Counts: region.Counts,
 		}
-		b.WriteString(regionTables(res, region, group, m.clockHz))
+		b.WriteString(perfctr.ReportTimes(res, group, m.clockHz, region.Time))
 	}
-	return b.String()
-}
-
-func regionTables(res perfctr.Results, region *Region, group *perfctr.GroupDef, clockHz float64) string {
-	var b strings.Builder
-	header := []string{"Event"}
-	for _, cpu := range res.CPUs {
-		header = append(header, fmt.Sprintf("core %d", cpu))
-	}
-	t := cli.NewTable(header...)
-	for _, ev := range res.Events {
-		row := []string{ev}
-		for i := range res.CPUs {
-			row = append(row, cli.FormatCount(region.Counts[ev][i]))
-		}
-		t.AddRow(row...)
-	}
-	b.WriteString(t.String())
-	if group == nil {
-		return b.String()
-	}
-	mh := []string{"Metric"}
-	for _, cpu := range res.CPUs {
-		mh = append(mh, fmt.Sprintf("core %d", cpu))
-	}
-	mt := cli.NewTable(mh...)
-	for _, metric := range group.Metrics {
-		expr, err := perfctr.CompileExpr(metric.Formula)
-		if err != nil {
-			continue
-		}
-		row := []string{metric.Name}
-		for i := range res.CPUs {
-			env := map[string]float64{"clock": clockHz, "time": region.Time[i]}
-			for ev, vals := range region.Counts {
-				env[ev] = vals[i]
-			}
-			v, err := expr.Eval(env)
-			if err != nil {
-				row = append(row, "n/a")
-				continue
-			}
-			row = append(row, cli.FormatMetric(v))
-		}
-		mt.AddRow(row...)
-	}
-	b.WriteString(mt.String())
 	return b.String()
 }

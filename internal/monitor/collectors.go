@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -32,12 +33,12 @@ func lockedNow(mu *sync.Mutex, m *machine.Machine) float64 {
 
 // ---- perfgroup ------------------------------------------------------------
 
-// compiledMetric is one derived metric ready for interval evaluation.
+// compiledMetric is one derived metric's output identity; its formula
+// is the same index of the collector's perfctr.Program.
 type compiledMetric struct {
 	name   string // sanitized series name
-	expr   *perfctr.Expr
-	socket bool // formula references uncore events: socket scope
-	mean   bool // intensive (no /time): combine by mean across domains
+	socket bool   // formula references uncore events: socket scope
+	mean   bool   // intensive (no /time): combine by mean across domains
 }
 
 // socketLeader is the cpu column whose counters stand for its socket's
@@ -56,16 +57,23 @@ type PerfGroupCollector struct {
 	m        *machine.Machine
 	mu       *sync.Mutex
 	col      *perfctr.Collector
+	prog     *perfctr.Program
 	metrics  []compiledMetric
 	interval time.Duration
 	advance  func(dt float64)
-	raw      bool
+	rawNames []string // "event/<name>" per event; nil without -raw
 
 	cpus    []int
 	leaders []socketLeader // one per socket, ordered by socket id
 
-	prev     perfctr.Results
-	prevTime float64
+	// Per-tick state, reused: the counter reads double-buffer, rows holds
+	// one Program row per cpu column and vals its metric values.
+	prev, cur perfctr.Results
+	prevTime  float64
+	delta     []float64 // one event's per-column increments
+	rows      []float64
+	vals      []float64
+	samples   int // the most samples one tick emits
 }
 
 func newPerfGroupCollector(cfg Config) (Collector, error) {
@@ -96,9 +104,9 @@ func newPerfGroupCollector(cfg Config) (Collector, error) {
 		m:        cfg.Machine,
 		mu:       cfg.MachineMu,
 		col:      col,
+		prog:     perfctr.NewProgram(col.EventNames(), group.Metrics),
 		interval: cfg.Interval,
 		advance:  cfg.Advance,
-		raw:      cfg.RawEvents,
 		cpus:     cpus,
 	}
 	if c.interval <= 0 {
@@ -113,12 +121,13 @@ func newPerfGroupCollector(cfg Config) (Collector, error) {
 			uncore[name] = true
 		}
 	}
-	for _, mtr := range group.Metrics {
-		expr, err := perfctr.CompileExpr(mtr.Formula)
-		if err != nil {
+	for i, mtr := range group.Metrics {
+		expr := c.prog.Expr(i)
+		if expr == nil {
+			_, err := perfctr.CompileExpr(mtr.Formula)
 			return nil, fmt.Errorf("monitor: group %s metric %q: %w", group.Name, mtr.Name, err)
 		}
-		cm := compiledMetric{name: SanitizeMetric(mtr.Name), expr: expr, mean: true}
+		cm := compiledMetric{name: SanitizeMetric(mtr.Name), mean: true}
 		for _, v := range expr.Vars() {
 			if uncore[v] {
 				cm.socket = true
@@ -139,10 +148,25 @@ func newPerfGroupCollector(cfg Config) (Collector, error) {
 	}
 	// A fixed row order: sinks and the scheduler's plans key on position.
 	slices.SortFunc(c.leaders, func(a, b socketLeader) int { return a.socket - b.socket })
+	for _, m := range c.metrics {
+		if m.socket {
+			c.samples += len(c.leaders)
+		} else {
+			c.samples += len(cpus)
+		}
+	}
+	if cfg.RawEvents {
+		for _, ev := range col.EventNames() {
+			c.rawNames = append(c.rawNames, "event/"+ev)
+		}
+		c.samples += len(c.rawNames) * len(cpus)
+	}
+	c.rows = make([]float64, len(cpus)*c.prog.Width())
+	c.vals = make([]float64, len(cpus)*len(c.metrics))
 	if err := col.Start(); err != nil {
 		return nil, err
 	}
-	c.prev = col.Current()
+	col.CurrentInto(&c.prev)
 	c.prevTime = cfg.Machine.Now()
 	return c, nil
 }
@@ -178,7 +202,7 @@ func (c *PerfGroupCollector) Collect(ctx context.Context) ([]Sample, error) {
 		defer c.mu.Unlock()
 	}
 	c.advance(c.interval.Seconds())
-	cur := c.col.Current()
+	c.col.CurrentInto(&c.cur)
 	now := c.m.Now()
 	dt := now - c.prevTime
 	if dt <= 0 {
@@ -186,54 +210,45 @@ func (c *PerfGroupCollector) Collect(ctx context.Context) ([]Sample, error) {
 	}
 	clock := c.m.Arch.ClockHz()
 
-	// Per-column interval environments: event deltas plus the interval
-	// wall time, so rate formulas yield per-second values.
-	envs := make([]map[string]float64, len(c.cpus))
-	for i := range c.cpus {
-		env := map[string]float64{"time": dt, "clock": clock}
-		for _, ev := range cur.Events {
-			d := cur.Counts[ev][i]
-			if prev, ok := c.prev.Counts[ev]; ok {
-				d -= prev[i]
-			}
-			if d < 0 {
-				d = 0 // multiplex extrapolation jitter: clamp like the timeline does
-			}
-			env[ev] = d
+	// Per-column Program rows: the event increments, then the interval's
+	// wall time, so rate formulas yield per-second values, then the clock.
+	w, nev, nm := c.prog.Width(), len(c.cur.Events), len(c.metrics)
+	for e, ev := range c.cur.Events {
+		c.delta = perfctr.Interval(c.delta, c.prev.Counts[ev], c.cur.Counts[ev])
+		for i, d := range c.delta {
+			c.rows[i*w+e] = d
 		}
-		envs[i] = env
 	}
-	c.prev = cur
+	for i := range c.cpus {
+		row := c.rows[i*w : (i+1)*w]
+		row[nev], row[nev+1] = dt, clock
+		c.prog.Eval(row, c.vals[i*nm:(i+1)*nm])
+	}
+	c.prev, c.cur = c.cur, c.prev
 	c.prevTime = now
 
-	var out []Sample
-	for _, mtr := range c.metrics {
+	out := make([]Sample, 0, c.samples)
+	for m, mtr := range c.metrics {
 		if mtr.socket {
 			for _, l := range c.leaders {
-				v, err := mtr.expr.Eval(envs[l.col])
-				if err != nil {
-					continue
+				if v := c.vals[l.col*nm+m]; !math.IsNaN(v) { // NaN: unavailable
+					out = append(out, Sample{Metric: mtr.name, Scope: ScopeSocket, ID: l.socket, Time: now, Value: v})
 				}
-				out = append(out, Sample{Metric: mtr.name, Scope: ScopeSocket, ID: l.socket, Time: now, Value: v})
 			}
 			continue
 		}
 		for i, cpu := range c.cpus {
-			v, err := mtr.expr.Eval(envs[i])
-			if err != nil {
-				continue
+			if v := c.vals[i*nm+m]; !math.IsNaN(v) {
+				out = append(out, Sample{Metric: mtr.name, Scope: ScopeThread, ID: cpu, Time: now, Value: v})
 			}
-			out = append(out, Sample{Metric: mtr.name, Scope: ScopeThread, ID: cpu, Time: now, Value: v})
 		}
 	}
-	if c.raw {
-		for _, ev := range cur.Events {
-			for i, cpu := range c.cpus {
-				out = append(out, Sample{
-					Metric: "event/" + ev, Scope: ScopeThread, ID: cpu,
-					Time: now, Value: envs[i][ev] / dt,
-				})
-			}
+	for e, name := range c.rawNames {
+		for i, cpu := range c.cpus {
+			out = append(out, Sample{
+				Metric: name, Scope: ScopeThread, ID: cpu,
+				Time: now, Value: c.rows[i*w+e] / dt,
+			})
 		}
 	}
 	return out, nil

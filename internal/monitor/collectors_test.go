@@ -236,3 +236,27 @@ func TestPerfGroupRowOrderIsStable(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPerfGroupCollect times one westmereEP MEM_DP perfgroup tick
+// over an idle node: the counter read, the interval deltas, the metric
+// program over every hardware thread and the output samples (its one
+// allocation).
+func BenchmarkPerfGroupCollect(b *testing.B) {
+	m := testMachine(b, "westmereEP")
+	c, err := DefaultRegistry.Build("perfgroup", Config{Machine: m, Group: "MEM_DP", Interval: 10 * time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.Collect(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out, err := c.Collect(ctx); err != nil || len(out) == 0 {
+			b.Fatalf("Collect = %d samples, %v", len(out), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tick")
+}

@@ -126,6 +126,8 @@ type PushSink struct {
 	pushes    atomic.Uint64 // successful POSTs
 	dropped   atomic.Uint64 // samples evicted from the pending buffer
 	nonFinite atomic.Uint64 // samples refused at enqueue: NaN or ±Inf time or value
+	negTime   atomic.Uint64 // samples refused at enqueue: negative time
+	negID     atomic.Uint64 // samples refused at enqueue: negative id
 	retries   atomic.Uint64 // failed POST attempts
 
 	// Telemetry instruments, resolved once by Instrument (nil until
@@ -175,6 +177,8 @@ func (p *PushSink) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("likwid_push_pushes_total", func() float64 { return float64(p.pushes.Load()) })
 	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.dropped.Load()) })
 	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.nonFinite.Load()) }, "reason", "non_finite")
+	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.negTime.Load()) }, "reason", "negative_time")
+	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.negID.Load()) }, "reason", "negative_id")
 	reg.CounterFunc("likwid_push_retries_total", func() float64 { return float64(p.retries.Load()) })
 	p.tBatch = reg.Histogram("likwid_push_batch_samples", telemetry.SizeBuckets)
 	p.tBytes = map[string]*telemetry.Counter{
@@ -225,10 +229,11 @@ func (p *PushSink) Buffer(b Batch) {
 }
 
 // enqueue appends the batch to the pending buffer, unbounded.  A sample
-// with a NaN or ±Inf time or value is dropped and counted instead: no
-// wire can carry it (JSON has no spelling for it, a v4 receiver 400s the
-// whole POST), so buffering it would fail every flush until trim aged it
-// out.
+// no receiver takes is dropped and counted by reason instead, because
+// buffering it would fail every flush until trim aged it out: a NaN or
+// ±Inf time or value (JSON has no spelling for it, a v4 receiver 400s
+// the whole POST), a negative time (both receivers 400 the POST) and a
+// negative id (the v4 encoder refuses the batch).
 func (p *PushSink) enqueue(b Batch) {
 	if p.tBatch != nil {
 		p.tBatch.Observe(float64(len(b.Samples)))
@@ -238,10 +243,19 @@ func (p *PushSink) enqueue(b Batch) {
 	// a backed-up push sink is visible end to end, not just its last hop.
 	m := sampleMeta{collector: b.Collector, sentAt: sentAtStamp(p.opts.Now())}
 	for _, sm := range b.Samples {
-		if !finite(sm.Time) || !finite(sm.Value) {
-			if p.nonFinite.Add(1) == 1 && p.opts.Logger != nil {
-				p.opts.Logger.Warn("push sink dropping non-finite samples (counted, further drops not logged)",
-					"url", p.opts.URL, "metric", sm.Metric)
+		var drop *atomic.Uint64
+		switch {
+		case !finite(sm.Time) || !finite(sm.Value):
+			drop = &p.nonFinite
+		case sm.Time < 0:
+			drop = &p.negTime
+		case sm.ID < 0:
+			drop = &p.negID
+		}
+		if drop != nil {
+			if drop.Add(1) == 1 && p.opts.Logger != nil {
+				p.opts.Logger.Warn("push sink dropping unsendable samples (counted, further drops not logged)",
+					"url", p.opts.URL, "metric", sm.Metric, "time", sm.Time, "id", sm.ID)
 			}
 			continue
 		}

@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"likwid/internal/telemetry"
 )
 
 // epochClock pins PushOptions.Now at the epoch, which disables sent_at
@@ -686,5 +688,62 @@ func TestPushSinkDropsNonFinite(t *testing.T) {
 				t.Errorf("receiver window for %v = %v, want only the finite 12.5", k, pts)
 			}
 		})
+	}
+}
+
+// TestPushSinkDropsUnsendable extends the poisoned-buffer regression to
+// the finite samples no receiver takes: a negative time (both receivers
+// 400 the whole POST) and a negative id (the v4 encoder refuses the
+// batch).  enqueue drops and counts each by reason, so the good samples
+// of the same batch ship on the first flush.
+func TestPushSinkDropsUnsendable(t *testing.T) {
+	for _, reason := range []string{"negative_time", "negative_id"} {
+		for name, format := range map[string]WireFormat{"json": WireJSON, "v4": WireV4} {
+			t.Run(reason+"/"+name, func(t *testing.T) {
+				store := NewStore(16)
+				recv, err := NewHTTPSink("127.0.0.1:0", store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer recv.Close()
+				p, err := NewPushSink(PushOptions{
+					URL: "http://" + recv.Addr() + "/ingest", FlushSamples: 3,
+					MaxAttempts: 1, RetryBase: time.Millisecond, Format: format,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := telemetry.New()
+				p.Instrument(reg)
+				b := goldenBatches()[0]
+				if reason == "negative_time" {
+					b.Samples[1].Time = -0.5
+				} else {
+					b.Samples[1].ID = -1
+				}
+				if err := p.Write(b); err != nil {
+					t.Fatalf("Write: %v, want the good samples flushed", err)
+				}
+				if p.Pushes() != 1 || p.Sent() != 3 {
+					t.Errorf("after the first flush: %d POSTs, %d sent; want 1 and the 3 good samples", p.Pushes(), p.Sent())
+				}
+				var dropped float64 = -1
+				for _, mv := range reg.Snapshot().Metrics {
+					if mv.Name == "likwid_push_dropped_total" && mv.Labels["reason"] == reason {
+						dropped = mv.Value
+					}
+				}
+				if dropped != 1 {
+					t.Errorf(`likwid_push_dropped_total{reason=%q} = %v, want 1`, reason, dropped)
+				}
+				k := Key{Metric: "memory_bandwidth_mbytes_s", Scope: ScopeSocket, ID: 0}
+				if pts := store.Window(k, 0, -1); len(pts) != 1 || pts[0].Value != 13714.285 {
+					t.Errorf("receiver window for %v = %v, want the good sample", k, pts)
+				}
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

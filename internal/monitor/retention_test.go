@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -544,6 +545,77 @@ func TestStepCompactionSurvivesCascade(t *testing.T) {
 	for _, b := range coarse {
 		if b.Avg != 0 && b.Avg != 1 {
 			t.Errorf("cascaded bucket [%v,%v) avg = %v, want a recorded 0/1 state", b.Start, b.End(), b.Avg)
+		}
+	}
+}
+
+// windowByStitch is the tiered window path without the raw-covered
+// shortcut: snapshot every tier, sort the raw candidates, stitch.  It is
+// the oracle TestWindowIntoTieredMatchesStitch holds WindowInto to.
+func windowByStitch(st *Store, k Key, from, to float64) []Point {
+	s := st.lookup(k)
+	s.mu.RLock()
+	raw := s.raw.appendRange(nil, from, to)
+	if raw == nil && s.raw.n > 0 {
+		raw = []Point{}
+	}
+	var tiers [][]Bucket
+	for _, t := range s.tiers {
+		tiers = append(tiers, t.snapshot())
+	}
+	cover := s.raw.oldestTime()
+	s.mu.RUnlock()
+	sort.SliceStable(raw, func(i, j int) bool { return raw[i].Time < raw[j].Time })
+	return stitch(raw, cover, tiers, from, to)
+}
+
+// TestWindowIntoTieredMatchesStitch holds tiered windows to the full
+// snapshot-and-stitch path on random series (out-of-order and duplicate
+// times, NaN and ±Inf values, both compactions), with windows starting
+// below, exactly at and above the raw cover.  A raw-covered window
+// (from >= cover) must also be served in the caller's buffer, as an
+// untiered window is.
+func TestWindowIntoTieredMatchesStitch(t *testing.T) {
+	tiers := []Tier{{Resolution: 8, Capacity: 16}, {Resolution: 64, Capacity: 8}}
+	for _, capacity := range []int{1, 65, 197, 1024} {
+		for _, comp := range []Compaction{CompactMean, CompactLast} {
+			t.Run(fmt.Sprintf("cap=%d/compaction=%d", capacity, comp), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(capacity) + int64(comp)))
+				k := Key{Metric: "bw", Scope: ScopeSocket, ID: 0}
+				st := NewStore(capacity, tiers...)
+				st.SetCompaction(k, comp)
+				gen := &diffStream{rng: rng, t: 1e4}
+				buf := make([]Point, 0, capacity+2*blockPoints) // fits every raw superset
+				covered := 0
+				for i := range capacity + 6*blockPoints {
+					st.Append(k, gen.next())
+					if i%7 != 0 {
+						continue
+					}
+					s := st.lookup(k)
+					s.mu.RLock()
+					cover := s.raw.oldestTime()
+					s.mu.RUnlock()
+					for _, from := range []float64{cover - 70, cover - 8, cover - 1, cover, cover + 0.5, cover + 3, gen.t - 5, gen.t + 1} {
+						for _, to := range []float64{-1, from + 40, cover} {
+							want := windowByStitch(st, k, from, to)
+							got := st.WindowInto(k, from, to, buf)
+							if !samePoints(got, want) {
+								t.Fatalf("step %d: WindowInto(%v, %v) with cover %v = %v, want %v", i, from, to, cover, got, want)
+							}
+							if from >= cover {
+								covered++
+								if cap(got) == 0 || &got[:1][0] != &buf[:1][0] {
+									t.Fatalf("step %d: raw-covered WindowInto(%v, %v) with cover %v did not reuse the buffer", i, from, to, cover)
+								}
+							}
+						}
+					}
+				}
+				if covered == 0 {
+					t.Fatal("no window was raw-covered")
+				}
+			})
 		}
 	}
 }

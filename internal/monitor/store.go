@@ -90,7 +90,9 @@ func (s *series) appendLocked(p Point) {
 // buf's backing array when it fits) and every tier's buckets under one
 // lock, so stitched Window queries see a consistent cut of the series.
 // cover is the oldest raw time held — the stitch boundary — and is only
-// computed for a tiered series.
+// computed for a tiered series.  A window starting at or after cover is
+// raw-covered: stitch keeps only buckets starting below cover and at or
+// after from, so none, and the tiers are not read (tiers stays nil).
 func (s *series) retainedInto(buf []Point, from, to float64) (raw []Point, tiers [][]Bucket, cover float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -100,11 +102,14 @@ func (s *series) retainedInto(buf []Point, from, to float64) (raw []Point, tiers
 		// slice, not nil: /query renders the two differently.
 		raw = []Point{}
 	}
+	if len(s.tiers) == 0 {
+		return raw, nil, 0
+	}
+	if cover = s.raw.oldestTime(); s.raw.n > 0 && from >= cover {
+		return raw, nil, cover
+	}
 	for _, t := range s.tiers {
 		tiers = append(tiers, t.snapshot())
-	}
-	if len(tiers) > 0 {
-		cover = s.raw.oldestTime()
 	}
 	return raw, tiers, cover
 }
@@ -412,8 +417,8 @@ func (st *Store) Window(k Key, from, to float64) []Point {
 // encoder) amortizes the copy to zero steady-state allocations.  Only
 // the sealed blocks overlapping [from, to] are decoded, straight into
 // buf.  The returned slice aliases buf; pass it back (or its cap-grown
-// successor) on the next call.  Tiered series still allocate for the
-// stitched portion.
+// successor) on the next call.  Tiered series allocate only when the
+// window reaches below the oldest raw point and stitches buckets in.
 func (st *Store) WindowInto(k Key, from, to float64, buf []Point) []Point {
 	s := st.lookup(k)
 	if s == nil {

@@ -139,23 +139,34 @@ func BenchmarkStoreSeal(b *testing.B) {
 // 1024-point series through a reused buffer.  /recent is the newest 5 %,
 // the shape the alert and derive engines read once per rule per
 // evaluation (only the newest blocks are decoded); /mid is a quarter of
-// the series from its middle.
+// the series from its middle; /tiered is a rule's 1 s window at 100 Hz
+// on a 10s:360,60s:240 store whose older history has been evicted into
+// the tiers (raw-covered: the tiers are not read).
 func BenchmarkStoreWindow(b *testing.B) {
-	st := NewStore(1024)
 	k := Key{Metric: "memory_bandwidth_mbytes_s", Scope: ScopeSocket, ID: 0}
+	st := NewStore(1024)
 	for i := 0; i < 1024; i++ {
 		st.Append(k, Point{Time: float64(i), Value: float64(i)})
 	}
+	tiers, err := ParseTiers("10s:360,60s:240")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tiered := NewStore(1024, tiers...)
+	for i := 0; i < 3000; i++ {
+		tiered.Append(k, Point{Time: float64(i) / 100, Value: float64(i)})
+	}
 	for _, tc := range []struct {
 		name     string
+		st       *Store
 		from, to float64
-	}{{"recent", 1024 * 0.95, -1}, {"mid", 512, 768}} {
+	}{{"recent", st, 1024 * 0.95, -1}, {"mid", st, 512, 768}, {"tiered", tiered, 28.99, -1}} {
 		b.Run(tc.name, func(b *testing.B) {
-			var buf []Point
+			buf := tc.st.WindowInto(k, tc.from, tc.to, nil) // size the buffer once
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if buf = st.WindowInto(k, tc.from, tc.to, buf); len(buf) == 0 {
+				if buf = tc.st.WindowInto(k, tc.from, tc.to, buf); len(buf) == 0 {
 					b.Fatal("empty window")
 				}
 			}

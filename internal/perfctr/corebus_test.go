@@ -54,7 +54,7 @@ func TestCore2MEMGroupCountsBusTraffic(t *testing.T) {
 	}
 	// The derived bandwidth metric comes out as the true traffic rate.
 	expr, _ := CompileExpr(g.Metrics[2].Formula)
-	env := r.Env(1, m.Arch.ClockHz())
+	env := env(r, 1, m.Arch.ClockHz())
 	mbs, err := expr.Eval(env)
 	if err != nil {
 		t.Fatal(err)

@@ -7,18 +7,28 @@ import "likwid/internal/msr"
 // API is built on this: region deltas are differences of two Current
 // snapshots.
 func (c *Collector) Current() Results {
+	var r Results
+	c.CurrentInto(&r)
+	return r
+}
+
+// CurrentInto is Current into r, reusing its CPUs, Events and Counts
+// storage: a caller sampling in a loop (the monitoring agent) keeps two
+// Results, previous and current, and allocates nothing per sample.  r
+// must be zero or filled by an earlier CurrentInto of this collector.
+func (c *Collector) CurrentInto(r *Results) {
 	wall := c.M.Now() - c.startTime
-	r := Results{
-		CPUs:     c.CPUs(),
-		Events:   c.EventNames(),
-		Counts:   map[string][]float64{},
-		WallTime: wall,
-		Scaled:   len(c.sets) > 1,
+	r.CPUs = append(r.CPUs[:0], c.cpus...)
+	r.Events = append(r.Events[:0], c.order...)
+	r.WallTime = wall
+	r.Scaled = len(c.sets) > 1
+	if r.Counts == nil {
+		r.Counts = make(map[string][]float64, len(c.order))
 	}
 
 	// Copy accumulated counts.
 	for name, vals := range c.acc {
-		r.Counts[name] = append([]float64(nil), vals...)
+		r.Counts[name] = append(r.Counts[name][:0], vals...)
 	}
 
 	if c.active {
@@ -40,7 +50,7 @@ func (c *Collector) Current() Results {
 				}
 			}
 		}
-		for _, leader := range c.socketLeaders() {
+		for _, leader := range c.leaders {
 			dev, err := c.M.MSRs.Open(leader)
 			if err != nil {
 				continue
@@ -56,21 +66,12 @@ func (c *Collector) Current() Results {
 
 	// Multiplex extrapolation, charging in-flight time to the active set.
 	if len(c.sets) > 1 {
-		setOf := map[string]int{}
-		for i, set := range c.sets {
-			for _, e := range set.pmc {
-				setOf[e.Name] = i
-			}
-			for _, e := range set.uncore {
-				setOf[e.Name] = i
-			}
-		}
 		inflight := 0.0
 		if c.active {
 			inflight = c.M.Now() - c.lastSwitch
 		}
 		for name, vals := range r.Counts {
-			si, ok := setOf[name]
+			si, ok := c.setOf[name]
 			if !ok {
 				continue // fixed events run in every set
 			}
@@ -87,5 +88,4 @@ func (c *Collector) Current() Results {
 			}
 		}
 	}
-	return r
 }

@@ -36,7 +36,7 @@ func (c *Collector) Describe() string {
 			fmt.Fprintln(&b, "  (fixed counters only)")
 		}
 	}
-	leaders := c.socketLeaders()
+	leaders := c.leaders
 	if len(leaders) > 0 && c.M.Arch.NumUncore > 0 {
 		strs := make([]string, len(leaders))
 		for i, l := range leaders {

@@ -9,8 +9,9 @@ import (
 )
 
 // The derived-metric formula engine.  Group metrics are arithmetic over
-// event counts and the pseudo-variables "time" (region runtime in seconds)
-// and "clock" (core clock in Hz), e.g.
+// event counts and the pseudo-variables "time" (the measured interval in
+// seconds, defined per caller: see Program) and "clock" (core clock in
+// Hz), e.g.
 //
 //	1.0E-06*(FP_COMP_OPS_EXE_SSE_FP_PACKED*2+FP_COMP_OPS_EXE_SSE_FP_SCALAR)/time
 //
@@ -24,22 +25,28 @@ import (
 // Identifiers are event names ([A-Za-z_][A-Za-z0-9_]*); numbers accept
 // scientific notation (1.0E-06).
 
+// exprNode is one node of a parsed formula.  A formula is evaluated only
+// through its compiled Program form.
 type exprNode interface {
-	eval(env map[string]float64) (float64, error)
+	// compile returns the node as a closure over a Program row, or nil
+	// when it names an identifier without a slot.
+	compile(slots map[string]int) func(row []float64) float64
 }
 
 type numNode float64
 
-func (n numNode) eval(map[string]float64) (float64, error) { return float64(n), nil }
+func (n numNode) compile(map[string]int) func([]float64) float64 {
+	return func([]float64) float64 { return float64(n) }
+}
 
 type varNode string
 
-func (v varNode) eval(env map[string]float64) (float64, error) {
-	val, ok := env[string(v)]
+func (v varNode) compile(slots map[string]int) func([]float64) float64 {
+	i, ok := slots[string(v)]
 	if !ok {
-		return 0, fmt.Errorf("perfctr: formula references unknown value %q", string(v))
+		return nil
 	}
-	return val, nil
+	return func(row []float64) float64 { return row[i] }
 }
 
 type binNode struct {
@@ -47,45 +54,47 @@ type binNode struct {
 	l, r exprNode
 }
 
-func (b binNode) eval(env map[string]float64) (float64, error) {
-	l, err := b.l.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.r.eval(env)
-	if err != nil {
-		return 0, err
+func (b binNode) compile(slots map[string]int) func([]float64) float64 {
+	l, r := b.l.compile(slots), b.r.compile(slots)
+	if l == nil || r == nil {
+		return nil
 	}
 	switch b.op {
 	case '+':
-		return l + r, nil
+		return func(row []float64) float64 { return l(row) + r(row) }
 	case '-':
-		return l - r, nil
+		return func(row []float64) float64 { return l(row) - r(row) }
 	case '*':
-		return l * r, nil
+		return func(row []float64) float64 { return l(row) * r(row) }
 	case '/':
-		if r == 0 {
-			return 0, nil // counters at zero: report 0, not NaN
+		return func(row []float64) float64 {
+			x, y := l(row), r(row)
+			if y == 0 {
+				return 0 // counters at zero: report 0, not NaN
+			}
+			return x / y
 		}
-		return l / r, nil
 	}
-	return 0, fmt.Errorf("perfctr: unknown operator %q", string(b.op))
+	return nil
 }
 
 type negNode struct{ x exprNode }
 
-func (n negNode) eval(env map[string]float64) (float64, error) {
-	v, err := n.x.eval(env)
-	return -v, err
+func (n negNode) compile(slots map[string]int) func([]float64) float64 {
+	x := n.x.compile(slots)
+	if x == nil {
+		return nil
+	}
+	return func(row []float64) float64 { return -x(row) }
 }
 
-// Expr is a compiled metric formula.
+// Expr is a parsed metric formula.
 type Expr struct {
 	src  string
 	root exprNode
 }
 
-// CompileExpr parses a formula once; Eval can then run it repeatedly.
+// CompileExpr parses a formula once; a Program then evaluates it.
 func CompileExpr(src string) (*Expr, error) {
 	p := &exprParser{src: src}
 	root, err := p.parseExpr()
@@ -99,18 +108,84 @@ func CompileExpr(src string) (*Expr, error) {
 	return &Expr{src: src, root: root}, nil
 }
 
-// Eval computes the formula against an environment of event counts and
-// pseudo-variables.  NaN and infinities collapse to 0 for display, matching
-// the tool's behaviour on empty counters.
-func (e *Expr) Eval(env map[string]float64) (float64, error) {
-	v, err := e.root.eval(env)
-	if err != nil {
-		return 0, err
+// Program is a group's metric formulas compiled once over one row of
+// values: the counts of the events in order, then "time" and "clock"
+// (the core clock in Hz).  Eval maps a row to the metrics without maps
+// or allocation, so one program serves every sample of a measurement.
+//
+// "time" is each caller's explicit argument: the one-shot report uses a
+// core's cycles over the clock (the wall time when either is missing),
+// the marker API a region's accumulated cycle time, and the monitoring
+// agent the wall time of its sampling interval, as the timeline's
+// interval is.  Rate metrics of a partly halted core therefore differ
+// between the one-shot tool and the agent by design.
+type Program struct {
+	width int
+	exprs []*Expr                       // per metric; nil when the formula does not parse
+	evals []func(row []float64) float64 // per metric; nil when unavailable
+}
+
+// NewProgram compiles metrics over rows of the given events.  A metric
+// whose formula does not parse, or names an identifier with no slot, is
+// unavailable: Eval reports it as NaN.
+func NewProgram(events []string, metrics []Metric) *Program {
+	slots := make(map[string]int, len(events)+2)
+	for i, ev := range events {
+		slots[ev] = i
 	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, nil
+	slots["time"], slots["clock"] = len(events), len(events)+1
+	p := &Program{width: len(events) + 2}
+	for _, m := range metrics {
+		e, _ := CompileExpr(m.Formula) // a parse error leaves the metric unavailable
+		var eval func([]float64) float64
+		if e != nil {
+			eval = e.root.compile(slots)
+		}
+		p.exprs = append(p.exprs, e)
+		p.evals = append(p.evals, eval)
 	}
-	return v, nil
+	return p
+}
+
+// Width is the row length: the events, then time and clock.
+func (p *Program) Width() int { return p.width }
+
+// Expr returns metric i's parsed formula, nil when it does not parse.
+func (p *Program) Expr(i int) *Expr { return p.exprs[i] }
+
+// Eval writes every metric of one row into out (len(out) >= the number
+// of metrics).  NaN and infinities collapse to 0 for display, matching
+// the tool's behaviour on empty counters, so a NaN in out marks exactly
+// the unavailable metrics.
+func (p *Program) Eval(row, out []float64) {
+	for i, eval := range p.evals {
+		if eval == nil {
+			out[i] = math.NaN()
+			continue
+		}
+		v := eval(row)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			v = 0
+		}
+		out[i] = v
+	}
+}
+
+// Interval writes the per-column increments cur - prev into into and
+// returns it: the one delta of the timeline and the monitoring agent.
+// A nil prev counts from zero, and a negative increment (a counter reset
+// between samples, or multiplex extrapolation jitter) clamps to 0.
+func Interval(into, prev, cur []float64) []float64 {
+	into = append(into[:0], cur...)
+	for i := range into {
+		if prev != nil {
+			into[i] -= prev[i]
+		}
+		if into[i] < 0 {
+			into[i] = 0
+		}
+	}
+	return into
 }
 
 // Vars lists the identifiers the formula references.

@@ -1,15 +1,19 @@
 package perfctr
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
-// FuzzCompileExpr: the formula parser must never panic, and compiled
+// FuzzCompileExpr: the formula parser must never panic, compiled
 // formulas must evaluate without panicking against an empty environment
-// (errors are fine).
+// (errors are fine), and the compiled Program must match the reference
+// evaluator bit for bit, with and without every identifier bound.
 func FuzzCompileExpr(f *testing.F) {
 	for _, seed := range []string{
 		"1.0E-06*(A*2+B)/time",
 		"A/B", "-(X)", "((1))", "1e", "*", "", "a b", "1.0E-06*",
-		"CPU_CLK_UNHALTED_CORE/clock",
+		"CPU_CLK_UNHALTED_CORE/clock", "-0*A", "A/(B-B)", "1e308*10/A",
 	} {
 		f.Add(seed)
 	}
@@ -27,6 +31,20 @@ func FuzzCompileExpr(f *testing.F) {
 		}
 		if _, err := expr.Eval(env); err != nil {
 			t.Fatalf("CompileExpr(%q): eval with all vars bound failed: %v", src, err)
+		}
+		metrics := []Metric{{Name: "f", Formula: src}}
+		var events []string
+		for _, v := range vars {
+			if v != "time" && v != "clock" {
+				events = append(events, v)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(len(src))))
+		for _, evs := range [][]string{events, nil} {
+			p := NewProgram(evs, metrics)
+			for n := 0; n < 8; n++ {
+				checkProgram(t, "fuzz", p, metrics, evs, randomRow(rng, p.Width()))
+			}
 		}
 	})
 }

@@ -103,7 +103,7 @@ func TestCustomGroupEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mflops, err := expr.Eval(r.Env(0, m.Arch.ClockHz()))
+	mflops, err := expr.Eval(env(r, 0, m.Arch.ClockHz()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,8 @@ type Collector struct {
 	sets    []eventSet
 	current int
 
-	socketLeader map[int]int // socket -> leader cpu (socket lock)
+	leaders []int          // socket-lock leader cpus, ascending
+	setOf   map[string]int // programmable and uncore event -> its set
 
 	active      bool
 	startTime   float64
@@ -121,21 +122,26 @@ func NewCollector(m *machine.Machine, cpus []int, specs []EventSpec, opts Option
 		seen[c] = true
 	}
 	c := &Collector{
-		M:            m,
-		cpus:         append([]int(nil), cpus...),
-		socketLeader: map[int]int{},
-		muxInterval:  opts.MuxInterval,
-		acc:          map[string][]float64{},
+		M:           m,
+		cpus:        append([]int(nil), cpus...),
+		muxInterval: opts.MuxInterval,
+		acc:         map[string][]float64{},
+		setOf:       map[string]int{},
 	}
 	if c.muxInterval <= 0 {
 		c.muxInterval = 0.010
 	}
+	socketLeader := map[int]int{} // socket -> leader cpu (socket lock)
 	for _, cpu := range c.cpus {
 		s := m.SocketOf(cpu)
-		if cur, ok := c.socketLeader[s]; !ok || cpu < cur {
-			c.socketLeader[s] = cpu
+		if cur, ok := socketLeader[s]; !ok || cpu < cur {
+			socketLeader[s] = cpu
 		}
 	}
+	for _, cpu := range socketLeader {
+		c.leaders = append(c.leaders, cpu)
+	}
+	sort.Ints(c.leaders)
 
 	arch := m.Arch
 
@@ -244,6 +250,14 @@ func NewCollector(m *machine.Machine, cpus []int, specs []EventSpec, opts Option
 	}
 	if len(c.sets) == 0 {
 		c.sets = []eventSet{{}}
+	}
+	for i, set := range c.sets {
+		for _, e := range set.pmc {
+			c.setOf[e.Name] = i
+		}
+		for _, e := range set.uncore {
+			c.setOf[e.Name] = i
+		}
 	}
 
 	// Display order: mandatory events first, as in the paper's listing.
@@ -382,7 +396,7 @@ func (c *Collector) harvest() {
 		}
 	}
 	// Uncore: socket leaders only (socket lock).
-	for _, leader := range c.socketLeaders() {
+	for _, leader := range c.leaders {
 		dev, err := c.M.MSRs.Open(leader)
 		if err != nil {
 			continue
@@ -396,15 +410,6 @@ func (c *Collector) harvest() {
 			}
 		}
 	}
-}
-
-func (c *Collector) socketLeaders() []int {
-	out := make([]int, 0, len(c.socketLeader))
-	for _, cpu := range c.socketLeader {
-		out = append(out, cpu)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func (c *Collector) pmcReg(slot int) uint32 {
@@ -466,7 +471,7 @@ func (c *Collector) program(set eventSet) error {
 	}
 	// Uncore programming through the socket leaders.
 	if len(set.uncore) > 0 {
-		for _, leader := range c.socketLeaders() {
+		for _, leader := range c.leaders {
 			dev, err := c.M.MSRs.Open(leader)
 			if err != nil {
 				return err
@@ -486,7 +491,7 @@ func (c *Collector) program(set eventSet) error {
 			}
 		}
 	} else if arch.NumUncore > 0 {
-		for _, leader := range c.socketLeaders() {
+		for _, leader := range c.leaders {
 			dev, err := c.M.MSRs.Open(leader)
 			if err != nil {
 				return err
@@ -518,7 +523,7 @@ func (c *Collector) unprogram() {
 		}
 	}
 	if arch.NumUncore > 0 {
-		for _, leader := range c.socketLeaders() {
+		for _, leader := range c.leaders {
 			if dev, err := c.M.MSRs.Open(leader); err == nil {
 				_ = dev.Write(msr.UncGlobalCtl, 0)
 			}
@@ -548,20 +553,10 @@ func (c *Collector) Read() Results {
 		WallTime: wall,
 		Scaled:   len(c.sets) > 1,
 	}
-	// Which set measured which event?
-	setOf := map[string]int{}
-	for i, set := range c.sets {
-		for _, e := range set.pmc {
-			setOf[e.Name] = i
-		}
-		for _, e := range set.uncore {
-			setOf[e.Name] = i
-		}
-	}
 	for name, vals := range c.acc {
 		scaled := make([]float64, len(vals))
 		scale := 1.0
-		if si, ok := setOf[name]; ok && len(c.sets) > 1 {
+		if si, ok := c.setOf[name]; ok && len(c.sets) > 1 {
 			if c.setActive[si] > 0 && wall > 0 {
 				scale = wall / c.setActive[si]
 			}
@@ -572,19 +567,4 @@ func (c *Collector) Read() Results {
 		r.Counts[name] = scaled
 	}
 	return r
-}
-
-// Env builds the formula environment for one cpu column: all event counts
-// plus "time" (seconds, from the cycle counter) and "clock" (Hz).
-func (r Results) Env(col int, clockHz float64) map[string]float64 {
-	env := map[string]float64{"clock": clockHz}
-	for name, vals := range r.Counts {
-		env[name] = vals[col]
-	}
-	if cycles, ok := r.Counts["CPU_CLK_UNHALTED_CORE"]; ok && clockHz > 0 {
-		env["time"] = cycles[col] / clockHz
-	} else {
-		env["time"] = r.WallTime
-	}
-	return env
 }

@@ -81,7 +81,7 @@ func TestCollectorWrapperMode(t *testing.T) {
 		t.Errorf("INSTR_RETIRED_ANY = %v, want %v", instr[1], 3*elems)
 	}
 	// Derived metric environment: DP MFlops/s = 2*packed/time/1e6.
-	env := r.Env(1, m.Arch.ClockHz())
+	env := env(r, 1, m.Arch.ClockHz())
 	if env["time"] <= 0 {
 		t.Fatal("time must be positive on the measured core")
 	}

@@ -52,19 +52,7 @@ func (tl *Timeline) hook(now float64) {
 	cur := tl.col.Current()
 	point := TimelinePoint{Time: now, Deltas: map[string][]float64{}}
 	for ev, vals := range cur.Counts {
-		prev := tl.last.Counts[ev]
-		deltas := make([]float64, len(vals))
-		for i := range vals {
-			d := vals[i]
-			if prev != nil {
-				d -= prev[i]
-			}
-			if d < 0 {
-				d = 0 // counter was reset between samples (set rotation)
-			}
-			deltas[i] = d
-		}
-		point.Deltas[ev] = deltas
+		point.Deltas[ev] = Interval(nil, tl.last.Counts[ev], vals)
 	}
 	tl.points = append(tl.points, point)
 	tl.last = cur
