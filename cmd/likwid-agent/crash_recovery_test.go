@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -86,72 +85,169 @@ func TestCrashRecoveryAcrossRestart(t *testing.T) {
 	}
 }
 
-// buildAgent compiles the binary under test once per test run.
+// buildAgent compiles the binary under test once per test binary run,
+// into the directory TestMain owns.
 func buildAgent(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "likwid-agent")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building agent: %v\n%s", err, out)
+	agentBin.once.Do(func() {
+		agentBin.path = filepath.Join(agentBin.dir, "likwid-agent")
+		cmd := exec.Command("go", "build", "-o", agentBin.path, ".")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			agentBin.err = fmt.Errorf("building agent: %v\n%s", err, out)
+		}
+	})
+	if agentBin.err != nil {
+		t.Fatal(agentBin.err)
 	}
-	return bin
+	return agentBin.path
 }
 
-// startReceiver launches the binary and scrapes the actual listen
-// address (the :0 port) from its startup log line.  The receiver is
-// SIGKILLed and reaped by the returned kill, or at the test's cleanup
-// at the latest, so a failing test leaves no process behind.
+// agentBin is the binary buildAgent shares across the package's tests.
+var agentBin struct {
+	once      sync.Once
+	dir, path string
+	err       error
+}
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "likwid-agent-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	agentBin.dir = dir
+	code := m.Run()
+	_ = os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// startReceiver launches the binary in receiver mode and returns its
+// base URL; kill SIGKILLs and reaps it (see startAgent).
 func startReceiver(t *testing.T, bin string, args []string) (kill func(), base string) {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
+	p := startAgent(t, bin, args, "receiver listening")
+	return p.kill, p.base
+}
+
+// agentProc is one running likwid-agent binary.
+type agentProc struct {
+	cmd  *exec.Cmd
+	base string        // http://ADDR of the listener named in the startup line
+	done chan struct{} // closed once the process has exited and been reaped
+	err  error         // the exit status, valid once done is closed
+	log  *procLog
+}
+
+// startAgent launches the binary and scrapes the actual listen address
+// (the :0 port) from the addr attribute of the first stderr line
+// containing marker, in either -log-format.  The process is SIGKILLed
+// and reaped at the test's cleanup at the latest, so a failing test
+// leaves no process behind.
+func startAgent(t *testing.T, bin string, args []string, marker string) *agentProc {
+	t.Helper()
+	p := &agentProc{
+		cmd:  exec.Command(bin, args...),
+		done: make(chan struct{}),
+		log:  &procLog{marker: marker, addr: make(chan string, 1)},
+	}
+	p.cmd.Stderr = p.log
+	if err := p.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var once sync.Once
-	kill = func() {
-		once.Do(func() {
-			_ = cmd.Process.Signal(syscall.SIGKILL) // fails only once it has exited
-			_ = cmd.Wait()                          // a killed process exits non-zero
-		})
-	}
-	t.Cleanup(kill)
-	addrCh := make(chan string, 1)
-	var logged sync.Mutex
-	var lines []string
 	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			logged.Lock()
-			lines = append(lines, line)
-			logged.Unlock()
-			if i := strings.Index(line, "receiver listening"); i >= 0 {
-				for _, f := range strings.Fields(line) {
-					if a, ok := strings.CutPrefix(f, "addr="); ok {
-						select {
-						case addrCh <- a:
-						default:
-						}
-					}
-				}
-			}
-		}
+		p.err = p.cmd.Wait()
+		close(p.done)
 	}()
+	t.Cleanup(p.kill)
 	select {
-	case addr := <-addrCh:
-		base = "http://" + addr
-		waitHealthy(t, base)
-		return kill, base
+	case addr := <-p.log.addr:
+		p.base = "http://" + addr
+		waitHealthy(t, p.base)
+		return p
+	case <-p.done:
+		t.Fatalf("agent exited before logging %q (%v); log:\n%s", marker, p.err, p.log)
 	case <-time.After(10 * time.Second):
-		logged.Lock()
-		defer logged.Unlock()
-		t.Fatalf("receiver never logged its listen address; log:\n%s", strings.Join(lines, "\n"))
-		return nil, ""
+		t.Fatalf("agent never logged %q; log:\n%s", marker, p.log)
 	}
+	return nil
+}
+
+// kill SIGKILLs the process (no shutdown path runs) and reaps it.
+func (p *agentProc) kill() {
+	_ = p.cmd.Process.Signal(syscall.SIGKILL) // fails only once it has exited
+	<-p.done
+}
+
+// wait waits up to d for the process to exit on its own and returns its
+// exit status.
+func (p *agentProc) wait(t *testing.T, d time.Duration) error {
+	t.Helper()
+	select {
+	case <-p.done:
+		return p.err
+	case <-time.After(d):
+		t.Fatalf("agent still running after %v; log:\n%s", d, p.log)
+		return nil
+	}
+}
+
+// terminate sends SIGTERM and returns the exit status of the drain.
+func (p *agentProc) terminate(t *testing.T) error {
+	t.Helper()
+	_ = p.cmd.Process.Signal(syscall.SIGTERM)
+	return p.wait(t, 15*time.Second)
+}
+
+// procLog collects a process's stderr and hands the addr attribute of
+// the first line containing marker to addr.
+type procLog struct {
+	marker  string
+	addr    chan string
+	mu      sync.Mutex
+	buf     []byte
+	scanned int // bytes of buf already scanned for the marker
+	found   bool
+}
+
+func (l *procLog) Write(b []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf = append(l.buf, b...)
+	for {
+		n := bytes.IndexByte(l.buf[l.scanned:], '\n')
+		if n < 0 {
+			return len(b), nil
+		}
+		line := string(l.buf[l.scanned : l.scanned+n])
+		l.scanned += n + 1
+		if l.found || !strings.Contains(line, l.marker) {
+			continue
+		}
+		if a := logAddr(line); a != "" {
+			l.found = true
+			l.addr <- a
+		}
+	}
+}
+
+func (l *procLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return string(l.buf)
+}
+
+// logAddr extracts the addr attribute of one text or JSON log line.
+func logAddr(line string) string {
+	var js struct{ Addr string }
+	if json.Unmarshal([]byte(line), &js) == nil {
+		return js.Addr
+	}
+	for _, f := range strings.Fields(line) {
+		if a, ok := strings.CutPrefix(f, "addr="); ok {
+			return a
+		}
+	}
+	return ""
 }
 
 func waitHealthy(t *testing.T, base string) {

@@ -44,13 +44,15 @@
 //	               defaults, merged under each pushed sample's own set
 //	-adaptive D    stretch a collector's interval (doubling, up to D)
 //	               while its samples are unchanged; snap back on change
-//	-receiver ADDR aggregation mode: no collectors, just an HTTP server
-//	               whose /ingest accepts push batches from other agents
-//	               (v2 per-sample source fields, or the legacy v1
-//	               SOURCE/metric prefix via the compat shim) and serves
+//	-receiver ADDR aggregation mode, the same agent with another source
+//	               of samples: no collectors, an HTTP sink on ADDR whose
+//	               /ingest accepts push batches from other agents (each
+//	               sample's source field names its agent) and serves
 //	               the merged store on /metrics and /query — each
 //	               agent's series keyed by source, selectable with
-//	               /query?source=NAME (or a '*' wildcard across agents)
+//	               /query?source=NAME (or a '*' wildcard across agents).
+//	               Store, -wal, rules, self-monitoring and -buffer work
+//	               as in agent mode
 //	-forward SPEC  receiver mode: re-push every accepted sample upstream,
 //	               push:[shard@|mirror@|failover@]URL[,URL...] — the
 //	               receiver-to-receiver hop that composes receivers into
@@ -182,10 +184,6 @@ func main() {
 	}
 	log := cfg.newLogger(os.Stderr)
 	slog.SetDefault(log)
-	fail := func(err error) {
-		log.Error("likwid-agent failed", "err", err)
-		os.Exit(1)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	if cfg.duration > 0 {
@@ -199,14 +197,9 @@ func main() {
 		cancel()
 	}()
 
-	if cfg.receiver != "" {
-		if err := runReceiver(ctx, cfg, log); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if err := runAgent(ctx, cfg, log); err != nil {
-		fail(err)
+	if err := run(ctx, cfg, log); err != nil {
+		log.Error("likwid-agent failed", "err", err)
+		os.Exit(1)
 	}
 }
 
@@ -233,153 +226,252 @@ func mountOps(h *monitor.HTTPSink, reg *telemetry.Registry, cfg *agentConfig, st
 	}
 }
 
-// runReceiver is the aggregation mode: no collectors, just a store behind
-// an HTTP server whose /ingest accepts push batches from other agents —
-// and, with -rules, an alert engine watching the merged fleet series.
-// The receiver also monitors itself: a SelfCollector republishes its
-// telemetry registry as self/likwid_* series, so fleet rules can watch
-// the watcher.
-func runReceiver(ctx context.Context, cfg *agentConfig, log *slog.Logger) error {
+// run is likwid-agent in either mode, on one path: registry → store →
+// -wal persistence → forward hop → sinks → dispatcher → alert and derive
+// engines → one scheduler → one drain.  Only the source of samples
+// depends on the mode: an agent arms the node's collectors, a receiver
+// arms none and takes pushed batches on the /ingest of its -receiver
+// HTTP sink.  Either way the scheduler also carries a SelfCollector that
+// republishes the telemetry registry as self/likwid_* series, so fleet
+// rules can watch the watcher.
+//
+// Teardown is deferred, so error paths share it.  It runs in reverse
+// wiring order, every stage after whatever feeds it has stopped:
+// collectors stop after the scheduler returns, derive before its
+// dispatcher closes, the dispatcher (and the HTTP listeners with it)
+// before the forward hop drains, and persistence last.
+func run(ctx context.Context, cfg *agentConfig, log *slog.Logger) (err error) {
 	reg := telemetry.New()
 	store := monitor.NewStore(cfg.retain, cfg.tiers...)
 	store.Instrument(reg)
-	// Durability comes up before the listener: /ingest must not race the
-	// WAL replay.
+	// Durability comes up before any append source (collectors, /ingest):
+	// the WAL replay must not interleave with live traffic.
 	pm, err := openPersist(cfg, store, reg, log)
 	if err != nil {
 		return err
 	}
-	h, err := monitor.NewHTTPSink(cfg.receiver, store)
+	// Deferred first, so it runs last: the final snapshot is taken once
+	// every append (collectors, /ingest, rule history) has stopped.
+	defer closePersist(pm, log)
+	fwd, drainForward, err := startForward(ctx, cfg, reg, log)
 	if err != nil {
-		closePersist(pm, log)
 		return err
 	}
-	// Receiver -labels are ingest defaults: merged under each pushed
-	// sample's own labels, so e.g. cluster=emmy stamps a whole fleet
-	// while each agent's job= label survives.
-	h.SetIngestLabels(cfg.labels)
-	mountOps(h, reg, cfg, store)
-	// Federation hop: -forward re-pushes every accepted batch upstream
-	// through a cluster sink riding its own dispatcher, so a slow or dead
-	// upstream costs forward backlog (bounded, counted), never ingest
-	// latency.  The forward hook fires after a batch is accepted and
-	// appended here — the samples are journaled exactly once per hop, at
-	// the receiver that accepted them.
-	var (
-		fwdDispatch *monitor.Dispatcher
-		fwdCluster  *cluster.Sink
-	)
-	closeForward := func() error {
-		if fwdDispatch == nil {
-			return nil
+	defer func() {
+		// Graceful drain: the listener is down (nothing new arrives), so
+		// the forward pipeline can flush its buffered and downsampler-open
+		// samples upstream instead of counting them as shutdown drops.
+		if ferr := drainForward(); ferr != nil {
+			log.Warn("forward drain failed", "err", ferr)
+			if err == nil {
+				err = ferr
+			}
 		}
-		ferr := fwdDispatch.Close()
-		for _, ts := range fwdCluster.Status() {
-			log.Info("forward target finished", "target", ts.Target, "healthy", ts.Healthy,
-				"sent", ts.Sent, "pushes", ts.Pushes, "failovers", ts.Failovers, "dropped", ts.Dropped)
-		}
-		return ferr
-	}
-	if cfg.forward != "" {
-		spec, serr := cluster.ParseSpec(cfg.forward)
-		if serr == nil {
-			fwdCluster, serr = cluster.New(cluster.Options{
-				Targets: spec.Targets,
-				Policy:  spec.Policy,
-				Format:  spec.Format,
-				Source:  monitor.DefaultPushSource(),
-				// The agent already batched; re-push each accepted batch as
-				// it arrives.  Re-batching at the hop would add latency and
-				// leave up to FlushSamples-1 samples to lose on a hard kill.
-				FlushSamples: 1,
-				Context:      ctx,
-				Logger:       log,
-			})
-		}
-		if serr != nil {
-			_ = h.Close()
-			closePersist(pm, log)
-			return serr
-		}
-		fwdCluster.Instrument(reg)
-		fwdDispatch = monitor.NewDispatcher(cfg.buffer, cluster.NewDownsampler(cfg.forwardEvery, fwdCluster))
-		fwdDispatch.SetLogger(log)
-		h.SetForward(func(b monitor.Batch) { fwdDispatch.Publish(b) })
-		log.Info("forwarding enabled", "spec", cfg.forward,
-			"policy", spec.Policy.String(), "targets", len(spec.Targets), "downsample", cfg.forwardEvery)
-	}
-	alerting, err := startAlerting(ctx, cfg, store, []*monitor.HTTPSink{h}, reg, log)
+	}()
+	sinks, https, err := buildSinks(ctx, cfg, store, reg, log)
 	if err != nil {
-		_ = h.Close()
-		_ = closeForward()
-		closePersist(pm, log)
 		return err
 	}
-	// Self-monitoring loop: the dispatcher carries SelfCollector batches
-	// to the HTTP sink (so self series show on /metrics) while the
-	// scheduler appends them to the store (so /query?source=self, tier
-	// compaction and the alert DSL see them).  With -forward the batches
-	// also tee onto the federation hop: the receiver's own self and
-	// derived series never pass /ingest, so the hook there cannot carry
-	// them.
-	selfSinks := []monitor.Sink{h}
-	if fwdDispatch != nil {
-		selfSinks = append(selfSinks, teeSink{fwdDispatch})
+	if fwd != nil {
+		// The forward hook fires after a batch is accepted and appended
+		// here, so the samples are journaled exactly once per hop, at the
+		// receiver that accepted them.  The receiver's own self and
+		// derived series never pass /ingest: the tee carries them.
+		https[0].SetForward(func(b monitor.Batch) { fwd.Publish(b) })
+		sinks = append(sinks, teeSink{fwd})
 	}
-	selfDispatch := monitor.NewDispatcher(8, selfSinks...)
-	selfDispatch.SetLogger(log)
-	selfDispatch.Instrument(reg)
-	// Derived series ride the same dispatcher, so a receiver's roll-ups
-	// show on its /metrics exposition like its self-telemetry does.
-	deriving, err := startDeriving(ctx, cfg, store, []*monitor.HTTPSink{h}, selfDispatch, reg, log)
+	dispatcher := monitor.NewDispatcher(cfg.buffer, sinks...)
+	dispatcher.SetLogger(log)
+	dispatcher.Instrument(reg)
+	defer func() {
+		if cerr := dispatcher.Close(); cerr != nil {
+			log.Warn("sink close failed", "err", cerr)
+		}
+		if d := dispatcher.Dropped(); d > 0 {
+			log.Warn("batches dropped at the sink queue", "dropped", d)
+		}
+		for _, s := range sinks {
+			switch s := s.(type) {
+			case *monitor.PushSink:
+				log.Info("push sink finished",
+					"sent", s.Sent(), "pushes", s.Pushes(), "retries", s.Retries(), "dropped", s.Dropped())
+			case *cluster.Sink:
+				logTargets(log, "cluster target finished", s)
+			}
+		}
+	}()
+	alerting, err := startAlerting(ctx, cfg, store, https, reg, log)
 	if err != nil {
-		alerting.stop(log)
-		_ = selfDispatch.Close()
-		_ = closeForward()
-		closePersist(pm, log)
 		return err
 	}
+	defer alerting.stop(log)
+	// Derived series ride the dispatcher, so push wires, /metrics and the
+	// forward hop carry them like collected ones.
+	deriving, err := startDeriving(ctx, cfg, store, https, dispatcher, reg, log)
+	if err != nil {
+		return err
+	}
+	defer deriving.stop() // evaluation stops before its dispatcher closes
 	reloadOnSIGHUP(ctx, alerting.loop, deriving)
-	selfSched := monitor.NewScheduler(monitor.SchedulerOptions{
+
+	opts := monitor.SchedulerOptions{
 		Store:      store,
-		Dispatcher: selfDispatch,
+		Dispatcher: dispatcher,
 		Labels:     cfg.labels,
 		Logger:     log,
 		Telemetry:  reg,
-	})
-	selfSched.Add(monitor.NewSelfCollector(reg, 0))
-	schedDone := make(chan struct{})
-	go func() {
-		selfSched.Run(ctx)
-		close(schedDone)
-	}()
-	log.Info("receiver listening", "addr", h.Addr(),
-		"endpoints", "/ingest /metrics /query /status /healthz /readyz", "pprof", cfg.pprof)
-	<-ctx.Done()
-	<-schedDone
-	deriving.stop()            // evaluation stops before its dispatcher closes
-	err = selfDispatch.Close() // closes the HTTP sink with it
-	// Graceful drain: the listener is down (nothing new arrives), so the
-	// forward pipeline can flush its buffered and downsampler-open
-	// samples upstream instead of counting them as shutdown drops.
-	if ferr := closeForward(); ferr != nil {
-		log.Warn("forward drain failed", "err", ferr)
-		if err == nil {
-			err = ferr
+	}
+	var collectors []monitor.Collector
+	if cfg.receiver == "" {
+		if opts.Aggregator, collectors, err = armNode(cfg, log); err != nil {
+			return err
+		}
+		opts.AdaptiveMax = cfg.adaptive
+	}
+	sched := monitor.NewScheduler(opts)
+	for _, c := range collectors {
+		sched.Add(c)
+		if s, ok := c.(interface{ Stop() error }); ok {
+			defer s.Stop() // releases the counters; a failure at exit has no one to act on it
 		}
 	}
-	alerting.stop(log)
-	// Appends have stopped (scheduler drained, listener down): take the
-	// final snapshot and release the WAL.
-	closePersist(pm, log)
-	return err
+	// Either mode monitors itself: the SelfCollector rides the same
+	// scheduler, store and sinks as every other collector, so self series
+	// show on /metrics, /query?source=self and in the alert DSL.
+	sched.Add(monitor.NewSelfCollector(reg, 0))
+	if cfg.receiver == "" {
+		log.Info("monitoring started",
+			"node", cfg.node.String(), "group", cfg.group, "interval", cfg.interval)
+	} else {
+		log.Info("receiver listening", "addr", https[0].Addr(),
+			"endpoints", "/ingest /metrics /query /status /healthz /readyz", "pprof", cfg.pprof)
+	}
+	sched.Run(ctx)
+	for _, st := range sched.Stats() {
+		log.Info("collector finished",
+			"collector", st.Name, "batches", st.Batches, "samples", st.Samples,
+			"errors", st.Errors, "stretches", st.Stretches)
+	}
+	return nil
+}
+
+// buildSinks builds the sinks: an agent's -sink specs (stdout without
+// any), or a receiver's HTTP sink on its -receiver address, whose
+// -labels are ingest defaults — merged under each pushed sample's own
+// labels, so e.g. cluster=emmy stamps a whole fleet while each agent's
+// job= label survives.  It returns the HTTP sinks apart as well: the rule
+// engines mount their endpoints on them.
+func buildSinks(ctx context.Context, cfg *agentConfig, store *monitor.Store, reg *telemetry.Registry, log *slog.Logger) ([]monitor.Sink, []*monitor.HTTPSink, error) {
+	specs := cfg.sinks
+	if cfg.receiver != "" {
+		specs = []string{"http:" + cfg.receiver}
+	} else if len(specs) == 0 {
+		specs = []string{"stdout"}
+	}
+	built := make([]monitor.Sink, 0, len(specs))
+	var https []*monitor.HTTPSink
+	for _, spec := range specs {
+		// Multi-target push pools are cluster sinks: health-checked
+		// targets, consistent-hash sharding, mirror and failover modes.
+		if cluster.IsSpec(spec) {
+			cs, parsed, err := newCluster(ctx, spec, 0, reg, log)
+			if err != nil {
+				return nil, nil, err
+			}
+			log.Info("cluster sink configured",
+				"policy", parsed.Policy.String(), "targets", len(parsed.Targets))
+			built = append(built, cs)
+			continue
+		}
+		// The context bounds the push sink's retry backoff: a shutdown
+		// flush against a dead receiver tries once instead of walking
+		// the whole ladder.
+		s, err := monitor.ParseSink(ctx, spec, store)
+		if err != nil {
+			return nil, nil, err
+		}
+		switch s := s.(type) {
+		case *monitor.HTTPSink:
+			log.Info("http sink listening", "addr", s.Addr(), "pprof", cfg.pprof)
+			mountOps(s, reg, cfg, store)
+			if cfg.receiver != "" {
+				s.SetIngestLabels(cfg.labels)
+			}
+			https = append(https, s)
+		case *monitor.PushSink:
+			s.SetLogger(log)
+			s.Instrument(reg)
+		}
+		built = append(built, s)
+	}
+	return built, https, nil
+}
+
+// newCluster builds and instruments the cluster sink of a push pool spec,
+// stamped with this process's push identity.
+func newCluster(ctx context.Context, spec string, flush int, reg *telemetry.Registry, log *slog.Logger) (*cluster.Sink, cluster.Spec, error) {
+	parsed, err := cluster.ParseSpec(spec)
+	if err != nil {
+		return nil, parsed, err
+	}
+	cs, err := cluster.New(cluster.Options{
+		Targets:      parsed.Targets,
+		Policy:       parsed.Policy,
+		Format:       parsed.Format,
+		Source:       monitor.DefaultPushSource(),
+		FlushSamples: flush,
+		Context:      ctx,
+		Logger:       log,
+	})
+	if err != nil {
+		return nil, parsed, err
+	}
+	cs.Instrument(reg)
+	return cs, parsed, nil
+}
+
+// startForward builds the receiver's -forward federation hop: a cluster
+// sink riding its own dispatcher, so a slow or dead upstream costs
+// forward backlog (bounded, counted), never ingest latency or /metrics
+// freshness.  drain closes the hop and logs each target's accounting.
+// Without -forward the dispatcher is nil and drain a no-op.
+func startForward(ctx context.Context, cfg *agentConfig, reg *telemetry.Registry, log *slog.Logger) (*monitor.Dispatcher, func() error, error) {
+	if cfg.forward == "" {
+		return nil, func() error { return nil }, nil
+	}
+	// The agent already batched; re-push each accepted batch as it
+	// arrives.  Re-batching at the hop would add latency and leave up to
+	// FlushSamples-1 samples to lose on a hard kill.
+	cs, spec, err := newCluster(ctx, cfg.forward, 1, reg, log)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := monitor.NewDispatcher(cfg.buffer, cluster.NewDownsampler(cfg.forwardEvery, cs))
+	d.SetLogger(log)
+	log.Info("forwarding enabled", "spec", cfg.forward,
+		"policy", spec.Policy.String(), "targets", len(spec.Targets), "downsample", cfg.forwardEvery)
+	return d, func() error {
+		err := d.Close()
+		logTargets(log, "forward target finished", cs)
+		return err
+	}, nil
+}
+
+// logTargets logs one line of delivery accounting per pool target.
+func logTargets(log *slog.Logger, msg string, cs *cluster.Sink) {
+	for _, ts := range cs.Status() {
+		log.Info(msg, "target", ts.Target, "healthy", ts.Healthy,
+			"sent", ts.Sent, "pushes", ts.Pushes, "failovers", ts.Failovers, "dropped", ts.Dropped)
+	}
 }
 
 // teeSink republishes every batch into another dispatcher — the bridge
 // that puts a receiver's own self and derived series onto the forward
-// hop, which otherwise only sees what crosses /ingest.  Close is a
-// no-op: the forward dispatcher outlives the tee and is drained
-// explicitly after the listener goes down.
+// hop, which otherwise only sees what crosses /ingest.  The hop keeps its
+// own dispatcher, so a slow upstream never stalls /metrics, and ingested
+// batches, forwarded by the /ingest hook, never pass the HTTP sink's
+// Write a second time.  Close is a no-op: the forward dispatcher
+// outlives the tee and is drained after the listener goes down.
 type teeSink struct{ d *monitor.Dispatcher }
 
 func (t teeSink) Name() string                { return "forward-tee" }
@@ -670,17 +762,11 @@ func staleHorizon(adaptive time.Duration) time.Duration {
 	return base
 }
 
-func runAgent(ctx context.Context, cfg *agentConfig, log *slog.Logger) error {
-	reg := telemetry.New()
+// armNode is an agent's source: the node's collectors, over a load
+// driver that advances simulated time between samples, and the
+// aggregator rolling their samples up the topology.
+func armNode(cfg *agentConfig, log *slog.Logger) (*monitor.Aggregator, []monitor.Collector, error) {
 	node := cfg.node
-	mcfg := monitor.Config{
-		Machine:   node.M,
-		MachineMu: new(sync.Mutex),
-		CPUs:      cfg.cpus,
-		Group:     cfg.group,
-		Interval:  cfg.interval,
-		RawEvents: cfg.raw,
-	}
 	loadCPUs := cfg.cpus
 	if len(loadCPUs) == 0 {
 		loadCPUs = make([]int, node.M.OS.NumCPUs())
@@ -690,99 +776,25 @@ func runAgent(ctx context.Context, cfg *agentConfig, log *slog.Logger) error {
 	}
 	load, err := newLoadDriver(node.M, loadCPUs, cfg.loadSpec)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	mcfg.Advance = load.advance
-
+	info, err := topology.Probe(node.M.CPUs, node.M.Arch.ClockMHz)
+	if err != nil {
+		return nil, nil, err
+	}
+	mcfg := monitor.Config{
+		Machine:   node.M,
+		MachineMu: new(sync.Mutex),
+		CPUs:      cfg.cpus,
+		Group:     cfg.group,
+		Interval:  cfg.interval,
+		RawEvents: cfg.raw,
+		Advance:   load.advance,
+	}
 	names := cfg.collectors
 	if len(names) == 0 {
 		names = monitor.DefaultRegistry.Names()
 	}
-	store := monitor.NewStore(cfg.retain, cfg.tiers...)
-	store.Instrument(reg)
-	pm, err := openPersist(cfg, store, reg, log)
-	if err != nil {
-		return err
-	}
-	defer closePersist(pm, log)
-	info, err := topology.Probe(node.M.CPUs, node.M.Arch.ClockMHz)
-	if err != nil {
-		return err
-	}
-	agg := monitor.NewAggregator(info, cfg.cpus)
-
-	sinks := cfg.sinks
-	if len(sinks) == 0 {
-		sinks = []string{"stdout"}
-	}
-	built := make([]monitor.Sink, 0, len(sinks))
-	var https []*monitor.HTTPSink
-	for _, spec := range sinks {
-		// Multi-target push pools are cluster sinks: health-checked
-		// targets, consistent-hash sharding, mirror and failover modes.
-		if cluster.IsSpec(spec) {
-			parsed, err := cluster.ParseSpec(spec)
-			if err != nil {
-				return err
-			}
-			cs, err := cluster.New(cluster.Options{
-				Targets: parsed.Targets,
-				Policy:  parsed.Policy,
-				Format:  parsed.Format,
-				Source:  monitor.DefaultPushSource(),
-				Context: ctx,
-				Logger:  log,
-			})
-			if err != nil {
-				return err
-			}
-			cs.Instrument(reg)
-			log.Info("cluster sink configured",
-				"policy", parsed.Policy.String(), "targets", len(parsed.Targets))
-			built = append(built, cs)
-			continue
-		}
-		// The context bounds the push sink's retry backoff: a shutdown
-		// flush against a dead receiver tries once instead of walking
-		// the whole ladder.
-		s, err := monitor.ParseSink(ctx, spec, store)
-		if err != nil {
-			return err
-		}
-		switch s := s.(type) {
-		case *monitor.HTTPSink:
-			log.Info("http sink listening", "addr", s.Addr(), "pprof", cfg.pprof)
-			mountOps(s, reg, cfg, store)
-			https = append(https, s)
-		case *monitor.PushSink:
-			s.SetLogger(log)
-			s.Instrument(reg)
-		}
-		built = append(built, s)
-	}
-	dispatcher := monitor.NewDispatcher(cfg.buffer, built...)
-	dispatcher.SetLogger(log)
-	dispatcher.Instrument(reg)
-	alerting, err := startAlerting(ctx, cfg, store, https, reg, log)
-	if err != nil {
-		return err
-	}
-	deriving, err := startDeriving(ctx, cfg, store, https, dispatcher, reg, log)
-	if err != nil {
-		return err
-	}
-	reloadOnSIGHUP(ctx, alerting.loop, deriving)
-
-	sched := monitor.NewScheduler(monitor.SchedulerOptions{
-		Store:       store,
-		Aggregator:  agg,
-		Dispatcher:  dispatcher,
-		AdaptiveMax: cfg.adaptive,
-		Labels:      cfg.labels,
-		Logger:      log,
-		Telemetry:   reg,
-	})
-	var stops []func() error
 	var active []monitor.Collector
 	for _, name := range names {
 		c, err := monitor.DefaultRegistry.Build(strings.TrimSpace(name), mcfg)
@@ -793,53 +805,12 @@ func runAgent(ctx context.Context, cfg *agentConfig, log *slog.Logger) error {
 			log.Warn("skipping collector", "collector", name, "err", err)
 			continue
 		}
-		sched.Add(c)
-		if s, ok := c.(interface{ Stop() error }); ok {
-			stops = append(stops, s.Stop)
-		}
 		active = append(active, c)
 	}
 	if len(active) == 0 {
-		return fmt.Errorf("no collector could be built; nothing to monitor")
+		return nil, nil, fmt.Errorf("no collector could be built; nothing to monitor")
 	}
-	// The agent monitors itself alongside the hardware: the SelfCollector
-	// rides the same scheduler, store and sinks as every other collector.
-	sched.Add(monitor.NewSelfCollector(reg, 0))
-
-	log.Info("monitoring started",
-		"node", node.String(), "group", cfg.group, "interval", cfg.interval)
-	sched.Run(ctx)
-
-	for _, stop := range stops {
-		_ = stop()
-	}
-	alerting.stop(log)
-	deriving.stop() // evaluation stops before its dispatcher closes
-	if err := dispatcher.Close(); err != nil {
-		log.Warn("sink close failed", "err", err)
-	}
-
-	for _, st := range sched.Stats() {
-		log.Info("collector finished",
-			"collector", st.Name, "batches", st.Batches, "samples", st.Samples,
-			"errors", st.Errors, "stretches", st.Stretches)
-	}
-	if d := dispatcher.Dropped(); d > 0 {
-		log.Warn("batches dropped at the sink queue", "dropped", d)
-	}
-	for _, s := range built {
-		switch s := s.(type) {
-		case *monitor.PushSink:
-			log.Info("push sink finished",
-				"sent", s.Sent(), "pushes", s.Pushes(), "retries", s.Retries(), "dropped", s.Dropped())
-		case *cluster.Sink:
-			for _, ts := range s.Status() {
-				log.Info("cluster target finished", "target", ts.Target, "healthy", ts.Healthy,
-					"sent", ts.Sent, "pushes", ts.Pushes, "failovers", ts.Failovers, "dropped", ts.Dropped)
-			}
-		}
-	}
-	return nil
+	return monitor.NewAggregator(info, cfg.cpus), active, nil
 }
 
 // loadDriver advances simulated machine time between counter samples.  The

@@ -14,8 +14,8 @@ import (
 )
 
 // TestFleetMixedVersionEndToEnd is the acceptance loop of the series
-// identity refactor: a v1 agent (legacy "SOURCE/metric" prefix payload)
-// and a v2 agent (push sink with a Source identity) push into one
+// identity refactor: a hand-rolled JSON-lines agent (source as its own
+// field) and a push-sink agent (a Source identity) push into one
 // receiver; both land on the same kind of source-keyed series, are
 // queryable per source and across sources via /query, and one fleet
 // rule raises per-source alert instances with per-source history.
@@ -50,19 +50,19 @@ func TestFleetMixedVersionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Agent B is v1: its source rides as a metric prefix, no source field.
-	var v1 bytes.Buffer
+	// Agent B posts JSON lines by hand, its source in the v2 field.
+	var lines bytes.Buffer
 	for i := 0; i <= 10; i++ {
-		fmt.Fprintf(&v1, `{"time":%d,"collector":"perfgroup","metric":"nodeB/bw","scope":"node","id":0,"value":500}`+"\n", i)
+		fmt.Fprintf(&lines, `{"time":%d,"collector":"perfgroup","source":"nodeB","metric":"bw","scope":"node","id":0,"value":500}`+"\n", i)
 	}
-	resp, err := http.Post(base+"/ingest", "application/x-ndjson", &v1)
+	resp, err := http.Post(base+"/ingest", "application/x-ndjson", &lines)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 ingest = %d %q", resp.StatusCode, body)
+		t.Fatalf("JSON-lines ingest = %d %q", resp.StatusCode, body)
 	}
 
 	// Both agents' series are source-keyed: nothing prefix-mangled.

@@ -100,9 +100,6 @@ func NewNamed(name string, opts Options) (*Machine, error) {
 // Now returns the simulated time in seconds.
 func (m *Machine) Now() float64 { return m.now }
 
-// ClockMHz returns the core clock as the tools report it.
-func (m *Machine) ClockMHz() float64 { return m.Arch.ClockMHz }
-
 // AddSliceHook registers a callback run after every engine slice.
 func (m *Machine) AddSliceHook(h SliceHook) { m.sliceHooks = append(m.sliceHooks, h) }
 

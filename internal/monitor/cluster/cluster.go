@@ -249,9 +249,6 @@ func normalizeTarget(raw string) (struct{ name, url, probe string }, error) {
 // Name implements monitor.Sink.
 func (s *Sink) Name() string { return "cluster" }
 
-// Policy reports the configured delivery policy.
-func (s *Sink) Policy() Policy { return s.opts.Policy }
-
 // Ring returns the current healthy-member ring (atomic snapshot).
 func (s *Sink) Ring() *Ring { return s.ring.Load() }
 
@@ -304,8 +301,9 @@ func (s *Sink) Dropped() uint64 {
 }
 
 // Instrument registers the cluster's self-metrics: per-target
-// health/sent/failover series (labelled by target host:port) and the
-// ring membership gauges.  Wiring time only, like every sink.
+// health/sent/failover/dropped series (labelled by target host:port;
+// the push sink's enqueue refusals also by reason) and the ring
+// membership gauges.  Wiring time only, like every sink.
 func (s *Sink) Instrument(reg *telemetry.Registry) {
 	reg.GaugeFunc("likwid_cluster_targets", func() float64 { return float64(len(s.targets)) })
 	reg.GaugeFunc("likwid_cluster_ring_targets", func() float64 { return float64(s.ring.Load().Len()) })
@@ -327,6 +325,7 @@ func (s *Sink) Instrument(reg *telemetry.Registry) {
 		reg.CounterFunc("likwid_cluster_target_dropped_total", func() float64 {
 			return float64(t.push.Dropped())
 		}, "target", t.name)
+		t.push.InstrumentRefused(reg, "likwid_cluster_target_dropped_total", "target", t.name)
 	}
 }
 

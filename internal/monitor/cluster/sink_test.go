@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"likwid/internal/monitor"
+	"likwid/internal/telemetry"
 )
 
 // newReceiver boots a real receiver (store + HTTP sink on a loopback
@@ -376,4 +378,52 @@ func TestClusterSingletonKeepsRetryLadder(t *testing.T) {
 		t.Errorf("singleton pool made %d attempts, want the full ladder (>=3)", r+1)
 	}
 	_ = s.Close()
+}
+
+// TestClusterTargetRefusalsByReason pins that a target's enqueue-time
+// refusals are visible: one non-finite, one negative-time and one
+// negative-id sample among good ones each count once under
+// likwid_cluster_target_dropped_total{target,reason}, and the good
+// samples still arrive.
+func TestClusterTargetRefusalsByReason(t *testing.T) {
+	store, _, url := newReceiver(t)
+	s, err := New(Options{
+		Targets:      []string{url},
+		Source:       "agent",
+		FlushSamples: 1,
+		RetryBase:    time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	s.Instrument(reg)
+	sample := func(tm, v float64, id int) monitor.Sample {
+		return monitor.Sample{Metric: "bw", Scope: monitor.ScopeNode, ID: id, Time: tm, Value: v}
+	}
+	if err := s.Write(monitor.Batch{Collector: "test", Time: 2, Samples: []monitor.Sample{
+		sample(1, 1, 0), sample(1.5, math.NaN(), 0), sample(-1, 1, 0), sample(1.5, 1, -1), sample(2, 2, 0),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(window(store, "agent", "bw")); n != 2 {
+		t.Errorf("receiver holds %d good points, want 2", n)
+	}
+	got := map[string]float64{}
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "likwid_cluster_target_dropped_total" && m.Labels["reason"] != "" {
+			if m.Labels["target"] != hostOf(t, url) {
+				t.Errorf("refusal counter labelled target=%q, want %q", m.Labels["target"], hostOf(t, url))
+			}
+			got[m.Labels["reason"]] = m.Value
+		}
+	}
+	for _, reason := range []string{"non_finite", "negative_time", "negative_id"} {
+		if got[reason] != 1 {
+			t.Errorf("likwid_cluster_target_dropped_total{reason=%q} = %v, want 1 (all: %v)", reason, got[reason], got)
+		}
+	}
 }

@@ -36,12 +36,15 @@ import (
 //	          sample batches from remote push sinks; valid batches are
 //	          appended to the store and the /metrics snapshot, so one
 //	          receiver aggregates several node agents
-//	/healthz  liveness plus batch accounting
+//	/healthz  liveness plus batch accounting and the listener's uptime
+//	          (a Go duration string)
 type HTTPSink struct {
 	store *Store
 	ln    net.Listener
 	srv   *http.Server
 	mux   *http.ServeMux
+
+	started time.Time // when the listener came up: /healthz's uptime
 
 	mu       sync.RWMutex
 	latest   map[Key]Sample
@@ -120,7 +123,7 @@ func NewHTTPSink(addr string, store *Store) (*HTTPSink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("monitor: http sink: %w", err)
 	}
-	h := &HTTPSink{store: store, ln: ln, latest: map[Key]Sample{}, maxDecompressed: maxIngestDecompressed}
+	h := &HTTPSink{store: store, ln: ln, started: time.Now(), latest: map[Key]Sample{}, maxDecompressed: maxIngestDecompressed}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", h.handleMetrics)
 	mux.HandleFunc("/query", h.handleQuery)
@@ -632,9 +635,9 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 //
 //	{"source":"nodeA", "labels":{"job":"lbm"}, "metric":"bw", ...}
 //	    — source lands verbatim in Key.Source, the label object interned
-//	    in Key.Labels; absent (or empty) it is the empty set.
-//	{"metric":"nodeA/bw", ...} — the legacy v1 prefix form carries no
-//	    source field; handleIngest's SplitSourceMetric stage splits it.
+//	    in Key.Labels; absent (or empty) it is the empty set.  A record
+//	    without a source is stored sourceless, its metric name verbatim
+//	    (a slash in it is part of the name, never a source boundary).
 //
 // sent_at (0 when absent) is advisory latency metadata: no value of it
 // ever rejects a batch; the receiver's skew histogram clamps instead.
@@ -735,16 +738,6 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 		h.reject(reason)
 		http.Error(w, "bad ingest payload: "+err.Error(), status)
 		return
-	}
-	// The v1 compat shim, the only place in the suite that still parses a
-	// source out of a metric name: a group without a source field may be
-	// carrying it as a "SOURCE/metric" prefix.  An explicit source is
-	// stored verbatim; only the shim, guessing at a prefix, insists on a
-	// conservative label shape.
-	for i := range b.groups {
-		if k := &b.groups[i].key; k.Source == "" {
-			k.Source, k.Metric, _ = SplitSourceMetric(k.Metric)
-		}
 	}
 	if router := h.router.Load(); router != nil {
 		err = router.apply(&b)
@@ -879,5 +872,5 @@ func (h *HTTPSink) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	h.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"status\":\"ok\",\"batches\":%d,\"ingested\":%d,\"uptime\":%q}\n",
-		batches, ingested, time.Now().Format(time.RFC3339))
+		batches, ingested, time.Since(h.started).String())
 }

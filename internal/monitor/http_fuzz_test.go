@@ -76,7 +76,7 @@ func FuzzIngestPayload(f *testing.F) {
 	f.Add([]byte("{}\n{}\n"), false)
 	f.Add([]byte(nil), false)
 	f.Add([]byte(`{"time":1,"source":"nodeA","metric":"bw","scope":"node","id":0,"value":1}`+"\n"), false) // v2 source field
-	f.Add([]byte(`{"time":1,"metric":"nodeA/bw","scope":"node","id":0,"value":1}`+"\n"), false)            // v1 prefix shim
+	f.Add([]byte(`{"time":1,"metric":"nodeA/bw","scope":"node","id":0,"value":1}`+"\n"), false)            // slash in a sourceless metric
 	f.Add([]byte(`{"time":1,"source":"no spaces","metric":"bw","scope":"node","id":0,"value":1}`+"\n"), false)
 	f.Add([]byte(`{"time":1,"metric":"alert/r","scope":"node","id":0,"value":1}`+"\n"), false) // reserved namespace
 	// v3 label records: valid sets must land, malformed label maps must

@@ -286,10 +286,11 @@ func TestQueryLabelSelectors(t *testing.T) {
 	}
 }
 
-// TestIngestMixedVersionsV1V2V3 is the compat contract across all three
-// wire generations: v1 prefix form, v2 source field, and v3 labels land
-// exactly where they should — absent labels are the empty set, so v1
-// and v2 keys are unchanged.
+// TestIngestMixedVersionsV1V2V3 is the compat contract across the wire
+// generations still spoken: v2 source field and v3 labels land exactly
+// where they should — absent labels are the empty set, so v2 keys are
+// unchanged.  (The v1 "SOURCE/metric" prefix form is retired: a
+// sourceless record keeps its metric name verbatim.)
 func TestIngestMixedVersionsV1V2V3(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -298,9 +299,9 @@ func TestIngestMixedVersionsV1V2V3(t *testing.T) {
 		values  []float64
 	}{
 		{
-			name: "v1 and v2 share the unlabelled key",
+			name: "v2 records share the unlabelled key",
 			records: []string{
-				`{"time":1,"metric":"nodeA/bw","scope":"node","id":0,"value":10}`,
+				`{"time":1,"source":"nodeA","metric":"bw","scope":"node","id":0,"value":10}`,
 				`{"time":2,"source":"nodeA","metric":"bw","scope":"node","id":0,"value":20}`,
 			},
 			key:    Key{Source: "nodeA", Metric: "bw", Scope: ScopeNode},

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func newTestHTTPSink(t *testing.T) (*HTTPSink, *Store) {
@@ -90,6 +91,29 @@ func TestHTTPSinkMetricsAndQuery(t *testing.T) {
 	}
 	if code, body = get(t, base+"/healthz"); code != http.StatusOK || !strings.Contains(body, `"ok"`) {
 		t.Errorf("/healthz = %d %q", code, body)
+	}
+}
+
+// TestHealthzUptime pins /healthz's uptime as the listener's age, a Go
+// duration string, not a wall-clock timestamp.
+func TestHealthzUptime(t *testing.T) {
+	before := time.Now()
+	h, _ := newTestHTTPSink(t)
+	code, body := get(t, "http://"+h.Addr()+"/healthz")
+	elapsed := time.Since(before)
+	if code != http.StatusOK {
+		t.Fatalf("/healthz = %d %q", code, body)
+	}
+	var health struct{ Uptime string }
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatalf("bad /healthz JSON %q: %v", body, err)
+	}
+	up, err := time.ParseDuration(health.Uptime)
+	if err != nil {
+		t.Fatalf("/healthz uptime %q is not a duration: %v", health.Uptime, err)
+	}
+	if up < 0 || up > elapsed {
+		t.Errorf("/healthz uptime = %v, want within [0, %v]", up, elapsed)
 	}
 }
 
@@ -269,10 +293,9 @@ func TestIngestSourceBecomesKeyDimension(t *testing.T) {
 	}
 }
 
-// TestIngestKeepsArbitrarySourceField pins v1 wire parity: an explicit
-// source field is stored verbatim even when it is not a plain label (a
-// pre-refactor agent was free to configure any string); only the v1
-// prefix shim is conservative about what counts as a source.
+// TestIngestKeepsArbitrarySourceField pins the source field's contract:
+// an explicit source field is stored verbatim even when it is not a
+// plain label (a pre-refactor agent was free to configure any string).
 func TestIngestKeepsArbitrarySourceField(t *testing.T) {
 	h, store := newTestHTTPSink(t)
 	payload := []byte(`{"time":1,"collector":"c","source":"rack1 node7","metric":"bw","scope":"node","id":0,"value":10}` + "\n")
@@ -285,60 +308,69 @@ func TestIngestKeepsArbitrarySourceField(t *testing.T) {
 	}
 }
 
-// TestIngestMixedVersionsLandOnSameKeys is the compat contract across
-// wire generations: a v1 payload (source smuggled as a "SOURCE/metric"
-// prefix), a v2 payload (source as its own field) and a v4 binary
-// payload of the same series must all land on the same store keys, so
-// one Window query stitches history pushed by a mixed-version fleet.
-// The v4 leg reuses each case's v2 record re-encoded on the binary wire
-// (including the sourceless ones, which must take the same v1 shim).
+// TestIngestMixedVersionsLandOnSameKeys is the contract across wire
+// formats: two JSON-lines records and a v4 binary payload of the same
+// series must all land on the same store key, so one Window query
+// stitches history pushed by a mixed-format fleet.  The v4 leg reuses
+// each case's second record re-encoded on the binary wire.  A metric
+// name is stored verbatim: the retired v1 wire's "SOURCE/metric"
+// prefix is no source boundary, so a sourceless "cpi/min" stays one
+// sourceless metric.
 func TestIngestMixedVersionsLandOnSameKeys(t *testing.T) {
 	tests := []struct {
-		name    string
-		v1, v2  string
-		key     Key
-		times   []float64
-		values  []float64
-		listLen int
+		name          string
+		first, second string // the two JSON-lines records, at times 1 and 2
+		key           Key
+		times         []float64
+		values        []float64
+		listLen       int
 	}{
 		{
-			name:   "prefix form equals source field",
-			v1:     `{"time":1,"collector":"c","metric":"nodeA/bw","scope":"node","id":0,"value":10}`,
-			v2:     `{"time":2,"collector":"c","source":"nodeA","metric":"bw","scope":"node","id":0,"value":20}`,
+			name:   "source field lands on the source key",
+			first:  `{"time":1,"collector":"c","source":"nodeA","metric":"bw","scope":"node","id":0,"value":10}`,
+			second: `{"time":2,"collector":"c","source":"nodeA","metric":"bw","scope":"node","id":0,"value":20}`,
 			key:    Key{Source: "nodeA", Metric: "bw", Scope: ScopeNode, ID: 0},
 			times:  []float64{1, 2},
 			values: []float64{10, 20},
 		},
 		{
 			name:   "reserved namespace is a metric, not a source",
-			v1:     `{"time":1,"collector":"c","metric":"topo/socket_hw_threads","scope":"node","id":0,"value":6}`,
-			v2:     `{"time":2,"collector":"c","metric":"topo/socket_hw_threads","scope":"node","id":0,"value":6}`,
+			first:  `{"time":1,"collector":"c","metric":"topo/socket_hw_threads","scope":"node","id":0,"value":6}`,
+			second: `{"time":2,"collector":"c","metric":"topo/socket_hw_threads","scope":"node","id":0,"value":6}`,
 			key:    Key{Metric: "topo/socket_hw_threads", Scope: ScopeNode, ID: 0},
 			times:  []float64{1, 2},
 			values: []float64{6, 6},
 		},
 		{
 			name:   "slash after an invalid label stays in the metric",
-			v1:     `{"time":1,"collector":"c","metric":"DP MFlops/s","scope":"node","id":0,"value":7}`,
-			v2:     `{"time":2,"collector":"c","metric":"DP MFlops/s","scope":"node","id":0,"value":8}`,
+			first:  `{"time":1,"collector":"c","metric":"DP MFlops/s","scope":"node","id":0,"value":7}`,
+			second: `{"time":2,"collector":"c","metric":"DP MFlops/s","scope":"node","id":0,"value":8}`,
 			key:    Key{Metric: "DP MFlops/s", Scope: ScopeNode, ID: 0},
 			times:  []float64{1, 2},
 			values: []float64{7, 8},
+		},
+		{
+			name:   "sourceless roll-up keeps its slash",
+			first:  `{"time":1,"collector":"c","metric":"cpi/min","scope":"node","id":0,"value":0.5}`,
+			second: `{"time":2,"collector":"c","metric":"cpi/min","scope":"node","id":0,"value":0.6}`,
+			key:    Key{Metric: "cpi/min", Scope: ScopeNode, ID: 0},
+			times:  []float64{1, 2},
+			values: []float64{0.5, 0.6},
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			h, store := newTestHTTPSink(t)
 			base := "http://" + h.Addr()
-			if code, body := postIngest(t, base, []byte(tt.v1+"\n"), false); code != http.StatusOK {
-				t.Fatalf("v1 ingest = %d %q", code, body)
+			if code, body := postIngest(t, base, []byte(tt.first+"\n"), false); code != http.StatusOK {
+				t.Fatalf("first ingest = %d %q", code, body)
 			}
-			if code, body := postIngest(t, base, []byte(tt.v2+"\n"), false); code != http.StatusOK {
-				t.Fatalf("v2 ingest = %d %q", code, body)
+			if code, body := postIngest(t, base, []byte(tt.second+"\n"), false); code != http.StatusOK {
+				t.Fatalf("second ingest = %d %q", code, body)
 			}
 			// v4 leg: the same record on the binary wire at time 3.
 			var js jsonSample
-			if err := json.Unmarshal([]byte(tt.v2), &js); err != nil {
+			if err := json.Unmarshal([]byte(tt.second), &js); err != nil {
 				t.Fatal(err)
 			}
 			scope, err := ParseScope(js.Scope)

@@ -204,26 +204,6 @@ func mustRegister(name string, f Factory) {
 	}
 }
 
-// ValidSourceLabel reports whether s looks like an agent source
-// identity: letters, digits, '_', '-', '.' — the shape of the default
-// hostname-pid label.  The v1 ingest compat shim uses it to tell a
-// source prefix from a slash inside a metric name; an explicit v2
-// source field is never subjected to it.
-func ValidSourceLabel(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '-', r == '.':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // reservedNamespaces are the suite's own slash-namespaced metric
 // families.  A leading "event/", "topo/", "feature/", "membw/" or
 // "alert/" is part of the metric name, never an agent source label.
@@ -238,25 +218,6 @@ var reservedNamespaces = map[string]bool{
 // ReservedNamespace reports whether seg is one of the suite's metric
 // namespaces rather than a plausible source label.
 func ReservedNamespace(seg string) bool { return reservedNamespaces[seg] }
-
-// SplitSourceMetric is the v1 compat shim: it splits the legacy
-// "SOURCE/metric" prefix form into its dimensions.  It is deliberately
-// conservative — the prefix must be a valid source label and must not
-// be one of the suite's reserved metric namespaces — because a slash
-// inside a metric name ("DP MFlops/s", "topo/socket_hw_threads") is
-// not a source boundary.  New code carries Source in the Key and never
-// needs this.
-func SplitSourceMetric(name string) (source, metric string, ok bool) {
-	i := strings.IndexByte(name, '/')
-	if i <= 0 || i == len(name)-1 {
-		return "", name, false
-	}
-	prefix := name[:i]
-	if !ValidSourceLabel(prefix) || ReservedNamespace(prefix) {
-		return "", name, false
-	}
-	return prefix, name[i+1:], true
-}
 
 // WildcardMatch matches a pattern whose '*' runs match any characters
 // (including '/'), the selector idiom shared by the alert DSL and the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -176,9 +177,7 @@ func (p *PushSink) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("likwid_push_sent_total", func() float64 { return float64(p.sent.Load()) })
 	reg.CounterFunc("likwid_push_pushes_total", func() float64 { return float64(p.pushes.Load()) })
 	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.dropped.Load()) })
-	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.nonFinite.Load()) }, "reason", "non_finite")
-	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.negTime.Load()) }, "reason", "negative_time")
-	reg.CounterFunc("likwid_push_dropped_total", func() float64 { return float64(p.negID.Load()) }, "reason", "negative_id")
+	p.InstrumentRefused(reg, "likwid_push_dropped_total")
 	reg.CounterFunc("likwid_push_retries_total", func() float64 { return float64(p.retries.Load()) })
 	p.tBatch = reg.Histogram("likwid_push_batch_samples", telemetry.SizeBuckets)
 	p.tBytes = map[string]*telemetry.Counter{
@@ -187,6 +186,19 @@ func (p *PushSink) Instrument(reg *telemetry.Registry) {
 	}
 	p.tPost = reg.Histogram("likwid_push_post_seconds", telemetry.DurationBuckets)
 	p.tPending = reg.Gauge("likwid_push_pending")
+}
+
+// InstrumentRefused registers one counter of name per reason enqueue
+// refuses a sample for (reason="non_finite", "negative_time",
+// "negative_id"), under the extra labels kv.  The cluster sink exports
+// each target's refusals through it.
+func (p *PushSink) InstrumentRefused(reg *telemetry.Registry, name string, kv ...string) {
+	for _, r := range []struct {
+		reason string
+		n      *atomic.Uint64
+	}{{"non_finite", &p.nonFinite}, {"negative_time", &p.negTime}, {"negative_id", &p.negID}} {
+		reg.CounterFunc(name, func() float64 { return float64(r.n.Load()) }, slices.Concat(kv, []string{"reason", r.reason})...)
+	}
 }
 
 // sentAtStamp converts the wall clock to the wire's sent_at Unix
@@ -302,9 +314,6 @@ func (p *PushSink) discard(n int) {
 // Pending reports the samples buffered and not yet acknowledged by the
 // receiver.
 func (p *PushSink) Pending() int { return len(p.pending) }
-
-// URL returns the receiver ingest endpoint this sink pushes to.
-func (p *PushSink) URL() string { return p.opts.URL }
 
 // Flush pushes the pending buffer now, regardless of the FlushSamples
 // threshold; a no-op when nothing is pending.  On failure the samples

@@ -132,12 +132,6 @@ func (d *Dispatcher) countDrop() {
 // (the default) keeps it silent, counters only.
 func (d *Dispatcher) SetLogger(log *slog.Logger) { d.logger.Store(log) }
 
-// QueueDepth reports the batches currently waiting in the bounded queue.
-func (d *Dispatcher) QueueDepth() int { return len(d.ch) }
-
-// QueueCap reports the bounded queue's capacity.
-func (d *Dispatcher) QueueCap() int { return cap(d.ch) }
-
 // Instrument registers the dispatcher's self-metrics on reg: queue
 // occupancy gauges, drop/write/error counters, and one flush-latency
 // histogram per attached sink.
@@ -525,9 +519,7 @@ func NewJSONLSink(w io.Writer, c io.Closer) Sink {
 // schema shared by the jsonl file sink and the push→ingest pipeline.
 // Source is the measuring agent's identity as its own field; the
 // receiver stores it as Key.Source, so two agents emitting the same
-// group stay distinct series without any metric-name mangling.  (The
-// legacy v1 form smuggled the source as a "SOURCE/metric" prefix; the
-// ingest endpoint still accepts it through the SplitSourceMetric shim.)
+// group stay distinct series without any metric-name mangling.
 // Labels is the v3 addition: the sample's structured label set as a
 // JSON object, omitted when empty — so a v2 record is exactly a v3
 // record with no labels, and old payloads land on unchanged keys.
@@ -608,18 +600,21 @@ func ParseSink(ctx context.Context, spec string, store *Store) (Sink, error) {
 	case "http":
 		return NewHTTPSink(arg, store)
 	default: // "push"/"pushv4", already validated
-		url, _ := normalizePushURL(arg)
+		url, _ := NormalizePushURL(arg)
 		format := WireJSON
 		if kind == "pushv4" {
 			format = WireV4
 		}
-		return NewPushSink(PushOptions{URL: url, Source: defaultPushSource(), Context: ctx, Format: format})
+		return NewPushSink(PushOptions{URL: url, Source: DefaultPushSource(), Context: ctx, Format: format})
 	}
 }
 
-// normalizePushURL fills in the scheme and /ingest path a bare
-// "push:host:port" spec leaves out.
-func normalizePushURL(arg string) (string, error) {
+// NormalizePushURL fills in the scheme and /ingest path a bare
+// "push:host:port" spec leaves out.  The cluster sink's multi-target
+// specs share it, so one grammar ("host:port" or a full http(s) URL,
+// /ingest defaulted) cannot drift between the single- and multi-target
+// paths.
+func NormalizePushURL(arg string) (string, error) {
 	if arg == "" {
 		return "", fmt.Errorf("push sink needs a receiver URL (push:HOST:PORT or push:http://HOST:PORT/ingest)")
 	}
@@ -642,12 +637,6 @@ func normalizePushURL(arg string) (string, error) {
 	return arg, nil
 }
 
-// NormalizePushURL is the exported form of the push-spec URL
-// normalization, shared with the cluster sink's multi-target specs so
-// one grammar ("host:port" or a full http(s) URL, /ingest defaulted)
-// cannot drift between the single- and multi-target paths.
-func NormalizePushURL(arg string) (string, error) { return normalizePushURL(arg) }
-
 // ValidateSinkSpec checks a -sink specification's shape without side
 // effects (no files created, no sockets bound), so agent configuration
 // can fail fast before any collector comes up.  ParseSink runs it first,
@@ -668,7 +657,7 @@ func ValidateSinkSpec(spec string) error {
 		}
 		return nil
 	case "push", "pushv4":
-		if _, err := normalizePushURL(arg); err != nil {
+		if _, err := NormalizePushURL(arg); err != nil {
 			return fmt.Errorf("monitor: sink %q: %w", spec, err)
 		}
 		return nil
@@ -689,6 +678,3 @@ func DefaultPushSource() string {
 	}
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
-
-// defaultPushSource is kept as the internal spelling.
-func defaultPushSource() string { return DefaultPushSource() }

@@ -421,8 +421,7 @@ func retiredV4Payload(labelName, labelValue string) []byte {
 
 // TestV4IngestEndToEnd posts a v4 payload (identity and gzipped) at a
 // live receiver and checks the samples land on the same keys a v3
-// JSON-lines push would use — including the v1 prefix shim for
-// sourceless groups.
+// JSON-lines push would use.
 func TestV4IngestEndToEnd(t *testing.T) {
 	h, store := newTestHTTPSink(t)
 	base := "http://" + h.Addr()
@@ -452,10 +451,10 @@ func TestV4IngestEndToEnd(t *testing.T) {
 	// Content-Type.
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
-	v1shim := encodeV4(t, []wireSample{
-		{Sample: Sample{Time: 9, Metric: "nodeC/bw", Scope: ScopeNode, Value: 42}, Collector: "c"},
+	sourced := encodeV4(t, []wireSample{
+		{Sample: Sample{Time: 9, Source: "nodeC", Metric: "bw", Scope: ScopeNode, Value: 42}, Collector: "c"},
 	})
-	if _, err := zw.Write(v1shim); err != nil {
+	if _, err := zw.Write(sourced); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
@@ -466,7 +465,7 @@ func TestV4IngestEndToEnd(t *testing.T) {
 	}
 	kC := Key{Source: "nodeC", Metric: "bw", Scope: ScopeNode, ID: 0}
 	if p, ok := store.Latest(kC); !ok || p.Value != 42 {
-		t.Errorf("v1-shimmed v4 sample = %+v (%v), want value 42 under source nodeC", p, ok)
+		t.Errorf("gzipped v4 sample = %+v (%v), want value 42 under source nodeC", p, ok)
 	}
 
 	// A malformed v4 body is a 400, all-or-nothing.

@@ -152,9 +152,6 @@ func (s *Space) Open(cpu int) (*Device, error) {
 // NumCPUs returns the number of device files in the space.
 func (s *Space) NumCPUs() int { return len(s.devs) }
 
-// CPU returns the processor ID this device belongs to.
-func (d *Device) CPU() int { return d.cpu }
-
 // Read returns the value of a register, failing for unimplemented addresses
 // exactly as a real pread on the msr device would fail with EIO.
 func (d *Device) Read(reg uint32) (uint64, error) {

@@ -3,8 +3,6 @@ package perfctr
 import (
 	"fmt"
 	"strings"
-
-	"likwid/internal/hwdef"
 )
 
 // Describe renders the event-set → hardware-event → counter mapping of this
@@ -45,24 +43,4 @@ func (c *Collector) Describe() string {
 		fmt.Fprintf(&b, "socket locks held by cores: %s\n", strings.Join(strs, ", "))
 	}
 	return b.String()
-}
-
-// HasUncoreEvents reports whether any scheduled event needs the per-socket
-// counters.
-func (c *Collector) HasUncoreEvents() bool {
-	for _, set := range c.sets {
-		if len(set.uncore) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// EventDomain returns the counter domain of a measured event name.
-func (c *Collector) EventDomain(name string) (hwdef.CounterDomain, bool) {
-	ev, ok := c.M.Arch.Events[name]
-	if !ok {
-		return 0, false
-	}
-	return ev.Domain, true
 }

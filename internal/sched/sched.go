@@ -87,18 +87,6 @@ func (k *Kernel) CoreOf(cpu int) (int, int) {
 	return k.topo[cpu].Socket, k.topo[cpu].CoreIdx
 }
 
-// SiblingsOf returns the logical CPUs sharing the physical core of cpu.
-func (k *Kernel) SiblingsOf(cpu int) []int {
-	var out []int
-	s, c := k.CoreOf(cpu)
-	for _, t := range k.topo {
-		if t.Socket == s && t.CoreIdx == c {
-			out = append(out, t.Proc)
-		}
-	}
-	return out
-}
-
 // Load returns the number of runnable tasks on a cpu.
 func (k *Kernel) Load(cpu int) int { return k.load[cpu] }
 

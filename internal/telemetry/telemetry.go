@@ -165,8 +165,6 @@ var (
 	DurationBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
 	// SizeBuckets spans 1 .. 32768 for sample/batch counts.
 	SizeBuckets = []float64{1, 8, 64, 512, 4096, 32768}
-	// ByteBuckets spans 256 B .. 8 MiB for payload sizes.
-	ByteBuckets = []float64{256, 4096, 65536, 1 << 20, 8 << 20}
 	// SkewBuckets is symmetric around zero for clock-skew seconds: a
 	// pushed batch's sent_at can be behind or ahead of the receiver.
 	SkewBuckets = []float64{-60, -10, -1, -0.1, 0, 0.1, 1, 10, 60}
@@ -352,15 +350,6 @@ type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Metrics is sorted by name, then canonical label identity.
 	Metrics []MetricValue `json:"metrics"`
-}
-
-// Uptime returns seconds since the registry was created, on its clock —
-// the time axis self-metric series are published on.
-func (r *Registry) Uptime() float64 {
-	r.mu.Lock()
-	now := r.now()
-	r.mu.Unlock()
-	return now.Sub(r.start).Seconds()
 }
 
 // Snapshot captures every instrument, sorted by identity.  Funcs run
