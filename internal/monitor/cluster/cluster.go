@@ -326,6 +326,7 @@ func (s *Sink) Instrument(reg *telemetry.Registry) {
 			return float64(t.push.Dropped())
 		}, "target", t.name)
 		t.push.InstrumentRefused(reg, "likwid_cluster_target_dropped_total", "target", t.name)
+		t.push.InstrumentEncoder(reg)
 	}
 }
 

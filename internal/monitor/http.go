@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"likwid/internal/telemetry"
 )
@@ -47,9 +49,15 @@ type HTTPSink struct {
 	started time.Time // when the listener came up: /healthz's uptime
 
 	mu       sync.RWMutex
-	latest   map[Key]Sample
+	latest   map[Key]*Point // a series' slot stays put: memoized shapes hold it
 	batches  uint64
 	ingested uint64 // samples accepted via /ingest
+
+	// identMemo remembers resolved v4 identity sections (ingestShape)
+	// under their first identMemoPrefix bytes, bounded by bytes like
+	// mergeCache; SetIngestLabels and SetRouter clear it.
+	identMemo      map[string][]*ingestShape
+	identMemoBytes int
 
 	// ingestLabels are default labels merged under every ingested
 	// sample's own labels (receiver -labels); mergeCache memoizes the
@@ -90,6 +98,7 @@ type HTTPSink struct {
 	tRejected map[string]*telemetry.Counter
 	tDecode   *telemetry.Histogram
 	tAppend   *telemetry.Histogram
+	tMemo     shapeCounters // the identity memo's
 
 	// Per-source ingest instruments, memoized and capped: past
 	// maxIngestSources distinct sources everything lands on the "other"
@@ -123,7 +132,7 @@ func NewHTTPSink(addr string, store *Store) (*HTTPSink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("monitor: http sink: %w", err)
 	}
-	h := &HTTPSink{store: store, ln: ln, started: time.Now(), latest: map[Key]Sample{}, maxDecompressed: maxIngestDecompressed}
+	h := &HTTPSink{store: store, ln: ln, started: time.Now(), maxDecompressed: maxIngestDecompressed}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", h.handleMetrics)
 	mux.HandleFunc("/query", h.handleQuery)
@@ -164,6 +173,7 @@ func (h *HTTPSink) Instrument(reg *telemetry.Registry) {
 	}
 	h.tDecode = reg.Histogram("likwid_ingest_decode_seconds", telemetry.DurationBuckets)
 	h.tAppend = reg.Histogram("likwid_ingest_append_seconds", telemetry.DurationBuckets)
+	h.tMemo.instrument(reg, "ingest")
 }
 
 // reject counts one rejected ingest request under its reason (a no-op
@@ -260,6 +270,9 @@ func (h *HTTPSink) SetRouter(r *Router) {
 		r = nil
 	}
 	h.router.Store(r)
+	h.mu.Lock()
+	h.identMemo = nil
+	h.mu.Unlock()
 }
 
 // Router returns the installed routing stage (nil when none), for
@@ -288,33 +301,37 @@ func (h *HTTPSink) SetForward(f func(Batch)) {
 func (h *HTTPSink) SetIngestLabels(ls Labels) {
 	h.mu.Lock()
 	h.ingestLabels = ls
-	h.mergeCache = nil
+	h.mergeCache, h.identMemo = nil, nil
 	h.mu.Unlock()
 }
 
-// setLatestLocked runs one series' new points (a sample, or an ingested
-// column group) past its /metrics snapshot entry, replacing it only when
-// a point is at least as new as the stored one: a replayed or
-// late-arriving ingest batch must not regress "latest" to an older
-// value.  Ties take the incoming sample, so a corrected re-push of the
-// same instant wins.  The deliberate flip side: an agent that restarts
-// with a stable Source AND a reset simulated clock reports under its
-// old high-water mark until its time axis catches up — the default
-// hostname-pid source sidesteps this by changing per process, and a
-// monotonic "latest" beats one that time-travels backwards on replay.
-func (h *HTTPSink) setLatestLocked(k Key, times, values []float64) {
-	cur, have := h.latest[k]
-	changed := false
-	for i, t := range times {
-		if have && t < cur.Time {
-			continue
+// latestSlotLocked is k's /metrics snapshot entry, created empty (at
+// -Inf, so any first point takes it) on first use.
+func (h *HTTPSink) latestSlotLocked(k Key) *Point {
+	p := h.latest[k]
+	if p == nil {
+		if h.latest == nil {
+			h.latest = map[Key]*Point{}
 		}
-		cur = Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
-			Labels: k.Labels, Time: t, Value: values[i]}
-		have, changed = true, true
+		p = &Point{Time: math.Inf(-1)}
+		h.latest[k] = p
 	}
-	if changed {
-		h.latest[k] = cur
+	return p
+}
+
+// advance runs one new point of a series past its /metrics snapshot
+// entry, replacing it only when the point is at least as new as the
+// stored one: a replayed or late-arriving ingest batch must not regress
+// "latest" to an older value.  Ties take the incoming sample, so a
+// corrected re-push of the same instant wins.  The deliberate flip
+// side: an agent that restarts with a stable Source AND a reset
+// simulated clock reports under its old high-water mark until its time
+// axis catches up — the default hostname-pid source sidesteps this by
+// changing per process, and a monotonic "latest" beats one that
+// time-travels backwards on replay.
+func (p *Point) advance(t, v float64) {
+	if !(t < p.Time) {
+		*p = Point{Time: t, Value: v}
 	}
 }
 
@@ -322,7 +339,7 @@ func (h *HTTPSink) setLatestLocked(k Key, times, values []float64) {
 func (h *HTTPSink) Write(b Batch) error {
 	h.mu.Lock()
 	for _, s := range b.Samples {
-		h.setLatestLocked(s.Key(), []float64{s.Time}, []float64{s.Value})
+		h.latestSlotLocked(s.Key()).advance(s.Time, s.Value)
 	}
 	h.batches++
 	h.mu.Unlock()
@@ -335,8 +352,9 @@ func (h *HTTPSink) Close() error { return h.srv.Close() }
 func (h *HTTPSink) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	h.mu.RLock()
 	samples := make([]Sample, 0, len(h.latest))
-	for _, s := range h.latest {
-		samples = append(samples, s)
+	for k, p := range h.latest {
+		samples = append(samples, Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
+			Labels: k.Labels, Time: p.Time, Value: p.Value})
 	}
 	h.mu.RUnlock()
 	sort.Slice(samples, func(i, j int) bool {
@@ -710,16 +728,26 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// itself via its Content-Type; everything else (including absent or
 	// unknown types) is the JSON-lines path.  The Content-Encoding
 	// handling above applies to both.  Either decoder fills the one
-	// group-shaped batch every stage below runs over, once per group.
-	var b groupBatch
-	var err error
+	// group-shaped batch the stages below resolve, once per group, into
+	// the shape the rows land through — unless the v4 payload repeats a
+	// memoized identity, whose shape is already resolved.
+	var (
+		b    groupBatch
+		sh   *ingestShape
+		data []byte // the v4 payload
+		err  error
+	)
 	decodeStart := time.Now()
 	if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == V4ContentType {
 		// Content-Length sizes the read buffer up front (for a gzipped
 		// body it is only a lower bound, which is still a head start).
 		buf := bytes.NewBuffer(make([]byte, 0, max(0, min(r.ContentLength, maxIngestCompressed))+bytes.MinRead))
 		if _, err = buf.ReadFrom(body); err == nil {
-			err = decodeV4(buf.Bytes(), &b)
+			data = buf.Bytes()
+			if sh = h.memoHit(data, &b); sh == nil {
+				h.tMemo.count(shapeMiss)
+				err = decodeV4(data, &b)
+			}
 		}
 	} else {
 		err = decodeIngest(body, &b)
@@ -739,35 +767,43 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad ingest payload: "+err.Error(), status)
 		return
 	}
-	if router := h.router.Load(); router != nil {
-		err = router.apply(&b)
+	fresh := sh == nil
+	if fresh {
+		if sh, err = h.resolve(&b, data); err != nil {
+			h.reject("labels")
+			http.Error(w, "bad ingest payload: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+	} else if sh.router != nil {
+		sh.router.count(sh.routed)
 	}
-	if err == nil {
-		err = h.applyIngestLabels(&b)
-	}
-	if err != nil {
-		h.reject("labels")
-		http.Error(w, "bad ingest payload: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Nothing can reject the batch any more: resolve, append, journal.
+	// Nothing can reject the batch any more: append, journal.
 	fp := h.forward.Load()
 	appendStart := time.Now()
-	samples := h.store.appendGroups(&b, fp != nil)
+	samples := h.store.appendShape(sh.groups, b.times, b.values, fp != nil)
 	if h.tAppend != nil {
 		h.tAppend.Observe(time.Since(appendStart).Seconds())
 	}
-	accepted := b.rows()
+	accepted := 0
 	h.mu.Lock()
-	for i := range b.groups {
-		g := &b.groups[i]
-		h.setLatestLocked(g.key, b.times[g.lo:g.hi], b.values[g.lo:g.hi])
+	for i := range sh.groups {
+		g := &sh.groups[i]
+		if g.latest == nil { // a fresh shape, not yet shared
+			g.latest = h.latestSlotLocked(g.series.key)
+		}
+		for r := g.lo; r < g.hi; r++ {
+			g.latest.advance(b.times[r], b.values[r])
+		}
+		accepted += int(g.hi - g.lo)
 	}
 	h.ingested += uint64(accepted)
+	if fresh && sh.ident != nil && sh.router == h.router.Load() && sh.defaults == h.ingestLabels {
+		h.rememberLocked(sh)
+	}
 	h.mu.Unlock()
 	if h.tAccepted != nil {
 		h.tAccepted.Add(uint64(accepted))
-		h.observeIngest(&b)
+		h.observeIngest(sh.groups, b.sentAts)
 	}
 	// Re-push the accepted batch up the federation tree.  The samples
 	// were built for this request (the journal copied what it wanted),
@@ -779,11 +815,127 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(ingestResponse{Accepted: accepted})
 }
 
+// ingestShape is a decoded payload's identity resolved through every
+// ingest stage — routed, label-merged, interned, its series created —
+// down to what landing its columns takes: per group the store series,
+// the /metrics latest slot and the rows [lo, hi).  Keys come from
+// series.key; nothing aliases the request.  A v4 identity section is
+// memoized as one (HTTPSink.identMemo): a payload that repeats it byte
+// for byte decodes only its columns.  Series never die today; a
+// Store.Retire (ROADMAP item 16) must clear these memos.
+type ingestShape struct {
+	ident    []byte  // the v4 identity section, copied; nil for JSON
+	starts   []int32 // the directory groups' first rows
+	rows     int     // the directory's row total
+	groups   []landGroup
+	router   *Router  // the router the groups took, and
+	routed   []uint64 // the rows each of its routes matched
+	defaults Labels   // the ingest labels merged in
+}
+
+// landGroup is one series' run of rows in an ingestShape.
+type landGroup struct {
+	series *series
+	latest *Point
+	lo, hi int32
+}
+
+// maxIdentMemoBytes bounds the identity memo by bytes only, since how
+// many identities come round between resets is the fleet's: about 200
+// of a 512-series tick fit.  Past it the memo is reset, like mergeCache.
+// A variable only so tests can lower it.  An identity section's first
+// identMemoPrefix bytes (the string table, which names the sending
+// agent) are its key, so a shorter one (a payload of a group or two) is
+// not memoized.
+var maxIdentMemoBytes = 4 << 20
+
+const identMemoPrefix = 64
+
+// memoHit looks data's identity section up in the memo, byte for byte,
+// and decodes the columns after it into b.  Anything short of a clean
+// hit — no entry, a column that does not decode, a row the screen
+// rejects — returns nil, and the caller decodes in full, which rejects
+// a bad payload with the same message as if it had never been seen.
+// The identity section is self-delimiting, so a payload that starts
+// with an entry's bytes has exactly that identity.
+func (h *HTTPSink) memoHit(data []byte, b *groupBatch) *ingestShape {
+	var sh *ingestShape
+	h.mu.RLock()
+	for _, e := range h.identMemo[string(data[:min(len(data), identMemoPrefix)])] {
+		if bytes.HasPrefix(data, e.ident) {
+			sh = e
+			break
+		}
+	}
+	h.mu.RUnlock()
+	if sh == nil {
+		return nil
+	}
+	d := v4Decoder{b: data, off: len(sh.ident)}
+	if d.columns(b, sh.rows, sh.starts) != nil || b.checkRows(0, sh.rows) != nil {
+		return nil
+	}
+	h.tMemo.count(shapeHit)
+	return sh
+}
+
+// resolve runs a decoded batch through routing, label merging and
+// series resolution into a fresh shape (data is the v4 payload it came
+// from; nil for JSON).
+func (h *HTTPSink) resolve(b *groupBatch, data []byte) (*ingestShape, error) {
+	sh := &ingestShape{router: h.router.Load()}
+	if sh.router != nil {
+		if err := sh.router.apply(b); err != nil {
+			return nil, err
+		}
+		sh.routed = b.routed
+	}
+	var err error
+	if sh.defaults, err = h.applyIngestLabels(b); err != nil {
+		return nil, err
+	}
+	h.store.resolveGroups(b)
+	sh.groups = make([]landGroup, len(b.groups))
+	for i, g := range b.groups {
+		sh.groups[i] = landGroup{series: g.series, lo: int32(g.lo), hi: int32(g.hi)}
+	}
+	if data != nil {
+		sh.ident, sh.starts, sh.rows = bytes.Clone(data[:b.ident]), b.starts, len(b.times)
+	}
+	return sh, nil
+}
+
+// rememberLocked memoizes a freshly landed v4 shape, unless an equal
+// identity is already there, it is too short to key or it alone exceeds
+// the bound; a memo that would outgrow its bound is reset first.
+func (h *HTTPSink) rememberLocked(sh *ingestShape) {
+	size := int(unsafe.Sizeof(*sh)) + identMemoPrefix + len(sh.ident) + 4*len(sh.starts) + 8*len(sh.routed) +
+		len(sh.groups)*int(unsafe.Sizeof(landGroup{}))
+	if len(sh.ident) < identMemoPrefix || size > maxIdentMemoBytes {
+		return
+	}
+	key := string(sh.ident[:identMemoPrefix])
+	for _, e := range h.identMemo[key] {
+		if bytes.Equal(e.ident, sh.ident) {
+			return
+		}
+	}
+	if h.identMemoBytes+size > maxIdentMemoBytes {
+		h.tMemo.count(shapeReset)
+		h.identMemo = nil
+	}
+	if h.identMemo == nil {
+		h.identMemo, h.identMemoBytes = map[string][]*ingestShape{}, 0
+	}
+	h.identMemo[key] = append(h.identMemo[key], sh)
+	h.identMemoBytes += size
+}
+
 // observeIngest records per-source acceptance and, for records carrying
 // a sent_at stamp, the end-to-end wire+queue latency and signed clock
 // skew.  A far-future or ancient stamp lands in the histograms' edge
 // buckets — clamped by construction, never rejected, never a panic.
-func (h *HTTPSink) observeIngest(b *groupBatch) {
+func (h *HTTPSink) observeIngest(groups []landGroup, sentAts []float64) {
 	var recv float64
 	if h.now != nil {
 		recv = float64(h.now().UnixNano()) / 1e9
@@ -794,16 +946,15 @@ func (h *HTTPSink) observeIngest(b *groupBatch) {
 		lastSource string
 		si         *sourceInstruments
 	)
-	for i := range b.groups {
-		g := &b.groups[i]
-		if si == nil || g.key.Source != lastSource {
-			si, lastSource = h.sourceInstr(g.key.Source), g.key.Source
+	for _, g := range groups {
+		if source := g.series.key.Source; si == nil || source != lastSource {
+			si, lastSource = h.sourceInstr(source), source
 		}
 		if si == nil {
 			return // not instrumented
 		}
 		si.samples.Add(uint64(g.hi - g.lo))
-		for _, sentAt := range b.sentAts[g.lo:g.hi] {
+		for _, sentAt := range sentAts[g.lo:g.hi] {
 			if sentAt > 0 {
 				delta := recv - sentAt
 				si.skew.Observe(delta)
@@ -836,18 +987,19 @@ func mergedLabelCount(defaults Labels, pairs []Label) int {
 // applyIngestLabels screens each group's validated wire pairs against
 // the receiver's default-merge cap and only then interns them, overlaying
 // the defaults (sample wins per name) in one critical section per batch,
-// memoized per incoming label set.  The screening runs before any
-// interning and any store append, so a 400 leaves no residue anywhere.
-func (h *HTTPSink) applyIngestLabels(b *groupBatch) error {
+// memoized per incoming label set, and returns the defaults it merged.
+// The screening runs before any interning and any store append, so a 400
+// leaves no residue anywhere.
+func (h *HTTPSink) applyIngestLabels(b *groupBatch) (Labels, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.ingestLabels.Empty() {
 		b.internLabels()
-		return nil
+		return h.ingestLabels, nil
 	}
 	for i := range b.groups {
 		if pairs := b.groups[i].pairs; mergedLabelCount(h.ingestLabels, pairs) > maxLabels {
-			return fmt.Errorf("monitor: sample labels %q merged with the receiver defaults exceed the limit of %d labels", encodePairs(pairs), maxLabels)
+			return Labels{}, fmt.Errorf("monitor: sample labels %q merged with the receiver defaults exceed the limit of %d labels", encodePairs(pairs), maxLabels)
 		}
 	}
 	b.internLabels()
@@ -863,7 +1015,7 @@ func (h *HTTPSink) applyIngestLabels(b *groupBatch) error {
 		}
 		g.key.Labels = merged
 	}
-	return nil
+	return h.ingestLabels, nil
 }
 
 func (h *HTTPSink) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -3,10 +3,12 @@ package monitor
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"testing"
 
 	"likwid/internal/telemetry"
@@ -19,7 +21,7 @@ import (
 func fuzzSink() *HTTPSink {
 	st := NewStore(8, Tier{Resolution: 1, Capacity: 4})
 	st.Append(Key{Metric: "bw", Scope: ScopeNode, ID: 0}, Point{Time: 1, Value: 100})
-	h := &HTTPSink{store: st, latest: map[Key]Sample{}}
+	h := &HTTPSink{store: st}
 	h.Instrument(telemetry.New())
 	return h
 }
@@ -158,16 +160,94 @@ func fuzzV4Seeds(tb testing.TB) map[string]struct {
 	}
 }
 
+// dupGroupsPayload is a v4 payload whose directory names one series
+// twice, as no encoder writes it but a foreign one may.
+func dupGroupsPayload() []byte {
+	p := binary.AppendUvarint([]byte(v4Magic), 4)
+	for _, s := range []string{"perfgroup/MEM_DP", "duplicate-key-groups-node", "memory_bandwidth_mbytes_s", "socket"} {
+		p = appendString(p, s)
+	}
+	p = append(p, 1, 0, 2) // one set, the empty one; two groups
+	for range 2 {
+		p = append(p, 0, 1, 2, 3, 0, 0, 2) // collector, source, metric, scope, id, set, rows
+	}
+	starts := []int32{0, 2}
+	p = appendDeltaColumn(p, []float64{1, 2, 1.5, 3}, starts)
+	p = appendDeltaColumn(p, []float64{0, 0, 0, 0}, starts)
+	return appendXORColumn(p, []float64{10, 20, 30, 40}, starts)
+}
+
+// postV4Body runs one v4 POST /ingest through h's handler.
+func postV4Body(h *HTTPSink, body []byte, gz bool) (int, string) {
+	req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))
+	req.Header.Set("Content-Type", V4ContentType)
+	if gz {
+		req.Header.Set("Content-Encoding", "gzip")
+	}
+	w := httptest.NewRecorder()
+	h.handleIngest(w, req)
+	return w.Code, w.Body.String()
+}
+
+// scrapeMetrics is h's /metrics body.
+func scrapeMetrics(h *HTTPSink) string {
+	w := httptest.NewRecorder()
+	h.handleMetrics(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	return w.Body.String()
+}
+
+// memoDifferential holds the identity memo to the full ingest path: body
+// posted twice to one sink, whose second post may take the memo's hit
+// path, must do exactly what it does on a sink that forgets every
+// identity before each post — status and response body per post, the
+// batches forwarded, then /metrics and every stored window.
+func memoDifferential(t *testing.T, body []byte, gz bool) {
+	t.Helper()
+	memo, ref := fuzzSink(), fuzzSink()
+	var fwd [2][]Batch
+	for i, h := range []*HTTPSink{memo, ref} {
+		h.SetForward(func(b Batch) { fwd[i] = append(fwd[i], b) })
+	}
+	for post := range 2 {
+		ref.mu.Lock()
+		ref.identMemo = nil
+		ref.mu.Unlock()
+		cm, bm := postV4Body(memo, body, gz)
+		cr, br := postV4Body(ref, body, gz)
+		if cm != cr || bm != br {
+			t.Fatalf("post %d: the memoizing sink answered %d %q, a forgetting one %d %q", post, cm, bm, cr, br)
+		}
+	}
+	if !reflect.DeepEqual(fwd[0], fwd[1]) {
+		t.Fatalf("forwarded batches differ:\n%v\nvs\n%v", fwd[0], fwd[1])
+	}
+	if a, b := scrapeMetrics(memo), scrapeMetrics(ref); a != b {
+		t.Fatalf("/metrics differs:\n%s\nvs\n%s", a, b)
+	}
+	keys := memo.store.Keys()
+	if !reflect.DeepEqual(keys, ref.store.Keys()) {
+		t.Fatalf("stored series differ: %v vs %v", keys, ref.store.Keys())
+	}
+	for _, k := range keys {
+		if a, b := memo.store.Window(k, 0, -1), ref.store.Window(k, 0, -1); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%v: window %v, want %v", k, a, b)
+		}
+	}
+}
+
 // FuzzIngestV4 hammers the binary ingest path: arbitrary bytes under the
 // v4 Content-Type must produce 200 or 4xx, never a panic, a 5xx, or a
 // partial batch — and any payload that decodes must survive a
 // re-encode/re-decode round trip unchanged (the codec is a fixpoint on
-// its own output).
+// its own output).  Posted twice, it must land as it does without the
+// identity memo (memoDifferential).
 func FuzzIngestV4(f *testing.F) {
 	for _, seed := range fuzzV4Seeds(f) {
 		f.Add(seed.Body, seed.Gzip)
 	}
+	f.Add(dupGroupsPayload(), false)
 	f.Fuzz(func(t *testing.T, body []byte, gz bool) {
+		memoDifferential(t, body, gz)
 		h := fuzzSink()
 		before := len(h.store.Keys())
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))

@@ -605,8 +605,16 @@ func TestWALAppendZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("journaled Series.Append allocates %.2f allocs/op, want 0", allocs)
 	}
-	if got := m.wal.records.Load() + m.wal.dropped.Load(); got == 0 {
-		t.Fatal("the WAL saw none of the appends")
+	// The writer fsyncs only once its queue stays empty, so it may still
+	// be writing when the loop ends: wait until every append (one per
+	// time 0..tm, 1024 skipped) is durable or counted as dropped.
+	want := uint64(tm)
+	deadline := time.Now().Add(5 * time.Second)
+	for m.wal.records.Load()+m.wal.dropped.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := m.wal.records.Load() + m.wal.dropped.Load(); got != want {
+		t.Fatalf("the WAL accounted for %d of the %d appends", got, want)
 	}
 }
 

@@ -305,8 +305,10 @@ func replayWAL(path string, apply func([]monitor.Sample), invalid func()) (point
 }
 
 // instrument registers the WAL's self-metrics.  records_total and
-// dropped_total count points, not frames.
+// dropped_total count points, not frames; the frame encoder's shape
+// cache counts under likwid_v4_shape_cache_total{cache="wal"}.
 func (w *wal) instrument(reg *telemetry.Registry) {
+	w.enc.Instrument(reg, "wal")
 	reg.CounterFunc("likwid_wal_records_total", func() float64 {
 		return float64(w.records.Load())
 	})

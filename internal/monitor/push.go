@@ -186,7 +186,13 @@ func (p *PushSink) Instrument(reg *telemetry.Registry) {
 	}
 	p.tPost = reg.Histogram("likwid_push_post_seconds", telemetry.DurationBuckets)
 	p.tPending = reg.Gauge("likwid_push_pending")
+	p.InstrumentEncoder(reg)
 }
+
+// InstrumentEncoder counts the v4 encoder's shape cache hits, misses and
+// resets on reg, under likwid_v4_shape_cache_total{cache="push"} (the
+// cluster sink exports its targets' through it).
+func (p *PushSink) InstrumentEncoder(reg *telemetry.Registry) { p.enc.Instrument(reg, "push") }
 
 // InstrumentRefused registers one counter of name per reason enqueue
 // refuses a sample for (reason="non_finite", "negative_time",

@@ -142,7 +142,8 @@ func (r *Router) Statuses() []RouteStatus {
 
 // apply runs the route list over a decoded batch, in route order per
 // series group (a group shares the identity routes match on, so it is
-// routed once and the counters advance by its sample count): a drop ends
+// routed once and the counters advance by its sample count, tallied in
+// b.routed): a drop ends
 // that group's processing; a rename feeds the new name to later routes;
 // a relabel edits its own copy of the group's pairs.  Surviving groups
 // are compacted in place; a dropped group's rows stay in the columns,
@@ -153,19 +154,18 @@ func (r *Router) Statuses() []RouteStatus {
 // and the payload disagree, and silently dropping labels would hide
 // it.
 func (r *Router) apply(b *groupBatch) error {
+	b.routed = make([]uint64, len(r.routes))
+	defer r.count(b.routed)
 	kept := b.groups[:0]
 	for _, g := range b.groups {
 		rows := uint64(g.hi - g.lo)
 		dropped, copied := false, false
 		relabelled := "?" // the last relabel applied, for the over-cap error
-		for _, rs := range r.routes {
+		for i, rs := range r.routes {
 			if !rs.route.matches(&g) {
 				continue
 			}
-			rs.matched.Add(rows)
-			if c := r.tRouted[rs.route.Action]; c != nil {
-				c.Add(rows)
-			}
+			b.routed[i] += rows
 			switch rs.route.Action {
 			case RouteDrop:
 				dropped = true
@@ -196,6 +196,20 @@ func (r *Router) apply(b *groupBatch) error {
 	}
 	b.groups = kept
 	return nil
+}
+
+// count advances each route's match counter, and its action's registry
+// counter, by the rows routed[i] it matched: once per applied batch, and
+// once per payload that repeats a memoized identity (ingestShape).
+func (r *Router) count(routed []uint64) {
+	for i, n := range routed {
+		if rs := r.routes[i]; n > 0 {
+			rs.matched.Add(n)
+			if c := r.tRouted[rs.route.Action]; c != nil {
+				c.Add(n)
+			}
+		}
+	}
 }
 
 // setPair applies one relabel assignment to name-sorted pairs, keeping

@@ -347,15 +347,10 @@ func (st *Store) appendRows(samples []Sample, rows []*series) {
 	}
 }
 
-// appendGroups lands a decoded, label-resolved ingest batch: every
-// unseen series is created in one ensureMany pass (a fleet's first push
-// is one index clone, not one per series), each group's rows are appended
-// under one series lock, and the journal observes the batch in one call.
-// On return the groups carry the store's canonical keys, not the request
-// payload's strings, so later stages may keep them.  The batch comes back
-// as samples when a journal is installed or the caller wants them (the
-// forward hook), nil otherwise.
-func (st *Store) appendGroups(b *groupBatch, wantSamples bool) []Sample {
+// resolveGroups sets every group's store series, creating the unseen
+// ones in one ensureMany pass (a fleet's first push is one index clone,
+// not one per series).
+func (st *Store) resolveGroups(b *groupBatch) {
 	idx := *st.index.Load()
 	var fresh []Key
 	for i := range b.groups {
@@ -367,20 +362,38 @@ func (st *Store) appendGroups(b *groupBatch, wantSamples bool) []Sample {
 	if len(fresh) > 0 {
 		st.ensureMany(fresh)
 		idx = *st.index.Load()
-	}
-	for i := range b.groups {
-		g := &b.groups[i]
-		if g.series == nil {
-			g.series = idx[g.key]
+		for i := range b.groups {
+			if g := &b.groups[i]; g.series == nil {
+				g.series = idx[g.key]
+			}
 		}
-		g.key = g.series.key
-		g.series.appendColumns(b.times[g.lo:g.hi], b.values[g.lo:g.hi])
+	}
+}
+
+// appendShape lands an ingest payload's columns through its resolved
+// shape: each group's rows are appended under one series lock, and the
+// journal observes the batch in one call.  The batch comes back as
+// samples, under the series' own keys (nothing aliases the request),
+// when a journal is installed or the caller wants them (the forward
+// hook), nil otherwise.
+func (st *Store) appendShape(groups []landGroup, times, values []float64, wantSamples bool) []Sample {
+	rows := 0
+	for _, g := range groups {
+		g.series.appendColumns(times[g.lo:g.hi], values[g.lo:g.hi])
+		rows += int(g.hi - g.lo)
 	}
 	jp := st.journal.Load()
 	if jp == nil && !wantSamples {
 		return nil
 	}
-	samples := b.appendSamples(nil)
+	samples := make([]Sample, 0, rows)
+	for _, g := range groups {
+		k := &g.series.key
+		for r := g.lo; r < g.hi; r++ {
+			samples = append(samples, Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
+				Labels: k.Labels, Time: times[r], Value: values[r]})
+		}
+	}
 	if jp != nil && len(samples) > 0 {
 		(*jp).RecordBatch(samples)
 	}

@@ -206,7 +206,7 @@ func benchIngestPayload(samples, series int) []byte {
 // fan-in cost per agent flush.
 func BenchmarkReceiverFanIn(b *testing.B) {
 	st := NewStore(1024)
-	h := &HTTPSink{store: st, latest: map[Key]Sample{}}
+	h := &HTTPSink{store: st}
 	payload := benchIngestPayload(64, 4)
 	b.ReportAllocs()
 	b.ResetTimer()

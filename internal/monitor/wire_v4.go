@@ -56,6 +56,9 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"unsafe"
+
+	"likwid/internal/telemetry"
 )
 
 // V4ContentType is the Content-Type negotiating the v4 binary columnar
@@ -468,7 +471,6 @@ type v4GroupKey struct {
 }
 
 type v4Group struct {
-	key      v4GroupKey
 	start, n int32    // the group's run in V4Encoder.order
 	refs     [4]int32 // string refs: collector, source, metric, scope
 	set      int32    // label set ref
@@ -476,10 +478,13 @@ type v4Group struct {
 
 // V4Encoder renders sample batches as v4 payloads, reusing its grouping
 // scratch and tables across calls: a warm encoder allocates nothing
-// beyond what dst needs to grow.  The zero value is ready; not safe for
-// concurrent use.
+// beyond what dst needs to grow.  It also remembers the identity of
+// recent batches (see v4Shape), so a batch with a known shape pays only
+// for its columns.  The zero value is ready; not safe for concurrent
+// use.
 type V4Encoder struct {
 	index  map[v4GroupKey]int32
+	keys   []v4GroupKey // each group's identity
 	groups []v4Group
 	gid    []int32 // group of each sample
 	order  []int32 // sample indexes, group-major, arrival order within a group
@@ -492,7 +497,79 @@ type V4Encoder struct {
 	pairRefs []int32 // string refs of every set's pairs, name then value, set-major
 
 	times, sentAts, values []float64 // the batch columns, group-major
+
+	shapes     []v4Shape            // remembered; past len, a reset's entries, to be reused
+	shapeIndex map[v4ShapeKey]int32 // 1 + each key's newest shape's index
+	shapeBytes int                  // what the remembered shapes hold, bounded by v4MaxShapeBytes
+	tShapes    shapeCounters
 }
+
+// v4Shape is one remembered batch identity: each group's key and each
+// row's group, the payload bytes from the magic through the group
+// directory, and the row order and group starts the columns follow.
+// Between reconfigurations an agent's ticks, a receiver's WAL frames and
+// its forwarded batches repeat their shapes — one per agent and
+// collector mix — and a batch whose rows carry the same keys at the same
+// positions has a byte-identical identity section.  Entries own their
+// slices: the encoder's scratch is never shared with them.
+type v4Shape struct {
+	keys               []v4GroupKey
+	head               []byte
+	gid, order, starts []int32
+	next               int32 // 1 + the index of the previous shape under the same key
+}
+
+// v4ShapeKey indexes the shape cache: a batch's row count and first row
+// (its collector and series), which tell the batches of different agents
+// and collectors apart; shapes that share one are told apart row by row.
+type v4ShapeKey struct {
+	rows  int
+	first v4GroupKey
+}
+
+// shapeSize is what a remembered shape of an identity section of head
+// bytes, rows rows and groups groups holds, its index entry included.
+func shapeSize(head, rows, groups int) int {
+	const entry = unsafe.Sizeof(v4Shape{}) + unsafe.Sizeof(v4ShapeKey{}) + 8
+	return int(entry) + head + 8*rows + groups*int(unsafe.Sizeof(v4GroupKey{})+4)
+}
+
+// v4MaxShapeBytes bounds what one encoder's shape cache holds, by bytes
+// only: how many shapes come round between resets is the fleet's, not
+// the encoder's, so no entry count is assumed.  Past it the cache is
+// reset, like mergeCache, and refilled by the misses that follow.  About
+// 90 shapes of a 512-series tick fit.  A variable only so tests can
+// lower it.
+var v4MaxShapeBytes = 4 << 20
+
+// shapeCounters count a shape cache's hits, misses and resets; the zero
+// value counts nothing.
+type shapeCounters [3]*telemetry.Counter
+
+const (
+	shapeHit = iota
+	shapeMiss
+	shapeReset
+)
+
+// instrument registers the counters on reg under
+// likwid_v4_shape_cache_total{cache=name}; caches instrumented under one
+// name share them.
+func (c *shapeCounters) instrument(reg *telemetry.Registry, name string) {
+	for i, result := range [...]string{"hit", "miss", "reset"} {
+		c[i] = reg.Counter("likwid_v4_shape_cache_total", "cache", name, "result", result)
+	}
+}
+
+func (c *shapeCounters) count(i int) {
+	if c[i] != nil {
+		c[i].Inc()
+	}
+}
+
+// Instrument counts the encoder's shape cache hits, misses and resets on
+// reg under likwid_v4_shape_cache_total{cache=name}.
+func (e *V4Encoder) Instrument(reg *telemetry.Registry, name string) { e.tShapes.instrument(reg, name) }
 
 // Encode appends the v4 payload of samples to dst with an empty collector
 // and no sent_at stamps — the form the persist WAL frames.  Groups come
@@ -503,35 +580,125 @@ func (e *V4Encoder) Encode(dst []byte, samples []Sample) ([]byte, error) {
 	return e.encode(dst, samples, nil)
 }
 
+// groupKeyOf is row i's group identity.
+func groupKeyOf(samples []Sample, meta []sampleMeta, i int) v4GroupKey {
+	gk := v4GroupKey{key: samples[i].Key()}
+	if meta != nil {
+		gk.collector = meta[i].collector
+	}
+	return gk
+}
+
 // encode is Encode with per-sample wire metadata (index-aligned with
 // samples; nil means all zero) — the push sink's flush.
 func (e *V4Encoder) encode(dst []byte, samples []Sample, meta []sampleMeta) ([]byte, error) {
+	sk := v4ShapeKey{rows: len(samples)}
+	if len(samples) > 0 {
+		sk.first = groupKeyOf(samples, meta, 0)
+	}
+	var order, starts []int32
+	if sh := e.shape(sk, samples, meta); sh != nil {
+		e.tShapes.count(shapeHit)
+		dst = append(dst, sh.head...)
+		order, starts = sh.order, sh.starts
+	} else {
+		at := len(dst)
+		var err error
+		if dst, err = e.encodeHead(dst, samples, meta); err != nil {
+			return dst, err
+		}
+		e.tShapes.count(shapeMiss)
+		order, starts = e.remember(sk, dst[at:])
+	}
+	e.times, e.sentAts, e.values = e.times[:0], e.sentAts[:0], e.values[:0]
+	for _, i := range order {
+		e.times, e.values = append(e.times, samples[i].Time), append(e.values, samples[i].Value)
+		if meta != nil {
+			e.sentAts = append(e.sentAts, meta[i].sentAt)
+		} else {
+			e.sentAts = append(e.sentAts, 0)
+		}
+	}
+	dst = appendDeltaColumn(dst, e.times, starts)
+	dst = appendDeltaColumn(dst, e.sentAts, starts)
+	return appendXORColumn(dst, e.values, starts), nil
+}
+
+// shape is the remembered shape of samples, or nil: one under their key
+// whose group keys they carry row by row.
+func (e *V4Encoder) shape(sk v4ShapeKey, samples []Sample, meta []sampleMeta) *v4Shape {
+shapes:
+	for i := e.shapeIndex[sk]; i > 0; i = e.shapes[i-1].next {
+		sh := &e.shapes[i-1]
+		for r, g := range sh.gid {
+			if groupKeyOf(samples, meta, r) != sh.keys[g] {
+				continue shapes
+			}
+		}
+		return sh
+	}
+	return nil
+}
+
+// remember stores the shape the scratch holds after encodeHead, whose
+// output was head, under sk, resetting the cache when it would outgrow
+// its bound, and returns the row order and group starts to write the
+// columns in.  The entry takes the scratch's keys, gid, order and starts
+// and leaves it the arrays it held before (or none), so no array is ever
+// both an entry's and the scratch's.  A batch larger than the whole
+// bound is not remembered.
+func (e *V4Encoder) remember(sk v4ShapeKey, head []byte) (order, starts []int32) {
+	size := shapeSize(len(head), len(e.order), len(e.keys))
+	if size > v4MaxShapeBytes {
+		return e.order, e.starts
+	}
+	if e.shapeBytes+size > v4MaxShapeBytes {
+		e.tShapes.count(shapeReset)
+		e.shapes, e.shapeBytes = e.shapes[:0], 0
+		clear(e.shapeIndex)
+	}
+	if e.shapeIndex == nil {
+		e.shapeIndex = make(map[v4ShapeKey]int32)
+	}
+	e.shapes = slices.Grow(e.shapes, 1)[:len(e.shapes)+1]
+	sh := &e.shapes[len(e.shapes)-1]
+	sh.keys, e.keys = e.keys, sh.keys
+	sh.gid, e.gid = e.gid, sh.gid
+	sh.order, e.order = e.order, sh.order
+	sh.starts, e.starts = e.starts, sh.starts
+	sh.head = append(sh.head[:0], head...)
+	sh.next, e.shapeIndex[sk] = e.shapeIndex[sk], int32(len(e.shapes))
+	e.shapeBytes += size
+	return sh.order, sh.starts
+}
+
+// encodeHead groups samples into the scratch (order, starts) and appends
+// the payload's identity section: magic, string and set tables, group
+// directory.
+func (e *V4Encoder) encodeHead(dst []byte, samples []Sample, meta []sampleMeta) ([]byte, error) {
 	if e.index == nil {
 		e.index = make(map[v4GroupKey]int32)
 		e.strIndex = make(map[string]int32)
 		e.setIndex = make(map[Labels]int32)
 	}
 	clear(e.index)
-	e.groups = e.groups[:0]
+	e.keys, e.groups = e.keys[:0], e.groups[:0]
 	e.gid = slices.Grow(e.gid[:0], len(samples))[:len(samples)]
 	e.order = slices.Grow(e.order[:0], len(samples))[:len(samples)]
 	for i := range samples {
 		if samples[i].ID < 0 {
 			return dst, fmt.Errorf("monitor: v4 encode: sample %d: negative id %d", i, samples[i].ID)
 		}
-		gk := v4GroupKey{key: samples[i].Key()}
-		if meta != nil {
-			gk.collector = meta[i].collector
-		}
+		gk := groupKeyOf(samples, meta, i)
 		var g int32
-		if i > 0 && e.groups[e.gid[i-1]].key == gk {
+		if i > 0 && e.keys[e.gid[i-1]] == gk {
 			g = e.gid[i-1] // group-major input: skip the hash
 		} else if known, ok := e.index[gk]; ok {
 			g = known
 		} else {
 			g = int32(len(e.groups))
 			e.index[gk] = g
-			e.groups = append(e.groups, v4Group{key: gk})
+			e.keys, e.groups = append(e.keys, gk), append(e.groups, v4Group{})
 		}
 		e.groups[g].n++
 		e.gid[i] = g
@@ -567,26 +734,15 @@ func (e *V4Encoder) encode(dst []byte, samples []Sample, meta []sampleMeta) ([]b
 		refs = refs[n:]
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(e.groups)))
-	for _, g := range e.groups {
+	for gi, g := range e.groups {
 		for _, r := range g.refs {
 			dst = binary.AppendUvarint(dst, uint64(r))
 		}
-		dst = binary.AppendUvarint(dst, uint64(g.key.key.ID))
+		dst = binary.AppendUvarint(dst, uint64(e.keys[gi].key.ID))
 		dst = binary.AppendUvarint(dst, uint64(g.set))
 		dst = binary.AppendUvarint(dst, uint64(g.n))
 	}
-	e.times, e.sentAts, e.values = e.times[:0], e.sentAts[:0], e.values[:0]
-	for _, i := range e.order {
-		e.times, e.values = append(e.times, samples[i].Time), append(e.values, samples[i].Value)
-		if meta != nil {
-			e.sentAts = append(e.sentAts, meta[i].sentAt)
-		} else {
-			e.sentAts = append(e.sentAts, 0)
-		}
-	}
-	dst = appendDeltaColumn(dst, e.times, e.starts)
-	dst = appendDeltaColumn(dst, e.sentAts, e.starts)
-	return appendXORColumn(dst, e.values, e.starts), nil
+	return dst, nil
 }
 
 // tables resolves every group's string and label set refs, filling the
@@ -599,15 +755,15 @@ func (e *V4Encoder) tables() {
 	e.strs, e.sets, e.pairRefs = e.strs[:0], e.sets[:0], e.pairRefs[:0]
 	for gi := range e.groups {
 		g := &e.groups[gi]
-		k := &g.key.key
-		for f, s := range [4]string{g.key.collector, k.Source, k.Metric, k.Scope.String()} {
+		k := &e.keys[gi].key
+		for f, s := range [4]string{e.keys[gi].collector, k.Source, k.Metric, k.Scope.String()} {
 			if gi > 0 && s == e.strs[e.groups[gi-1].refs[f]] {
 				g.refs[f] = e.groups[gi-1].refs[f]
 			} else {
 				g.refs[f] = e.ref(s)
 			}
 		}
-		if gi > 0 && k.Labels == e.groups[gi-1].key.key.Labels {
+		if gi > 0 && k.Labels == e.keys[gi-1].key.Labels {
 			g.set = e.groups[gi-1].set
 			continue
 		}
@@ -679,6 +835,9 @@ type groupBatch struct {
 	values  []float64
 	pairs   []Label   // backing array of the groups' (or sets') pairs
 	sets    []wireSet // a v4 payload's label sets
+	ident   int       // a v4 payload's identity section: its first ident bytes
+	starts  []int32   // a v4 payload's directory groups' first rows
+	routed  []uint64  // the rows each route matched (Router.apply)
 }
 
 // rows counts the samples the batch's groups hold (a routed batch keeps
@@ -932,28 +1091,9 @@ func decodeV4(data []byte, b *groupBatch) error {
 		rows = g.hi
 		b.groups = append(b.groups, g)
 	}
-	timeCol, sentAtCol, valueCol := d.column("time column"), d.column("sent_at column"), d.column("value column")
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(data) {
-		return fmt.Errorf("%d trailing bytes after the value column", len(data)-d.off)
-	}
-	for _, col := range [...][]byte{timeCol, sentAtCol, valueCol} {
-		if !columnFits(col, rows) {
-			return fmt.Errorf("directory announces %d rows, a %d-byte column cannot hold them", rows, len(col))
-		}
-	}
-	cols := make([]float64, 0, 3*rows) // one allocation backs all three
-	var err error
-	if b.times, err = decodeDeltaColumn(timeCol, rows, starts, cols[:0:rows]); err != nil {
-		return fmt.Errorf("time: %w", err)
-	}
-	if b.sentAts, err = decodeDeltaColumn(sentAtCol, rows, starts, cols[rows:rows:2*rows]); err != nil {
-		return fmt.Errorf("sent_at: %w", err)
-	}
-	if b.values, err = decodeXORColumn(valueCol, rows, starts, cols[2*rows:2*rows:3*rows]); err != nil {
-		return fmt.Errorf("value: %w", err)
+	b.ident, b.starts = d.off, starts
+	if err := d.columns(b, rows, starts); err != nil {
+		return err
 	}
 	kept := b.groups[:0]
 	for gi, g := range b.groups {
@@ -965,6 +1105,34 @@ func decodeV4(data []byte, b *groupBatch) error {
 		}
 	}
 	b.groups = kept
+	return nil
+}
+
+// columns decodes the three columns that end a payload into b: rows
+// entries each, in groups beginning at starts.
+func (d *v4Decoder) columns(b *groupBatch, rows int, starts []int32) (err error) {
+	timeCol, sentAtCol, valueCol := d.column("time column"), d.column("sent_at column"), d.column("value column")
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != len(d.b) {
+		return fmt.Errorf("%d trailing bytes after the value column", len(d.b)-d.off)
+	}
+	for _, col := range [...][]byte{timeCol, sentAtCol, valueCol} {
+		if !columnFits(col, rows) {
+			return fmt.Errorf("directory announces %d rows, a %d-byte column cannot hold them", rows, len(col))
+		}
+	}
+	cols := make([]float64, 0, 3*rows) // one allocation backs all three
+	if b.times, err = decodeDeltaColumn(timeCol, rows, starts, cols[:0:rows]); err != nil {
+		return fmt.Errorf("time: %w", err)
+	}
+	if b.sentAts, err = decodeDeltaColumn(sentAtCol, rows, starts, cols[rows:rows:2*rows]); err != nil {
+		return fmt.Errorf("sent_at: %w", err)
+	}
+	if b.values, err = decodeXORColumn(valueCol, rows, starts, cols[2*rows:2*rows:3*rows]); err != nil {
+		return fmt.Errorf("value: %w", err)
+	}
 	return nil
 }
 

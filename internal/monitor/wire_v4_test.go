@@ -13,8 +13,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"likwid/internal/telemetry"
 )
 
 // wireSample is one fixture row: a sample plus what a push sink carries
@@ -216,6 +219,110 @@ func TestV4ColumnCodecsRoundTripRandom(t *testing.T) {
 					trial, i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
 			}
 		}
+	}
+}
+
+// TestV4EncoderShapeCacheMatchesFresh is the shape cache's differential
+// oracle: one long-lived encoder, which remembers shapes, against a fresh
+// encoder per batch over random batches drawn from 48 shapes, about three
+// times as many as the cache holds with its bound lowered to 16 KiB.
+// Among them: twins of one length, first and last row that differ in one
+// middle row's collector, metric, label set, scope or id (the cache's
+// index key cannot tell them apart),
+// group-major and interleaved rows, the empty batch, batches without
+// wire metadata, and negative-id batches, which must fail on both and
+// leave the cache usable.  Every payload must be byte-identical.
+func TestV4EncoderShapeCacheMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	sets := []Labels{{}, mustLabels(t, "job=lbm"), mustLabels(t, "cluster=emmy,job=lbm")}
+	lowerBound(t, &v4MaxShapeBytes, 16<<10)
+	var shapes [][]v4GroupKey
+	for len(shapes) < 48 {
+		var groups, rows []v4GroupKey
+		for g := range 1 + rng.Intn(12) {
+			groups = append(groups, v4GroupKey{fmt.Sprintf("c%d", rng.Intn(2)), Key{
+				Source: fmt.Sprintf("node%d", rng.Intn(3)), Metric: fmt.Sprintf("m%d", g),
+				Scope: Scope(rng.Intn(int(ScopeNode) + 1)), ID: rng.Intn(4), Labels: sets[rng.Intn(len(sets))],
+			}})
+		}
+		depth := 1 + rng.Intn(3)
+		for d := range depth {
+			if rng.Intn(2) == 0 { // interleaved: tick-major
+				rows = append(rows, groups...)
+			} else if d == 0 { // group-major
+				for _, g := range groups {
+					for range depth {
+						rows = append(rows, g)
+					}
+				}
+			}
+		}
+		shapes = append(shapes, rows)
+		if len(rows) < 3 {
+			continue
+		}
+		twin := slices.Clone(rows)
+		r := &twin[1+rng.Intn(len(twin)-2)]
+		switch rng.Intn(5) {
+		case 0:
+			r.collector += "x"
+		case 1:
+			r.key.Metric += "x"
+		case 2:
+			r.key.Labels = sets[(slices.Index(sets, r.key.Labels)+1)%len(sets)]
+		case 3:
+			r.key.Scope = (r.key.Scope + 1) % (ScopeNode + 1)
+		default:
+			r.key.ID++
+		}
+		shapes = append(shapes, twin)
+	}
+	shapes = append(shapes, nil)
+
+	reg := telemetry.New()
+	var enc V4Encoder
+	enc.Instrument(reg, "test")
+	var out []byte
+	for i := range 2000 {
+		rows := shapes[rng.Intn(len(shapes))]
+		samples := make([]Sample, len(rows))
+		meta := make([]sampleMeta, len(rows))
+		for j, r := range rows {
+			k := r.key
+			samples[j] = Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID, Labels: k.Labels,
+				Time: float64(i) + 0.25*float64(j), Value: float64(rng.Intn(4))}
+			meta[j] = sampleMeta{collector: r.collector, sentAt: 1700000000 + float64(i)}
+		}
+		if rng.Intn(4) == 0 {
+			meta = nil // the WAL's form: no collector, no sent_at
+		}
+		negative := len(rows) > 0 && rng.Intn(40) == 0
+		if negative {
+			samples[rng.Intn(len(samples))].ID = -1
+		}
+		prefix := make([]byte, rng.Intn(9)) // the WAL frames after a header
+		want, wantErr := new(V4Encoder).encode(slices.Clone(prefix), samples, meta)
+		var err error
+		out, err = enc.encode(append(out[:0], prefix...), samples, meta)
+		if negative {
+			if err == nil || wantErr == nil {
+				t.Fatalf("batch %d: a negative id encoded (cached: %v, fresh: %v)", i, err, wantErr)
+			}
+			continue
+		}
+		if err != nil || wantErr != nil {
+			t.Fatalf("batch %d: encode failed (cached: %v, fresh: %v)", i, err, wantErr)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("batch %d (%d rows): the cached encoder's payload differs from a fresh encoder's:\n% x\nvs\n% x", i, len(rows), out, want)
+		}
+	}
+	counts := map[string]float64{}
+	for _, result := range []string{"hit", "miss", "reset"} {
+		counts[result] = float64(reg.Counter("likwid_v4_shape_cache_total", "cache", "test", "result", result).Value())
+	}
+	if counts["hit"] < 200 || counts["miss"] < 200 || counts["reset"] < 5 {
+		t.Errorf("the batches did not exercise the cache: %v", counts)
 	}
 }
 
@@ -683,4 +790,11 @@ func densityWireSamples(tb testing.TB, nSeries, nTicks int) []wireSample {
 		}
 	}
 	return out
+}
+
+// lowerBound sets a cache's byte bound to n for the rest of the test.
+func lowerBound(t *testing.T, bound *int, n int) {
+	old := *bound
+	*bound = n
+	t.Cleanup(func() { *bound = old })
 }

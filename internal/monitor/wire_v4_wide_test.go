@@ -109,11 +109,16 @@ func wideRows(tb testing.TB) []wireSample {
 
 // ingestAllocs measures the allocations of one whole /ingest request
 // (handler, decode, every stage, response) on a store that already holds
-// the payload's series.
-func ingestAllocs(t *testing.T, payload []byte) float64 {
+// the payload's series: with the identity memo (every measured post a
+// hit) and, forget set, with the memo dropped before each post (every
+// one a miss, which decodes and resolves the identity in full).
+func ingestAllocs(t *testing.T, payload []byte, forget bool) float64 {
 	t.Helper()
-	h := &HTTPSink{store: NewStore(1024), latest: map[Key]Sample{}}
+	h := &HTTPSink{store: NewStore(1024)}
 	post := func() {
+		if forget {
+			h.identMemo = nil
+		}
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(payload))
 		req.Header.Set("Content-Type", V4ContentType)
 		w := httptest.NewRecorder()
@@ -129,21 +134,27 @@ func ingestAllocs(t *testing.T, payload []byte) float64 {
 // TestV4IngestAllocsPerGroup pins the receiving side: decoding a payload
 // and running it through every ingest stage costs a small constant per
 // request — a handful of slices however many groups there are (the pin
-// is 3 per group; it measures about 0.15 at the wide shape, request and
-// response plumbing included) — and nothing that scales with the samples
-// in a group.
+// is 3 per group; it measures about 0.15 at the wide shape on the
+// identity memo's hit path and 0.18 on its miss path, request and
+// response plumbing and the series' ring growth included) — and nothing
+// that scales with the samples in a group, on either path.
 func TestV4IngestAllocsPerGroup(t *testing.T) {
-	wide := ingestAllocs(t, encodeV4(t, wideRows(t)))
-	if perGroup := wide / 512; perGroup > 3 {
-		t.Errorf("wide payload: %.0f allocs per request = %.2f per group, want <= 3", wide, perGroup)
-	}
-	if wide > 150 {
-		t.Errorf("wide payload: %.0f allocs per request; the per-request constant has grown (was ~70)", wide)
-	}
-	shallow := ingestAllocs(t, encodeV4(t, densityWireSamples(t, 8, 64)))
-	deep := ingestAllocs(t, encodeV4(t, densityWireSamples(t, 8, 512)))
-	if deep > shallow+4 {
-		t.Errorf("8 groups x 512 samples cost %.0f allocs, 8 x 64 cost %.0f: allocations scale with samples per group", deep, shallow)
+	for _, path := range []struct {
+		name   string
+		forget bool
+	}{{"hit", false}, {"miss", true}} {
+		wide := ingestAllocs(t, encodeV4(t, wideRows(t)), path.forget)
+		if perGroup := wide / 512; perGroup > 3 {
+			t.Errorf("%s: wide payload: %.0f allocs per request = %.2f per group, want <= 3", path.name, wide, perGroup)
+		}
+		if wide > 150 {
+			t.Errorf("%s: wide payload: %.0f allocs per request; the per-request constant has grown (was ~80)", path.name, wide)
+		}
+		shallow := ingestAllocs(t, encodeV4(t, densityWireSamples(t, 8, 64)), path.forget)
+		deep := ingestAllocs(t, encodeV4(t, densityWireSamples(t, 8, 512)), path.forget)
+		if deep > shallow+4 {
+			t.Errorf("%s: 8 groups x 512 samples cost %.0f allocs, 8 x 64 cost %.0f: allocations scale with samples per group", path.name, deep, shallow)
+		}
 	}
 }
 
