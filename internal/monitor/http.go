@@ -728,9 +728,9 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// itself via its Content-Type; everything else (including absent or
 	// unknown types) is the JSON-lines path.  The Content-Encoding
 	// handling above applies to both.  Either decoder fills the one
-	// group-shaped batch the stages below resolve, once per group, into
-	// the shape the rows land through — unless the v4 payload repeats a
-	// memoized identity, whose shape is already resolved.
+	// group-shaped batch the stages below resolve, once per group —
+	// unless the v4 payload repeats a memoized identity, whose shape is
+	// already resolved.
 	var (
 		b    groupBatch
 		sh   *ingestShape
@@ -767,43 +767,37 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad ingest payload: "+err.Error(), status)
 		return
 	}
+	// Resolve: a JSON batch lands straight from its decoded groups, since
+	// nothing memoizes it; a v4 one through a shape, fresh or memoized.
 	fresh := sh == nil
-	if fresh {
-		if sh, err = h.resolve(&b, data); err != nil {
-			h.reject("labels")
-			http.Error(w, "bad ingest payload: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else if sh.router != nil {
+	switch {
+	case data == nil:
+		_, _, err = h.prepare(&b)
+	case fresh:
+		sh, err = h.resolve(&b, data)
+	case sh.router != nil:
 		sh.router.count(sh.routed)
+	}
+	if err != nil {
+		h.reject("labels")
+		http.Error(w, "bad ingest payload: "+err.Error(), http.StatusBadRequest)
+		return
 	}
 	// Nothing can reject the batch any more: append, journal.
 	fp := h.forward.Load()
-	appendStart := time.Now()
-	samples := h.store.appendShape(sh.groups, b.times, b.values, fp != nil)
-	if h.tAppend != nil {
-		h.tAppend.Observe(time.Since(appendStart).Seconds())
+	var samples []Sample
+	var accepted int
+	if sh == nil {
+		samples, accepted = land(h, b.groups, &b, fp != nil)
+	} else {
+		samples, accepted = land(h, sh.groups, &b, fp != nil)
 	}
-	accepted := 0
-	h.mu.Lock()
-	for i := range sh.groups {
-		g := &sh.groups[i]
-		if g.latest == nil { // a fresh shape, not yet shared
-			g.latest = h.latestSlotLocked(g.series.key)
+	if fresh && sh != nil {
+		h.mu.Lock()
+		if sh.router == h.router.Load() && sh.defaults == h.ingestLabels {
+			h.rememberLocked(sh)
 		}
-		for r := g.lo; r < g.hi; r++ {
-			g.latest.advance(b.times[r], b.values[r])
-		}
-		accepted += int(g.hi - g.lo)
-	}
-	h.ingested += uint64(accepted)
-	if fresh && sh.ident != nil && sh.router == h.router.Load() && sh.defaults == h.ingestLabels {
-		h.rememberLocked(sh)
-	}
-	h.mu.Unlock()
-	if h.tAccepted != nil {
-		h.tAccepted.Add(uint64(accepted))
-		h.observeIngest(sh.groups, b.sentAts)
+		h.mu.Unlock()
 	}
 	// Re-push the accepted batch up the federation tree.  The samples
 	// were built for this request (the journal copied what it wanted),
@@ -824,7 +818,7 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 // for byte decodes only its columns.  Series never die today; a
 // Store.Retire (ROADMAP item 16) must clear these memos.
 type ingestShape struct {
-	ident    []byte  // the v4 identity section, copied; nil for JSON
+	ident    []byte  // the v4 identity section, copied
 	starts   []int32 // the directory groups' first rows
 	rows     int     // the directory's row total
 	groups   []landGroup
@@ -838,6 +832,48 @@ type landGroup struct {
 	series *series
 	latest *Point
 	lo, hi int32
+}
+
+// lander is a group that rows land through: an ingestShape's landGroup,
+// or a decoded JSON batch's own sampleGroup, which nothing memoizes.
+type lander[G any] interface {
+	*G
+	land() (s *series, latest **Point, lo, hi int)
+}
+
+func (g *landGroup) land() (*series, **Point, int, int) {
+	return g.series, &g.latest, int(g.lo), int(g.hi)
+}
+
+func (g *sampleGroup) land() (*series, **Point, int, int) { return g.series, &g.latest, g.lo, g.hi }
+
+// land appends a resolved batch's rows through groups and runs them
+// past the /metrics latest slots.  The batch comes back as samples when
+// the journal or the caller wants them (see appendGroups).
+func land[G any, P lander[G]](h *HTTPSink, groups []G, b *groupBatch, wantSamples bool) (samples []Sample, accepted int) {
+	appendStart := time.Now()
+	samples = appendGroups[G, P](h.store, groups, b.times, b.values, wantSamples)
+	if h.tAppend != nil {
+		h.tAppend.Observe(time.Since(appendStart).Seconds())
+	}
+	h.mu.Lock()
+	for i := range groups {
+		s, latest, lo, hi := P(&groups[i]).land()
+		if *latest == nil { // a fresh group, not yet shared
+			*latest = h.latestSlotLocked(s.key)
+		}
+		for r := lo; r < hi; r++ {
+			(*latest).advance(b.times[r], b.values[r])
+		}
+		accepted += hi - lo
+	}
+	h.ingested += uint64(accepted)
+	h.mu.Unlock()
+	if h.tAccepted != nil {
+		h.tAccepted.Add(uint64(accepted))
+		observeIngest[G, P](h, groups, b.sentAts)
+	}
+	return samples, accepted
 }
 
 // maxIdentMemoBytes bounds the identity memo by bytes only, since how
@@ -879,28 +915,35 @@ func (h *HTTPSink) memoHit(data []byte, b *groupBatch) *ingestShape {
 	return sh
 }
 
-// resolve runs a decoded batch through routing, label merging and
-// series resolution into a fresh shape (data is the v4 payload it came
-// from; nil for JSON).
-func (h *HTTPSink) resolve(b *groupBatch, data []byte) (*ingestShape, error) {
-	sh := &ingestShape{router: h.router.Load()}
-	if sh.router != nil {
-		if err := sh.router.apply(b); err != nil {
-			return nil, err
+// prepare runs a decoded batch through routing, label merging and
+// series resolution, and returns the router and the defaults it took.
+func (h *HTTPSink) prepare(b *groupBatch) (router *Router, defaults Labels, err error) {
+	if router = h.router.Load(); router != nil {
+		if err := router.apply(b); err != nil {
+			return nil, Labels{}, err
 		}
-		sh.routed = b.routed
 	}
-	var err error
-	if sh.defaults, err = h.applyIngestLabels(b); err != nil {
-		return nil, err
+	if defaults, err = h.applyIngestLabels(b); err != nil {
+		return nil, Labels{}, err
 	}
 	h.store.resolveGroups(b)
+	return router, defaults, nil
+}
+
+// resolve prepares a decoded v4 batch into a fresh shape, data being
+// the payload it came from.
+func (h *HTTPSink) resolve(b *groupBatch, data []byte) (*ingestShape, error) {
+	router, defaults, err := h.prepare(b)
+	if err != nil {
+		return nil, err
+	}
+	sh := &ingestShape{router: router, defaults: defaults, ident: bytes.Clone(data[:b.ident]), starts: b.starts, rows: len(b.times)}
+	if router != nil {
+		sh.routed = b.routed
+	}
 	sh.groups = make([]landGroup, len(b.groups))
 	for i, g := range b.groups {
 		sh.groups[i] = landGroup{series: g.series, lo: int32(g.lo), hi: int32(g.hi)}
-	}
-	if data != nil {
-		sh.ident, sh.starts, sh.rows = bytes.Clone(data[:b.ident]), b.starts, len(b.times)
 	}
 	return sh, nil
 }
@@ -935,7 +978,7 @@ func (h *HTTPSink) rememberLocked(sh *ingestShape) {
 // a sent_at stamp, the end-to-end wire+queue latency and signed clock
 // skew.  A far-future or ancient stamp lands in the histograms' edge
 // buckets — clamped by construction, never rejected, never a panic.
-func (h *HTTPSink) observeIngest(groups []landGroup, sentAts []float64) {
+func observeIngest[G any, P lander[G]](h *HTTPSink, groups []G, sentAts []float64) {
 	var recv float64
 	if h.now != nil {
 		recv = float64(h.now().UnixNano()) / 1e9
@@ -946,15 +989,16 @@ func (h *HTTPSink) observeIngest(groups []landGroup, sentAts []float64) {
 		lastSource string
 		si         *sourceInstruments
 	)
-	for _, g := range groups {
-		if source := g.series.key.Source; si == nil || source != lastSource {
+	for i := range groups {
+		s, _, lo, hi := P(&groups[i]).land()
+		if source := s.key.Source; si == nil || source != lastSource {
 			si, lastSource = h.sourceInstr(source), source
 		}
 		if si == nil {
 			return // not instrumented
 		}
-		si.samples.Add(uint64(g.hi - g.lo))
-		for _, sentAt := range sentAts[g.lo:g.hi] {
+		si.samples.Add(uint64(hi - lo))
+		for _, sentAt := range sentAts[lo:hi] {
 			if sentAt > 0 {
 				delta := recv - sentAt
 				si.skew.Observe(delta)

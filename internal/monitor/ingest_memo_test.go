@@ -250,3 +250,50 @@ func differingBytes(a, b []byte) int {
 	}
 	return n
 }
+
+// TestJSONIngestLandsWithoutShape pins the JSON path past its decoder:
+// nothing memoizes a JSON batch, so it lands straight from its decoded
+// groups — routing, labels, series resolution, append and the /metrics
+// slots allocate nothing once the series and slots exist (a throwaway
+// shape and its land groups cost 2 per request before).
+func TestJSONIngestLandsWithoutShape(t *testing.T) {
+	var body bytes.Buffer
+	for _, r := range wideRows(t) {
+		fmt.Fprintf(&body, `{"time":%v,"collector":%q,"source":%q,"labels":%s,"metric":%q,"scope":%q,"id":%d,"value":%v}`+"\n",
+			r.Time, r.Collector, r.Source, labelsJSON(r.Labels), r.Metric, r.Scope, r.ID, r.Value)
+	}
+	h := &HTTPSink{store: NewStore(1024)}
+	var b groupBatch
+	if err := decodeIngest(&body, &b); err != nil {
+		t.Fatal(err)
+	}
+	lands := func() {
+		if _, _, err := h.prepare(&b); err != nil {
+			t.Fatal(err)
+		}
+		if _, n := land(h, b.groups, &b, false); n != len(b.times) {
+			t.Fatalf("landed %d of %d rows", n, len(b.times))
+		}
+	}
+	lands() // creates the series and their /metrics slots
+	for _, k := range h.store.Keys() {
+		for range 1024 { // fill the rings: their growth is not the path's
+			h.store.Append(k, Point{})
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, lands); allocs != 0 {
+		t.Fatalf("a JSON batch's stages after decode allocate %.0f per request, want 0", allocs)
+	}
+}
+
+func labelsJSON(ls Labels) string {
+	var b bytes.Buffer
+	b.WriteByte('{')
+	for i, p := range ls.Pairs() {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%q:%q", p.Name, p.Value)
+	}
+	return b.String() + "}"
+}

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,6 +102,52 @@ func BenchmarkWALReplay(b *testing.B) {
 				points, truncated, err := replayWAL(path, apply, func() { b.Fatal("invalid frame") })
 				if err != nil || truncated != 0 || points != frames*len(batch) {
 					b.Fatalf("replay = %d points, %d truncated, err %v", points, truncated, err)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkDumpRestore is a snapshot's two directions, without the
+// fsyncs (the disk's cost), at two store shapes: deep, 8 series of 1024
+// points (full rings of sealed blocks, draining mid-tail), and wide, 512
+// series of 96 points (one block and a part-filled head each, as a
+// receiver holds them 4.8 s after boot at 50 ms ticks).  write streams
+// the store into a snapshot;
+// restore reads one back into a fresh store.  Each reports ns, B and
+// allocs per point, and write the snapshot's bytes per point on disk.
+func BenchmarkDumpRestore(b *testing.B) {
+	for _, shape := range []struct {
+		name           string
+		series, points int
+	}{{"deep", 8, 1024 + 1024/3}, {"wide", 512, 96}} {
+		st := monitor.NewStore(1024)
+		rows := benchBatch(b, "wide")[:shape.series]
+		for tick := range shape.points {
+			for i := range rows {
+				rows[i].Time, rows[i].Value = float64(tick+1)*0.05, float64(1000+i+tick/8)
+			}
+			st.AppendBatch(monitor.Batch{Samples: rows})
+		}
+		points := shape.series * min(shape.points, 1024)
+		var file bytes.Buffer
+		b.Run("write/"+shape.name, func(b *testing.B) {
+			benchreport.PerSample(b, points, func() {
+				file.Reset()
+				if err := encodeSnapshot(&file, st); err != nil {
+					b.Fatal(err)
+				}
+			})
+			b.ReportMetric(float64(file.Len())/float64(points), "snapshot_B/point")
+		})
+		b.Run("restore/"+shape.name, func(b *testing.B) {
+			benchreport.PerSample(b, points, func() {
+				states, err := decodeSnapshot(bytes.NewReader(file.Bytes()), int64(file.Len()))
+				if err == nil {
+					err = monitor.NewStore(1024).RestoreSealed(states)
+				}
+				if err != nil {
+					b.Fatal(err)
 				}
 			})
 		})

@@ -38,14 +38,20 @@ type Options struct {
 
 // Manager owns one store's durability state directory:
 //
-//	snapshot.json — the last full ring/tier snapshot (atomic rename)
+//	snapshot.json — the last full ring/tier snapshot (atomic rename);
+//	                binary, see snapshot.go — the name is the benchmark's
 //	wal.log       — appends since that snapshot, CRC-framed v4 batches
 //	wal.prev      — the pre-rotation log, present only mid-snapshot
 //
 // Open restores snapshot + WAL into the store and installs the journal;
 // a background loop then snapshots every SnapshotInterval, truncating
 // the WAL each time (rotate first, dump second, so nothing falls
-// between — the overlap is deduped on the next replay instead).
+// between — the overlap is deduped on the next replay instead).  A
+// snapshot streams the store's sealed blocks series by series, as the
+// store holds them, so it costs memory for the largest series, not for
+// the store; restore checks the whole file before installing the blocks
+// verbatim.  Open on an empty directory creates only wal.log.  Close
+// snapshots synchronously and leaves no goroutine behind.
 type Manager struct {
 	dir   string
 	store *monitor.Store
@@ -87,11 +93,14 @@ func Open(dir string, st *monitor.Store, opts Options) (*Manager, error) {
 	m := &Manager{dir: dir, store: st, opts: opts, stop: make(chan struct{})}
 
 	// Restore: snapshot first, then both WAL generations in write order.
+	// A snapshot is read whole and checked before any of it is installed.
 	states, err := readSnapshot(m.snapshotPath())
 	if err != nil {
 		return nil, err
 	}
-	st.RestoreState(states)
+	if err := st.RestoreSealed(states); err != nil {
+		return nil, fmt.Errorf("persist: snapshot %s: %w", m.snapshotPath(), err)
+	}
 
 	// The replay dedupe guard: a point at or before its series' newest
 	// snapshotted time is already inside the snapshot (the rotate-then-dump
@@ -99,11 +108,12 @@ func Open(dir string, st *monitor.Store, opts Options) (*Manager, error) {
 	// The bar never moves with the replay: journaled points are distinct
 	// appends, so two of them sharing a timestamp both come back.
 	snapNewest := make(map[monitor.Key]float64, len(states))
-	for _, s := range states {
-		if len(s.Raw) > 0 {
-			snapNewest[s.Key] = s.Raw[len(s.Raw)-1].Time
+	for i := range states {
+		if states[i].Len() > 0 {
+			snapNewest[states[i].Key] = states[i].Last.Time
 		}
 	}
+	states = nil // the store holds the blocks now
 	apply := func(samples []monitor.Sample) {
 		kept := samples[:0]
 		for _, s := range samples {
@@ -178,7 +188,7 @@ func (m *Manager) Snapshot() error {
 	if err := m.wal.rotate(m.walPrevPath(), m.walPath()); err != nil {
 		return fmt.Errorf("persist: rotating WAL: %w", err)
 	}
-	if err := writeSnapshot(m.snapshotPath(), m.store.DumpState()); err != nil {
+	if err := writeSnapshot(m.snapshotPath(), m.store); err != nil {
 		return fmt.Errorf("persist: writing snapshot: %w", err)
 	}
 	if err := os.Remove(m.walPrevPath()); err != nil && !os.IsNotExist(err) {

@@ -179,14 +179,57 @@ func (w *wal) write(samples []monitor.Sample) error {
 		return err
 	}
 	w.frame = frame[:0]
+	if err := sealFrame(frame); err != nil {
+		return err
+	}
+	_, err = w.f.Write(frame)
+	return err
+}
+
+// sealFrame fills in the header that frame's first walHeader bytes hold
+// room for: the length and CRC of the payload after them.
+func sealFrame(frame []byte) error {
 	payload := frame[walHeader:]
 	if len(payload) > math.MaxUint32 {
-		return fmt.Errorf("persist: %d points encode to %d bytes, more than a frame can announce", len(samples), len(payload))
+		return fmt.Errorf("persist: a %d-byte payload is more than a frame can announce", len(payload))
 	}
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	_, err = w.f.Write(frame)
-	return err
+	return nil
+}
+
+// frameReader reads a file's frames in order.  next stops at the first
+// frame that is torn, announces more than the file holds, or fails its
+// CRC; good is then the length of the whole frames before it.
+type frameReader struct {
+	r       io.Reader
+	size    int64 // bytes of the file the frames occupy
+	good    int64 // bytes of whole frames read so far
+	payload []byte
+}
+
+// next returns the next frame's payload, valid until the following call.
+func (fr *frameReader) next() ([]byte, bool) {
+	var hdr [walHeader]byte
+	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+		return nil, false // EOF or a torn header
+	}
+	size := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	if size > fr.size-fr.good-walHeader {
+		return nil, false // announces more than the file holds: torn
+	}
+	if int64(cap(fr.payload)) < size {
+		fr.payload = make([]byte, size)
+	}
+	payload := fr.payload[:size]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return nil, false
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, false
+	}
+	fr.good += walHeader + size
+	return payload, true
 }
 
 func (w *wal) sync() error {
@@ -263,31 +306,13 @@ func replayWAL(path string, apply func([]monitor.Sample), invalid func()) (point
 	if err != nil {
 		return 0, 0, err
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var good int64
-	var hdr [walHeader]byte
-	var payload []byte
+	fr := frameReader{r: bufio.NewReaderSize(f, 1<<16), size: st.Size()}
 	var samples []monitor.Sample
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			break // EOF or a torn header: truncate here
+		payload, ok := fr.next()
+		if !ok {
+			break // truncate here
 		}
-		size := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if size > st.Size()-good-walHeader {
-			break // announces more than the file holds: torn
-		}
-		if int64(cap(payload)) < size {
-			payload = make([]byte, size)
-		}
-		payload = payload[:size]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		good += walHeader + size
 		if samples, err = monitor.DecodeV4Samples(payload, samples[:0]); err != nil {
 			invalid()
 			continue
@@ -295,8 +320,8 @@ func replayWAL(path string, apply func([]monitor.Sample), invalid func()) (point
 		apply(samples)
 		points += len(samples)
 	}
-	if tail := st.Size() - good; tail > 0 {
-		if err := os.Truncate(path, good); err != nil {
+	if tail := st.Size() - fr.good; tail > 0 {
+		if err := os.Truncate(path, fr.good); err != nil {
 			return points, tail, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
 		}
 		return points, tail, nil

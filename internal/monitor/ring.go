@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
@@ -99,15 +100,21 @@ func (r *ring[T]) reset(vs []T) {
 const blockPoints = 64
 
 // block is one sealed run of blockPoints raw points (fewer never occur;
-// n keeps the block self-describing): their time range, for pruning
+// N keeps the block self-describing): their time range, for pruning
 // windows without decoding, and the two v4 columns that hold them — the
 // delta-of-delta times, then the Gorilla XOR values, each as
 // appendDeltaColumn and appendXORColumn write a single group.  Steady
-// series code in 1–2 B a point instead of Point's 16.
-type block struct {
-	tmin, tmax float64
-	n          int
-	data       []byte
+// series code in 1–2 B a point instead of Point's 16.  Snapshots carry
+// blocks as they are (see ExportSealed), hence the exported name.
+type block = SealedBlock
+
+// SealedBlock is a run of points in the block codec: their time range
+// (±Inf when a time is NaN), their count, and their time column then
+// their value column.
+type SealedBlock struct {
+	Tmin, Tmax float64
+	N          int
+	Data       []byte
 }
 
 // blockBytes bounds a block's encoding: per column 64 raw bits, at most
@@ -131,36 +138,17 @@ var sealScratch = make(chan *[blockBytes]byte, 8)
 // otherwise: a full series of steady shape seals without allocating,
 // and buffers cannot ratchet up to the size of a noisy past.
 func sealBlock(pts []Point, spare []byte) block {
-	var ts, vs [blockPoints]float64
-	b := block{tmin: math.Inf(1), tmax: math.Inf(-1), n: len(pts)}
-	nan := false
-	for i, p := range pts {
-		ts[i], vs[i] = p.Time, p.Value
-		// Plain comparisons: the builtin min and max cost more than the
-		// encoding itself.
-		if p.Time < b.tmin {
-			b.tmin = p.Time
-		}
-		if p.Time > b.tmax {
-			b.tmax = p.Time
-		}
-		nan = nan || p.Time != p.Time
-	}
-	if nan { // a NaN time matches no range test: never prune the block
-		b.tmin, b.tmax = math.Inf(-1), math.Inf(1)
-	}
 	var scratch *[blockBytes]byte
 	select {
 	case scratch = <-sealScratch:
 	default:
 		scratch = new([blockBytes]byte)
 	}
-	enc := appendDeltaColumn(scratch[:0], ts[:len(pts)], nil)
-	enc = appendXORColumn(enc, vs[:len(pts)], nil)
-	if len(enc) > cap(spare) || cap(spare) > 2*len(enc) {
+	b := appendBlock(scratch[:0], pts)
+	if len(b.Data) > cap(spare) || cap(spare) > 2*len(b.Data) {
 		spare = nil
 	}
-	b.data = append(spare[:0], enc...)
+	b.Data = append(spare[:0], b.Data...)
 	select {
 	case sealScratch <- scratch:
 	default:
@@ -168,17 +156,77 @@ func sealBlock(pts []Point, spare []byte) block {
 	return b
 }
 
+// appendBlock encodes pts, at most blockPoints of them, onto dst; the
+// block's data is the appended bytes, capped there.
+func appendBlock(dst []byte, pts []Point) block {
+	var ts, vs [blockPoints]float64
+	for i, p := range pts {
+		ts[i], vs[i] = p.Time, p.Value
+	}
+	b := block{N: len(pts)}
+	b.Tmin, b.Tmax = timeSpan(pts)
+	start := len(dst)
+	dst = appendDeltaColumn(dst, ts[:len(pts)], nil)
+	dst = appendXORColumn(dst, vs[:len(pts)], nil)
+	b.Data = dst[start:len(dst):len(dst)]
+	return b
+}
+
+// timeSpan is the range of the points' times, for pruning windows:
+// (+Inf, -Inf) when there are none, and (-Inf, +Inf) when a time is
+// NaN, which no range test matches, so the block is never pruned.
+func timeSpan(pts []Point) (tmin, tmax float64) {
+	tmin, tmax = math.Inf(1), math.Inf(-1)
+	nan := false
+	for _, p := range pts {
+		// Plain comparisons: the builtin min and max cost more than the
+		// encoding itself.
+		if p.Time < tmin {
+			tmin = p.Time
+		}
+		if p.Time > tmax {
+			tmax = p.Time
+		}
+		nan = nan || p.Time != p.Time
+	}
+	if nan {
+		return math.Inf(-1), math.Inf(1)
+	}
+	return tmin, tmax
+}
+
 // appendTo decodes the block's points onto out, oldest first.  The
 // columns were written by sealBlock, so they always decode.
 func (b *block) appendTo(out []Point) []Point {
+	out, _ = decodeBlock(b.Data, b.N, out)
+	return out
+}
+
+// decodeBlock decodes the n points of a block's data onto out, failing
+// unless both columns decode and nothing follows them.
+func decodeBlock(data []byte, n int, out []Point) ([]Point, error) {
 	var ts, vs [blockPoints]float64
-	d := v4Decoder{b: b.data}
-	times, _ := decodeDeltaColumn(d.column("time column"), b.n, nil, ts[:0])
-	values, _ := decodeXORColumn(d.column("value column"), b.n, nil, vs[:0])
+	if n > blockPoints {
+		return out, fmt.Errorf("a block of %d points, more than %d", n, blockPoints)
+	}
+	d := v4Decoder{b: data}
+	times, err := decodeDeltaColumn(d.column("time column"), n, nil, ts[:0])
+	if err != nil {
+		return out, err
+	}
+	values, err := decodeXORColumn(d.column("value column"), n, nil, vs[:0])
+	switch {
+	case d.err != nil:
+		return out, d.err
+	case err != nil:
+		return out, err
+	case d.off != len(data):
+		return out, fmt.Errorf("%d bytes after the block's columns", len(data)-d.off)
+	}
 	for i, t := range times {
 		out = append(out, Point{Time: t, Value: values[i]})
 	}
-	return out
+	return out, nil
 }
 
 // rawPoints is a series' bounded FIFO of at most max raw points, held
@@ -243,7 +291,7 @@ func (r *rawPoints) evict(values bool) Point {
 	if r.toff == r.tn {
 		if r.blocks.n > 0 {
 			r.oldest = r.blocks.pop()
-			r.tail, r.tn = r.tail[:0], r.oldest.n
+			r.tail, r.tn = r.tail[:0], r.oldest.N
 		} else {
 			r.tail, r.head = r.head, r.tail[:0]
 			r.tn = len(r.tail)
@@ -256,10 +304,10 @@ func (r *rawPoints) evict(values bool) Point {
 		}
 		r.tail = r.oldest.appendTo(r.tail[:0])
 	}
-	if r.toff++; r.toff == r.tn && r.oldest.data != nil {
+	if r.toff++; r.toff == r.tn && r.oldest.Data != nil {
 		// Drained: its bytes can hold the next seal, which in a full
 		// series comes in this same push.
-		r.spare, r.oldest = r.oldest.data, block{}
+		r.spare, r.oldest = r.oldest.Data, block{}
 	}
 	if !values {
 		return Point{}
@@ -270,7 +318,7 @@ func (r *rawPoints) evict(values bool) Point {
 // misses reports whether the block holds no point in [from, to] (to < 0:
 // no upper bound).  A NaN time keeps a block from ever missing.
 func (b *block) misses(from, to float64) bool {
-	return b.tmax < from || (to >= 0 && b.tmin > to)
+	return b.Tmax < from || (to >= 0 && b.Tmin > to)
 }
 
 // appendRange appends the held points to out, oldest first, skipping
@@ -281,7 +329,7 @@ func (r *rawPoints) appendRange(out []Point, from, to float64) []Point {
 	size := r.tn + len(r.head) // grow out once, not once per block
 	for i := range r.blocks.n {
 		if b := r.blocks.at(i); !b.misses(from, to) {
-			size += b.n
+			size += b.N
 		}
 	}
 	out = slices.Grow(out, size)
@@ -318,8 +366,8 @@ func (r *rawPoints) oldestTime() float64 {
 		}
 	}
 	for i := range r.blocks.n {
-		if b := r.blocks.at(i); b.tmin < t {
-			t = b.tmin
+		if b := r.blocks.at(i); b.Tmin < t {
+			t = b.Tmin
 		}
 	}
 	for _, p := range r.head {

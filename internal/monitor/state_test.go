@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -168,5 +169,38 @@ func TestStateRestoreAdaptsToShape(t *testing.T) {
 	}
 	if wb, gb := st.Buckets(gauge, 1, 0, -1), small.Buckets(gauge, 1, 0, -1); !reflect.DeepEqual(gb, wb) {
 		t.Errorf("matching tier diverged after reshape: %v vs %v", gb, wb)
+	}
+}
+
+// TestExportSealedCopiesBlocks pins ExportSealed's copy under the lock:
+// fn sees bytes of its own, so appends that drain the series' blocks and
+// seal new points into their buffers, while fn still holds the state,
+// change nothing it sees.
+func TestExportSealedCopiesBlocks(t *testing.T) {
+	st := NewStore(2 * blockPoints)
+	k := Key{Metric: "bw", Scope: ScopeNode}
+	for i := range 2 * blockPoints {
+		st.Append(k, Point{Time: float64(i), Value: float64(i)})
+	}
+	err := st.ExportSealed([]Key{k}, func(s *SealedState) error {
+		if len(s.Blocks) != 2 {
+			t.Fatalf("exported %d blocks, want 2", len(s.Blocks))
+		}
+		var before [][]byte
+		for _, b := range s.Blocks {
+			before = append(before, bytes.Clone(b.Data))
+		}
+		for i := range 3 * blockPoints {
+			st.Append(k, Point{Time: float64(1000 + i), Value: float64(3 * i)})
+		}
+		for i, b := range s.Blocks {
+			if !bytes.Equal(b.Data, before[i]) {
+				t.Fatalf("block %d changed under the exported state", i)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -370,26 +370,28 @@ func (st *Store) resolveGroups(b *groupBatch) {
 	}
 }
 
-// appendShape lands an ingest payload's columns through its resolved
-// shape: each group's rows are appended under one series lock, and the
+// appendGroups lands an ingest payload's columns through its resolved
+// groups: each group's rows are appended under one series lock, and the
 // journal observes the batch in one call.  The batch comes back as
 // samples, under the series' own keys (nothing aliases the request),
 // when a journal is installed or the caller wants them (the forward
 // hook), nil otherwise.
-func (st *Store) appendShape(groups []landGroup, times, values []float64, wantSamples bool) []Sample {
+func appendGroups[G any, P lander[G]](st *Store, groups []G, times, values []float64, wantSamples bool) []Sample {
 	rows := 0
-	for _, g := range groups {
-		g.series.appendColumns(times[g.lo:g.hi], values[g.lo:g.hi])
-		rows += int(g.hi - g.lo)
+	for i := range groups {
+		s, _, lo, hi := P(&groups[i]).land()
+		s.appendColumns(times[lo:hi], values[lo:hi])
+		rows += hi - lo
 	}
 	jp := st.journal.Load()
 	if jp == nil && !wantSamples {
 		return nil
 	}
 	samples := make([]Sample, 0, rows)
-	for _, g := range groups {
-		k := &g.series.key
-		for r := g.lo; r < g.hi; r++ {
+	for i := range groups {
+		s, _, lo, hi := P(&groups[i]).land()
+		k := &s.key
+		for r := lo; r < hi; r++ {
 			samples = append(samples, Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
 				Labels: k.Labels, Time: times[r], Value: values[r]})
 		}

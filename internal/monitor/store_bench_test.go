@@ -130,7 +130,7 @@ func BenchmarkStoreSeal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spare = sealBlock(head, spare).data
+		spare = sealBlock(head, spare).Data
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockPoints), "ns/point")
 }

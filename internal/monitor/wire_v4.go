@@ -811,6 +811,7 @@ type sampleGroup struct {
 	set    *wireSet // the payload's label set pairs came from; nil once the group owns them
 	lo, hi int      // rows [lo, hi) of the batch columns
 	series *series
+	latest *Point // the /metrics slot, on the JSON path
 }
 
 // wireSet is one entry of a v4 payload's label set table: its validated
