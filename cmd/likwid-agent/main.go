@@ -446,7 +446,7 @@ func startForward(ctx context.Context, cfg *agentConfig, reg *telemetry.Registry
 	if err != nil {
 		return nil, nil, err
 	}
-	d := monitor.NewDispatcher(cfg.buffer, cluster.NewDownsampler(cfg.forwardEvery, cs))
+	d := monitor.NewDispatcher(cfg.buffer, monitor.NewDownsampler(cfg.forwardEvery, cs))
 	d.SetLogger(log)
 	log.Info("forwarding enabled", "spec", cfg.forward,
 		"policy", spec.Policy.String(), "targets", len(spec.Targets), "downsample", cfg.forwardEvery)
@@ -593,7 +593,7 @@ func reloadOnSIGHUP(ctx context.Context, loops ...*ruleLoop) {
 // alerting bundles a running alert engine's delivery stages with its
 // rule loop.
 type alerting struct {
-	fanout  *alert.Fanout
+	fanout  *monitor.Fanout[alert.Event]
 	grouper *alert.Grouper // nil without -group-wait
 	loop    *ruleLoop      // nil without -rules
 }
@@ -612,7 +612,7 @@ func (a *alerting) stop(log *slog.Logger) {
 		log.Warn("notifier close failed", "err", err)
 	}
 	log.Info("alerting stopped",
-		"delivered", a.fanout.Delivered(), "dropped", a.fanout.Dropped(), "notifier_errors", a.fanout.Errors())
+		"delivered", a.fanout.Written(), "dropped", a.fanout.Dropped(), "notifier_errors", a.fanout.Errors())
 }
 
 // startAlerting builds notifiers, engine and endpoints from -rules and
@@ -643,7 +643,7 @@ func startAlerting(ctx context.Context, cfg *agentConfig, store *monitor.Store, 
 	// -group-wait puts a coalescing window in front of the fanout: N
 	// instances of one rule tripping together become one notification.
 	var grouper *alert.Grouper
-	var notify alert.Publisher
+	var notify alert.Publisher = fanout
 	if cfg.groupWait > 0 {
 		grouper = alert.NewGrouper(fanout, cfg.groupWait, nil)
 		notify = grouper
@@ -660,7 +660,6 @@ func startAlerting(ctx context.Context, cfg *agentConfig, store *monitor.Store, 
 	engine, err := alert.NewEngine(alert.Options{
 		Store:        store,
 		DefaultEvery: defaultEvery(cfg),
-		Fanout:       fanout,
 		Notify:       notify,
 		Telemetry:    reg,
 		// A fleet agent that stops pushing must not keep its alerts

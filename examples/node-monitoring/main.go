@@ -148,7 +148,7 @@ bw_skew:    imbalance(memory_bandwidth_mbytes_s, socket, 1s) > 0.5 for 0s
 		log.Fatal(err)
 	}
 	fanout := alert.NewFanout(16, alert.NewLogNotifier(os.Stdout))
-	engine, err := alert.NewEngine(alert.Options{Store: store, Fanout: fanout}, rules)
+	engine, err := alert.NewEngine(alert.Options{Store: store, Notify: fanout}, rules)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestEndToEndAlertPipeline(t *testing.T) {
 	}
 	fanout := NewFanout(16, wn)
 	defer fanout.Close()
-	engine, err := NewEngine(Options{Store: store, Clock: fc, Fanout: fanout},
+	engine, err := NewEngine(Options{Store: store, Clock: fc, Notify: fanout},
 		mustRules(t, "overheat: avg(temp, node, 3s) > 100 for 2s every 1s"))
 	if err != nil {
 		t.Fatal(err)

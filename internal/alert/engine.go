@@ -27,11 +27,10 @@ type Options struct {
 	// DefaultEvery is the evaluation cadence of rules without their own
 	// "every" clause (default 10 s).
 	DefaultEvery time.Duration
-	// Fanout receives firing/resolved events (optional).
-	Fanout *Fanout
-	// Notify, when set, receives events instead of Fanout — the hook for
-	// delivery stages in front of the fanout, e.g. a Grouper coalescing
-	// per-instance events into one incident per rule and state.
+	// Notify receives firing/resolved events (optional): the notifier
+	// fanout (NewFanout), or a delivery stage in front of it, e.g. a
+	// Grouper coalescing per-instance events into one incident per rule
+	// and state.
 	Notify Publisher
 	// StaleAfter resolves a firing instance whose series' simulated time
 	// has stopped advancing for this much wall time — a decommissioned
@@ -336,11 +335,8 @@ func (e *Engine) transition(r *Rule, k monitor.Key, metric, state string, value,
 	if c := e.tTransitions[state]; c != nil {
 		c.Inc()
 	}
-	switch {
-	case e.opts.Notify != nil:
+	if e.opts.Notify != nil {
 		e.opts.Notify.Publish(ev)
-	case e.opts.Fanout != nil:
-		e.opts.Fanout.Publish(ev)
 	}
 	// History series: one per rule, carrying the matched series' source
 	// and label set as their own Key dimensions (a receiver's fleet rule

@@ -20,7 +20,7 @@ type captureNotifier struct {
 }
 
 func (c *captureNotifier) Name() string { return "capture" }
-func (c *captureNotifier) Notify(ev Event) error {
+func (c *captureNotifier) Write(ev Event) error {
 	c.mu.Lock()
 	c.events = append(c.events, ev)
 	c.mu.Unlock()
@@ -60,12 +60,12 @@ func mustRules(t *testing.T, src string) []*Rule {
 	return rules
 }
 
-func newTestEngine(t *testing.T, store *monitor.Store, src string) (*Engine, *captureNotifier, *Fanout) {
+func newTestEngine(t *testing.T, store *monitor.Store, src string) (*Engine, *captureNotifier, *monitor.Fanout[Event]) {
 	t.Helper()
 	cap := &captureNotifier{}
 	fanout := NewFanout(64, cap)
 	t.Cleanup(func() { _ = fanout.Close() })
-	e, err := NewEngine(Options{Store: store, Fanout: fanout}, mustRules(t, src))
+	e, err := NewEngine(Options{Store: store, Notify: fanout}, mustRules(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestEngineReloadRestartsRunLoop(t *testing.T) {
 	cap := &captureNotifier{}
 	fanout := NewFanout(16, cap)
 	defer fanout.Close()
-	e, err := NewEngine(Options{Store: store, Clock: fc, Fanout: fanout},
+	e, err := NewEngine(Options{Store: store, Clock: fc, Notify: fanout},
 		mustRules(t, "old: avg(bw, node, 10s) < 100 for 0s every 2s"))
 	if err != nil {
 		t.Fatal(err)
@@ -499,7 +499,7 @@ func TestEngineStaleSeriesResolves(t *testing.T) {
 	fanout := NewFanout(16, cap)
 	defer fanout.Close()
 	e, err := NewEngine(Options{
-		Store: store, Clock: fc, Fanout: fanout, StaleAfter: time.Minute,
+		Store: store, Clock: fc, Notify: fanout, StaleAfter: time.Minute,
 	}, mustRules(t, "hot: avg(temp, node, 10s) > 100 for 0s"))
 	if err != nil {
 		t.Fatal(err)
@@ -631,7 +631,7 @@ func TestEngineRunOnFakeClock(t *testing.T) {
 	cap := &captureNotifier{}
 	fanout := NewFanout(16, cap)
 	defer fanout.Close()
-	e, err := NewEngine(Options{Store: store, Clock: fc, Fanout: fanout},
+	e, err := NewEngine(Options{Store: store, Clock: fc, Notify: fanout},
 		mustRules(t, "low: avg(bw, node, 10s) < 100 for 0s every 2s"))
 	if err != nil {
 		t.Fatal(err)

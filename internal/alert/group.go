@@ -8,9 +8,9 @@ import (
 )
 
 // Publisher accepts firing/resolved events; Publish reports whether the
-// event was accepted.  Fanout implements it, and Grouper wraps any
-// Publisher, so delivery stages compose: engine → grouper → fanout →
-// notifiers.
+// event was accepted.  The notifier fanout (NewFanout) implements it,
+// and Grouper wraps any Publisher, so delivery stages compose: engine →
+// grouper → fanout → notifiers.
 type Publisher interface {
 	Publish(ev Event) bool
 }

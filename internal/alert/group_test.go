@@ -141,7 +141,7 @@ func TestLogNotifierGroupedLine(t *testing.T) {
 	ev := Event{Rule: "mem_bw_low", State: EventStateFiring, Metric: "bw",
 		Scope: "socket", Value: 1, Threshold: 2, Time: 60,
 		Instances: []Event{{}, {}, {}}}
-	if err := n.Notify(ev); err != nil {
+	if err := n.Write(ev); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), " instances=3") {

@@ -11,156 +11,24 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"likwid/internal/monitor"
-	"likwid/internal/telemetry"
 )
 
-// Notifier delivers one firing/resolved event.  Notifiers are driven by
-// a single Fanout goroutine (the sink idiom), so implementations need no
-// locking against each other; Close flushes and releases resources.
-type Notifier interface {
-	Name() string
-	Notify(ev Event) error
-	Close() error
-}
+// Notifier delivers one firing/resolved event.  Notifiers are the
+// consumers of the notifier fanout, driven by its single goroutine, so
+// implementations need no locking against each other; Close flushes and
+// releases resources.
+type Notifier = monitor.Consumer[Event]
 
-// Fanout delivers events to notifiers asynchronously through a bounded
-// channel.  Publish never blocks rule evaluation: when the queue is full
-// the event is dropped and counted — a slow webhook costs notifications,
-// never evaluation cadence.
-type Fanout struct {
-	// mu guards closed and the channel send against a concurrent Close,
-	// exactly like the sink dispatcher: publishers hold it shared, Close
-	// exclusively, so the channel is never closed mid-send.
-	mu        sync.RWMutex
-	closed    bool
-	ch        chan Event
-	notifiers []Notifier
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-	errs      atomic.Uint64
-	done      chan struct{}
-	once      sync.Once
-
-	logger atomic.Pointer[slog.Logger]
-}
-
-// NewFanout starts the delivery goroutine; buffer is the bounded queue
-// depth (default 64 when <= 0).
-func NewFanout(buffer int, notifiers ...Notifier) *Fanout {
-	if buffer <= 0 {
-		buffer = 64
-	}
-	f := &Fanout{
-		ch:        make(chan Event, buffer),
-		notifiers: notifiers,
-		done:      make(chan struct{}),
-	}
-	go f.loop()
-	return f
-}
-
-func (f *Fanout) loop() {
-	defer close(f.done)
-	for ev := range f.ch {
-		ok := true
-		for _, n := range f.notifiers {
-			if err := n.Notify(ev); err != nil {
-				f.errs.Add(1)
-				ok = false
-				if log := f.logger.Load(); log != nil {
-					log.Warn("notifier delivery failed",
-						"notifier", n.Name(), "rule", ev.Rule, "state", ev.State, "err", err)
-				}
-			}
-		}
-		if ok {
-			f.delivered.Add(1)
-		}
-	}
-}
-
-// Publish enqueues an event without blocking; it reports false (and
-// counts the drop) when the queue is full or the fanout is closed.
-func (f *Fanout) Publish(ev Event) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		f.countDrop()
-		return false
-	}
-	select {
-	case f.ch <- ev:
-		return true
-	default:
-		f.countDrop()
-		return false
-	}
-}
-
-// countDrop counts one dropped event, warning only on the first — the
-// dispatcher's rate-limiting discipline: the counter carries the rate,
-// the log carries the fact.
-func (f *Fanout) countDrop() {
-	if f.dropped.Add(1) == 1 {
-		if log := f.logger.Load(); log != nil {
-			log.Warn("notifier queue full, dropping events (counted, further drops not logged)",
-				"capacity", cap(f.ch))
-		}
-	}
-}
-
-// SetLogger routes drop and delivery-failure warnings; nil (the
-// default) keeps the fanout silent, counters only.
-func (f *Fanout) SetLogger(log *slog.Logger) { f.logger.Store(log) }
-
-// Instrument registers the fanout's self-metrics on reg.
-func (f *Fanout) Instrument(reg *telemetry.Registry) {
-	reg.GaugeFunc("likwid_notifier_queue_depth", func() float64 { return float64(len(f.ch)) })
-	reg.GaugeFunc("likwid_notifier_queue_capacity", func() float64 { return float64(cap(f.ch)) })
-	reg.CounterFunc("likwid_notifier_delivered_total", func() float64 { return float64(f.delivered.Load()) })
-	reg.CounterFunc("likwid_notifier_dropped_total", func() float64 { return float64(f.dropped.Load()) })
-	reg.CounterFunc("likwid_notifier_errors_total", func() float64 { return float64(f.errs.Load()) })
-}
-
-// Delivered counts events delivered to every notifier without error.
-func (f *Fanout) Delivered() uint64 { return f.delivered.Load() }
-
-// Dropped counts events rejected by the overflow policy.
-func (f *Fanout) Dropped() uint64 { return f.dropped.Load() }
-
-// Errors counts individual notifier failures.
-func (f *Fanout) Errors() uint64 { return f.errs.Load() }
-
-// Closed reports whether the fanout has been shut down — the "notifiers
-// up" half of a readiness probe.
-func (f *Fanout) Closed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closed
-}
-
-// Close drains the queue, closes every notifier, and returns the first
-// notifier close error.
-func (f *Fanout) Close() error {
-	var err error
-	f.once.Do(func() {
-		f.mu.Lock()
-		f.closed = true
-		close(f.ch)
-		f.mu.Unlock()
-		<-f.done
-		for _, n := range f.notifiers {
-			if cerr := n.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-	})
-	return err
+// NewFanout starts the notifier fan-out: the sink dispatcher's bounded
+// drop-and-count queue, carrying events, so a slow webhook costs
+// notifications, never evaluation cadence.  buffer is the queue depth
+// (default 64 when <= 0).
+func NewFanout(buffer int, notifiers ...Notifier) *monitor.Fanout[Event] {
+	return monitor.NewFanout("notifier", buffer, func(ev Event) []any { return []any{"rule", ev.Rule, "state", ev.State} }, notifiers...)
 }
 
 // ---- log notifier ---------------------------------------------------------
@@ -180,7 +48,7 @@ func NewLogNotifier(w io.Writer) Notifier { return &logNotifier{w: w} }
 
 func (l *logNotifier) Name() string { return "log" }
 
-func (l *logNotifier) Notify(ev Event) error {
+func (l *logNotifier) Write(ev Event) error {
 	source := ""
 	if ev.Source != "" {
 		source = " source=" + ev.Source
@@ -215,7 +83,7 @@ func NewJSONLNotifier(w io.Writer, c io.Closer) Notifier {
 
 func (n *jsonlNotifier) Name() string { return "jsonl" }
 
-func (n *jsonlNotifier) Notify(ev Event) error {
+func (n *jsonlNotifier) Write(ev Event) error {
 	if err := json.NewEncoder(n.w).Encode(ev); err != nil {
 		return err
 	}
@@ -304,9 +172,9 @@ func (n *WebhookNotifier) Retries() uint64 { return n.retries.Load() }
 // fanout.
 func (n *WebhookNotifier) SetLogger(log *slog.Logger) { n.opts.Logger = log }
 
-// Notify POSTs the event, retrying with the push sink's bounded
+// Write POSTs the event, retrying with the push sink's bounded
 // exponential backoff.
-func (n *WebhookNotifier) Notify(ev Event) error {
+func (n *WebhookNotifier) Write(ev Event) error {
 	payload, err := json.Marshal(ev)
 	if err != nil {
 		return err

@@ -9,9 +9,12 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"likwid/internal/monitor"
 )
 
 func testEvent() Event {
@@ -25,7 +28,7 @@ func testEvent() Event {
 func TestLogNotifierFormat(t *testing.T) {
 	var buf bytes.Buffer
 	n := NewLogNotifier(&buf)
-	if err := n.Notify(testEvent()); err != nil {
+	if err := n.Write(testEvent()); err != nil {
 		t.Fatal(err)
 	}
 	want := "alert firing bw_low bw socket/1 value=1833.125 threshold=2000 t=63.000\n"
@@ -37,7 +40,7 @@ func TestLogNotifierFormat(t *testing.T) {
 func TestJSONLNotifierRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	n := NewJSONLNotifier(&buf, nil)
-	if err := n.Notify(testEvent()); err != nil {
+	if err := n.Write(testEvent()); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Close(); err != nil {
@@ -73,7 +76,7 @@ func TestWebhookNotifierRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Notify(testEvent()); err != nil {
+	if err := n.Write(testEvent()); err != nil {
 		t.Fatalf("Notify failed despite retries: %v", err)
 	}
 	if calls.Load() != 3 || n.Retries() != 2 || n.Sent() != 1 {
@@ -85,7 +88,7 @@ func TestWebhookNotifierRetries(t *testing.T) {
 
 	// A permanently dead endpoint exhausts its attempts and errors.
 	srv.Close()
-	if err := n.Notify(testEvent()); err == nil {
+	if err := n.Write(testEvent()); err == nil {
 		t.Error("Notify to a dead endpoint succeeded, want error")
 	}
 }
@@ -93,9 +96,9 @@ func TestWebhookNotifierRetries(t *testing.T) {
 // failingNotifier always errors, for the fanout error accounting.
 type failingNotifier struct{}
 
-func (failingNotifier) Name() string       { return "fail" }
-func (failingNotifier) Notify(Event) error { return errors.New("nope") }
-func (failingNotifier) Close() error       { return nil }
+func (failingNotifier) Name() string      { return "fail" }
+func (failingNotifier) Write(Event) error { return errors.New("nope") }
+func (failingNotifier) Close() error      { return nil }
 
 func TestFanoutDeliveryAndCounts(t *testing.T) {
 	cap := &captureNotifier{}
@@ -114,8 +117,8 @@ func TestFanoutDeliveryAndCounts(t *testing.T) {
 	if f.Errors() != 3 {
 		t.Errorf("errors = %d, want 3 (one per event from the failing notifier)", f.Errors())
 	}
-	if f.Delivered() != 0 {
-		t.Errorf("delivered = %d, want 0 (every event had a failing notifier)", f.Delivered())
+	if f.Written() != 0 {
+		t.Errorf("delivered = %d, want 0 (every event had a failing notifier)", f.Written())
 	}
 	// Publishing after close drops and counts.
 	if f.Publish(testEvent()) {
@@ -148,4 +151,64 @@ func TestParseNotifierSpecs(t *testing.T) {
 			t.Errorf("ValidateNotifierSpec(%q) = %v, want %q", spec, err, wantErr)
 		}
 	}
+}
+
+// countingConsumer counts what its fanout hands it.
+type countingConsumer[T any] struct{ n atomic.Uint64 }
+
+func (c *countingConsumer[T]) Name() string  { return "count" }
+func (c *countingConsumer[T]) Write(T) error { c.n.Add(1); return nil }
+func (c *countingConsumer[T]) Close() error  { return nil }
+
+// publishRacingClose publishes v from several goroutines while Close
+// runs: no publish may panic, every accepted value must be written, and
+// every other one counted as dropped.
+func publishRacingClose[T any](t *testing.T, newFanout func(c monitor.Consumer[T]) *monitor.Fanout[T], v T) {
+	for round := 0; round < 20; round++ {
+		c := &countingConsumer[T]{}
+		f := newFanout(c)
+		const publishers, each = 4, 200
+		var accepted atomic.Uint64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for p := 0; p < publishers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < each; i++ {
+					if f.Publish(v) {
+						accepted.Add(1)
+					}
+				}
+			}()
+		}
+		close(start)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if !f.Closed() {
+			t.Fatal("Closed() = false after Close")
+		}
+		if got, want := c.n.Load(), accepted.Load(); got != want || f.Written() != want {
+			t.Fatalf("round %d: consumer saw %d, Written %d, accepted %d", round, got, f.Written(), want)
+		}
+		if got, want := f.Dropped(), publishers*each-accepted.Load(); got != want {
+			t.Fatalf("round %d: Dropped = %d, want %d", round, got, want)
+		}
+	}
+}
+
+// TestFanoutPublishRacesClose runs the race for both element types the
+// fanout carries: metric batches and alert events (run it with -race).
+func TestFanoutPublishRacesClose(t *testing.T) {
+	t.Run("batch", func(t *testing.T) {
+		publishRacingClose(t, func(c monitor.Consumer[monitor.Batch]) *monitor.Dispatcher {
+			return monitor.NewDispatcher(8, c)
+		}, monitor.Batch{Collector: "c", Samples: []monitor.Sample{{Metric: "m"}}})
+	})
+	t.Run("event", func(t *testing.T) {
+		publishRacingClose(t, func(c Notifier) *monitor.Fanout[Event] { return NewFanout(8, c) }, testEvent())
+	})
 }

@@ -79,24 +79,19 @@ type Options struct {
 	// Source labels sourceless samples with this agent's push identity,
 	// exactly like PushOptions.Source.
 	Source string
-	// FlushSamples and MaxBuffered configure each per-target push sink
-	// (defaults 64 and 4096; see PushOptions).
+	// FlushSamples configures each per-target push sink (default 64;
+	// see PushOptions).
 	FlushSamples int
-	MaxBuffered  int
 	// RetryBase is the per-target first retry backoff (default 100 ms).
 	// With more than one target the per-target attempt count is capped
 	// at one, so failover engages after a single failed POST instead of
 	// walking the whole retry ladder against a dead receiver.
 	RetryBase time.Duration
-	// VirtualNodes is the ring positions per target
-	// (default DefaultVirtualNodes).
-	VirtualNodes int
 	// ProbeInterval re-checks a healthy target's /readyz this often
 	// (default 2 s); ProbeBackoff is the first re-probe delay after a
-	// failure, doubling up to ProbeBackoffMax (defaults 250 ms and 8 s).
-	ProbeInterval   time.Duration
-	ProbeBackoff    time.Duration
-	ProbeBackoffMax time.Duration
+	// failure, doubling up to probeBackoffMax (default 250 ms).
+	ProbeInterval time.Duration
+	ProbeBackoff  time.Duration
 	// Context bounds retry backoffs and the probe loops.
 	Context context.Context
 	// Client is shared by the per-target push sinks; ProbeClient by the
@@ -111,18 +106,16 @@ type Options struct {
 	Logger *slog.Logger
 }
 
+// probeBackoffMax caps a down target's re-probe delay: a dead target
+// costs a cheap probe every few seconds.
+const probeBackoffMax = 8 * time.Second
+
 func (o Options) withDefaults() Options {
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = DefaultVirtualNodes
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * time.Second
 	}
 	if o.ProbeBackoff <= 0 {
 		o.ProbeBackoff = 250 * time.Millisecond
-	}
-	if o.ProbeBackoffMax <= 0 {
-		o.ProbeBackoffMax = 8 * time.Second
 	}
 	if o.Context == nil {
 		o.Context = context.Background()
@@ -197,7 +190,6 @@ func New(opts Options) (*Sink, error) {
 		push, err := monitor.NewPushSink(monitor.PushOptions{
 			URL:          u.url,
 			FlushSamples: opts.FlushSamples,
-			MaxBuffered:  opts.MaxBuffered,
 			MaxAttempts:  maxAttempts,
 			RetryBase:    opts.RetryBase,
 			Source:       opts.Source,
@@ -216,7 +208,7 @@ func New(opts Options) (*Sink, error) {
 		s.byName[t.name] = t
 		names = append(names, t.name)
 	}
-	s.fullRing = NewRing(names, opts.VirtualNodes)
+	s.fullRing = NewRing(names, DefaultVirtualNodes)
 	s.ring.Store(s.fullRing)
 
 	ctx, cancel := context.WithCancel(opts.Context)
@@ -364,12 +356,12 @@ func (s *Sink) rebuildRing() {
 			names = append(names, t.name)
 		}
 	}
-	s.ring.Store(NewRing(names, s.opts.VirtualNodes))
+	s.ring.Store(NewRing(names, DefaultVirtualNodes))
 }
 
 // probeLoop health-checks one target: GET /readyz every ProbeInterval
 // while healthy, backing off exponentially from ProbeBackoff up to
-// ProbeBackoffMax while down — a dead target costs a cheap probe every
+// probeBackoffMax while down — a dead target costs a cheap probe every
 // few seconds, a flapping one re-enters the ring within a beat.
 func (s *Sink) probeLoop(ctx context.Context, t *target) {
 	defer s.wg.Done()
@@ -380,8 +372,8 @@ func (s *Sink) probeLoop(ctx context.Context, t *target) {
 			sleep, backoff = s.opts.ProbeInterval, s.opts.ProbeBackoff
 		} else {
 			sleep = backoff
-			if backoff *= 2; backoff > s.opts.ProbeBackoffMax {
-				backoff = s.opts.ProbeBackoffMax
+			if backoff *= 2; backoff > probeBackoffMax {
+				backoff = probeBackoffMax
 			}
 		}
 		timer := time.NewTimer(sleep)

@@ -182,10 +182,18 @@ func (m *Manager) loop() {
 // on-disk snapshot, then discards the rotated log — its records are all
 // inside the dump.  Appends keep flowing throughout; records landing
 // between the rotation and the dump exist in both the new WAL and the
-// snapshot, which the next boot's replay guard dedupes.
+// snapshot, which the next boot's replay guard dedupes.  A wal.prev
+// still present holds records no snapshot has (a failed snapshot's
+// rotation, or a crash's), so the WAL is not rotated over it: this dump
+// covers both logs, and the records it shares with wal.log are deduped
+// the same way.
 func (m *Manager) Snapshot() error {
 	start := time.Now()
-	if err := m.wal.rotate(m.walPrevPath(), m.walPath()); err != nil {
+	if _, err := os.Stat(m.walPrevPath()); os.IsNotExist(err) {
+		if err := m.wal.rotate(m.walPrevPath(), m.walPath()); err != nil {
+			return fmt.Errorf("persist: rotating WAL: %w", err)
+		}
+	} else if err != nil {
 		return fmt.Errorf("persist: rotating WAL: %w", err)
 	}
 	if err := writeSnapshot(m.snapshotPath(), m.store); err != nil {

@@ -658,3 +658,133 @@ func TestPeriodicSnapshotTruncatesWAL(t *testing.T) {
 		t.Fatalf("restored %d points, want 8", got)
 	}
 }
+
+// copyImage copies dir's durability files into a fresh directory — the
+// state a crash at this instant would leave behind.
+func copyImage(t *testing.T, dir string) string {
+	t.Helper()
+	image := t.TempDir()
+	for _, name := range []string{"snapshot.json", "wal.log", "wal.prev"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return image
+}
+
+// TestFailedSnapshotsKeepTheRotatedWAL is the snapshot-retry case: a
+// failed snapshot leaves wal.prev behind with records no snapshot holds,
+// and the next snapshot must not rotate wal.log over it.  A directory
+// at snapshot.json.tmp makes every snapshot write fail.
+func TestFailedSnapshotsKeepTheRotatedWAL(t *testing.T) {
+	dir := t.TempDir()
+	st := testStore()
+	k := testKey()
+	m, err := Open(dir, st, Options{SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "snapshot.json.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		st.Append(k, monitor.Point{Time: float64(i), Value: float64(i)})
+		waitDurable(t, m, i)
+		if i < 3 {
+			if err := m.Snapshot(); err == nil {
+				t.Fatalf("snapshot %d succeeded over a directory", i)
+			}
+		}
+	}
+	recovered := testStore()
+	m2, err := Open(copyImage(t, dir), recovered, Options{SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	want := []monitor.Point{{Time: 1, Value: 1}, {Time: 2, Value: 2}, {Time: 3, Value: 3}}
+	if got := recovered.Window(k, 0, -1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	// Once a snapshot lands, the overlap it shares with wal.log is
+	// deduped: a clean restart still holds exactly the three points.
+	if err := os.Remove(filepath.Join(dir, "snapshot.json.tmp")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := testStore()
+	m3, err := Open(dir, again, Options{SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Close()
+	if got := again.Window(k, 0, -1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a clean close %v, want %v", got, want)
+	}
+}
+
+// TestStoreRefusesKeysTheWALCannotCarry mixes keys the wire cannot carry
+// (an empty metric, a negative id, an id past int32) with good ones,
+// through every append path: the store drops and counts them, and every
+// good point survives Close → Open.
+func TestStoreRefusesKeysTheWALCannotCarry(t *testing.T) {
+	dir := t.TempDir()
+	st := testStore()
+	m, err := Open(dir, st, Options{SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []monitor.Key{testKey(), {Metric: "bw", Scope: monitor.ScopeSocket, ID: 1}}
+	bad := []monitor.Key{{Metric: "", Scope: monitor.ScopeNode}, {Metric: " ", Scope: monitor.ScopeNode},
+		{Metric: "bw", Scope: monitor.ScopeNode, ID: -1}, {Metric: "bw", Scope: monitor.ScopeNode, ID: 1 << 40}}
+	refused := 0
+	for i := 1; i <= 10; i++ {
+		tm := float64(i)
+		var b monitor.Batch
+		for j, k := range good {
+			b.Samples = append(b.Samples, sampleOf(k, tm, float64(j)))
+			b.Samples = append(b.Samples, sampleOf(bad[(i+j)%len(bad)], tm, -1))
+		}
+		st.AppendBatch(b)
+		st.Append(bad[i%len(bad)], monitor.Point{Time: tm, Value: -1})
+		st.Intern(bad[(i+1)%len(bad)]).Append(monitor.Point{Time: tm, Value: -1})
+		refused += len(good) + 2
+		if i == 5 {
+			if err := m.Snapshot(); err != nil {
+				t.Fatalf("snapshot with refused keys: %v", err)
+			}
+		}
+	}
+	if got := st.Stats().Refused; got != uint64(refused) {
+		t.Errorf("refused %d samples, want %d", got, refused)
+	}
+	if m.wal.dropped.Load() != 0 {
+		t.Errorf("WAL dropped %d points", m.wal.dropped.Load())
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered := testStore()
+	m2, err := Open(dir, recovered, Options{SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if got, want := recovered.Keys(), st.Keys(); !reflect.DeepEqual(got, want) || len(got) != len(good) {
+		t.Fatalf("recovered keys %v, want %v", got, want)
+	}
+	for _, k := range good {
+		if got, want := recovered.Window(k, 0, -1), st.Window(k, 0, -1); !reflect.DeepEqual(got, want) {
+			t.Errorf("series %v: recovered %v, want %v", k, got, want)
+		}
+	}
+}

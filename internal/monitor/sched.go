@@ -107,16 +107,12 @@ type SchedulerOptions struct {
 	// MaxBackoff caps the per-collector error backoff (default 30 s).
 	MaxBackoff time.Duration
 	// AdaptiveMax enables adaptive sampling: while a collector's batches
-	// are unchanged within AdaptiveEpsilon, its interval stretches
+	// are unchanged within adaptiveEpsilon, its interval stretches
 	// (doubling per unchanged tick) up to this cap, and snaps back to the
 	// declared interval on the first change.  Static sources (topology,
 	// features) then cost almost nothing while counters keep their
 	// cadence.  Zero disables stretching.
 	AdaptiveMax time.Duration
-	// AdaptiveEpsilon is the relative difference below which two sample
-	// values count as unchanged (default 1e-9; it is also used as the
-	// absolute floor for values near zero).
-	AdaptiveEpsilon float64
 	// Labels stamps this agent's label set (likwid-agent -labels, e.g.
 	// job=lbm,cluster=emmy) onto every collected sample — roll-ups
 	// included — before it reaches the store and the sinks, so local
@@ -315,7 +311,7 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 			// Adaptive sampling: an unchanged batch doubles this
 			// collector's next delay (capped); any changed value snaps the
 			// cadence back to the declared interval.
-			if prev != nil && samplesUnchanged(prev, samples, s.opts.AdaptiveEpsilon) {
+			if prev != nil && samplesUnchanged(prev, samples, adaptiveEpsilon) {
 				stretch *= 2
 				if stretch > s.opts.AdaptiveMax {
 					stretch = s.opts.AdaptiveMax
@@ -430,15 +426,17 @@ func (s *Scheduler) Stats() []CollectorStats {
 	return out
 }
 
+// adaptiveEpsilon is the relative difference below which two sample
+// values count as unchanged for adaptive sampling; it is also the
+// absolute floor for values near zero.
+const adaptiveEpsilon = 1e-9
+
 // samplesUnchanged reports whether a batch matches the previous one
 // within a relative epsilon: same series set, every value within
 // eps * max(|old|, |new|) (eps doubling as the absolute floor near
 // zero).  Sample times are ignored — time always advances; the question
 // is whether the *values* moved.
 func samplesUnchanged(prev map[Key]float64, cur []Sample, eps float64) bool {
-	if eps <= 0 {
-		eps = 1e-9
-	}
 	if len(prev) != len(cur) {
 		return false
 	}

@@ -19,163 +19,195 @@ import (
 	"likwid/internal/telemetry"
 )
 
-// Sink receives metric batches.  Sinks are driven by a single dispatcher
-// goroutine, so implementations need no internal locking against each
-// other; Close flushes and releases resources.
-type Sink interface {
+// Consumer is one end of a Fanout: a sink for batches, a notifier for
+// alert events.  Consumers are driven by the fanout's single goroutine,
+// so implementations need no locking against each other; Close flushes
+// and releases resources.
+type Consumer[T any] interface {
 	Name() string
-	Write(b Batch) error
+	Write(v T) error
 	Close() error
 }
 
-// Dispatcher fans batches out to sinks asynchronously through a bounded
-// channel.  Publish never blocks the sampling path: when the channel is
-// full the batch is dropped and counted — a slow sink costs data points,
-// never timing.
-type Dispatcher struct {
+// Sink receives metric batches.
+type Sink = Consumer[Batch]
+
+// Fanout delivers values to consumers asynchronously through a bounded
+// channel.  Publish never blocks the producer: when the channel is full
+// the value is dropped and counted — a slow consumer costs data, never
+// the sampling or evaluation cadence.
+type Fanout[T any] struct {
 	// mu guards the closed flag and the channel send against a
 	// concurrent Close: publishers hold it shared, Close exclusively, so
 	// the channel can never be closed mid-send.
-	mu      sync.RWMutex
-	closed  bool
-	ch      chan Batch
-	sinks   []Sink
-	dropped atomic.Uint64
-	written atomic.Uint64
-	errs    atomic.Uint64
-	done    chan struct{}
-	once    sync.Once
+	mu        sync.RWMutex
+	closed    bool
+	ch        chan T
+	consumers []Consumer[T]
+	dropped   atomic.Uint64
+	written   atomic.Uint64
+	errs      atomic.Uint64
+	done      chan struct{}
+	once      sync.Once
 
+	// stage names the fan-out in metric names ("likwid_<stage>_...")
+	// and log text; attrs gives a failed write's identifying log
+	// attributes.
+	stage  string
+	attrs  func(T) []any
 	logger atomic.Pointer[slog.Logger]
-	// writeSeconds times each sink's Write, one histogram per sink name,
-	// resolved at Instrument time (nil entries until then — the loop
-	// checks, so an uninstrumented dispatcher pays one nil test).
+	// writeSeconds times each consumer's Write, one histogram per
+	// consumer name, resolved at Instrument time (nil until then — the
+	// loop checks, so an uninstrumented fanout pays one nil test).
 	writeSeconds atomic.Pointer[map[string]*telemetry.Histogram]
 }
 
-// NewDispatcher starts the fan-out goroutine; buffer is the bounded queue
-// depth (default 64 when <= 0).
-func NewDispatcher(buffer int, sinks ...Sink) *Dispatcher {
+// Dispatcher fans batches out to sinks.
+type Dispatcher = Fanout[Batch]
+
+// NewFanout starts the delivery goroutine.  stage names the fan-out in
+// its metrics and warnings, attrs renders a value's identifying log
+// attributes, and buffer is the bounded queue depth (default 64 when
+// <= 0).
+func NewFanout[T any](stage string, buffer int, attrs func(T) []any, consumers ...Consumer[T]) *Fanout[T] {
 	if buffer <= 0 {
 		buffer = 64
 	}
-	d := &Dispatcher{
-		ch:    make(chan Batch, buffer),
-		sinks: sinks,
-		done:  make(chan struct{}),
+	f := &Fanout[T]{
+		ch:        make(chan T, buffer),
+		consumers: consumers,
+		done:      make(chan struct{}),
+		stage:     stage,
+		attrs:     attrs,
 	}
-	go d.loop()
-	return d
+	go f.loop()
+	return f
 }
 
-func (d *Dispatcher) loop() {
-	defer close(d.done)
-	for b := range d.ch {
-		hists := d.writeSeconds.Load()
+// NewDispatcher starts a sink fan-out; buffer is the bounded queue depth
+// (default 64 when <= 0).
+func NewDispatcher(buffer int, sinks ...Sink) *Dispatcher {
+	return NewFanout("sink", buffer, func(b Batch) []any { return []any{"collector", b.Collector} }, sinks...)
+}
+
+func (f *Fanout[T]) loop() {
+	defer close(f.done)
+	for v := range f.ch {
+		hists := f.writeSeconds.Load()
 		delivered := true
-		for _, s := range d.sinks {
+		for _, c := range f.consumers {
 			var start time.Time
 			if hists != nil {
 				start = time.Now()
 			}
-			err := s.Write(b)
+			err := c.Write(v)
 			if hists != nil {
-				if h := (*hists)[s.Name()]; h != nil {
+				if h := (*hists)[c.Name()]; h != nil {
 					h.Observe(time.Since(start).Seconds())
 				}
 			}
 			if err != nil {
-				d.errs.Add(1)
+				f.errs.Add(1)
 				delivered = false
-				if log := d.logger.Load(); log != nil {
-					log.Warn("sink write failed", "sink", s.Name(), "collector", b.Collector, "err", err)
+				if log := f.logger.Load(); log != nil {
+					attrs := append([]any{f.stage, c.Name()}, f.attrs(v)...)
+					log.Warn(f.stage+" write failed", append(attrs, "err", err)...)
 				}
 			}
 		}
 		if delivered {
-			d.written.Add(1)
+			f.written.Add(1)
 		}
 	}
 }
 
-// Publish enqueues a batch without blocking; it reports false (and counts
-// the drop) when the queue is full or the dispatcher is closed.
-func (d *Dispatcher) Publish(b Batch) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		d.countDrop()
+// Publish enqueues a value without blocking; it reports false (and
+// counts the drop) when the queue is full or the fanout is closed.
+func (f *Fanout[T]) Publish(v T) bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.closed {
+		f.countDrop()
 		return false
 	}
 	select {
-	case d.ch <- b:
+	case f.ch <- v:
 		return true
 	default:
-		d.countDrop()
+		f.countDrop()
 		return false
 	}
 }
 
-// countDrop counts one dropped batch and warns once — the first drop is
-// the signal ("this sink cannot keep up"); every further drop is the
+// countDrop counts one dropped value and warns once — the first drop is
+// the signal ("this consumer cannot keep up"); every further drop is the
 // same fact again, visible as the counter, not as log spam.
-func (d *Dispatcher) countDrop() {
-	if d.dropped.Add(1) == 1 {
-		if log := d.logger.Load(); log != nil {
-			log.Warn("sink queue full, dropping batches (counted, further drops not logged)",
-				"capacity", cap(d.ch))
+func (f *Fanout[T]) countDrop() {
+	if f.dropped.Add(1) == 1 {
+		if log := f.logger.Load(); log != nil {
+			log.Warn(f.stage+" queue full, dropping (counted, further drops not logged)",
+				"capacity", cap(f.ch))
 		}
 	}
 }
 
-// SetLogger routes the dispatcher's drop and sink-failure warnings; nil
+// SetLogger routes the fanout's drop and write-failure warnings; nil
 // (the default) keeps it silent, counters only.
-func (d *Dispatcher) SetLogger(log *slog.Logger) { d.logger.Store(log) }
+func (f *Fanout[T]) SetLogger(log *slog.Logger) { f.logger.Store(log) }
 
-// Instrument registers the dispatcher's self-metrics on reg: queue
-// occupancy gauges, drop/write/error counters, and one flush-latency
-// histogram per attached sink.
-func (d *Dispatcher) Instrument(reg *telemetry.Registry) {
-	reg.GaugeFunc("likwid_sink_queue_depth", func() float64 { return float64(len(d.ch)) })
-	reg.GaugeFunc("likwid_sink_queue_capacity", func() float64 { return float64(cap(d.ch)) })
-	reg.CounterFunc("likwid_sink_dropped_total", func() float64 { return float64(d.dropped.Load()) })
-	reg.CounterFunc("likwid_sink_written_total", func() float64 { return float64(d.written.Load()) })
-	reg.CounterFunc("likwid_sink_errors_total", func() float64 { return float64(d.errs.Load()) })
-	hists := make(map[string]*telemetry.Histogram, len(d.sinks))
-	for _, s := range d.sinks {
-		if _, dup := hists[s.Name()]; dup {
-			continue // two sinks of one kind share the histogram
+// Instrument registers the fanout's self-metrics on reg under
+// "likwid_<stage>_": queue occupancy gauges, drop/write/error counters,
+// and one write-latency histogram per attached consumer.
+func (f *Fanout[T]) Instrument(reg *telemetry.Registry) {
+	p := "likwid_" + f.stage + "_"
+	reg.GaugeFunc(p+"queue_depth", func() float64 { return float64(len(f.ch)) })
+	reg.GaugeFunc(p+"queue_capacity", func() float64 { return float64(cap(f.ch)) })
+	reg.CounterFunc(p+"dropped_total", func() float64 { return float64(f.dropped.Load()) })
+	reg.CounterFunc(p+"written_total", func() float64 { return float64(f.written.Load()) })
+	reg.CounterFunc(p+"errors_total", func() float64 { return float64(f.errs.Load()) })
+	hists := make(map[string]*telemetry.Histogram, len(f.consumers))
+	for _, c := range f.consumers {
+		if _, dup := hists[c.Name()]; dup {
+			continue // two consumers of one kind share the histogram
 		}
-		hists[s.Name()] = reg.Histogram("likwid_sink_write_seconds", telemetry.DurationBuckets, "sink", s.Name())
-		if sk, ok := s.(interface{ skippedNonFinite() uint64 }); ok {
-			reg.CounterFunc("likwid_sink_skipped_total", func() float64 { return float64(sk.skippedNonFinite()) },
-				"sink", s.Name(), "reason", "non_finite")
+		hists[c.Name()] = reg.Histogram(p+"write_seconds", telemetry.DurationBuckets, f.stage, c.Name())
+		if sk, ok := c.(interface{ skippedNonFinite() uint64 }); ok {
+			reg.CounterFunc(p+"skipped_total", func() float64 { return float64(sk.skippedNonFinite()) },
+				f.stage, c.Name(), "reason", "non_finite")
 		}
 	}
-	d.writeSeconds.Store(&hists)
+	f.writeSeconds.Store(&hists)
 }
 
-// Dropped counts batches rejected by the overflow policy.
-func (d *Dispatcher) Dropped() uint64 { return d.dropped.Load() }
+// Dropped counts values rejected by the overflow policy.
+func (f *Fanout[T]) Dropped() uint64 { return f.dropped.Load() }
 
-// Written counts batches delivered successfully to every sink.
-func (d *Dispatcher) Written() uint64 { return d.written.Load() }
+// Written counts values every consumer wrote without error.
+func (f *Fanout[T]) Written() uint64 { return f.written.Load() }
 
-// SinkErrors counts individual sink write failures.
-func (d *Dispatcher) SinkErrors() uint64 { return d.errs.Load() }
+// Errors counts individual consumer write failures.
+func (f *Fanout[T]) Errors() uint64 { return f.errs.Load() }
 
-// Close drains the queue, closes every sink, and returns the first sink
-// close error.
-func (d *Dispatcher) Close() error {
+// Closed reports whether the fanout has been shut down — the "consumers
+// up" half of a readiness probe.
+func (f *Fanout[T]) Closed() bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.closed
+}
+
+// Close drains the queue, closes every consumer, and returns the first
+// consumer close error.
+func (f *Fanout[T]) Close() error {
 	var err error
-	d.once.Do(func() {
-		d.mu.Lock()
-		d.closed = true
-		close(d.ch)
-		d.mu.Unlock()
-		<-d.done
-		for _, s := range d.sinks {
-			if cerr := s.Close(); cerr != nil && err == nil {
+	f.once.Do(func() {
+		f.mu.Lock()
+		f.closed = true
+		close(f.ch)
+		f.mu.Unlock()
+		<-f.done
+		for _, c := range f.consumers {
+			if cerr := c.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}

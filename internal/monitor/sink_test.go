@@ -249,7 +249,7 @@ func TestDispatcherFailedWritesAreNotCountedDelivered(t *testing.T) {
 	d := NewDispatcher(4, errorSink{})
 	d.Publish(goldenBatches()[0])
 	deadline := time.Now().Add(5 * time.Second)
-	for d.SinkErrors() == 0 && time.Now().Before(deadline) {
+	for d.Errors() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if err := d.Close(); err != nil {
@@ -258,7 +258,7 @@ func TestDispatcherFailedWritesAreNotCountedDelivered(t *testing.T) {
 	if got := d.Written(); got != 0 {
 		t.Errorf("Written = %d after all-failing sink, want 0", got)
 	}
-	if got := d.SinkErrors(); got != 1 {
+	if got := d.Errors(); got != 1 {
 		t.Errorf("SinkErrors = %d, want 1", got)
 	}
 }
@@ -627,5 +627,39 @@ func TestTextSinksRowCacheMatchesEncoders(t *testing.T) {
 	}
 	if got := jsonl.(*jsonlSink).skippedNonFinite(); got != skipped || skipped == 0 {
 		t.Errorf("jsonl skipped %d non-finite rows, the encoder %d (want > 0)", got, skipped)
+	}
+}
+
+// gateSink holds every Write until its gate is closed.
+type gateSink struct{ entered, gate chan struct{} }
+
+func (g gateSink) Name() string { return "gate" }
+func (g gateSink) Write(Batch) error {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return nil
+}
+func (g gateSink) Close() error { return nil }
+
+// TestDispatcherPublishAllocatesNothing pins the sampling path's cost of
+// handing a batch on: a Publish allocates nothing, queued or dropped.
+func TestDispatcherPublishAllocatesNothing(t *testing.T) {
+	sink := gateSink{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	d := NewDispatcher(64, sink)
+	b := goldenBatches()[0]
+	d.Publish(b)
+	<-sink.entered // the loop now holds one batch; the queue fills, then drops
+	if avg := testing.AllocsPerRun(200, func() { d.Publish(b) }); avg != 0 {
+		t.Errorf("Publish allocates %.1f times, want 0", avg)
+	}
+	if d.Dropped() == 0 {
+		t.Error("no Publish hit a full queue")
+	}
+	close(sink.gate)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -80,13 +80,14 @@ func (t *tierRing) state() TierState {
 }
 
 // RestoreState loads series states into the store, replacing any prior
-// contents of the named series.  Intended for boot-time recovery before
-// traffic (and before SetJournal, so restored points are not
-// re-journaled).  States are adapted to the store's current shape: raw
-// points beyond the store's capacity keep the newest, and tier states are
-// matched to configured tiers by resolution — a tier dumped under an
-// old configuration that no longer exists is dropped rather than
-// mis-folded.
+// contents of the named series.  Boot-time recovery restores sealed
+// blocks instead (RestoreSealed); RestoreState is the point-by-point
+// reference that snapshot tests hold RestoreSealed to.  Call it before
+// SetJournal, so restored points are not re-journaled.  States are
+// adapted to the store's current shape: raw points beyond the store's
+// capacity keep the newest, and tier states are matched to configured
+// tiers by resolution — a tier dumped under an old configuration that
+// no longer exists is dropped rather than mis-folded.
 func (st *Store) RestoreState(states []SeriesState) {
 	// Bulk-create first: one snapshot clone and one index re-sort for
 	// the whole restore, instead of per-series clones at O(N²) cost on
@@ -97,7 +98,9 @@ func (st *Store) RestoreState(states []SeriesState) {
 	}
 	st.ensureMany(keys)
 	for _, state := range states {
-		st.lookup(state.Key).restoreState(state)
+		if s := st.lookup(state.Key); s != nil { // nil: a refused key
+			s.restoreState(state)
+		}
 	}
 }
 
@@ -257,7 +260,9 @@ func (st *Store) RestoreSealed(states []SealedState) error {
 	}
 	st.ensureMany(keys)
 	for i := range states {
-		st.lookup(states[i].Key).restoreSealed(&states[i])
+		if s := st.lookup(states[i].Key); s != nil { // nil: a refused key
+			s.restoreSealed(&states[i])
+		}
 	}
 	return nil
 }

@@ -156,6 +156,10 @@ type Store struct {
 	// inv is the read-side inverted selector index (see index.go),
 	// maintained on the series-creation slow path only.
 	inv *invertedIndex
+
+	// refused counts samples dropped because their key is one the wire,
+	// and so the WAL and snapshots, cannot carry (validKey).
+	refused atomic.Uint64
 }
 
 // Journal observes appends for durability, after the points landed in
@@ -208,7 +212,8 @@ func (st *Store) lookup(k Key) *series {
 }
 
 // getOrCreate stays small enough to inline into the hot append paths:
-// the snapshot hit returns directly, the miss defers to create.
+// the snapshot hit returns directly, the miss defers to create.  It
+// returns nil for a key validKey refuses.
 func (st *Store) getOrCreate(k Key) *series {
 	if s := (*st.index.Load())[k]; s != nil {
 		return s
@@ -239,17 +244,25 @@ func (st *Store) newSeries(k Key) *series {
 	return s
 }
 
-// ensureMany creates every not-yet-present key in one snapshot clone
-// and one bulk index insert — the cold-batch path (WAL replay, snapshot
-// restore, first push from a new agent), where per-key create would
-// clone an O(N) map N times.
+// validKey reports whether k is a key the v4 wire carries — the
+// decoders' own metric and id checks, and a scope ParseScope names.  The
+// store creates no other series: one the WAL could not frame would cost
+// every frame it shares, and every snapshot.
+func validKey(k Key) bool {
+	return checkMetric(k.Metric) == nil && checkID(k.ID) == nil && uint(k.Scope) < uint(len(scopeNames))
+}
+
+// ensureMany creates every not-yet-present valid key in one snapshot
+// clone and one bulk index insert — the cold-batch path (WAL replay,
+// snapshot restore, first push from a new agent), where per-key create
+// would clone an O(N) map N times.
 func (st *Store) ensureMany(keys []Key) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cur := *st.index.Load()
 	var fresh []Key
 	for _, k := range keys {
-		if cur[k] == nil {
+		if cur[k] == nil && validKey(k) {
 			fresh = append(fresh, k)
 		}
 	}
@@ -283,21 +296,37 @@ type Series struct {
 }
 
 // Intern resolves (creating if needed) the series for k and returns a
-// reusable handle.  Handles stay valid for the life of the store.
+// reusable handle.  Handles stay valid for the life of the store; one
+// for a refused key drops (and counts) what it is given.
 func (st *Store) Intern(k Key) Series { return Series{st: st, s: st.getOrCreate(k)} }
 
 // Append records one observation through the interned handle.
 func (h Series) Append(p Point) {
+	if h.s == nil {
+		h.st.refused.Add(1)
+		return
+	}
 	h.s.append(p)
 	h.st.record(h.s.key, p)
 }
 
 // Latest returns the newest point of the interned series.
-func (h Series) Latest() (Point, bool) { return h.s.latest() }
+func (h Series) Latest() (Point, bool) {
+	if h.s == nil {
+		return Point{}, false
+	}
+	return h.s.latest()
+}
 
-// Append records one observation.
+// Append records one observation; a key the wire cannot carry is
+// dropped and counted.
 func (st *Store) Append(k Key, p Point) {
-	st.getOrCreate(k).append(p)
+	s := st.getOrCreate(k)
+	if s == nil {
+		st.refused.Add(1)
+		return
+	}
+	s.append(p)
 	st.record(k, p)
 }
 
@@ -311,7 +340,8 @@ func (st *Store) AppendBatch(b Batch) {
 }
 
 // resolve returns the series of every sample in rows' backing array,
-// creating the unseen ones in one ensureMany pass.  The scheduler keeps
+// creating the unseen ones in one ensureMany pass (nil for a refused
+// key).  The scheduler keeps
 // the result across ticks: series live as long as the store.
 func (st *Store) resolve(samples []Sample, rows []*series) []*series {
 	rows = rows[:0]
@@ -337,10 +367,26 @@ func (st *Store) resolve(samples []Sample, rows []*series) []*series {
 }
 
 // appendRows appends each sample to its resolved series and journals
-// the batch once.
+// the batch once.  Samples of refused keys are dropped and counted; the
+// journal never sees them.
 func (st *Store) appendRows(samples []Sample, rows []*series) {
+	refused := 0
 	for i, s := range samples {
+		if rows[i] == nil {
+			refused++
+			continue
+		}
 		rows[i].append(Point{Time: s.Time, Value: s.Value})
+	}
+	if refused > 0 {
+		st.refused.Add(uint64(refused))
+		kept := make([]Sample, 0, len(samples)-refused)
+		for i, s := range samples {
+			if rows[i] != nil {
+				kept = append(kept, s)
+			}
+		}
+		samples = kept
 	}
 	if jp := st.journal.Load(); jp != nil && len(samples) > 0 {
 		(*jp).RecordBatch(samples)
@@ -409,6 +455,9 @@ func appendGroups[G any, P lander[G]](st *Store, groups []G, times, values []flo
 // Idempotent; safe to call on every append.
 func (st *Store) SetCompaction(k Key, c Compaction) {
 	s := st.getOrCreate(k)
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	for _, t := range s.tiers {
 		t.step = c == CompactLast
@@ -492,6 +541,7 @@ type StoreStats struct {
 	Appends     uint64
 	Evictions   uint64
 	Compactions uint64 // tier buckets sealed across all series and tiers
+	Refused     uint64 // samples dropped for a key the wire cannot carry
 }
 
 // Stats sums the per-series counters over the current index snapshot.
@@ -499,7 +549,7 @@ type StoreStats struct {
 // series concurrently.
 func (st *Store) Stats() StoreStats {
 	idx := *st.index.Load()
-	out := StoreStats{Series: len(idx)}
+	out := StoreStats{Series: len(idx), Refused: st.refused.Load()}
 	for _, s := range idx {
 		s.mu.RLock()
 		out.Appends += s.appends
@@ -527,6 +577,9 @@ func (st *Store) Instrument(reg *telemetry.Registry) {
 	})
 	reg.CounterFunc("likwid_store_compactions_total", func() float64 {
 		return float64(st.Stats().Compactions)
+	})
+	reg.CounterFunc("likwid_store_refused_total", func() float64 {
+		return float64(st.refused.Load())
 	})
 	reg.GaugeFunc("likwid_store_label_sets", func() float64 {
 		return float64(InternedLabelSets())

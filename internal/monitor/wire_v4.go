@@ -897,6 +897,15 @@ func checkMetric(name string) error {
 	return nil
 }
 
+// checkID rejects a series id the v4 wire cannot carry (0 through
+// MaxInt32).
+func checkID[I int | int64 | uint64](id I) error {
+	if id < 0 || id > math.MaxInt32 {
+		return fmt.Errorf("bad id %d", id)
+	}
+	return nil
+}
+
 // check is the record validation of the JSON decoder, which has no tables
 // to run it once per string or set: it resolves the group's scope and id,
 // orders its label pairs, and screens identity, labels and every row.
@@ -907,8 +916,8 @@ func (b *groupBatch) check(g *sampleGroup, scopeName string, id int64) (err erro
 	if err := checkMetric(g.key.Metric); err != nil {
 		return err
 	}
-	if id < 0 || id > math.MaxInt32 {
-		return fmt.Errorf("bad id %d", id)
+	if err := checkID(id); err != nil {
+		return err
 	}
 	g.key.ID = int(id)
 	if err := checkPairs(g.pairs); err != nil {
@@ -1172,8 +1181,8 @@ func (d *v4Decoder) group(strs []v4String, sets []wireSet) (g sampleGroup, rows 
 	if d.err != nil {
 		return g, 0, d.err
 	}
-	if id > math.MaxInt32 {
-		return g, 0, fmt.Errorf("bad id %d", id)
+	if err := checkID(id); err != nil {
+		return g, 0, err
 	}
 	g.key = Key{Source: strs[source].s, ID: int(id)}
 	if g.key.Metric, err = strs[metric].asMetric(); err != nil {
