@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -18,6 +16,7 @@ import (
 	"time"
 
 	"likwid/internal/monitor"
+	"likwid/internal/monitor/persist"
 )
 
 // TestCrashRecoveryAcrossRestart is the end-to-end durability check: a
@@ -322,39 +321,24 @@ func waitBWRecords(t *testing.T, path string, n int) {
 }
 
 // countBWRecords counts the journaled points of metric "bw" in the whole
-// CRC-framed frames of a WAL file, without modifying it (safe against a
-// log mid-write): a read-only mirror of the persist package's framing,
-// each payload one v4 column-group batch.
+// frames of a WAL file through persist's own read-only scan (safe
+// against a log mid-write).  Every whole frame must decode: an invalid
+// one is a WAL the writer should never have produced.
 func countBWRecords(t *testing.T, path string) int {
 	t.Helper()
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 0
-	var samples []monitor.Sample
-	for len(b) >= 8 {
-		size := binary.LittleEndian.Uint32(b[0:4])
-		sum := binary.LittleEndian.Uint32(b[4:8])
-		if len(b) < 8+int(size) {
-			break
-		}
-		payload := b[8 : 8+size]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		if samples, err = monitor.DecodeV4Samples(payload, samples[:0]); err != nil {
-			t.Fatalf("WAL frame is not a v4 batch: %v", err)
-		}
+	ws, err := persist.ScanWAL(path, func(samples []monitor.Sample) {
 		for _, sm := range samples {
 			if sm.Metric == "bw" {
 				n++
 			}
 		}
-		b = b[8+size:]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Invalid > 0 {
+		t.Fatalf("WAL %s holds %d frames that do not decode", path, ws.Invalid)
 	}
 	return n
 }

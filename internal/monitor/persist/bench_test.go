@@ -43,7 +43,9 @@ func benchBatch(b *testing.B, shape string) []monitor.Sample {
 // the appender's RecordBatch (a copy into the queue under a mutex), then
 // the writer's share — swap, encode as one v4 frame, CRC, write(2).  The
 // fsync is left out: it is the disk's cost, not the code's, and bench/
-// reports it as persist.wal_fsync_mean_ms.
+// reports it as persist.wal_fsync_mean_ms.  disk_B/sample is what the
+// timed frames add to the file: the batch repeats its shape, so each is
+// a reference frame to the first.
 func BenchmarkWALAppend(b *testing.B) {
 	for _, shape := range []string{"wide", "deep"} {
 		b.Run(shape, func(b *testing.B) {
@@ -54,29 +56,37 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 			defer f.Close()
 			w := &wal{limit: len(batch), wake: make(chan struct{}, 1), f: f}
-			ops := 0
+			ops, disk := 0, int64(0)
 			benchreport.PerSample(b, len(batch), func() {
 				w.RecordBatch(batch)
 				w.pending, w.drained = w.drained[:0], w.pending // the writer's swap
-				if err := w.write(w.drained); err != nil {
+				w.ends, w.drainedEnds = w.drainedEnds[:0], w.ends
+				size := w.size
+				if err := w.write(w.drained, w.drainedEnds); err != nil {
 					b.Fatal(err)
 				}
-				if ops++; ops%256 == 0 { // keep the file small
+				if ops++; ops > 2 { // past PerSample's two warm-up calls
+					disk += w.size - size
+				}
+				if ops%256 == 0 { // keep the file small, as a snapshot's rotation does
 					if err := f.Truncate(0); err != nil {
 						b.Fatal(err)
 					}
+					w.forget()
 				}
 			})
 			if d := w.dropped.Load(); d != 0 {
 				b.Fatalf("queue dropped %d points", d)
 			}
+			b.ReportMetric(float64(disk)/float64((ops-2)*len(batch)), "disk_B/sample")
 		})
 	}
 }
 
-// BenchmarkWALReplay is recovery's inner loop: 64 frames read, CRC
-// checked, decoded through the wire codec and appended to a store that
-// already holds the series (the snapshot restored them).
+// BenchmarkWALReplay is recovery's inner loop: 64 frames of one batch
+// shape — a definition, then references to it — read, CRC checked,
+// decoded through the wire codec and appended to a store that already
+// holds the series (the snapshot restored them).
 func BenchmarkWALReplay(b *testing.B) {
 	for _, shape := range []string{"wide", "deep"} {
 		b.Run(shape, func(b *testing.B) {
@@ -89,7 +99,7 @@ func BenchmarkWALReplay(b *testing.B) {
 			}
 			w := &wal{f: f}
 			for i := 0; i < frames; i++ {
-				if err := w.write(batch); err != nil {
+				if err := w.write(batch, []int{len(batch)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -99,9 +109,10 @@ func BenchmarkWALReplay(b *testing.B) {
 			st := monitor.NewStore(1024)
 			apply := func(samples []monitor.Sample) { st.AppendBatch(monitor.Batch{Samples: samples}) }
 			benchreport.PerSample(b, frames*len(batch), func() {
-				points, truncated, err := replayWAL(path, apply, func() { b.Fatal("invalid frame") })
-				if err != nil || truncated != 0 || points != frames*len(batch) {
-					b.Fatalf("replay = %d points, %d truncated, err %v", points, truncated, err)
+				ws, err := replayWAL(path, apply)
+				if err != nil || ws.Good != ws.Size || ws.Points != frames*len(batch) || ws.Frames != [2]int{1, frames - 1} {
+					b.Fatalf("replay = %+v, err %v; want %d points in 1 definition and %d reference frames",
+						ws, err, frames*len(batch), frames-1)
 				}
 			})
 		})

@@ -40,8 +40,16 @@ type Options struct {
 //
 //	snapshot.json — the last full ring/tier snapshot (atomic rename);
 //	                binary, see snapshot.go — the name is the benchmark's
-//	wal.log       — appends since that snapshot, CRC-framed v4 batches
+//	wal.log       — appends since that snapshot, one CRC-framed frame per
+//	                journaled batch: a v4 batch (a definition frame) the
+//	                first time a batch shape appears in the file, its
+//	                columns and a reference to that frame after that
 //	wal.prev      — the pre-rotation log, present only mid-snapshot
+//
+// Each log file is self-contained: its reference frames name definition
+// frames inside it, so the writer forgets its definitions at every
+// rotation and reopen, and the replay reads each file with a table of
+// its own.
 //
 // Open restores snapshot + WAL into the store and installs the journal;
 // a background loop then snapshots every SnapshotInterval, truncating
@@ -70,6 +78,7 @@ type Manager struct {
 	replaySkipped    atomic.Uint64
 	replayInvalid    atomic.Uint64
 	replayTruncBytes atomic.Uint64
+	replayFrames     [2]atomic.Uint64 // by kind
 }
 
 func (m *Manager) snapshotPath() string { return filepath.Join(m.dir, "snapshot.json") }
@@ -126,16 +135,20 @@ func Open(dir string, st *monitor.Store, opts Options) (*Manager, error) {
 		m.replayed.Add(uint64(len(kept)))
 		st.AppendBatch(monitor.Batch{Collector: "wal", Samples: kept})
 	}
-	invalid := func() { m.replayInvalid.Add(1) }
 	for _, path := range []string{m.walPrevPath(), m.walPath()} {
-		points, truncated, err := replayWAL(path, apply, invalid)
+		ws, err := replayWAL(path, apply)
 		if err != nil {
 			return nil, fmt.Errorf("persist: replaying %s: %w", path, err)
 		}
+		truncated := ws.Size - ws.Good
+		m.replayInvalid.Add(uint64(ws.Invalid))
 		m.replayTruncBytes.Add(uint64(truncated))
-		if (points > 0 || truncated > 0) && opts.Logger != nil {
+		for k, n := range ws.Frames {
+			m.replayFrames[k].Add(uint64(n))
+		}
+		if (ws.Points > 0 || truncated > 0) && opts.Logger != nil {
 			opts.Logger.Info("replayed write-ahead log",
-				"path", path, "points", points, "truncated_bytes", truncated)
+				"path", path, "points", ws.Points, "truncated_bytes", truncated)
 		}
 	}
 
@@ -255,4 +268,9 @@ func (m *Manager) instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("likwid_replay_truncated_bytes_total", func() float64 {
 		return float64(m.replayTruncBytes.Load())
 	})
+	for k, kind := range frameKinds {
+		reg.CounterFunc("likwid_replay_frames_total", func() float64 {
+			return float64(m.replayFrames[k].Load())
+		}, "kind", kind)
+	}
 }

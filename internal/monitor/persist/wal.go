@@ -8,14 +8,32 @@
 // points into a bounded queue under a short mutex and never blocks —
 // when the queue is full the points are dropped and counted, trading
 // bounded durability loss for an unbounded-latency-free ingest path.  A
-// single writer goroutine takes everything queued, encodes it as one v4
-// column-group payload (the wire codec), frames it with a CRC, and
+// single writer goroutine takes everything queued, encodes each
+// journaled batch as one v4 column-group payload (the wire codec),
+// frames it with a CRC, writes the swap's frames with one write(2) and
 // fsyncs when the queue runs dry: each drain is one group commit, so the
-// fsync — and the frame and identity overhead — amortizes over the batch.
+// fsync amortizes over the batches.
+//
+// The identity a batch carries — string table, label sets, group
+// directory — repeats with its shape: a receiver journals each agent's
+// push with the same series in the same order, tick after tick.  So the
+// log states a shape's identity once per file.  The first batch of a
+// shape is a definition frame, a whole v4 payload; each later batch of
+// that shape in the same file is a reference frame: the definition's
+// offset and the batch's own columns.  The writer's table of definitions
+// holds only frames already in the current file (or earlier in the same
+// write); it forgets them all when the file is swapped or reopened,
+// when a write or fsync fails, and when the encoder's shape cache
+// resets.  The reader keeps its own table per file, of the definitions
+// it has read, and skips a reference to any other offset as invalid.  A
+// binary that predates reference frames counts them invalid on replay
+// and skips them; after a clean stop the final snapshot holds every
+// point, so only a crash's log loses their points to a downgrade.
 package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -32,12 +50,30 @@ import (
 
 // A WAL file is a sequence of frames:
 //
-//	frame := u32le(len(payload)) u32le(crc32-IEEE(payload)) payload
+//	frame      := u32le(len(payload)) u32le(crc32-IEEE(payload)) payload
+//	payload    := definition | reference
+//	definition := one v4 batch ("LKD4" ...; monitor.V4Encoder.Encode:
+//	              empty collector, no sent_at stamps)
+//	reference  := "LKR4" uvarint(offset) col(times) col(sentAts) col(values)
 //
-// where payload is one v4 column-group batch (monitor.V4Encoder.Encode:
-// empty collector, no sent_at stamps) holding every point the writer
-// found queued at one swap, grouped per series.
-const walHeader = 8
+// Each frame holds one journaled batch (a run of single-point Records
+// is one batch), grouped per series.  A reference frame's offset is
+// where the definition frame of its shape begins in the same file; its
+// columns decode behind that definition's identity section, magic
+// through group directory.  An identity section is at least 14 bytes,
+// so a reference's magic and offset fit in the room it leaves.
+const (
+	walHeader   = 8
+	walRefMagic = "LKR4"
+)
+
+// Frame kinds, indexing the frame counters.
+const (
+	definition = iota
+	reference
+)
+
+var frameKinds = [...]string{definition: "definition", reference: "reference"}
 
 // wal owns the log file and the writer goroutine.  Record and
 // RecordBatch (the monitor.Journal implementation) are safe for
@@ -45,27 +81,36 @@ const walHeader = 8
 // under mu (rotation).
 type wal struct {
 	// The journal queue.  Appenders copy points into pending under qmu,
-	// at most limit (Options.WALBuffer) of them; the writer swaps it
-	// against its own drained buffer.  Both grow to the bursts they see
-	// and are then reused, so neither side allocates in steady state.
-	qmu     sync.Mutex
-	pending []monitor.Sample
-	limit   int
-	wake    chan struct{} // pending went non-empty; never blocks the sender
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// at most limit (Options.WALBuffer) of them, and ends marks where
+	// each journaled batch ends in it; the writer swaps both against its
+	// own drained buffers.  They grow to the bursts they see and are then
+	// reused, so neither side allocates in steady state.
+	qmu        sync.Mutex
+	pending    []monitor.Sample
+	ends       []int
+	lastRecord bool // pending's last batch is a run of Records, which the next Record extends
+	limit      int
+	wake       chan struct{} // pending went non-empty; never blocks the sender
+	done       chan struct{}
+	wg         sync.WaitGroup
 
 	mu sync.Mutex // guards f during rotation
 	f  *os.File
 
 	// Writer-goroutine state.
-	drained []monitor.Sample
-	enc     monitor.V4Encoder
-	frame   []byte
+	drained     []monitor.Sample
+	drainedEnds []int
+	enc         monitor.V4Encoder
+	frame       []byte
+	defs        map[monitor.V4ShapeID]int64 // the definition frame of each shape in f, by offset
+	resets      uint64                      // the encoder's resets defs was filled under
+	size        int64                       // f's size, once sized
+	sized       bool
 
 	records atomic.Uint64 // points made durable
 	dropped atomic.Uint64 // points lost: queue full, or a failed write
 	fsyncs  atomic.Uint64
+	frames  [2]atomic.Uint64 // frames written, by kind
 
 	// observeFsync, when set, receives each fsync's duration in seconds.
 	observeFsync func(float64)
@@ -95,16 +140,28 @@ func (w *wal) Record(k monitor.Key, p monitor.Point) {
 		Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
 		Labels: k.Labels, Time: p.Time, Value: p.Value,
 	}}
-	w.RecordBatch(one[:])
+	w.enqueue(one[:], true)
 }
 
-// RecordBatch implements monitor.Journal: a non-blocking handoff that
-// queues what fits and drops (and counts, per point) what does not.
-func (w *wal) RecordBatch(samples []monitor.Sample) {
+// RecordBatch implements monitor.Journal: the batch becomes one frame.
+func (w *wal) RecordBatch(samples []monitor.Sample) { w.enqueue(samples, false) }
+
+// enqueue is a non-blocking handoff that queues what fits of samples as
+// one batch — or, for a Record after a Record, as the rest of the last
+// one — and drops (and counts, per point) what does not.
+func (w *wal) enqueue(samples []monitor.Sample, record bool) {
 	w.qmu.Lock()
 	wasEmpty := len(w.pending) == 0
 	n := min(len(samples), w.limit-len(w.pending))
-	w.pending = append(w.pending, samples[:n]...)
+	if n > 0 {
+		w.pending = append(w.pending, samples[:n]...)
+		if record && w.lastRecord {
+			w.ends[len(w.ends)-1] = len(w.pending)
+		} else {
+			w.ends = append(w.ends, len(w.pending))
+		}
+		w.lastRecord = record
+	}
 	w.qmu.Unlock()
 	if n < len(samples) {
 		w.dropped.Add(uint64(len(samples) - n))
@@ -131,7 +188,7 @@ func (w *wal) run() {
 	}
 }
 
-// drain writes everything queued — one frame per swap of the queue —
+// drain writes everything queued — one write(2) per swap of the queue —
 // and, once the queue stays empty, makes it all durable with one fsync:
 // group commit on idle.  Under a burst the writer keeps swapping and
 // writing (microseconds per frame); the millisecond fsync waits.
@@ -142,11 +199,13 @@ func (w *wal) drain() {
 	for {
 		w.qmu.Lock()
 		w.pending, w.drained = w.drained[:0], w.pending
+		w.ends, w.drainedEnds = w.drainedEnds[:0], w.ends
+		w.lastRecord = false
 		w.qmu.Unlock()
 		if len(w.drained) == 0 {
 			break
 		}
-		if err := w.write(w.drained); err != nil {
+		if err := w.write(w.drained, w.drainedEnds); err != nil {
 			w.lost(len(w.drained), err)
 			continue
 		}
@@ -165,25 +224,81 @@ func (w *wal) drain() {
 
 // lost counts points a failed write or fsync could not make durable with
 // the drops, so records + dropped still adds up to what was journaled.
+// What the file holds is unknown from here, so no later frame refers
+// back into it.
 func (w *wal) lost(points int, err error) {
+	w.forget()
 	w.dropped.Add(uint64(points))
 	if w.fail != nil {
 		w.fail(err)
 	}
 }
 
-// write appends samples to the file as one frame.
-func (w *wal) write(samples []monitor.Sample) error {
-	frame, err := w.enc.Encode(append(w.frame[:0], make([]byte, walHeader)...), samples)
-	if err != nil {
+// forget drops the writer's definitions and the file size it knows.
+func (w *wal) forget() {
+	clear(w.defs)
+	w.sized = false
+}
+
+// write appends the batches of samples — batch i ends at ends[i] — to
+// the file as one frame each, with one write(2).  A batch whose shape has
+// a definition in this file, earlier in it or earlier in this write, is
+// framed as a reference to it; a reference never precedes its
+// definition, so any prefix of the write that holds one holds the other.
+func (w *wal) write(samples []monitor.Sample, ends []int) error {
+	if !w.sized {
+		st, err := w.f.Stat()
+		if err != nil {
+			return err
+		}
+		w.size, w.sized = st.Size(), true
+	}
+	if w.defs == nil {
+		w.defs = make(map[monitor.V4ShapeID]int64)
+	}
+	buf, lo := w.frame[:0], 0
+	var kinds [2]uint64
+	for _, hi := range ends {
+		at := len(buf)
+		frame, id, cols, err := w.enc.EncodeShape(append(buf, make([]byte, walHeader)...), samples[lo:hi])
+		if err != nil {
+			return err
+		}
+		lo = hi
+		if id.Resets != w.resets {
+			clear(w.defs)
+			w.resets = id.Resets
+		}
+		kind := definition
+		if off, ok := w.defs[id]; ok {
+			frame, kind = referTo(frame, at+walHeader, cols, off), reference
+		} else if id.Index >= 0 {
+			w.defs[id] = w.size + int64(at)
+		}
+		if err := sealFrame(frame[at:]); err != nil {
+			return err
+		}
+		buf = frame
+		kinds[kind]++
+	}
+	w.frame = buf[:0]
+	if _, err := w.f.Write(buf); err != nil {
 		return err
 	}
-	w.frame = frame[:0]
-	if err := sealFrame(frame); err != nil {
-		return err
+	w.size += int64(len(buf))
+	for k, n := range kinds {
+		w.frames[k].Add(n)
 	}
-	_, err = w.f.Write(frame)
-	return err
+	return nil
+}
+
+// referTo turns the definition payload at the end of frame — starting at
+// p, its columns at cols — into a reference to the definition frame at
+// off: the magic and offset take the identity section's place.
+func referTo(frame []byte, p, cols int, off int64) []byte {
+	var ref [len(walRefMagic) + binary.MaxVarintLen64]byte
+	n := copy(frame[p:cols], binary.AppendUvarint(append(ref[:0], walRefMagic...), uint64(off)))
+	return append(frame[:p+n], frame[cols:]...)
 }
 
 // sealFrame fills in the header that frame's first walHeader bytes hold
@@ -250,6 +365,7 @@ func (w *wal) sync() error {
 func (w *wal) rotate(prevPath, newPath string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.forget()
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
@@ -285,53 +401,93 @@ func (w *wal) closeFile() error {
 	return w.f.Close()
 }
 
-// replayWAL streams a log file's frames into apply, in order, each
-// decoded through the wire codec.  A partial or CRC-bad tail — the
-// expected shape of a crash mid-write — stops the replay and truncates
-// the file at the last whole frame, reporting the dropped byte count;
-// corruption is a recovery event, not an error.  A whole frame whose
-// payload is not a valid v4 batch (a JSON record left by the
-// pre-columnar WAL) is reported to invalid and skipped.  A missing file
-// replays nothing.
-func replayWAL(path string, apply func([]monitor.Sample), invalid func()) (points int, truncated int64, err error) {
+// WALStats is what ScanWAL found in one log file.
+type WALStats struct {
+	Points int    // samples in the valid frames
+	Frames [2]int // valid frames: definitions, references
+	// Invalid counts whole frames skipped: a payload that is no v4 batch
+	// (a frame of a retired layout), or a reference to an offset where
+	// no valid definition frame was read.
+	Invalid int
+	// Good is the length of the whole frames, where a torn tail begins;
+	// Size is the file's.
+	Good, Size int64
+}
+
+// ScanWAL reads the log file at path, read-only, and calls fn with the
+// samples of each valid whole frame in order (valid until fn returns).
+// It stops at the first frame that is torn, overruns the file or fails
+// its CRC.  A reference frame decodes against the identity section of a
+// definition frame read earlier in the same file; the table of them is
+// the scan's own and dropped at its end.  A missing file scans as empty.
+func ScanWAL(path string, fn func([]monitor.Sample)) (WALStats, error) {
+	var ws WALStats
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return 0, 0, nil
+		return ws, nil
 	}
 	if err != nil {
-		return 0, 0, err
+		return ws, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		return ws, err
 	}
-	fr := frameReader{r: bufio.NewReaderSize(f, 1<<16), size: st.Size()}
+	ws.Size = st.Size()
+	fr := frameReader{r: bufio.NewReaderSize(f, 1<<16), size: ws.Size}
+	defs := make(map[int64][]byte) // each valid definition's identity section, by frame offset
 	var samples []monitor.Sample
+	var joined []byte
 	for {
+		at := fr.good
 		payload, ok := fr.next()
 		if !ok {
-			break // truncate here
+			break
 		}
-		if samples, err = monitor.DecodeV4Samples(payload, samples[:0]); err != nil {
-			invalid()
+		kind, valid, ident := definition, false, 0
+		if cols, isRef := bytes.CutPrefix(payload, []byte(walRefMagic)); isRef {
+			kind = reference
+			if off, n := binary.Uvarint(cols); n > 0 && off <= math.MaxInt64 && defs[int64(off)] != nil {
+				joined = append(append(joined[:0], defs[int64(off)]...), cols[n:]...)
+				samples, err = monitor.DecodeV4Samples(joined, samples[:0])
+				valid = err == nil
+			}
+		} else if samples, ident, err = monitor.DecodeV4SamplesIdent(payload, samples[:0]); err == nil {
+			defs[at], valid = bytes.Clone(payload[:ident]), true
+		}
+		if !valid {
+			ws.Invalid++
 			continue
 		}
-		apply(samples)
-		points += len(samples)
+		ws.Frames[kind]++
+		ws.Points += len(samples)
+		fn(samples)
 	}
-	if tail := st.Size() - fr.good; tail > 0 {
-		if err := os.Truncate(path, fr.good); err != nil {
-			return points, tail, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
+	ws.Good = fr.good
+	return ws, nil
+}
+
+// replayWAL streams a log file's frames into apply, in order (ScanWAL).
+// A partial or CRC-bad tail — the expected shape of a crash mid-write —
+// stops the replay, and the file is truncated at the last whole frame;
+// corruption is a recovery event, not an error.  A whole frame that
+// does not decode (a JSON record left by the pre-columnar WAL) is
+// counted invalid and skipped.
+func replayWAL(path string, apply func([]monitor.Sample)) (WALStats, error) {
+	ws, err := ScanWAL(path, apply)
+	if err == nil && ws.Good < ws.Size {
+		if err = os.Truncate(path, ws.Good); err != nil {
+			err = fmt.Errorf("persist: truncating torn WAL tail: %w", err)
 		}
-		return points, tail, nil
 	}
-	return points, 0, nil
+	return ws, err
 }
 
 // instrument registers the WAL's self-metrics.  records_total and
-// dropped_total count points, not frames; the frame encoder's shape
-// cache counts under likwid_v4_shape_cache_total{cache="wal"}.
+// dropped_total count points, frames_total{kind} the frames written; the
+// frame encoder's shape cache counts under
+// likwid_v4_shape_cache_total{cache="wal"}.
 func (w *wal) instrument(reg *telemetry.Registry) {
 	w.enc.Instrument(reg, "wal")
 	reg.CounterFunc("likwid_wal_records_total", func() float64 {
@@ -343,4 +499,9 @@ func (w *wal) instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("likwid_wal_fsyncs_total", func() float64 {
 		return float64(w.fsyncs.Load())
 	})
+	for k, kind := range frameKinds {
+		reg.CounterFunc("likwid_wal_frames_total", func() float64 {
+			return float64(w.frames[k].Load())
+		}, "kind", kind)
+	}
 }

@@ -245,11 +245,13 @@ func (st *Store) newSeries(k Key) *series {
 }
 
 // validKey reports whether k is a key the v4 wire carries — the
-// decoders' own metric and id checks, and a scope ParseScope names.  The
-// store creates no other series: one the WAL could not frame would cost
-// every frame it shares, and every snapshot.
+// decoders' own metric, id and label-count checks, and a scope
+// ParseScope names.  The store creates no other series: one the WAL
+// could not frame would cost every frame it shares, and every snapshot.
+// A merged label set (MergeLabels) can exceed the count.
 func validKey(k Key) bool {
-	return checkMetric(k.Metric) == nil && checkID(k.ID) == nil && uint(k.Scope) < uint(len(scopeNames))
+	return checkMetric(k.Metric) == nil && checkID(k.ID) == nil && uint(k.Scope) < uint(len(scopeNames)) &&
+		k.Labels.Len() <= maxLabels
 }
 
 // ensureMany creates every not-yet-present valid key in one snapshot

@@ -2,7 +2,9 @@ package monitor
 
 // The v4 wire format: a binary columnar batch encoding, content-negotiated
 // on POST /ingest alongside the JSON-lines schema via the Content-Type
-// "application/x-likwid-v4", and the frame payload of the persist WAL.
+// "application/x-likwid-v4", and the frame payload of the persist WAL
+// (whole, or — in a reference frame — its columns alone, behind the
+// identity section of an earlier frame of the same shape).
 //
 // A payload states every identity once and runs its columns across the
 // whole batch.  A string table holds each distinct collector, source,
@@ -501,6 +503,8 @@ type V4Encoder struct {
 	shapes     []v4Shape            // remembered; past len, a reset's entries, to be reused
 	shapeIndex map[v4ShapeKey]int32 // 1 + each key's newest shape's index
 	shapeBytes int                  // what the remembered shapes hold, bounded by v4MaxShapeBytes
+	resets     uint64               // how often the shape cache was reset
+	last       int32                // the shape the last encode used, -1 for none
 	tShapes    shapeCounters
 }
 
@@ -580,6 +584,27 @@ func (e *V4Encoder) Encode(dst []byte, samples []Sample) ([]byte, error) {
 	return e.encode(dst, samples, nil)
 }
 
+// V4ShapeID names a batch shape an encoder remembers.  It stays valid
+// until the encoder's shape cache resets, which changes Resets; a batch
+// the cache did not take (larger than its bound) has Index -1.
+type V4ShapeID struct {
+	Resets uint64
+	Index  int32
+}
+
+// EncodeShape is Encode that also names the remembered shape the payload
+// was encoded with, and returns where in it the columns begin: every
+// payload of one shape, until Resets changes, carries a byte-identical
+// identity section before them.  The WAL journals that section once per
+// file and a repeat of the shape as a reference to it.
+func (e *V4Encoder) EncodeShape(dst []byte, samples []Sample) (payload []byte, id V4ShapeID, cols int, err error) {
+	at := len(dst)
+	if payload, err = e.encode(dst, samples, nil); err != nil || e.last < 0 {
+		return payload, V4ShapeID{e.resets, -1}, at, err
+	}
+	return payload, V4ShapeID{e.resets, e.last}, at + len(e.shapes[e.last].head), nil
+}
+
 // groupKeyOf is row i's group identity.
 func groupKeyOf(samples []Sample, meta []sampleMeta, i int) v4GroupKey {
 	gk := v4GroupKey{key: samples[i].Key()}
@@ -597,8 +622,9 @@ func (e *V4Encoder) encode(dst []byte, samples []Sample, meta []sampleMeta) ([]b
 		sk.first = groupKeyOf(samples, meta, 0)
 	}
 	var order, starts []int32
-	if sh := e.shape(sk, samples, meta); sh != nil {
+	if e.last = e.shape(sk, samples, meta); e.last >= 0 {
 		e.tShapes.count(shapeHit)
+		sh := &e.shapes[e.last]
 		dst = append(dst, sh.head...)
 		order, starts = sh.order, sh.starts
 	} else {
@@ -624,9 +650,9 @@ func (e *V4Encoder) encode(dst []byte, samples []Sample, meta []sampleMeta) ([]b
 	return appendXORColumn(dst, e.values, starts), nil
 }
 
-// shape is the remembered shape of samples, or nil: one under their key
-// whose group keys they carry row by row.
-func (e *V4Encoder) shape(sk v4ShapeKey, samples []Sample, meta []sampleMeta) *v4Shape {
+// shape is the index of the remembered shape of samples, or -1: one
+// under their key whose group keys they carry row by row.
+func (e *V4Encoder) shape(sk v4ShapeKey, samples []Sample, meta []sampleMeta) int32 {
 shapes:
 	for i := e.shapeIndex[sk]; i > 0; i = e.shapes[i-1].next {
 		sh := &e.shapes[i-1]
@@ -635,18 +661,18 @@ shapes:
 				continue shapes
 			}
 		}
-		return sh
+		return i - 1
 	}
-	return nil
+	return -1
 }
 
 // remember stores the shape the scratch holds after encodeHead, whose
 // output was head, under sk, resetting the cache when it would outgrow
 // its bound, and returns the row order and group starts to write the
-// columns in.  The entry takes the scratch's keys, gid, order and starts
-// and leaves it the arrays it held before (or none), so no array is ever
-// both an entry's and the scratch's.  A batch larger than the whole
-// bound is not remembered.
+// columns in; e.last names the new entry.  The entry takes the scratch's
+// keys, gid, order and starts and leaves it the arrays it held before
+// (or none), so no array is ever both an entry's and the scratch's.  A
+// batch larger than the whole bound is not remembered.
 func (e *V4Encoder) remember(sk v4ShapeKey, head []byte) (order, starts []int32) {
 	size := shapeSize(len(head), len(e.order), len(e.keys))
 	if size > v4MaxShapeBytes {
@@ -655,6 +681,7 @@ func (e *V4Encoder) remember(sk v4ShapeKey, head []byte) (order, starts []int32)
 	if e.shapeBytes+size > v4MaxShapeBytes {
 		e.tShapes.count(shapeReset)
 		e.shapes, e.shapeBytes = e.shapes[:0], 0
+		e.resets++
 		clear(e.shapeIndex)
 	}
 	if e.shapeIndex == nil {
@@ -669,6 +696,7 @@ func (e *V4Encoder) remember(sk v4ShapeKey, head []byte) (order, starts []int32)
 	sh.head = append(sh.head[:0], head...)
 	sh.next, e.shapeIndex[sk] = e.shapeIndex[sk], int32(len(e.shapes))
 	e.shapeBytes += size
+	e.last = int32(len(e.shapes) - 1)
 	return sh.order, sh.starts
 }
 
@@ -1202,10 +1230,18 @@ func (d *v4Decoder) group(strs []v4String, sets []wireSet) (g sampleGroup, rows 
 // nothing) but keeps identities verbatim: the v1 SOURCE/metric shim is an
 // ingest stage, not part of the codec.
 func DecodeV4Samples(payload []byte, dst []Sample) ([]Sample, error) {
+	dst, _, err := DecodeV4SamplesIdent(payload, dst)
+	return dst, err
+}
+
+// DecodeV4SamplesIdent is DecodeV4Samples that also returns the length
+// of the payload's identity section, magic through group directory: the
+// prefix the columns of a WAL reference frame are decoded behind.
+func DecodeV4SamplesIdent(payload []byte, dst []Sample) ([]Sample, int, error) {
 	var b groupBatch
 	if err := decodeV4(payload, &b); err != nil {
-		return dst, err
+		return dst, 0, err
 	}
 	b.internLabels()
-	return b.appendSamples(dst), nil
+	return b.appendSamples(dst), b.ident, nil
 }
