@@ -205,18 +205,11 @@ func main() {
 
 // mountOps mounts the operational surface on one HTTP sink: ingest
 // instrumentation, GET /status (telemetry snapshot plus Go runtime
-// stats), a store readiness check, and — with -pprof — the net/http/pprof
-// handlers under /debug/pprof/.  /healthz and /readyz are built into the
-// sink itself.
-func mountOps(h *monitor.HTTPSink, reg *telemetry.Registry, cfg *agentConfig, store *monitor.Store) {
+// stats), and — with -pprof — the net/http/pprof handlers under
+// /debug/pprof/.  /healthz and /readyz are built into the sink itself.
+func mountOps(h *monitor.HTTPSink, reg *telemetry.Registry, cfg *agentConfig) {
 	h.Instrument(reg)
 	h.Handle("/status", telemetry.StatusHandler(reg))
-	h.AddReadyCheck("store", func() error {
-		if store == nil {
-			return fmt.Errorf("no store attached")
-		}
-		return nil
-	})
 	if cfg.pprof {
 		h.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
 		h.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
@@ -393,7 +386,7 @@ func buildSinks(ctx context.Context, cfg *agentConfig, store *monitor.Store, reg
 		switch s := s.(type) {
 		case *monitor.HTTPSink:
 			log.Info("http sink listening", "addr", s.Addr(), "pprof", cfg.pprof)
-			mountOps(s, reg, cfg, store)
+			mountOps(s, reg, cfg)
 			if cfg.receiver != "" {
 				s.SetIngestLabels(cfg.labels)
 			}

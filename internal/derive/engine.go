@@ -28,7 +28,7 @@ type Options struct {
 	DefaultEvery time.Duration
 	// Dispatcher, when set, also receives every emitted sample as a
 	// "derive/<rule>" batch, so the agent's sink fan-out (push wires,
-	// /metrics snapshots, CSV) carries derived series exactly like
+	// /metrics, CSV) carries derived series exactly like
 	// collected ones.  The store append does not depend on it.
 	Dispatcher *monitor.Dispatcher
 	// OnError observes a rule's evaluation error when it changes, not on

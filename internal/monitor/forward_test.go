@@ -103,8 +103,8 @@ func pushOne(t *testing.T, addr string) error {
 }
 
 // TestDedupePoints pins the HA-pair query semantics: same-timestamp
-// runs collapse to their last point (latest write wins, matching the
-// /metrics snapshot), distinct timestamps survive untouched.
+// runs collapse to their last point (latest write wins, as /metrics
+// picks a series' point), distinct timestamps survive untouched.
 func TestDedupePoints(t *testing.T) {
 	cases := []struct {
 		name string

@@ -22,9 +22,10 @@ import (
 )
 
 // HTTPSink is the in-process scrape endpoint of the agent.  It implements
-// Sink (keeping a latest-value snapshot per series) and serves:
+// Sink and serves, all from its store:
 //
-//	/metrics  latest value of every series, Prometheus-style text:
+//	/metrics  the series handed to the sink (by Write or /ingest) at the
+//	          store's newest point, Prometheus-style text:
 //	          likwid_<metric>{source="nodeA",job="lbm",scope="socket",id="0"} <value> <sim time>
 //	          (the source label appears only on fleet series; the series'
 //	          structured label set follows it in canonical order)
@@ -34,10 +35,10 @@ import (
 //	          (source=node*) fanning out across sources, and
 //	          label.NAME=VALUE selectors ('*' wildcards) slicing labelled
 //	          series — any label selector returns the fan-out shape
-//	/ingest   POST endpoint receiving (optionally gzipped) JSON-lines
-//	          sample batches from remote push sinks; valid batches are
-//	          appended to the store and the /metrics snapshot, so one
-//	          receiver aggregates several node agents
+//	/ingest   POST endpoint receiving (optionally gzipped) JSON-lines or
+//	          v4 binary sample batches from remote push sinks; valid
+//	          batches are appended to the store, so one receiver
+//	          aggregates several node agents
 //	/healthz  liveness plus batch accounting and the listener's uptime
 //	          (a Go duration string)
 type HTTPSink struct {
@@ -48,10 +49,11 @@ type HTTPSink struct {
 
 	started time.Time // when the listener came up: /healthz's uptime
 
-	mu       sync.RWMutex
-	latest   map[Key]*Point // a series' slot stays put: memoized shapes hold it
-	batches  uint64
-	ingested uint64 // samples accepted via /ingest
+	batches  atomic.Uint64
+	ingested atomic.Uint64 // samples accepted via /ingest
+
+	// mu guards the identity memo and the ingest-label merge state.
+	mu sync.RWMutex
 
 	// identMemo remembers resolved v4 identity sections (ingestShape)
 	// under their first identMemoPrefix bytes, bounded by bytes like
@@ -83,9 +85,9 @@ type HTTPSink struct {
 	// accepted — and never double-journal.
 	forward atomic.Pointer[func(Batch)]
 
-	// readiness checks registered by the embedding binary (notifiers up,
-	// store attached); /readyz runs them all.  Guarded by readyMu, not
-	// h.mu: checks may themselves read sink state.
+	// readiness checks registered by the embedding binary (notifiers
+	// up); /readyz runs them all.  Guarded by readyMu, not h.mu: checks
+	// may themselves read sink state.
 	readyMu     sync.Mutex
 	readyChecks []readyCheck
 
@@ -126,8 +128,11 @@ type readyCheck struct {
 
 // NewHTTPSink listens on addr immediately (so scrapes work as soon as the
 // agent is up) and serves in a background goroutine.  The store backs
-// /query and may be nil to disable windowed queries.
+// /metrics, /query and /ingest, so it is required.
 func NewHTTPSink(addr string, store *Store) (*HTTPSink, error) {
+	if store == nil {
+		return nil, errors.New("monitor: http sink needs a store")
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: http sink: %w", err)
@@ -220,8 +225,8 @@ func (h *HTTPSink) sourceInstr(source string) *sourceInstruments {
 }
 
 // AddReadyCheck registers one named /readyz probe; a nil error from
-// every probe is "ready".  The agent binary registers its notifier and
-// store checks here at startup.
+// every probe is "ready".  The agent binary registers its notifier
+// check here at startup.
 func (h *HTTPSink) AddReadyCheck(name string, fn func() error) {
 	h.readyMu.Lock()
 	h.readyChecks = append(h.readyChecks, readyCheck{name: name, fn: fn})
@@ -305,44 +310,18 @@ func (h *HTTPSink) SetIngestLabels(ls Labels) {
 	h.mu.Unlock()
 }
 
-// latestSlotLocked is k's /metrics snapshot entry, created empty (at
-// -Inf, so any first point takes it) on first use.
-func (h *HTTPSink) latestSlotLocked(k Key) *Point {
-	p := h.latest[k]
-	if p == nil {
-		if h.latest == nil {
-			h.latest = map[Key]*Point{}
-		}
-		p = &Point{Time: math.Inf(-1)}
-		h.latest[k] = p
-	}
-	return p
-}
-
-// advance runs one new point of a series past its /metrics snapshot
-// entry, replacing it only when the point is at least as new as the
-// stored one: a replayed or late-arriving ingest batch must not regress
-// "latest" to an older value.  Ties take the incoming sample, so a
-// corrected re-push of the same instant wins.  The deliberate flip
-// side: an agent that restarts with a stable Source AND a reset
-// simulated clock reports under its old high-water mark until its time
-// axis catches up — the default hostname-pid source sidesteps this by
-// changing per process, and a monotonic "latest" beats one that
-// time-travels backwards on replay.
-func (p *Point) advance(t, v float64) {
-	if !(t < p.Time) {
-		*p = Point{Time: t, Value: v}
-	}
-}
-
-// Write updates the latest-value snapshot served by /metrics.
+// Write exposes the batch's series on /metrics.  The points are already
+// in the store (the scheduler appends before it publishes), so this is
+// one index lookup per sample; a sample whose series the store does not
+// hold shows nothing.
 func (h *HTTPSink) Write(b Batch) error {
-	h.mu.Lock()
+	idx := *h.store.index.Load()
 	for _, s := range b.Samples {
-		h.latestSlotLocked(s.Key()).advance(s.Time, s.Value)
+		if sr := idx[s.Key()]; sr != nil {
+			sr.expose()
+		}
 	}
-	h.batches++
-	h.mu.Unlock()
+	h.batches.Add(1)
 	return nil
 }
 
@@ -350,13 +329,21 @@ func (h *HTTPSink) Write(b Batch) error {
 func (h *HTTPSink) Close() error { return h.srv.Close() }
 
 func (h *HTTPSink) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	h.mu.RLock()
-	samples := make([]Sample, 0, len(h.latest))
-	for k, p := range h.latest {
+	idx := *h.store.index.Load()
+	samples := make([]Sample, 0, len(idx))
+	for k, sr := range idx {
+		if !sr.exposed.Load() {
+			continue
+		}
+		sr.mu.RLock()
+		p := sr.shown
+		sr.mu.RUnlock()
+		if math.IsInf(p.Time, -1) {
+			continue
+		}
 		samples = append(samples, Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
 			Labels: k.Labels, Time: p.Time, Value: p.Value})
 	}
-	h.mu.RUnlock()
 	sort.Slice(samples, func(i, j int) bool {
 		a, b := samples[i], samples[j]
 		if a.Metric != b.Metric {
@@ -436,10 +423,6 @@ func labelSelectors(q map[string][]string) ([]Label, error) {
 }
 
 func (h *HTTPSink) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if h.store == nil {
-		http.Error(w, "no store attached", http.StatusNotImplemented)
-		return
-	}
 	q := r.URL.Query()
 	metric := q.Get("metric")
 	if metric == "" {
@@ -519,7 +502,7 @@ func (h *HTTPSink) handleQuery(w http.ResponseWriter, r *http.Request) {
 // newest member, in place.  A mirrored HA pair both forwarding into one
 // federation root stores each sample once per replica; /query merges the
 // replicas back into each Key+timestamp exactly once, keeping the last
-// write — the same latest-wins rule the /metrics snapshot applies.
+// write — the same latest-wins rule /metrics applies.
 func dedupePoints(pts []Point) []Point {
 	if len(pts) < 2 {
 		return pts
@@ -699,10 +682,6 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if h.store == nil {
-		http.Error(w, "no store attached", http.StatusNotImplemented)
-		return
-	}
 	body := io.Reader(http.MaxBytesReader(w, r.Body, maxIngestCompressed))
 	switch enc := r.Header.Get("Content-Encoding"); enc {
 	case "gzip":
@@ -811,11 +790,11 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // ingestShape is a decoded payload's identity resolved through every
 // ingest stage — routed, label-merged, interned, its series created —
-// down to what landing its columns takes: per group the store series,
-// the /metrics latest slot and the rows [lo, hi).  Keys come from
-// series.key; nothing aliases the request.  A v4 identity section is
-// memoized as one (HTTPSink.identMemo): a payload that repeats it byte
-// for byte decodes only its columns.  Series never die today; a
+// down to what landing its columns takes: per group the store series
+// and the rows [lo, hi).  Keys come from series.key; nothing aliases the
+// request.  A v4 identity section is memoized as one
+// (HTTPSink.identMemo): a payload that repeats it byte for byte decodes
+// only its columns.  Series never die today; a
 // Store.Retire (ROADMAP item 16) must clear these memos.
 type ingestShape struct {
 	ident    []byte  // the v4 identity section, copied
@@ -830,7 +809,6 @@ type ingestShape struct {
 // landGroup is one series' run of rows in an ingestShape.
 type landGroup struct {
 	series *series
-	latest *Point
 	lo, hi int32
 }
 
@@ -838,37 +816,23 @@ type landGroup struct {
 // or a decoded JSON batch's own sampleGroup, which nothing memoizes.
 type lander[G any] interface {
 	*G
-	land() (s *series, latest **Point, lo, hi int)
+	land() (s *series, lo, hi int)
 }
 
-func (g *landGroup) land() (*series, **Point, int, int) {
-	return g.series, &g.latest, int(g.lo), int(g.hi)
-}
+func (g *landGroup) land() (*series, int, int) { return g.series, int(g.lo), int(g.hi) }
 
-func (g *sampleGroup) land() (*series, **Point, int, int) { return g.series, &g.latest, g.lo, g.hi }
+func (g *sampleGroup) land() (*series, int, int) { return g.series, g.lo, g.hi }
 
-// land appends a resolved batch's rows through groups and runs them
-// past the /metrics latest slots.  The batch comes back as samples when
-// the journal or the caller wants them (see appendGroups).
+// land appends a resolved batch's rows through groups.  The batch comes
+// back as samples when the journal or the caller wants them (see
+// appendGroups).
 func land[G any, P lander[G]](h *HTTPSink, groups []G, b *groupBatch, wantSamples bool) (samples []Sample, accepted int) {
 	appendStart := time.Now()
-	samples = appendGroups[G, P](h.store, groups, b.times, b.values, wantSamples)
+	samples, accepted = appendGroups[G, P](h.store, groups, b.times, b.values, wantSamples)
 	if h.tAppend != nil {
 		h.tAppend.Observe(time.Since(appendStart).Seconds())
 	}
-	h.mu.Lock()
-	for i := range groups {
-		s, latest, lo, hi := P(&groups[i]).land()
-		if *latest == nil { // a fresh group, not yet shared
-			*latest = h.latestSlotLocked(s.key)
-		}
-		for r := lo; r < hi; r++ {
-			(*latest).advance(b.times[r], b.values[r])
-		}
-		accepted += hi - lo
-	}
-	h.ingested += uint64(accepted)
-	h.mu.Unlock()
+	h.ingested.Add(uint64(accepted))
 	if h.tAccepted != nil {
 		h.tAccepted.Add(uint64(accepted))
 		observeIngest[G, P](h, groups, b.sentAts)
@@ -877,7 +841,7 @@ func land[G any, P lander[G]](h *HTTPSink, groups []G, b *groupBatch, wantSample
 }
 
 // maxIdentMemoBytes bounds the identity memo by bytes only, since how
-// many identities come round between resets is the fleet's: about 200
+// many identities come round between resets is the fleet's: about 280
 // of a 512-series tick fit.  Past it the memo is reset, like mergeCache.
 // A variable only so tests can lower it.  An identity section's first
 // identMemoPrefix bytes (the string table, which names the sending
@@ -916,7 +880,8 @@ func (h *HTTPSink) memoHit(data []byte, b *groupBatch) *ingestShape {
 }
 
 // prepare runs a decoded batch through routing, label merging and
-// series resolution, and returns the router and the defaults it took.
+// series resolution, exposes the series on /metrics, and returns the
+// router and the defaults it took.
 func (h *HTTPSink) prepare(b *groupBatch) (router *Router, defaults Labels, err error) {
 	if router = h.router.Load(); router != nil {
 		if err := router.apply(b); err != nil {
@@ -927,6 +892,9 @@ func (h *HTTPSink) prepare(b *groupBatch) (router *Router, defaults Labels, err 
 		return nil, Labels{}, err
 	}
 	h.store.resolveGroups(b)
+	for i := range b.groups {
+		b.groups[i].series.expose()
+	}
 	return router, defaults, nil
 }
 
@@ -990,7 +958,7 @@ func observeIngest[G any, P lander[G]](h *HTTPSink, groups []G, sentAts []float6
 		si         *sourceInstruments
 	)
 	for i := range groups {
-		s, _, lo, hi := P(&groups[i]).land()
+		s, lo, hi := P(&groups[i]).land()
 		if source := s.key.Source; si == nil || source != lastSource {
 			si, lastSource = h.sourceInstr(source), source
 		}
@@ -1063,10 +1031,7 @@ func (h *HTTPSink) applyIngestLabels(b *groupBatch) (Labels, error) {
 }
 
 func (h *HTTPSink) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	h.mu.RLock()
-	batches, ingested := h.batches, h.ingested
-	h.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"status\":\"ok\",\"batches\":%d,\"ingested\":%d,\"uptime\":%q}\n",
-		batches, ingested, time.Since(h.started).String())
+		h.batches.Load(), h.ingested.Load(), time.Since(h.started).String())
 }

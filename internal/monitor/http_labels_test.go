@@ -12,9 +12,9 @@ import (
 
 // ---- satellite regressions -------------------------------------------------
 
-// TestMetricsLatestStaysMonotonicOnOutOfOrderIngest pins the /metrics
-// snapshot against replayed or late-arriving batches: an older sample
-// must never overwrite a newer "latest" value.
+// TestMetricsLatestStaysMonotonicOnOutOfOrderIngest pins /metrics
+// against replayed or late-arriving batches: an older sample must never
+// overwrite a newer "latest" value.
 func TestMetricsLatestStaysMonotonicOnOutOfOrderIngest(t *testing.T) {
 	h, _ := newTestHTTPSink(t)
 	base := "http://" + h.Addr()

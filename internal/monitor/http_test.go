@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -253,15 +255,14 @@ func TestIngestRejectsMalformedPayloads(t *testing.T) {
 	}
 }
 
+// TestIngestWithoutStoreIsNotImplemented: /metrics, /query and /ingest
+// all read the store, so a sink without one is refused at construction
+// (the name dates from when such a sink answered /ingest with 501).
 func TestIngestWithoutStoreIsNotImplemented(t *testing.T) {
 	h, err := NewHTTPSink("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	code, _ := postIngest(t, "http://"+h.Addr(), []byte("{}"), false)
-	if code != http.StatusNotImplemented {
-		t.Errorf("ingest without store = %d, want 501", code)
+	if err == nil {
+		_ = h.Close()
+		t.Fatal("NewHTTPSink without a store succeeded, want an error")
 	}
 }
 
@@ -509,5 +510,97 @@ func TestHTTPSinkHandleMountsExtraEndpoints(t *testing.T) {
 	// The built-in endpoints are untouched.
 	if code, _ := get(t, "http://"+h.Addr()+"/healthz"); code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d after Handle, want 200", code)
+	}
+}
+
+// TestMetricsListsSeriesHandedToTheSink: /metrics reads the store, at
+// each series' newest point, but lists only the series the sink was
+// handed — by Write or by /ingest.  A series appended straight into the
+// store, as the alert engine writes its alert/* histories, stays off.
+func TestMetricsListsSeriesHandedToTheSink(t *testing.T) {
+	h, store := newTestHTTPSink(t)
+	base := "http://" + h.Addr()
+	local := Sample{Metric: "bw", Scope: ScopeNode, Time: 2, Value: 20}
+	store.AppendBatch(Batch{Samples: []Sample{local}})
+	store.Append(local.Key(), Point{Time: 1, Value: 10}) // late: not the newest
+	if err := h.Write(Batch{Samples: []Sample{local}}); err != nil {
+		t.Fatal(err)
+	}
+	pushed := []byte(`{"time":5,"source":"nodeA","metric":"flops","scope":"socket","id":1,"value":3}
+{"time":4,"source":"nodeA","metric":"flops","scope":"socket","id":1,"value":9}
+`)
+	if code, body := postIngest(t, base, pushed, false); code != http.StatusOK {
+		t.Fatalf("ingest = %d %q", code, body)
+	}
+	store.Append(Key{Metric: "alert/hot", Scope: ScopeNode}, Point{Time: 3, Value: 1})
+	// A Write of a series the store does not hold shows nothing.
+	if err := h.Write(Batch{Samples: []Sample{{Metric: "ghost", Scope: ScopeNode, Time: 9, Value: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	want := `likwid_bw{scope="node",id="0"} 20 2.000000` + "\n" +
+		`likwid_flops{source="nodeA",scope="socket",id="1"} 3 5.000000` + "\n"
+	if _, body := get(t, base+"/metrics"); body != want {
+		t.Errorf("/metrics =\n%s\nwant\n%s", body, want)
+	}
+	// A newer append moves an exposed series' line, however it arrives.
+	store.Append(local.Key(), Point{Time: 6, Value: 60})
+	if _, body := get(t, base+"/metrics"); !strings.Contains(body, `likwid_bw{scope="node",id="0"} 60 6.000000`) {
+		t.Errorf("/metrics after a newer append = %q, want value 60 at t=6", body)
+	}
+}
+
+// TestMetricsRacesIngestAndWrite runs v4 /ingest POSTs (memo misses,
+// then hits), local Writes and /metrics scrapes against one sink at
+// once.  /metrics takes no lock of the sink's, so -race is the check;
+// the final scrape lists every series at its newest point.
+func TestMetricsRacesIngestAndWrite(t *testing.T) {
+	h, store := newTestHTTPSink(t)
+	const posts, writes = 8, 40
+	var wg sync.WaitGroup
+	for p := range 2 {
+		rows := wideRows(t)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range posts {
+				for r := range rows {
+					rows[r].Time = float64(1 + i)
+				}
+				body := encodeV4(t, rows)
+				if code, resp := postV4Body(h, body, false); code != http.StatusOK {
+					t.Errorf("poster %d post %d = %d %q", p, i, code, resp)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := range writes {
+			b := Batch{Samples: []Sample{{Metric: "local", Scope: ScopeNode, Time: float64(i), Value: float64(i)}}}
+			store.AppendBatch(b)
+			if err := h.Write(b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for range writes {
+			_ = scrapeMetrics(h)
+		}
+	}()
+	wg.Wait()
+	body := scrapeMetrics(h)
+	if n, want := strings.Count(body, "\n"), len(wideRows(t))+1; n != want {
+		t.Errorf("final scrape has %d lines, want %d", n, want)
+	}
+	if want := fmt.Sprintf(`likwid_local{scope="node",id="0"} %d %d.000000`, writes-1, writes-1); !strings.Contains(body, want) {
+		t.Errorf("final scrape lacks %q", want)
+	}
+	if want := fmt.Sprintf(`id="0"} 1000 %d.000000`, posts); !strings.Contains(body, want) {
+		t.Errorf("final scrape lacks the last post's time %d:\n%.300s", posts, body)
 	}
 }

@@ -115,7 +115,7 @@ func BenchmarkIngestThroughputV3Gzip(b *testing.B) {
 }
 
 // BenchmarkIngestThroughputV4 is the receiver side of a flush on the v4
-// wire: read, decode, resolve, append, latest map.
+// wire: read, decode, resolve, append.
 func BenchmarkIngestThroughputV4(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape.name, func(b *testing.B) {

@@ -253,9 +253,9 @@ func differingBytes(a, b []byte) int {
 
 // TestJSONIngestLandsWithoutShape pins the JSON path past its decoder:
 // nothing memoizes a JSON batch, so it lands straight from its decoded
-// groups — routing, labels, series resolution, append and the /metrics
-// slots allocate nothing once the series and slots exist (a throwaway
-// shape and its land groups cost 2 per request before).
+// groups — routing, labels, series resolution and append allocate
+// nothing once the series exist (a throwaway shape and its land groups
+// cost 2 per request before).
 func TestJSONIngestLandsWithoutShape(t *testing.T) {
 	var body bytes.Buffer
 	for _, r := range wideRows(t) {
@@ -275,7 +275,7 @@ func TestJSONIngestLandsWithoutShape(t *testing.T) {
 			t.Fatalf("landed %d of %d rows", n, len(b.times))
 		}
 	}
-	lands() // creates the series and their /metrics slots
+	lands() // creates the series
 	for _, k := range h.store.Keys() {
 		for range 1024 { // fill the rings: their growth is not the path's
 			h.store.Append(k, Point{})

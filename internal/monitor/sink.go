@@ -608,8 +608,8 @@ func (s *jsonlSink) skippedNonFinite() uint64 { return s.nonFinite.Load() }
 //	                     the receiver must understand its Content-Type
 //	                     (upgrade receivers before agents)
 //
-// The store parameter backs the HTTP sink's /query and /ingest endpoints
-// and may be nil for the file and push sinks.  The context bounds the
+// The store parameter backs the HTTP sink's /metrics, /query and /ingest
+// endpoints, which need it, and may be nil for the file and push sinks.  The context bounds the
 // push sink's retry backoff (the agent's shutdown path); nil means never
 // cancelled.
 func ParseSink(ctx context.Context, spec string, store *Store) (Sink, error) {

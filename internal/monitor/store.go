@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -55,6 +56,17 @@ type series struct {
 	// components to use.
 	appends   uint64
 	evictions uint64
+
+	// shown is the point /metrics serves: the newest by time, ties to
+	// the later append, so a replayed or late-arriving batch never
+	// regresses it while a corrected re-push of the same instant wins
+	// (an agent restarting with a stable source and a reset clock shows
+	// its old high-water mark until its clock catches up).  It starts at
+	// -Inf; restoring state leaves it there.  exposed is set once an
+	// HTTPSink was handed the series (Write, /ingest): /metrics lists
+	// those, not what engines append straight into the store.
+	shown   Point
+	exposed atomic.Bool
 }
 
 func (s *series) append(p Point) {
@@ -74,6 +86,9 @@ func (s *series) appendColumns(times, values []float64) {
 
 func (s *series) appendLocked(p Point) {
 	s.appends++
+	if !(p.Time < s.shown.Time) {
+		s.shown = p
+	}
 	tiered := len(s.tiers) > 0
 	if old, full := s.raw.push(p, tiered); full {
 		s.evictions++
@@ -112,6 +127,14 @@ func (s *series) retainedInto(buf []Point, from, to float64) (raw []Point, tiers
 		tiers = append(tiers, t.snapshot())
 	}
 	return raw, tiers, cover
+}
+
+// expose marks the series as one /metrics lists; the load first keeps
+// a steady Write from dirtying the cache line.
+func (s *series) expose() {
+	if !s.exposed.Load() {
+		s.exposed.Store(true)
+	}
 }
 
 func (s *series) latest() (Point, bool) {
@@ -233,7 +256,7 @@ func (st *Store) create(k Key) *series {
 // not pin for the life of the store.
 func (st *Store) newSeries(k Key) *series {
 	k.Source, k.Metric = strings.Clone(k.Source), strings.Clone(k.Metric)
-	s := &series{key: k, raw: newRawPoints(st.capacity)}
+	s := &series{key: k, raw: newRawPoints(st.capacity), shown: Point{Time: math.Inf(-1)}}
 	for _, t := range st.tiers {
 		s.tiers = append(s.tiers, newTierRing(t))
 	}
@@ -420,24 +443,24 @@ func (st *Store) resolveGroups(b *groupBatch) {
 
 // appendGroups lands an ingest payload's columns through its resolved
 // groups: each group's rows are appended under one series lock, and the
-// journal observes the batch in one call.  The batch comes back as
-// samples, under the series' own keys (nothing aliases the request),
-// when a journal is installed or the caller wants them (the forward
-// hook), nil otherwise.
-func appendGroups[G any, P lander[G]](st *Store, groups []G, times, values []float64, wantSamples bool) []Sample {
+// journal observes the batch in one call.  It returns the rows appended
+// and, when a journal is installed or the caller wants them (the forward
+// hook), the batch as samples under the series' own keys (nothing
+// aliases the request).
+func appendGroups[G any, P lander[G]](st *Store, groups []G, times, values []float64, wantSamples bool) ([]Sample, int) {
 	rows := 0
 	for i := range groups {
-		s, _, lo, hi := P(&groups[i]).land()
+		s, lo, hi := P(&groups[i]).land()
 		s.appendColumns(times[lo:hi], values[lo:hi])
 		rows += hi - lo
 	}
 	jp := st.journal.Load()
 	if jp == nil && !wantSamples {
-		return nil
+		return nil, rows
 	}
 	samples := make([]Sample, 0, rows)
 	for i := range groups {
-		s, _, lo, hi := P(&groups[i]).land()
+		s, lo, hi := P(&groups[i]).land()
 		k := &s.key
 		for r := lo; r < hi; r++ {
 			samples = append(samples, Sample{Source: k.Source, Metric: k.Metric, Scope: k.Scope, ID: k.ID,
@@ -447,7 +470,7 @@ func appendGroups[G any, P lander[G]](st *Store, groups []G, times, values []flo
 	if jp != nil && len(samples) > 0 {
 		(*jp).RecordBatch(samples)
 	}
-	return samples
+	return samples, rows
 }
 
 // SetCompaction fixes how one series folds evicted raw points into its

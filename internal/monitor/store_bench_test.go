@@ -220,3 +220,44 @@ func BenchmarkReceiverFanIn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMetricsScrape renders /metrics over the query-mixed bench
+// workload's fleet: 100 sources × 25 metrics × 4 thread ids, each
+// source's series labelled with its job — 10k series, all handed to the
+// sink.
+func BenchmarkMetricsScrape(b *testing.B) {
+	jobs := []string{"lbm", "stream", "jacobi", "hpl"}
+	batch := Batch{Collector: "preload", Time: 1}
+	for s := 0; s < 100; s++ {
+		ls, err := MakeLabels(map[string]string{"job": jobs[s%len(jobs)]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for m := 0; m < 25; m++ {
+			for id := 0; id < 4; id++ {
+				batch.Samples = append(batch.Samples, Sample{
+					Source: fmt.Sprintf("node%03d", s), Metric: fmt.Sprintf("metric_%02d", m),
+					Scope: ScopeThread, ID: id, Labels: ls, Time: 1, Value: float64(len(batch.Samples)),
+				})
+			}
+		}
+	}
+	st := NewStore(16)
+	st.AppendBatch(batch)
+	h := &HTTPSink{store: st}
+	if err := h.Write(batch); err != nil {
+		b.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	var w *httptest.ResponseRecorder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w = httptest.NewRecorder()
+		h.handleMetrics(w, req)
+	}
+	b.StopTimer()
+	if lines := bytes.Count(w.Body.Bytes(), []byte{'\n'}); lines != len(batch.Samples) {
+		b.Fatalf("scrape has %d lines, want %d", lines, len(batch.Samples))
+	}
+}

@@ -79,10 +79,7 @@ func (c *Collector) CurrentInto(r *Results) {
 			if si == c.current {
 				active += inflight
 			}
-			if active <= 0 || wall <= 0 {
-				continue
-			}
-			scale := wall / active
+			scale := multiplexScale(wall, active)
 			for i := range vals {
 				vals[i] *= scale
 			}

@@ -188,6 +188,17 @@ func Interval(into, prev, cur []float64) []float64 {
 	return into
 }
 
+// multiplexScale is the factor extrapolating the counts of a rotated
+// event set, active for active of wall seconds, to the whole interval:
+// 1 until both are positive.  Read and CurrentInto share it; each
+// passes its own active figure.
+func multiplexScale(wall, active float64) float64 {
+	if active <= 0 || wall <= 0 {
+		return 1
+	}
+	return wall / active
+}
+
 // Vars lists the identifiers the formula references.
 func (e *Expr) Vars() []string {
 	seen := map[string]bool{}

@@ -557,9 +557,7 @@ func (c *Collector) Read() Results {
 		scaled := make([]float64, len(vals))
 		scale := 1.0
 		if si, ok := c.setOf[name]; ok && len(c.sets) > 1 {
-			if c.setActive[si] > 0 && wall > 0 {
-				scale = wall / c.setActive[si]
-			}
+			scale = multiplexScale(wall, c.setActive[si])
 		}
 		for i, v := range vals {
 			scaled[i] = v * scale
