@@ -107,8 +107,6 @@ func (n *jsonlNotifier) Close() error {
 type WebhookOptions struct {
 	// URL receives one POST per event with a JSON Event body.  Required.
 	URL string
-	// MaxAttempts is the number of POST tries per event (default 3).
-	MaxAttempts int
 	// RetryBase is the first retry backoff, doubling per attempt
 	// (default 100 ms).
 	RetryBase time.Duration
@@ -117,34 +115,21 @@ type WebhookOptions struct {
 	// the fanout against a dead endpoint cannot stall shutdown for the
 	// whole backoff ladder.  Nil means never cancelled.
 	Context context.Context
-	// Client defaults to an http.Client with a 10 s timeout.
-	Client *http.Client
-	// Logger receives delivery-failure warnings; nil stays silent.
-	Logger *slog.Logger
 }
 
-func (o WebhookOptions) withDefaults() WebhookOptions {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 100 * time.Millisecond
-	}
-	if o.Context == nil {
-		o.Context = context.Background()
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	return o
-}
+// webhookAttempts is the POST tries per event and webhookClient bounds
+// each try: the push sink's defaults.
+const webhookAttempts = 3
+
+var webhookClient = &http.Client{Timeout: 10 * time.Second}
 
 // WebhookNotifier POSTs each event as JSON with bounded retry/backoff.
 // It runs on the fanout goroutine, so a dead endpoint delays other
-// notifiers at most MaxAttempts backoffs per event; rule evaluation is
-// protected by the fanout's drop-and-count queue.
+// notifiers at most webhookAttempts backoffs per event; rule evaluation
+// is protected by the fanout's drop-and-count queue.
 type WebhookNotifier struct {
 	opts    WebhookOptions
+	log     *slog.Logger
 	sent    atomic.Uint64
 	retries atomic.Uint64
 }
@@ -155,7 +140,13 @@ func NewWebhookNotifier(opts WebhookOptions) (*WebhookNotifier, error) {
 	if strings.TrimSpace(opts.URL) == "" {
 		return nil, fmt.Errorf("alert: webhook notifier needs a URL")
 	}
-	return &WebhookNotifier{opts: opts.withDefaults()}, nil
+	if opts.RetryBase <= 0 {
+		opts.RetryBase = 100 * time.Millisecond
+	}
+	if opts.Context == nil {
+		opts.Context = context.Background()
+	}
+	return &WebhookNotifier{opts: opts}, nil
 }
 
 // Name implements Notifier.
@@ -170,7 +161,7 @@ func (n *WebhookNotifier) Retries() uint64 { return n.retries.Load() }
 // SetLogger routes delivery-failure warnings; nil (the default) stays
 // silent.  Wiring time only: call it before the notifier is handed to a
 // fanout.
-func (n *WebhookNotifier) SetLogger(log *slog.Logger) { n.opts.Logger = log }
+func (n *WebhookNotifier) SetLogger(log *slog.Logger) { n.log = log }
 
 // Write POSTs the event, retrying with the push sink's bounded
 // exponential backoff.
@@ -179,23 +170,23 @@ func (n *WebhookNotifier) Write(ev Event) error {
 	if err != nil {
 		return err
 	}
-	err = monitor.RetryWithBackoff(n.opts.Context, n.opts.MaxAttempts, n.opts.RetryBase,
+	err = monitor.RetryWithBackoff(n.opts.Context, webhookAttempts, n.opts.RetryBase,
 		func() { n.retries.Add(1) },
 		func() error { return n.post(payload) })
 	if err != nil {
-		if n.opts.Logger != nil {
-			n.opts.Logger.Warn("webhook delivery failed",
-				"url", n.opts.URL, "rule", ev.Rule, "attempts", n.opts.MaxAttempts, "err", err)
+		if n.log != nil {
+			n.log.Warn("webhook delivery failed",
+				"url", n.opts.URL, "rule", ev.Rule, "attempts", webhookAttempts, "err", err)
 		}
 		return fmt.Errorf("alert: webhook %s failed after %d attempts: %w",
-			n.opts.URL, n.opts.MaxAttempts, err)
+			n.opts.URL, webhookAttempts, err)
 	}
 	n.sent.Add(1)
 	return nil
 }
 
 func (n *WebhookNotifier) post(payload []byte) error {
-	resp, err := n.opts.Client.Post(n.opts.URL, "application/json", bytes.NewReader(payload))
+	resp, err := webhookClient.Post(n.opts.URL, "application/json", bytes.NewReader(payload))
 	if err != nil {
 		return err
 	}

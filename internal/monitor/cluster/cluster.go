@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -518,41 +519,27 @@ func (s *Sink) partition(b monitor.Batch) []part {
 		}
 		return nil
 	}
-	byTarget := make(map[*target][]monitor.Sample, ring.Len())
-	order := make([]*target, 0, ring.Len())
-	for _, sm := range b.Samples {
-		owner := ring.Lookup(sampleHash(sm, s.opts.Source))
-		t := s.byName[owner]
-		if _, seen := byTarget[t]; !seen {
-			order = append(order, t)
-		}
-		byTarget[t] = append(byTarget[t], sm)
-	}
-	parts := make([]part, 0, len(order))
-	for _, t := range order {
-		parts = append(parts, part{t: t, samples: byTarget[t]})
-	}
-	return parts
+	return s.split(b.Samples, ring)
 }
 
-// sampleHash positions a sample's series on the ring.  The source is
-// resolved exactly like PushSink.Buffer resolves it for the wire, so
-// the shard owner matches the key the receiver will intern.
-func sampleHash(sm monitor.Sample, defaultSource string) uint64 {
-	source := sm.Source
-	switch {
-	case source == "":
-		source = defaultSource
-	case source == monitor.SelfSource && defaultSource != "":
-		source = defaultSource
+// split partitions samples by their owner on ring, the parts in order
+// of first appearance.  A sample's owner is the ring's pick for the key
+// the receiver will intern: its source resolved by monitor.WireSource,
+// the rule the per-target push sinks stamp on the wire.
+func (s *Sink) split(samples []monitor.Sample, ring *Ring) []part {
+	var parts []part
+	for _, sm := range samples {
+		k := sm.Key()
+		k.Source = monitor.WireSource(k.Source, s.opts.Source)
+		t := s.byName[ring.LookupKey(k)]
+		i := slices.IndexFunc(parts, func(p part) bool { return p.t == t })
+		if i < 0 {
+			i = len(parts)
+			parts = append(parts, part{t: t})
+		}
+		parts[i].samples = append(parts[i].samples, sm)
 	}
-	return KeyHash(monitor.Key{
-		Source: source,
-		Metric: sm.Metric,
-		Scope:  sm.Scope,
-		ID:     sm.ID,
-		Labels: sm.Labels,
-	})
+	return parts
 }
 
 // bufferDown parks a batch while the whole pool is down: shard splits
@@ -563,13 +550,8 @@ func (s *Sink) bufferDown(b monitor.Batch) {
 		s.targets[0].push.Buffer(b)
 		return
 	}
-	byTarget := make(map[*target][]monitor.Sample, len(s.targets))
-	for _, sm := range b.Samples {
-		t := s.byName[s.fullRing.Lookup(sampleHash(sm, s.opts.Source))]
-		byTarget[t] = append(byTarget[t], sm)
-	}
-	for t, samples := range byTarget {
-		t.push.Buffer(monitor.Batch{Collector: b.Collector, Time: b.Time, Samples: samples})
+	for _, p := range s.split(b.Samples, s.fullRing) {
+		p.t.push.Buffer(monitor.Batch{Collector: b.Collector, Time: b.Time, Samples: p.samples})
 	}
 }
 

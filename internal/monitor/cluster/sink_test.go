@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -98,6 +99,108 @@ func TestClusterShardPartitioning(t *testing.T) {
 	}
 	if d := s.Dropped(); d != 0 {
 		t.Errorf("dropped %d samples with every target healthy", d)
+	}
+}
+
+// TestClusterShardRoutesByWireSource pins the shard owner to the key
+// the receiver stores: a sourceless sample and a self-telemetry sample
+// both go out under the agent's push identity (monitor.WireSource), so
+// each must land on the target the ring names for that resolved key.
+// A sample from another agent keeps its own source.
+func TestClusterShardRoutesByWireSource(t *testing.T) {
+	store1, _, url1 := newReceiver(t)
+	store2, _, url2 := newReceiver(t)
+	s, err := New(Options{
+		Targets:      []string{url1, url2},
+		Policy:       PolicyShard,
+		Source:       "agent",
+		FlushSamples: 1,
+		RetryBase:    time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := s.Ring()
+	stores := map[string]*monitor.Store{hostOf(t, url1): store1, hostOf(t, url2): store2}
+	for si, source := range []string{"", monitor.SelfSource, "other"} {
+		wire := monitor.WireSource(source, "agent")
+		owners := map[string]bool{}
+		for i := 0; i < 40; i++ {
+			m := fmt.Sprintf("m%d_%02d", si, i) // "" and self share the wire source
+			if err := s.Write(monitor.Batch{Collector: "test", Time: 1, Samples: []monitor.Sample{
+				{Source: source, Metric: m, Scope: monitor.ScopeNode, Time: 1, Value: float64(i)},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			owner := ring.LookupKey(monitor.Key{Source: wire, Metric: m, Scope: monitor.ScopeNode})
+			owners[owner] = true
+			for name, st := range stores {
+				want := 0
+				if name == owner {
+					want = 1
+				}
+				if got := len(window(st, wire, m)); got != want {
+					t.Errorf("source %q metric %s on %s: %d points under %q, want %d (owner %s)",
+						source, m, name, got, wire, want, owner)
+				}
+			}
+		}
+		if len(owners) != 2 {
+			t.Errorf("source %q: 40 series landed on %d of 2 targets", source, len(owners))
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterShardAllDownParksOnFullRing pins where a batch waits while
+// the whole pool is down: every sample on its full-ring owner, in batch
+// order, so each target's pending is the same on every run.
+func TestClusterShardAllDownParksOnFullRing(t *testing.T) {
+	s, err := New(Options{
+		Targets:       []string{deadURL(t), deadURL(t), deadURL(t)},
+		Policy:        PolicyShard,
+		Source:        "agent",
+		FlushSamples:  1000,
+		RetryBase:     time.Millisecond,
+		ProbeInterval: time.Hour,
+		ProbeBackoff:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	for _, st := range s.Status() {
+		if err := s.SetHealthy(st.Target, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var batch []monitor.Sample
+	want := map[string][]monitor.Sample{}
+	for i := 0; i < 60; i++ {
+		sm := monitor.Sample{Source: []string{"", monitor.SelfSource, "other"}[i%3],
+			Metric: fmt.Sprintf("m%02d", i), Scope: monitor.ScopeNode, Time: 1, Value: float64(i)}
+		batch = append(batch, sm)
+		k := sm.Key()
+		k.Source = monitor.WireSource(k.Source, "agent")
+		owner := s.fullRing.LookupKey(k)
+		sm.Source = k.Source // the push sink stamps the wire source at enqueue
+		want[owner] = append(want[owner], sm)
+	}
+	if err := s.Write(monitor.Batch{Collector: "test", Time: 1, Samples: batch}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range s.targets {
+		if got := tg.push.Pending(); got != len(want[tg.name]) {
+			t.Errorf("%s: %d pending, want %d (its full-ring share)", tg.name, got, len(want[tg.name]))
+		}
+		if got := tg.push.TakePending(); !slices.Equal(got, want[tg.name]) {
+			t.Errorf("%s parked\n%v\nwant (batch order)\n%v", tg.name, got, want[tg.name])
+		}
+	}
+	if len(want) < 2 {
+		t.Errorf("60 series parked on %d of 3 targets; the test needs a split", len(want))
 	}
 }
 

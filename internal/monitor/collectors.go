@@ -15,11 +15,12 @@ import (
 	"likwid/internal/topology"
 )
 
-func init() {
-	mustRegister("perfgroup", newPerfGroupCollector)
-	mustRegister("topology", newTopologyCollector)
-	mustRegister("features", newFeaturesCollector)
-	mustRegister("membw", newMemBWCollector)
+// DefaultRegistry holds the built-in collectors.
+var DefaultRegistry = Registry{
+	"perfgroup": newPerfGroupCollector,
+	"topology":  newTopologyCollector,
+	"features":  newFeaturesCollector,
+	"membw":     newMemBWCollector,
 }
 
 // lockedNow reads simulated time under the shared machine mutex.

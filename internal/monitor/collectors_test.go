@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"likwid/internal/machine"
 )
@@ -178,19 +180,15 @@ func TestFeaturesCollectorRejectsAMD(t *testing.T) {
 	}
 }
 
-func TestRegistryRejectsDuplicatesAndUnknown(t *testing.T) {
-	r := NewRegistry()
+// TestRegistryRejectsUnknown pins the registry's lookups: an unknown
+// name fails with the available names, and Names lists them sorted.
+func TestRegistryRejectsUnknown(t *testing.T) {
 	f := func(Config) (Collector, error) { return nil, nil }
-	if err := r.Register("x", f); err != nil {
-		t.Fatal(err)
+	r := Registry{"y": f, "x": f}
+	if _, err := r.Build("nope", Config{}); err == nil || !strings.Contains(err.Error(), "x, y") {
+		t.Errorf("unknown collector: err = %v, want a failure naming x, y", err)
 	}
-	if err := r.Register("x", f); err == nil {
-		t.Error("duplicate registration must fail")
-	}
-	if _, err := r.Build("nope", Config{}); err == nil {
-		t.Error("unknown collector must fail")
-	}
-	if got := r.Names(); len(got) != 1 || got[0] != "x" {
+	if got := r.Names(); !slices.Equal(got, []string{"x", "y"}) {
 		t.Errorf("Names = %v", got)
 	}
 }
@@ -206,6 +204,26 @@ func TestSanitizeMetric(t *testing.T) {
 	for in, want := range cases {
 		if got := SanitizeMetric(in); got != want {
 			t.Errorf("SanitizeMetric(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestSanitizeMetricCanonicalIsIdentity pins the fast path: a name
+// already in exposition form comes back as the same string without an
+// allocation, and every near miss takes the rebuilding path (forced in
+// the reference by a leading separator, which that path trims).
+func TestSanitizeMetricCanonicalIsIdentity(t *testing.T) {
+	for _, name := range []string{"", "cpi", "dp_mflops_s", "memory_bandwidth_mbytes_s", "l2_0_miss_ratio"} {
+		if got := SanitizeMetric(name); got != name || unsafe.StringData(got) != unsafe.StringData(name) {
+			t.Errorf("SanitizeMetric(%q) = %q, want the same string", name, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = SanitizeMetric(name) }); n != 0 {
+			t.Errorf("SanitizeMetric(%q): %v allocs, want 0", name, n)
+		}
+	}
+	for in, want := range map[string]string{"_a": "a", "a_": "a", "a__b": "a_b", "A": "a", "a.b": "a_b", "ä": "ä"} {
+		if got, slow := SanitizeMetric(in), SanitizeMetric(" "+in); got != slow || got != want {
+			t.Errorf("SanitizeMetric(%q) = %q, rebuilding path %q, want %q", in, got, slow, want)
 		}
 	}
 }

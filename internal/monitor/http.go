@@ -483,7 +483,10 @@ func (h *HTTPSink) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// response entry per matched series (a selector can match
 		// several series even under one exact source), streamed so a
 		// fleet-wide fan-out never holds the whole payload in memory.
-		h.writeQuerySeries(w, h.queryKeys(source, metric, scope, id, sels), from, to)
+		h.writeQuerySeries(w, h.store.Select(Selector{
+			Source: source, Metric: metric, QueryForm: true,
+			Labels: sels, Scope: scope, ID: id,
+		}), from, to)
 		return
 	}
 	key := h.resolveKey(source, metric, scope, id)
@@ -567,18 +570,6 @@ func (h *HTTPSink) resolveKey(source, metric string, scope Scope, id int) Key {
 		return keys[0]
 	}
 	return key
-}
-
-// queryKeys lists the stored series matching a source pattern (exact or
-// '*' wildcard), a label selector set, and a metric selector (exact,
-// sanitized, or '*' wildcard against the raw or sanitized name) at one
-// scope/id, sorted by source then labels — Store.Select with the /query
-// metric dialect.
-func (h *HTTPSink) queryKeys(sourcePattern, metric string, scope Scope, id int, sels []Label) []Key {
-	return h.store.Select(Selector{
-		Source: sourcePattern, Metric: metric, QueryForm: true,
-		Labels: sels, Scope: scope, ID: id,
-	})
 }
 
 // ingest limits: the compressed body is capped by MaxBytesReader, the
@@ -983,18 +974,6 @@ func observeIngest[G any, P lander[G]](h *HTTPSink, groups []G, sentAts []float6
 // has a handful of distinct label sets, so hitting the bound means a
 // high-cardinality (or hostile) pusher — reset rather than grow.
 const maxMergeCacheEntries = 1024
-
-// mergedLabelCount is the size of defaults ∪ pairs, computed on the raw
-// wire pairs so the cap can be enforced before anything is interned.
-func mergedLabelCount(defaults Labels, pairs []Label) int {
-	n := defaults.Len()
-	for _, p := range pairs {
-		if _, ok := defaults.Get(p.Name); !ok {
-			n++
-		}
-	}
-	return n
-}
 
 // applyIngestLabels screens each group's validated wire pairs against
 // the receiver's default-merge cap and only then interns them, overlaying

@@ -309,8 +309,9 @@ func (l Labels) String() string {
 // uses it to stamp -labels defaults under each ingested sample's own
 // labels, the scheduler to stamp the agent identity under a collector's
 // own set.  The union of two valid sets can exceed maxLabels; paths
-// that feed merged sets back onto the wire (the ingest default merge)
-// must re-check the cap.
+// that feed merged sets back onto the wire screen it with
+// mergedLabelCount first, before a hostile union reaches the intern
+// table.
 func MergeLabels(base, over Labels) Labels {
 	if base.set == nil {
 		return over
@@ -318,13 +319,6 @@ func MergeLabels(base, over Labels) Labels {
 	if over.set == nil {
 		return base
 	}
-	return internLabels(mergePairs(base, over))
-}
-
-// mergePairs computes the sorted union of two non-empty interned sets
-// without interning the result, so wire-facing callers can enforce the
-// size cap before a hostile union reaches the intern table.
-func mergePairs(base, over Labels) []Label {
 	pairs := make([]Label, 0, len(base.set.pairs)+len(over.set.pairs))
 	i, j := 0, 0
 	for i < len(base.set.pairs) && j < len(over.set.pairs) {
@@ -343,7 +337,19 @@ func mergePairs(base, over Labels) []Label {
 	}
 	pairs = append(pairs, base.set.pairs[i:]...)
 	pairs = append(pairs, over.set.pairs[j:]...)
-	return pairs
+	return internLabels(pairs)
+}
+
+// mergedLabelCount is the size of defaults ∪ pairs, computed on raw
+// pairs so the cap can be enforced before anything is interned.
+func mergedLabelCount(defaults Labels, pairs []Label) int {
+	n := defaults.Len()
+	for _, p := range pairs {
+		if _, ok := defaults.Get(p.Name); !ok {
+			n++
+		}
+	}
+	return n
 }
 
 // MatchLabels reports whether a series' label set satisfies every

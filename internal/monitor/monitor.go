@@ -11,7 +11,8 @@ package monitor
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -148,33 +149,11 @@ func (c Config) cpusOrAll() []int {
 type Factory func(cfg Config) (Collector, error)
 
 // Registry maps collector names to factories.
-type Registry struct {
-	mu        sync.RWMutex
-	factories map[string]Factory
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{factories: map[string]Factory{}}
-}
-
-// Register adds a factory; re-registering a name is an error so plugins
-// cannot silently shadow each other.
-func (r *Registry) Register(name string, f Factory) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.factories[name]; dup {
-		return fmt.Errorf("monitor: collector %q already registered", name)
-	}
-	r.factories[name] = f
-	return nil
-}
+type Registry map[string]Factory
 
 // Build constructs the named collector.
-func (r *Registry) Build(name string, cfg Config) (Collector, error) {
-	r.mu.RLock()
-	f, ok := r.factories[name]
-	r.mu.RUnlock()
+func (r Registry) Build(name string, cfg Config) (Collector, error) {
+	f, ok := r[name]
 	if !ok {
 		return nil, fmt.Errorf("monitor: unknown collector %q (available: %s)",
 			name, strings.Join(r.Names(), ", "))
@@ -183,25 +162,8 @@ func (r *Registry) Build(name string, cfg Config) (Collector, error) {
 }
 
 // Names lists the registered collectors sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.factories))
-	for name := range r.factories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DefaultRegistry holds the built-in collectors (perfgroup, topology,
-// features, membw).
-var DefaultRegistry = NewRegistry()
-
-func mustRegister(name string, f Factory) {
-	if err := DefaultRegistry.Register(name, f); err != nil {
-		panic(err)
-	}
+func (r Registry) Names() []string {
+	return slices.Sorted(maps.Keys(r))
 }
 
 // reservedNamespaces are the suite's own slash-namespaced metric
@@ -272,6 +234,9 @@ func MatchMetric(pattern, name string) bool {
 // ("dp_mflops_s", "memory_bandwidth_mbytes_s") usable in CSV headers and
 // the HTTP exposition format.
 func SanitizeMetric(name string) string {
+	if exposition(name) {
+		return name
+	}
 	var b strings.Builder
 	lastUnderscore := true // trim leading separators
 	for _, r := range strings.ToLower(name) {
@@ -287,4 +252,19 @@ func SanitizeMetric(name string) string {
 		}
 	}
 	return strings.TrimRight(b.String(), "_")
+}
+
+// exposition reports whether name is already in SanitizeMetric's output
+// form: runs of [a-z0-9] joined by single '_'.  Checking is cheaper than
+// rebuilding, and stored series are mostly named this way already.
+func exposition(name string) bool {
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case c == '_' && i > 0 && i < len(name)-1 && name[i-1] != '_':
+		default:
+			return false
+		}
+	}
+	return true
 }

@@ -277,22 +277,27 @@ func (p *PushSink) enqueue(b Batch) {
 			}
 			continue
 		}
-		switch {
-		case sm.Source == "":
-			sm.Source = p.opts.Source
-		case sm.Source == SelfSource && p.opts.Source != "":
-			// Self-telemetry series are "self/..." locally; on the wire
-			// they take the agent's push identity so two agents' self
-			// series stay distinct at the receiver, exactly like their
-			// hardware series.
-			sm.Source = p.opts.Source
-		}
+		sm.Source = WireSource(sm.Source, p.opts.Source)
 		p.pending = append(p.pending, sm)
 		p.meta = append(p.meta, m)
 	}
 	if p.tPending != nil {
 		p.tPending.Set(float64(len(p.pending)))
 	}
+}
+
+// WireSource is the source a sample carries on the wire from an agent
+// whose push identity is push: a sourceless sample takes the identity,
+// and so does a self-telemetry one ("self/..." locally), so two agents'
+// self series stay distinct at the receiver, exactly like their hardware
+// series.  Any other source is kept.  The push sink stamps it and the
+// cluster sink shards by it, so a shard owns exactly the keys its
+// receiver stores.
+func WireSource(source, push string) string {
+	if source == "" || source == SelfSource && push != "" {
+		return push
+	}
+	return source
 }
 
 // trim enforces MaxBuffered, dropping (and counting) the oldest samples.

@@ -224,40 +224,30 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 	// and clamping to it would *speed the collector up*, the inverse of
 	// the feature.  Such collectors just keep their declared cadence.
 	adaptive := s.opts.AdaptiveMax > interval
-	var prev map[Key]float64
-	// The tick plan (see tickPlan) and, behind it, a per-goroutine (so
-	// lock-free) memo of the -labels stamp merge: a plan rebuild must not
-	// re-intern (global mutex + allocs) a label set it has merged before.
+	// The tick plan (see tickPlan) and, under -adaptive, the previous
+	// successful batch's values row by row (have: there was one).
 	var plan tickPlan
+	var prev []float64
+	have := false
 	var stamp func(Labels) Labels
-	var stampCache map[Labels]Labels
 	if !s.opts.Labels.Empty() {
 		stamp = func(ls Labels) Labels {
-			if merged, ok := stampCache[ls]; ok {
-				return merged
+			if ls.Empty() || mergedLabelCount(s.opts.Labels, ls.view()) <= maxLabels {
+				return MergeLabels(s.opts.Labels, ls)
 			}
-			merged := ls
-			if !ls.Empty() && len(mergePairs(s.opts.Labels, ls)) > maxLabels {
-				// The union would break the wire cap every downstream
-				// receiver enforces: the agent stamp yields (before the
-				// over-cap union can reach the intern table), keeping the
-				// collector's own valid set — loudly, once per distinct set.
-				if s.opts.OnError != nil {
-					s.opts.OnError(e.c.Name(), fmt.Errorf(
-						"monitor: sample labels %q merged with the agent labels exceed the limit of %d; keeping the collector's set", ls, maxLabels))
-				}
-				if s.opts.Logger != nil {
-					s.opts.Logger.Warn("label merge exceeds the wire cap, keeping the collector's set",
-						"collector", e.c.Name(), "labels", ls.String(), "max", maxLabels)
-				}
-			} else {
-				merged = MergeLabels(s.opts.Labels, ls)
+			// The union would break the wire cap every downstream
+			// receiver enforces: the agent stamp yields (before the
+			// over-cap union can reach the intern table), keeping the
+			// collector's own valid set — loudly, once per plan build.
+			if s.opts.OnError != nil {
+				s.opts.OnError(e.c.Name(), fmt.Errorf(
+					"monitor: sample labels %q merged with the agent labels exceed the limit of %d; keeping the collector's set", ls, maxLabels))
 			}
-			if stampCache == nil || len(stampCache) >= maxMergeCacheEntries {
-				stampCache = map[Labels]Labels{}
+			if s.opts.Logger != nil {
+				s.opts.Logger.Warn("label merge exceeds the wire cap, keeping the collector's set",
+					"collector", e.c.Name(), "labels", ls.String(), "max", maxLabels)
 			}
-			stampCache[ls] = merged
-			return merged
+			return ls
 		}
 	}
 	for {
@@ -307,11 +297,14 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 		}
 		failures = 0
 		delay = interval
+		sameRows := plan.sameRows(samples)
 		if adaptive {
 			// Adaptive sampling: an unchanged batch doubles this
-			// collector's next delay (capped); any changed value snaps the
-			// cadence back to the declared interval.
-			if prev != nil && samplesUnchanged(prev, samples, adaptiveEpsilon) {
+			// collector's next delay (capped); any changed row or value
+			// snaps the cadence back to the declared interval.  The plan
+			// holds the last non-empty batch's rows, so it speaks for
+			// the previous batch only when that one had rows too.
+			if have && (len(samples) == 0 || sameRows) && valuesUnchanged(prev, samples, adaptiveEpsilon) {
 				stretch *= 2
 				if stretch > s.opts.AdaptiveMax {
 					stretch = s.opts.AdaptiveMax
@@ -325,21 +318,16 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 			} else {
 				stretch = interval
 			}
-			if prev == nil {
-				prev = map[Key]float64{}
-			}
-			for k := range prev {
-				delete(prev, k)
-			}
+			prev, have = prev[:0], true
 			for _, sm := range samples {
-				prev[sm.Key()] = sm.Value
+				prev = append(prev, sm.Value)
 			}
 			delay = stretch
 		}
 		if len(samples) == 0 {
 			continue
 		}
-		if !plan.fits(samples, s.opts.Aggregator) {
+		if !sameRows || !plan.sameMeans(s.opts.Aggregator) {
 			plan.build(samples, s.opts.Aggregator, stamp)
 			if tRebuilds != nil {
 				tRebuilds.Inc()
@@ -383,14 +371,20 @@ type tickPlan struct {
 	rows   []*series   // each output row's series, resolved on first use
 }
 
-// fits reports whether samples have the shape p was built for.
-func (p *tickPlan) fits(samples []Sample, agg *Aggregator) bool {
-	return slices.EqualFunc(samples, p.keys, func(s Sample, k Key) bool { return s.Key() == k }) &&
-		(agg == nil || p.rollup.gen == agg.gen.Load())
+// sameRows reports whether samples are the rows p was built for, in
+// order.
+func (p *tickPlan) sameRows(samples []Sample) bool {
+	return slices.EqualFunc(samples, p.keys, func(s Sample, k Key) bool { return s.Key() == k })
+}
+
+// sameMeans reports whether the aggregator's mean flags are the ones
+// p's roll-up was built under.
+func (p *tickPlan) sameMeans(agg *Aggregator) bool {
+	return agg == nil || p.rollup.gen == agg.gen.Load()
 }
 
 // build plans the shape of samples; stamp, when set, merges the agent
-// labels under a row's own.
+// labels under a row's own, once per run of rows sharing a label set.
 func (p *tickPlan) build(samples []Sample, agg *Aggregator, stamp func(Labels) Labels) {
 	p.keys, p.rollup, p.stamp, p.rows = p.keys[:0], nil, p.stamp[:0], p.rows[:0]
 	for _, sm := range samples {
@@ -401,11 +395,21 @@ func (p *tickPlan) build(samples []Sample, agg *Aggregator, stamp func(Labels) L
 		p.rollup = agg.plan(samples)
 		rows += len(p.rollup.out)
 	}
-	for i := 0; stamp != nil && i < len(p.keys); i++ {
-		p.stamp = append(p.stamp, stamp(p.keys[i].Labels))
+	if stamp == nil {
+		return
 	}
-	for stamp != nil && len(p.stamp) < rows { // roll-ups carry no labels of their own
-		p.stamp = append(p.stamp, stamp(Labels{}))
+	var merged Labels
+	for i, k := range p.keys {
+		if i == 0 || k.Labels != p.keys[i-1].Labels {
+			merged = stamp(k.Labels)
+		}
+		p.stamp = append(p.stamp, merged)
+	}
+	if len(p.stamp) < rows { // roll-ups carry no labels of their own
+		merged = stamp(Labels{})
+	}
+	for len(p.stamp) < rows {
+		p.stamp = append(p.stamp, merged)
 	}
 }
 
@@ -431,20 +435,17 @@ func (s *Scheduler) Stats() []CollectorStats {
 // absolute floor for values near zero.
 const adaptiveEpsilon = 1e-9
 
-// samplesUnchanged reports whether a batch matches the previous one
-// within a relative epsilon: same series set, every value within
+// valuesUnchanged reports whether a batch's values match the previous
+// batch's, row by row, within a relative epsilon: every value within
 // eps * max(|old|, |new|) (eps doubling as the absolute floor near
-// zero).  Sample times are ignored — time always advances; the question
-// is whether the *values* moved.
-func samplesUnchanged(prev map[Key]float64, cur []Sample, eps float64) bool {
+// zero).  The caller has matched the rows; sample times are ignored —
+// time always advances, the question is whether the *values* moved.
+func valuesUnchanged(prev []float64, cur []Sample, eps float64) bool {
 	if len(prev) != len(cur) {
 		return false
 	}
-	for _, s := range cur {
-		p, ok := prev[s.Key()]
-		if !ok {
-			return false
-		}
+	for i, s := range cur {
+		p := prev[i]
 		d := math.Abs(s.Value - p)
 		if d > eps*math.Max(math.Abs(s.Value), math.Abs(p)) && d > eps {
 			return false

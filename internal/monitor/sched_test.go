@@ -253,28 +253,108 @@ func TestSchedulerAdaptiveCapBelowIntervalIsInert(t *testing.T) {
 	}
 }
 
-// TestSamplesUnchangedEpsilon pins the comparison: relative epsilon with
-// an absolute floor, mismatched series sets always count as changed.
+// TestSamplesUnchangedEpsilon pins the value comparison: relative
+// epsilon with an absolute floor, and a vanished row counts as changed.
+// Whether the rows are the same series is the tick plan's check
+// (TestSchedulerAdaptiveRowChangeSnapsBack).
 func TestSamplesUnchangedEpsilon(t *testing.T) {
 	k := func(v float64) []Sample {
 		return []Sample{{Metric: "m", Scope: ScopeNode, Time: 9, Value: v}}
 	}
-	prev := map[Key]float64{{Metric: "m", Scope: ScopeNode}: 1e9}
-	if !samplesUnchanged(prev, k(1e9+0.1), 1e-9) {
+	prev := []float64{1e9}
+	if !valuesUnchanged(prev, k(1e9+0.1), 1e-9) {
 		t.Error("0.1 absolute on 1e9 must be within a 1e-9 relative epsilon")
 	}
-	if samplesUnchanged(prev, k(1e9+10), 1e-9) {
+	if valuesUnchanged(prev, k(1e9+10), 1e-9) {
 		t.Error("10 absolute on 1e9 must exceed a 1e-9 relative epsilon")
 	}
-	if !samplesUnchanged(map[Key]float64{{Metric: "m", Scope: ScopeNode}: 0}, k(0), 1e-9) {
+	if !valuesUnchanged([]float64{0}, k(0), 1e-9) {
 		t.Error("exact zeros must count as unchanged")
 	}
-	if samplesUnchanged(prev, nil, 1e-9) {
-		t.Error("a vanished series must count as changed")
+	if valuesUnchanged(prev, nil, 1e-9) {
+		t.Error("a vanished row must count as changed")
 	}
-	other := []Sample{{Metric: "other", Scope: ScopeNode, Value: 1e9}}
-	if samplesUnchanged(prev, other, 1e-9) {
-		t.Error("a renamed series must count as changed")
+	if !valuesUnchanged(nil, nil, 1e-9) {
+		t.Error("two empty batches must count as unchanged")
+	}
+}
+
+// adaptiveStep advances the fake clock by d and checks that the
+// collector has been called want times since the scheduler started.
+func adaptiveStep(t *testing.T, fc *FakeClock, calls *atomic.Int64, d time.Duration, want int64, what string) {
+	t.Helper()
+	waitForWaiters(t, fc, 1)
+	fc.Advance(d)
+	time.Sleep(5 * time.Millisecond) // a tick that is not due must not fire
+	waitForWaiters(t, fc, 1)
+	if got := calls.Load(); got != want {
+		t.Fatalf("%s: %d calls, want %d", what, got, want)
+	}
+}
+
+// runAdaptive starts an adaptive scheduler (1 s interval, 4 s cap) over
+// a collector that returns shape(tick), counting its calls.
+func runAdaptive(t *testing.T, shape func(tick int) []Sample) (*Scheduler, *FakeClock, *atomic.Int64, func()) {
+	t.Helper()
+	var calls atomic.Int64
+	fc := NewFakeClock()
+	s := NewScheduler(SchedulerOptions{Clock: fc, AdaptiveMax: 4 * time.Second})
+	s.Add(&stubCollector{name: "stub", interval: time.Second, samples: func(tick int) []Sample {
+		calls.Add(1)
+		return shape(tick)
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { s.Run(ctx); close(done) }()
+	return s, fc, &calls, func() { cancel(); <-done }
+}
+
+// TestSchedulerAdaptiveRowChangeSnapsBack pins that a renamed row is a
+// change for adaptive sampling even when every value stays put: the
+// stretch snaps back to the declared interval.
+func TestSchedulerAdaptiveRowChangeSnapsBack(t *testing.T) {
+	s, fc, calls, stop := runAdaptive(t, func(tick int) []Sample {
+		metric := "bw"
+		if tick >= 3 {
+			metric = "renamed"
+		}
+		return []Sample{{Metric: metric, Scope: ScopeNode, Time: float64(tick), Value: 7}}
+	})
+	adaptiveStep(t, fc, calls, time.Second, 1, "first tick (no baseline yet)")
+	adaptiveStep(t, fc, calls, time.Second, 2, "second tick (unchanged, stretches to 2s)")
+	adaptiveStep(t, fc, calls, time.Second, 2, "1s into the 2s stretch")
+	adaptiveStep(t, fc, calls, time.Second, 3, "third tick (renamed row, snaps back)")
+	adaptiveStep(t, fc, calls, time.Second, 4, "fourth tick on the declared interval")
+	stop()
+	if st := s.Stats(); st[0].Stretches != 2 {
+		// Tick 2 stretched on the stable bw, tick 4 on the stable renamed
+		// row; tick 3 did not.
+		t.Errorf("Stretches = %d, want 2", st[0].Stretches)
+	}
+}
+
+// TestSchedulerAdaptiveEmptyBatches pins the empty-batch cases: a batch
+// that empties is a change, an empty batch after an empty batch is not,
+// and rows that come back after an empty batch are a change again.
+func TestSchedulerAdaptiveEmptyBatches(t *testing.T) {
+	s, fc, calls, stop := runAdaptive(t, func(tick int) []Sample {
+		if tick >= 2 && tick <= 4 {
+			return nil
+		}
+		return []Sample{{Metric: "bw", Scope: ScopeNode, Time: float64(tick), Value: 7}}
+	})
+	adaptiveStep(t, fc, calls, time.Second, 1, "first tick (no baseline yet)")
+	adaptiveStep(t, fc, calls, time.Second, 2, "second tick (emptied: changed)")
+	adaptiveStep(t, fc, calls, time.Second, 3, "third tick (empty again: stretches to 2s)")
+	adaptiveStep(t, fc, calls, time.Second, 3, "1s into the 2s stretch")
+	adaptiveStep(t, fc, calls, time.Second, 4, "fourth tick (empty again: stretches to 4s)")
+	adaptiveStep(t, fc, calls, 4*time.Second, 5, "fifth tick (rows back: changed)")
+	adaptiveStep(t, fc, calls, time.Second, 6, "sixth tick on the declared interval")
+	stop()
+	if st := s.Stats(); st[0].Stretches != 3 {
+		// Ticks 3 and 4 stretched on the empty batches, tick 6 on the
+		// stable row.
+		t.Errorf("Stretches = %d, want 3", st[0].Stretches)
 	}
 }
 

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"likwid/internal/telemetry"
 )
 
 // labelledBatch is one fleet batch with a mix of labelled and
@@ -174,6 +177,53 @@ func TestSchedulerStampYieldsOnOverflow(t *testing.T) {
 		if k.Labels.Len() > maxLabels {
 			t.Fatalf("store holds an over-cap label set: %q", k.Labels)
 		}
+	}
+}
+
+// TestSchedulerStampOverflowReportsPerBuild pins how loudly the stamp
+// yields: once per plan build, not once per row or per tick.  Three
+// over-cap rows share one label set; a fourth row joins on tick 3 and
+// forces the second build.
+func TestSchedulerStampOverflowReportsPerBuild(t *testing.T) {
+	clock, reg := NewFakeClock(), telemetry.New()
+	agentSpec := make([]string, 0, 9)
+	ownSpec := make([]string, 0, 9)
+	for i := 0; i < 9; i++ {
+		agentSpec = append(agentSpec, fmt.Sprintf("a%d=x", i))
+		ownSpec = append(ownSpec, fmt.Sprintf("o%d=x", i))
+	}
+	own := mustLabels(t, strings.Join(ownSpec, ","))
+	var reported atomic.Int64
+	sched := NewScheduler(SchedulerOptions{
+		Clock: clock, Store: NewStore(16), Telemetry: reg,
+		Labels:  mustLabels(t, strings.Join(agentSpec, ",")),
+		OnError: func(string, error) { reported.Add(1) },
+	})
+	sched.Add(&stubCollector{name: "stub", interval: time.Second, samples: func(tick int) []Sample {
+		rows := []Sample{{Metric: "bw"}, {Metric: "cpi"}, {Metric: "ipc"}}
+		if tick >= 3 {
+			rows = append(rows, Sample{Metric: "flops"})
+		}
+		for i := range rows {
+			rows[i].Scope, rows[i].Labels, rows[i].Time, rows[i].Value = ScopeNode, own, float64(tick), 1
+		}
+		return rows
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { sched.Run(ctx); close(done) }()
+	for i := 0; i < 4; i++ {
+		waitForWaiters(t, clock, 1)
+		clock.Advance(time.Second)
+	}
+	waitForWaiters(t, clock, 1)
+	cancel()
+	<-done
+	if got := reg.Counter("likwid_collector_plan_rebuilds_total", "collector", "stub").Value(); got != 2 {
+		t.Fatalf("%d plan builds, want 2", got)
+	}
+	if got := reported.Load(); got != 2 {
+		t.Errorf("OnError fired %d times over 2 plan builds of 3 and 4 over-cap rows, want 2", got)
 	}
 }
 

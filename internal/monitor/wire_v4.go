@@ -1226,8 +1226,7 @@ func (d *v4Decoder) group(strs []v4String, sets []wireSet) (g sampleGroup, rows 
 // DecodeV4Samples appends the samples of one v4 payload to dst, labels
 // interned — the inverse of V4Encoder.Encode, used by the persist WAL's
 // replay.  It validates exactly like POST /ingest (a bad payload appends
-// nothing) but keeps identities verbatim: the v1 SOURCE/metric shim is an
-// ingest stage, not part of the codec.
+// nothing) and keeps identities verbatim.
 func DecodeV4Samples(payload []byte, dst []Sample) ([]Sample, error) {
 	dst, _, err := DecodeV4SamplesIdent(payload, dst)
 	return dst, err
