@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"likwid/internal/alert"
-	"likwid/internal/derive"
 	"likwid/internal/monitor"
 )
 
@@ -37,17 +35,17 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "defaults",
 			args: nil,
 			check: func(t *testing.T, cfg *agentConfig) {
-				if cfg.arch != "westmereEP" || cfg.group != "MEM_DP" {
-					t.Errorf("defaults = %s/%s, want westmereEP/MEM_DP", cfg.arch, cfg.group)
+				if cfg.Arch != "westmereEP" || cfg.Group != "MEM_DP" {
+					t.Errorf("defaults = %s/%s, want westmereEP/MEM_DP", cfg.Arch, cfg.Group)
 				}
-				if cfg.interval != 500*time.Millisecond || cfg.retain != 1024 {
-					t.Errorf("interval=%v retain=%d, want 500ms/1024", cfg.interval, cfg.retain)
+				if cfg.Interval != 500*time.Millisecond || cfg.Retain != 1024 {
+					t.Errorf("interval=%v retain=%d, want 500ms/1024", cfg.Interval, cfg.Retain)
 				}
-				if cfg.node == nil {
+				if cfg.Node == nil {
 					t.Error("validation must open the node for reuse")
 				}
-				if len(cfg.tiers) != 0 {
-					t.Errorf("tiers = %v, want none by default", cfg.tiers)
+				if len(cfg.Tiers) != 0 {
+					t.Errorf("tiers = %v, want none by default", cfg.Tiers)
 				}
 			},
 		},
@@ -57,17 +55,17 @@ func TestParseAgentFlags(t *testing.T) {
 				"-tiers", "10s:360,1m:720", "-sink", "csv:/tmp/x.csv", "-sink", "push:collector:8090",
 				"-collectors", "perfgroup, membw", "-load", "stream:2"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if len(cfg.cpus) != 4 || cfg.cpus[3] != 3 {
-					t.Errorf("cpus = %v, want 0..3", cfg.cpus)
+				if len(cfg.CPUs) != 4 || cfg.CPUs[3] != 3 {
+					t.Errorf("cpus = %v, want 0..3", cfg.CPUs)
 				}
-				if len(cfg.tiers) != 2 || cfg.tiers[0].Resolution != 10 || cfg.tiers[1].Capacity != 720 {
-					t.Errorf("tiers = %+v, want 10s:360,1m:720", cfg.tiers)
+				if len(cfg.Tiers) != 2 || cfg.Tiers[0].Resolution != 10 || cfg.Tiers[1].Capacity != 720 {
+					t.Errorf("tiers = %+v, want 10s:360,1m:720", cfg.Tiers)
 				}
-				if len(cfg.collectors) != 2 || cfg.collectors[1] != "membw" {
-					t.Errorf("collectors = %v, want [perfgroup membw]", cfg.collectors)
+				if len(cfg.Collectors) != 2 || cfg.Collectors[1] != "membw" {
+					t.Errorf("collectors = %v, want [perfgroup membw]", cfg.Collectors)
 				}
-				if len(cfg.sinks) != 2 {
-					t.Errorf("sinks = %v, want 2 specs", cfg.sinks)
+				if len(cfg.Sinks) != 2 {
+					t.Errorf("sinks = %v, want 2 specs", cfg.Sinks)
 				}
 			},
 		},
@@ -75,10 +73,10 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "receiver mode skips machine validation",
 			args: []string{"-receiver", ":8090", "-g", "NO_SUCH_GROUP", "-tiers", "10s:60"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if cfg.receiver != ":8090" {
-					t.Errorf("receiver = %q", cfg.receiver)
+				if cfg.Receiver != ":8090" {
+					t.Errorf("receiver = %q", cfg.Receiver)
 				}
-				if cfg.node != nil {
+				if cfg.Node != nil {
 					t.Error("receiver mode must not open a node")
 				}
 			},
@@ -109,8 +107,8 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "cluster sink pool",
 			args: []string{"-sink", "push:shard@http://r1:8090,http://r2:8090"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if len(cfg.sinks) != 1 || !strings.Contains(cfg.sinks[0], "shard@") {
-					t.Errorf("sinks = %v, want the cluster pool spec kept verbatim", cfg.sinks)
+				if len(cfg.Sinks) != 1 || !strings.Contains(cfg.Sinks[0], "shard@") {
+					t.Errorf("sinks = %v, want the cluster pool spec kept verbatim", cfg.Sinks)
 				}
 			},
 		},
@@ -120,8 +118,8 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "forward federation hop",
 			args: []string{"-receiver", ":8090", "-forward", "pushv4:mirror@http://root-a:9000,http://root-b:9000", "-forward-downsample", "10s"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if cfg.forward == "" || cfg.forwardEvery != 10*time.Second {
-					t.Errorf("forward = %q every = %v, want the spec and 10s", cfg.forward, cfg.forwardEvery)
+				if cfg.Forward == "" || cfg.ForwardEvery != 10*time.Second {
+					t.Errorf("forward = %q every = %v, want the spec and 10s", cfg.Forward, cfg.ForwardEvery)
 				}
 			},
 		},
@@ -138,8 +136,8 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "wal durability",
 			args: []string{"-receiver", ":8090", "-wal", "/var/lib/likwid", "-snapshot-interval", "30s"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if cfg.walDir != "/var/lib/likwid" || cfg.snapshotInterval != 30*time.Second {
-					t.Errorf("wal = %q interval = %v, want /var/lib/likwid and 30s", cfg.walDir, cfg.snapshotInterval)
+				if cfg.WALDir != "/var/lib/likwid" || cfg.SnapshotInterval != 30*time.Second {
+					t.Errorf("wal = %q interval = %v, want /var/lib/likwid and 30s", cfg.WALDir, cfg.SnapshotInterval)
 				}
 			},
 		},
@@ -147,8 +145,8 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "wal defaults to one-minute snapshots",
 			args: []string{"-receiver", ":8090", "-wal", "/var/lib/likwid"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if cfg.snapshotInterval != time.Minute {
-					t.Errorf("snapshot interval = %v, want 1m default", cfg.snapshotInterval)
+				if cfg.SnapshotInterval != time.Minute {
+					t.Errorf("snapshot interval = %v, want 1m default", cfg.SnapshotInterval)
 				}
 			},
 		},
@@ -158,7 +156,7 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "labels stamp",
 			args: []string{"-labels", "job=lbm,cluster=emmy"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if got := cfg.labels.String(); got != "cluster=emmy,job=lbm" {
+				if got := cfg.Labels.String(); got != "cluster=emmy,job=lbm" {
 					t.Errorf("labels = %q, want the canonical cluster=emmy,job=lbm", got)
 				}
 			},
@@ -167,8 +165,8 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "receiver labels as ingest defaults",
 			args: []string{"-receiver", ":8090", "-labels", "cluster=emmy"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if v, ok := cfg.labels.Get("cluster"); !ok || v != "emmy" {
-					t.Errorf("receiver labels = %q, want cluster=emmy", cfg.labels)
+				if v, ok := cfg.Labels.Get("cluster"); !ok || v != "emmy" {
+					t.Errorf("receiver labels = %q, want cluster=emmy", cfg.Labels)
 				}
 			},
 		},
@@ -179,9 +177,9 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "logging and pprof defaults",
 			args: nil,
 			check: func(t *testing.T, cfg *agentConfig) {
-				if cfg.logLevel != slog.LevelInfo || cfg.logJSON || cfg.pprof {
+				if cfg.logLevel != slog.LevelInfo || cfg.logJSON || cfg.Pprof {
 					t.Errorf("defaults = level %v json %v pprof %v, want info/text/off",
-						cfg.logLevel, cfg.logJSON, cfg.pprof)
+						cfg.logLevel, cfg.logJSON, cfg.Pprof)
 				}
 			},
 		},
@@ -189,9 +187,9 @@ func TestParseAgentFlags(t *testing.T) {
 			name: "logging flags",
 			args: []string{"-log-level", "Debug", "-log-format", "json", "-pprof"},
 			check: func(t *testing.T, cfg *agentConfig) {
-				if cfg.logLevel != slog.LevelDebug || !cfg.logJSON || !cfg.pprof {
+				if cfg.logLevel != slog.LevelDebug || !cfg.logJSON || !cfg.Pprof {
 					t.Errorf("got level %v json %v pprof %v, want debug/json/on",
-						cfg.logLevel, cfg.logJSON, cfg.pprof)
+						cfg.logLevel, cfg.logJSON, cfg.Pprof)
 				}
 			},
 		},
@@ -267,14 +265,14 @@ func TestParseAgentFlagsRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("good rules rejected: %v", err)
 	}
-	if len(cfg.rules) != 1 || cfg.rules[0].Name != "mem_bw_low" {
-		t.Errorf("rules = %+v, want mem_bw_low", cfg.rules)
+	if len(cfg.Rules) != 1 || cfg.Rules[0].Name != "mem_bw_low" {
+		t.Errorf("rules = %+v, want mem_bw_low", cfg.Rules)
 	}
-	if len(cfg.notifiers) != 2 {
-		t.Errorf("notifiers = %v, want 2 specs", cfg.notifiers)
+	if len(cfg.Notifiers) != 2 {
+		t.Errorf("notifiers = %v, want 2 specs", cfg.Notifiers)
 	}
-	if cfg.adaptive != 8*time.Second {
-		t.Errorf("adaptive = %v, want 8s", cfg.adaptive)
+	if cfg.Adaptive != 8*time.Second {
+		t.Errorf("adaptive = %v, want 8s", cfg.Adaptive)
 	}
 
 	// Receiver mode takes rules too: one receiver alerts over the fleet.
@@ -282,8 +280,8 @@ func TestParseAgentFlagsRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("receiver with rules rejected: %v", err)
 	}
-	if len(cfg.rules) != 1 {
-		t.Errorf("receiver rules = %+v, want 1", cfg.rules)
+	if len(cfg.Rules) != 1 {
+		t.Errorf("receiver rules = %+v, want 1", cfg.Rules)
 	}
 
 	// A bad rule fails fast with its file position.
@@ -307,89 +305,17 @@ func TestParseAgentFlagsRules(t *testing.T) {
 	}
 }
 
-func TestParseLoadSpec(t *testing.T) {
-	if kind, n, err := parseLoadSpec("stream"); err != nil || kind != "stream" || n != 0 {
-		t.Errorf("stream = (%q, %d, %v), want (stream, 0, nil)", kind, n, err)
-	}
-	if kind, n, err := parseLoadSpec("stream:8"); err != nil || kind != "stream" || n != 8 {
-		t.Errorf("stream:8 = (%q, %d, %v), want (stream, 8, nil)", kind, n, err)
-	}
-	if _, _, err := parseLoadSpec("idle"); err != nil {
-		t.Errorf("idle = %v, want nil", err)
-	}
-}
-
-func TestStaleHorizonClearsAdaptiveCap(t *testing.T) {
-	if got := staleHorizon(0); got != 5*time.Minute {
-		t.Errorf("staleHorizon(0) = %v, want 5m", got)
-	}
-	if got := staleHorizon(time.Minute); got != 5*time.Minute {
-		t.Errorf("staleHorizon(1m) = %v, want the 5m floor", got)
-	}
-	// A stretch cap above the floor pushes the horizon out: a healthy
-	// static series sampled every 10 m must not look stale.
-	if got := staleHorizon(10 * time.Minute); got != 40*time.Minute {
-		t.Errorf("staleHorizon(10m) = %v, want 40m", got)
-	}
-}
-
-// TestReloadRulesAtomic pins the hot-reload contract: a good edit swaps
-// the rule set, any bad edit (parse error, empty file, missing file) is
-// rejected whole and the running rules stay live.
-func TestReloadRulesAtomic(t *testing.T) {
-	path := writeRules(t, "old: avg(bw, node, 10s) < 1 for 0s\n")
-	rules, err := alert.ParseRules("old: avg(bw, node, 10s) < 1 for 0s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := alert.NewEngine(alert.Options{Store: monitor.NewStore(8)}, rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Good edit: swapped.
-	if err := os.WriteFile(path, []byte("new_a: avg(bw, node, 10s) < 1 for 0s\nnew_b: max(bw, node, 10s) > 9 for 0s\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, err := reloadRules(engine, path)
-	if err != nil || n != 2 {
-		t.Fatalf("reloadRules = (%d, %v), want (2, nil)", n, err)
-	}
-	if got := engine.Rules(); len(got) != 2 || got[0].Name != "new_a" {
-		t.Fatalf("rules after reload = %+v, want new_a/new_b", got)
-	}
-
-	// Bad edits: rejected atomically, the two rules stay live.
-	for name, content := range map[string]string{
-		"parse error": "broken: avg(bw, node) < 1 for 0s\n",
-		"empty file":  "# nothing but comments\n",
-	} {
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := reloadRules(engine, path); err == nil {
-			t.Errorf("%s: reloadRules succeeded, want rejection", name)
-		}
-		if got := engine.Rules(); len(got) != 2 || got[0].Name != "new_a" {
-			t.Errorf("%s: rules changed to %+v, want the old set kept", name, got)
-		}
-	}
-	if _, err := reloadRules(engine, filepath.Join(t.TempDir(), "missing.rules")); err == nil {
-		t.Error("missing file: reloadRules succeeded, want rejection")
-	}
-}
-
 func TestParseAgentFlagsDerive(t *testing.T) {
 	good := writeRules(t, "cluster_flops = sum(flops_dp) by (source) over 30s\nroute drop */noise\n")
 	cfg, err := parseAgentFlags([]string{"-derive", good}, io.Discard)
 	if err != nil {
 		t.Fatalf("good derive file rejected: %v", err)
 	}
-	if len(cfg.deriveRules) != 1 || cfg.deriveRules[0].Name != "cluster_flops" {
-		t.Errorf("derive rules = %+v, want cluster_flops", cfg.deriveRules)
+	if len(cfg.DeriveRules) != 1 || cfg.DeriveRules[0].Name != "cluster_flops" {
+		t.Errorf("derive rules = %+v, want cluster_flops", cfg.DeriveRules)
 	}
-	if len(cfg.deriveRoutes) != 1 || cfg.deriveRoutes[0].Action != monitor.RouteDrop {
-		t.Errorf("derive routes = %+v, want one drop", cfg.deriveRoutes)
+	if len(cfg.DeriveRoutes) != 1 || cfg.DeriveRoutes[0].Action != monitor.RouteDrop {
+		t.Errorf("derive routes = %+v, want one drop", cfg.DeriveRoutes)
 	}
 
 	// Receiver mode takes a derive file too (that is its main home).
@@ -418,8 +344,8 @@ func TestParseAgentFlagsGroupWait(t *testing.T) {
 	if err != nil {
 		t.Fatalf("group-wait with rules rejected: %v", err)
 	}
-	if cfg.groupWait != 30*time.Second {
-		t.Errorf("groupWait = %v, want 30s", cfg.groupWait)
+	if cfg.GroupWait != 30*time.Second {
+		t.Errorf("groupWait = %v, want 30s", cfg.GroupWait)
 	}
 	// Grouping without alerting is a configuration error.
 	if _, err := parseAgentFlags([]string{"-group-wait", "30s"}, io.Discard); err == nil ||
@@ -429,52 +355,5 @@ func TestParseAgentFlagsGroupWait(t *testing.T) {
 	if _, err := parseAgentFlags([]string{"-rules", rules, "-group-wait", "-5s"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "not be negative") {
 		t.Errorf("negative group-wait error = %v, want 'not be negative'", err)
-	}
-}
-
-// TestReloadDeriveAtomic pins the derive hot-reload contract, the twin
-// of TestReloadRulesAtomic: a good edit swaps rules and returns the new
-// routes, any bad edit is rejected whole.
-func TestReloadDeriveAtomic(t *testing.T) {
-	path := writeRules(t, "old = sum(bw) over 30s\n")
-	rules, routes, err := derive.ParseFile("old = sum(bw) over 30s")
-	if err != nil || len(routes) != 0 {
-		t.Fatal(err)
-	}
-	engine, err := derive.NewEngine(derive.Options{Store: monitor.NewStore(8)}, rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Good edit: rules swapped, routes returned.
-	next := "new_a = sum(bw) over 30s\nroute rename */BW -> bw\n"
-	if err := os.WriteFile(path, []byte(next), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, newRoutes, err := reloadDerive(engine, path)
-	if err != nil || n != 1 || len(newRoutes) != 1 {
-		t.Fatalf("reloadDerive = (%d, %v, %v), want (1, one route, nil)", n, newRoutes, err)
-	}
-	if got := engine.Rules(); len(got) != 1 || got[0].Name != "new_a" {
-		t.Fatalf("rules after reload = %+v, want new_a", got)
-	}
-
-	// Bad edits: rejected atomically.
-	for name, content := range map[string]string{
-		"parse error": "broken = frob(bw) over 30s\n",
-		"empty file":  "# nothing\n",
-	} {
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := reloadDerive(engine, path); err == nil {
-			t.Errorf("%s: reloadDerive succeeded, want rejection", name)
-		}
-		if got := engine.Rules(); len(got) != 1 || got[0].Name != "new_a" {
-			t.Errorf("%s: rules changed to %+v, want the old set kept", name, got)
-		}
-	}
-	if _, _, err := reloadDerive(engine, filepath.Join(t.TempDir(), "missing.rules")); err == nil {
-		t.Error("missing file: reloadDerive succeeded, want rejection")
 	}
 }

@@ -1,7 +1,9 @@
 // likwid-repro regenerates every table and figure of the paper's
 // evaluation, printing the rows/series behind each plot plus the ablation
-// studies.  This is the one-shot reproduction driver; see EXPERIMENTS.md
-// for the recorded paper-vs-measured comparison.
+// studies.  This is the one-shot reproduction driver; the paper's
+// published values and the tolerances the reproduction is held to live
+// beside the experiments, e.g. paperTableII and TestTableIIAgainstPaper
+// in internal/experiments.
 //
 // Usage:
 //

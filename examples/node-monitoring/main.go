@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"sync"
@@ -28,12 +29,12 @@ import (
 	"likwid/internal/machine"
 	"likwid/internal/monitor"
 	"likwid/internal/monitor/cluster"
-	"likwid/internal/monitor/persist"
+	"likwid/internal/node"
 	"likwid/internal/topology"
 )
 
 func main() {
-	node, err := likwid.Open("westmereEP")
+	westmere, err := likwid.Open("westmereEP")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func main() {
 	// time — the "sleep 1" of the paper replaced by a live node.
 	var works []*likwid.ThreadWork
 	for _, cpu := range []int{2, 3, 8, 9} {
-		t := node.Spawn(fmt.Sprintf("background-%d", cpu))
-		if err := node.M.OS.Pin(t, cpu); err != nil {
+		t := westmere.Spawn(fmt.Sprintf("background-%d", cpu))
+		if err := westmere.M.OS.Pin(t, cpu); err != nil {
 			log.Fatal(err)
 		}
 		works = append(works, &likwid.ThreadWork{
@@ -64,8 +65,8 @@ func main() {
 			w.Done = 0
 			w.FinishTime = 0
 		}
-		if elapsed := node.M.RunPhase(works, 0); elapsed < dt {
-			node.M.RunIdle(dt-elapsed, 0)
+		if elapsed := westmere.M.RunPhase(works, 0); elapsed < dt {
+			westmere.M.RunIdle(dt-elapsed, 0)
 		}
 	}
 
@@ -75,7 +76,7 @@ func main() {
 	// hand: evicted raw points compact into 0.1 s min/median/max/avg
 	// buckets instead of vanishing.
 	cfg := monitor.Config{
-		Machine:   node.M,
+		Machine:   westmere.M,
 		MachineMu: new(sync.Mutex),
 		Group:     "MEM_DP",
 		Interval:  50 * time.Millisecond,
@@ -85,7 +86,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	info, err := topology.Probe(node.M.CPUs, node.M.Arch.ClockMHz)
+	info, err := topology.Probe(westmere.M.CPUs, westmere.M.Arch.ClockMHz)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func main() {
 	})
 	sched.Add(col)
 
-	fmt.Printf("continuous monitoring of %s, MEM_DP group, 50 ms interval:\n\n", node)
+	fmt.Printf("continuous monitoring of %s, MEM_DP group, 50 ms interval:\n\n", westmere)
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
 	sched.Run(ctx)
@@ -174,17 +175,12 @@ bw_skew:    imbalance(memory_bandwidth_mbytes_s, socket, 1s) > 0.5 for 0s
 	// `likwid-agent -labels job=...` stamp), and the merged store slices
 	// by label — /query?label.job=lbm — across sources.
 	fmt.Println("\nlabelled fleet: two agents, one receiver, sliced by job label:")
-	fleetStore := monitor.NewStore(64)
-	recv, err := monitor.NewHTTPSink("127.0.0.1:0", fleetStore)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer recv.Close()
 	clusterLabel, err := monitor.ParseLabelSpec("cluster=emmy")
 	if err != nil {
 		log.Fatal(err)
 	}
-	recv.SetIngestLabels(clusterLabel)
+	recv := newReceiver(node.Config{Labels: clusterLabel})
+	defer recv.Close()
 	for agent, jobSpec := range map[string]string{"nodeA": "job=lbm", "nodeB": "job=ep"} {
 		job, err := monitor.ParseLabelSpec(jobSpec)
 		if err != nil {
@@ -236,36 +232,14 @@ bw_skew:    imbalance(memory_bandwidth_mbytes_s, socket, 1s) > 0.5 for 0s
 	// rack → cluster tree.  Then one rack dies mid-stream and the pool
 	// fails the stranded series over, so the root stays complete.
 	fmt.Println("\nfleet topology: agent shards over two receivers, both forwarding to a root:")
-	rootStore := monitor.NewStore(64)
-	rootRecv, err := monitor.NewHTTPSink("127.0.0.1:0", rootStore)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rootRecv.Close()
-	newRack := func() (*monitor.Store, *monitor.HTTPSink, *monitor.Dispatcher) {
-		st := monitor.NewStore(64)
-		h, err := monitor.NewHTTPSink("127.0.0.1:0", st)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fwd, err := cluster.New(cluster.Options{
-			Targets: []string{"http://" + rootRecv.Addr() + "/ingest"},
-			Policy:  cluster.PolicyFailover, FlushSamples: 1, RetryBase: time.Millisecond,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		d := monitor.NewDispatcher(64, fwd)
-		h.SetForward(func(b monitor.Batch) { d.Publish(b) })
-		return st, h, d
-	}
-	rack1Store, rack1, rack1Fwd := newRack()
-	rack2Store, rack2, rack2Fwd := newRack()
-	defer rack2.Close()
+	root := newReceiver(node.Config{})
+	defer root.Close()
+	forward := node.Config{Forward: "push:" + root.Addr()}
+	racks := []*node.Node{newReceiver(forward), newReceiver(forward)}
 
 	fleetMetrics := []string{"bw", "flops_dp", "cpi", "energy", "clock", "ipc"}
 	pool, err := cluster.New(cluster.Options{
-		Targets: []string{"http://" + rack1.Addr() + "/ingest", "http://" + rack2.Addr() + "/ingest"},
+		Targets: []string{"http://" + racks[0].Addr() + "/ingest", "http://" + racks[1].Addr() + "/ingest"},
 		Policy:  cluster.PolicyShard, Source: "nodeC", FlushSamples: 1, RetryBase: time.Millisecond,
 	})
 	if err != nil {
@@ -294,7 +268,7 @@ bw_skew:    imbalance(memory_bandwidth_mbytes_s, socket, 1s) > 0.5 for 0s
 	rootComplete := func(ticks int) bool {
 		for _, m := range fleetMetrics {
 			k := monitor.Key{Source: "nodeC", Metric: m, Scope: monitor.ScopeNode, ID: 0}
-			if len(rootStore.Window(k, 0, -1)) != ticks {
+			if len(root.Store().Window(k, 0, -1)) != ticks {
 				return false
 			}
 		}
@@ -308,13 +282,21 @@ bw_skew:    imbalance(memory_bandwidth_mbytes_s, socket, 1s) > 0.5 for 0s
 	}
 
 	pushTicks(0, 10) // both racks alive: the ring splits the series
-	fmt.Printf("  shard split: rack1 owns %d series, rack2 owns %d of %d\n",
-		countSeries(rack1Store), countSeries(rack2Store), len(fleetMetrics))
+	owned := []int{countSeries(racks[0].Store()), countSeries(racks[1].Store())}
+	fmt.Printf("  shard split: rack1 owns %d series, rack2 owns %d of %d\n", owned[0], owned[1], len(fleetMetrics))
 	waitRoot(10)
 	fmt.Printf("  root window complete after 10 ticks: %v\n", rootComplete(10))
 
-	rack1.Close() // rack 1 dies mid-stream; its series fail over to rack 2
-	_ = rack1Fwd.Close()
+	// The ring hashes the racks' random ports, so the split varies by
+	// run: kill the rack that owns more series, so there is always a
+	// stream to fail over.
+	dead := 0
+	if owned[1] > owned[0] {
+		dead = 1
+	}
+	if err := racks[dead].Close(); err != nil { // dies mid-stream; its series fail over
+		log.Fatal(err)
+	}
 	pushTicks(10, 20)
 	if err := pool.Close(); err != nil { // graceful drain: flush + reroute
 		log.Fatal(err)
@@ -324,44 +306,48 @@ bw_skew:    imbalance(memory_bandwidth_mbytes_s, socket, 1s) > 0.5 for 0s
 	for _, ts := range pool.Status() {
 		failedOver += ts.Failovers
 	}
-	fmt.Printf("  rack1 killed mid-stream: %d failover event(s), %d samples dropped\n",
-		failedOver, pool.Dropped())
+	fmt.Printf("  rack%d killed mid-stream: %d failover event(s), %d samples dropped\n",
+		dead+1, failedOver, pool.Dropped())
 	fmt.Printf("  root window still complete at 20 ticks: %v\n", rootComplete(20))
-	if err := rack2Fwd.Close(); err != nil {
+	if err := racks[1-dead].Close(); err != nil {
 		log.Fatal(err)
 	}
 
 	// ---- durability: surviving a restart -----------------------------
-	// With -wal DIR a real agent or receiver journals every append and
-	// snapshots its rings and tiers, so a restart — or a crash — resumes
-	// with history intact.  The same persist.Manager as a library: write
-	// through one manager, tear the "process" down, and a second manager
-	// on the same directory hands a fresh store the full window back.
-	fmt.Println("\ndurability: the store survives a restart (-wal DIR on a real agent):")
+	// With -wal DIR a node journals every append and snapshots its rings
+	// and tiers, so a restart — or a crash — resumes with history intact:
+	// write through one node, close it, and a second node on the same
+	// directory serves the full window again.
+	fmt.Println("\ndurability: the store survives a restart (-wal DIR):")
 	stateDir, err := os.MkdirTemp("", "likwid-wal-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(stateDir)
+	durable := node.Config{WALDir: stateDir, SnapshotInterval: time.Minute}
 	k := monitor.Key{Metric: "memory_bandwidth_mbytes_s", Scope: monitor.ScopeNode, ID: 0}
-	before := monitor.NewStore(64, monitor.Tier{Resolution: 10, Capacity: 8})
-	pm, err := persist.Open(stateDir, before, persist.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	first := newReceiver(durable)
 	for i := 0; i < 5; i++ {
-		before.Append(k, monitor.Point{Time: float64(i), Value: 20000 + float64(i)})
+		first.Store().Append(k, monitor.Point{Time: float64(i), Value: 20000 + float64(i)})
 	}
-	if err := pm.Close(); err != nil { // the "restart": first life ends
+	if err := first.Close(); err != nil { // the "restart": first life ends
 		log.Fatal(err)
 	}
-	after := monitor.NewStore(64, monitor.Tier{Resolution: 10, Capacity: 8})
-	pm2, err := persist.Open(stateDir, after, persist.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer pm2.Close()
-	restored := after.Window(k, 0, -1)
+	second := newReceiver(durable)
+	defer second.Close()
+	restored := second.Store().Window(k, 0, -1)
 	fmt.Printf("  restored %d of 5 points after restart; newest t=%.0f value=%.0f\n",
 		len(restored), restored[len(restored)-1].Time, restored[len(restored)-1].Value)
+}
+
+// newReceiver builds a node the way `likwid-agent -receiver
+// 127.0.0.1:0` does, on a port the kernel picks, with cfg's other
+// settings; it logs warnings only, to keep the walkthrough readable.
+func newReceiver(cfg node.Config) *node.Node {
+	cfg.Receiver, cfg.Interval, cfg.Buffer, cfg.Retain = "127.0.0.1:0", time.Second, 64, 64
+	n, err := node.New(cfg, slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return n
 }

@@ -15,8 +15,9 @@ import (
 	"likwid/internal/workloads/stream"
 )
 
-// Ablation studies for the design choices DESIGN.md calls out.  Each
-// returns the data series plus a Render helper.
+// Ablation studies for the tools' design choices: event multiplexing,
+// the uncore socket lock, prefetcher control, thread placement and SMT
+// ordering.  Each returns the data series plus a Render helper.
 
 // MuxErrorPoint is one run length of the multiplex-accuracy ablation.
 type MuxErrorPoint struct {

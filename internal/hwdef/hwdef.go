@@ -138,8 +138,9 @@ type Prefetcher struct {
 
 // PerfModel carries the calibrated machine-model parameters that drive the
 // simulated memory system and execution engine.  These numbers are fitted to
-// the published measurements for each system (see EXPERIMENTS.md), not to a
-// specific DIMM configuration.
+// the published measurements for each system (the PerfModels of the
+// paper's three test systems in archs.go name the figure or table each
+// was calibrated against), not to a specific DIMM configuration.
 type PerfModel struct {
 	// SocketMemBW is the per-socket sustained memory bandwidth in bytes/s
 	// achievable by multiple concurrent streams (saturated triad).

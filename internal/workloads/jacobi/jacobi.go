@@ -94,7 +94,8 @@ func TableIIConfig(a *hwdef.Arch, v Variant) Config {
 }
 
 // model builds the per-LUP cost vector and the pipeline efficiency for a
-// configuration.  See DESIGN.md for the calibration; the building blocks:
+// configuration.  It is calibrated against Table II (TestTableIIPerformance
+// and TestTableIIRatios hold it there); the building blocks:
 //
 //   - L3 fit: when both grids fit the shared L3 the memory traffic
 //     disappears and the run is L3/core bound (small sizes in Fig. 11).
