@@ -16,7 +16,6 @@ package alert
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"likwid/internal/monitor"
@@ -55,16 +54,6 @@ func (f Fn) String() string {
 		return fmt.Sprintf("fn(%d)", int(f))
 	}
 	return fnNames[f]
-}
-
-// parseFn resolves a function name.
-func parseFn(name string) (Fn, bool) {
-	for i, n := range fnNames {
-		if n == name {
-			return Fn(i), true
-		}
-	}
-	return 0, false
 }
 
 // Cmp is the threshold comparison of a rule.
@@ -107,7 +96,7 @@ func (c Cmp) holds(value, threshold float64) bool {
 }
 
 // AllIDs is the Rule.ID sentinel selecting every id of the scope.
-const AllIDs = -1
+const AllIDs = spec.NoID
 
 // LabelMatcher is one {name="value"} clause of a rule selector.  Value
 // may use '*' wildcards; a series matches when it carries the label and
@@ -166,18 +155,16 @@ type Rule struct {
 	Line int
 }
 
-// String renders the rule back in spec syntax.
+// String renders the rule back in spec syntax, the window in the
+// parentheses.
 func (r *Rule) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %s(%s, %s", r.Name, r.Fn, r.selector(), r.Scope)
-	if r.ID != AllIDs {
-		fmt.Fprintf(&b, ", %d", r.ID)
-	}
-	fmt.Fprintf(&b, ", %s) %s %g for %s", spec.FormatSeconds(r.Lookback), r.Cmp, r.Threshold, spec.FormatSeconds(r.For))
+	e := spec.Expr{Fn: r.Fn.String(), Source: r.Source, Metric: r.Metric, Matchers: r.Matchers,
+		Scope: r.Scope, ID: r.ID, Window: r.Lookback}
+	s := fmt.Sprintf("%s: %s %s %g for %s", r.Name, e.Render(true), r.Cmp, r.Threshold, spec.FormatSeconds(r.For))
 	if r.Every > 0 {
-		fmt.Fprintf(&b, " every %s", r.Every)
+		s += fmt.Sprintf(" every %s", r.Every)
 	}
-	return b.String()
+	return s
 }
 
 // selector renders the rule's [SOURCE/]METRIC{matchers} selector so

@@ -1,17 +1,16 @@
-package alert
+package alert_test
 
 import (
-	"reflect"
-	"strconv"
-	"strings"
 	"testing"
+
+	"likwid/internal/spec/spectest"
 )
 
-// FuzzRuleSpec hammers the rule parser with arbitrary rule files: it
-// must never panic, and every rule it does accept must render back
-// (String) into a spec the parser accepts again, unchanged — the
-// round-trip invariant that keeps /rules output and rule files
-// interchangeable.
+// FuzzRuleSpec hammers the rule grammar with arbitrary rule files: the
+// parsers must never panic, and every rule or route they accept must
+// render back into a line they read into the same value
+// (spectest.RoundTrip).  Its seeds are alert rules; FuzzDeriveSpec runs
+// the same check from recorded rules and routes.
 func FuzzRuleSpec(f *testing.F) {
 	f.Add("mem_bw_low: avg(MEM_DP/bandwidth, socket, 30s) < 2.0e9 for 60s")
 	f.Add("hot0: max(temp, thread, 3, 10s) >= 95 for 0s every 5s\nskew: imbalance(bw, socket, 30s) > 0.5 for 1m")
@@ -29,32 +28,10 @@ func FuzzRuleSpec(f *testing.F) {
 	f.Add(`bad: avg(bw{job=}, node, 1s) < 1 for 0s`)
 	f.Add(`bad: avg(bw{job="a",job="b"}, node, 1s) < 1 for 0s`)
 	f.Add("bad: avg(bw{}, node, 1s) < 1 for 0s")
+	f.Add("o: avg(bw) over 30s > 1 for 0s")
 	f.Fuzz(func(t *testing.T, src string) {
-		rules, err := ParseRules(src)
-		if err != nil {
-			return
-		}
-		for _, r := range rules {
-			spec := r.String()
-			// Round-trip, gated to inputs the renderer can represent
-			// verbatim: metrics whose quoting adds no escapes, and
-			// durations small enough that the float64-seconds conversion
-			// is exact (the engine stores seconds, not Durations).
-			if strconv.Quote(r.Metric) != `"`+r.Metric+`"` {
-				continue
-			}
-			if r.Lookback > 1e6 || r.For > 1e6 {
-				continue
-			}
-			again, err := ParseRule(spec, r.Line)
-			if err != nil {
-				t.Fatalf("accepted rule %q renders as %q which does not reparse: %v",
-					strings.TrimSpace(src), spec, err)
-			}
-			if !reflect.DeepEqual(again, r) {
-				t.Fatalf("round trip changed the rule:\n src  %q\n spec %q\n got  %+v\n want %+v",
-					strings.TrimSpace(src), spec, *again, *r)
-			}
+		if err := spectest.RoundTrip(src); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

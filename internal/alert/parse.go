@@ -1,124 +1,53 @@
 package alert
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"strconv"
-	"strings"
-	"time"
 
-	"likwid/internal/monitor"
 	"likwid/internal/spec"
 )
 
-// The rule spec language, one rule per line:
+// The alert rule, one per line in the grammar of internal/spec with
+// ':' after the name and a threshold tail:
 //
-//	name: FN([SOURCE/]METRIC[{LABEL="VALUE",...}], SCOPE[, ID], LOOKBACK) CMP THRESHOLD for DURATION [every DURATION]
+//	name: FN([SOURCE/]METRIC[{LABEL="VALUE",...}][, SCOPE][, ID][, LOOKBACK]) [over LOOKBACK] CMP THRESHOLD for DURATION [every DURATION]
 //
 //	mem_bw_low: avg(memory_bandwidth_mbytes_s, socket, 30s) < 2000 for 60s
 //	flops_flat: rate("DP MFlops/s", node, 10s) <= 0 for 30s every 5s
-//	bw_skew:    imbalance(memory_bandwidth_mbytes_s, socket, 30s) > 0.5 for 1m
+//	bw_skew:    imbalance(memory_bandwidth_mbytes_s, socket) over 30s > 0.5 for 1m
 //	fleet_bw:   avg(*/dp_mflops_s, node, 30s) < 1 for 60s
-//	job_bw:     avg(*/dp_mflops_s{job="lbm"}, node, 30s) < 1 for 60s
+//	job_bw:     avg(*/dp_mflops_s{job="lbm"}) over 30s < 1 for 60s
 //
-// FN is avg | min | max | rate | imbalance; SCOPE is thread | core |
-// socket | node; METRIC may be quoted (names with spaces) and may use
-// '*' wildcards; ID is optional (default: every matching id, one alert
-// instance per series).  SOURCE is an optional agent selector matched
-// against Key.Source as its own dimension ('*' wildcards allowed;
-// omitted = local series only); the suite's slash-namespaced metric
-// families (event/, topo/, feature/, membw/, alert/) are recognized and
-// never read as a source.  The optional {LABEL="VALUE",...} matcher
-// block restricts the selector to series whose label set carries every
-// named label with a matching value ('*' wildcards allowed in values).
-// Blank lines and '#' comments are ignored.  Errors carry line:column
-// positions so a typo in a 50-rule file is findable.
-//
-// The tokenizer and selector machinery live in internal/spec, shared
-// with the derived-series DSL (internal/derive) — one parser family.
+// FN is avg | min | max | rate | imbalance; SCOPE defaults to node; an
+// omitted ID selects every matching id, one alert instance per series,
+// and imbalance, which compares the ids, takes none.  An omitted SOURCE
+// selects local series only.  An alert watches each series on its own,
+// so it takes no "by" clause.  Errors carry line:column positions.
 
 // ParseRule parses one rule line; lineNo is the 1-based line for error
 // positions.
 func ParseRule(line string, lineNo int) (*Rule, error) {
 	s := spec.New("alert", line, lineNo)
-
-	name, col := s.Word()
-	if name == "" {
-		return nil, s.Errf(col, "expected rule name")
-	}
-	if !spec.ValidName(name) {
-		return nil, s.Errf(col, "bad rule name %q (letters, digits, '_', '-', '.')", name)
-	}
-	if err := s.Expect(':', "after the rule name"); err != nil {
-		return nil, err
-	}
-
-	fnWord, col := s.Word()
-	fn, ok := parseFn(fnWord)
-	if !ok {
-		return nil, s.Errf(col, "unknown function %q (avg, min, max, rate, imbalance)", fnWord)
-	}
-	if err := s.Expect('(', "after the function"); err != nil {
-		return nil, err
-	}
-
-	source, metric, col, err := s.Selector()
+	name, _, err := s.Head(':')
 	if err != nil {
 		return nil, err
 	}
-	if metric == "" {
-		return nil, s.Errf(col, "expected a metric selector")
-	}
-	matchers, err := s.Matchers()
+	e, err := s.ParseExpr(fnNames[:])
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Expect(',', "after the metric"); err != nil {
-		return nil, err
-	}
-
-	scopeWord, col := s.Word()
-	scope, err := monitor.ParseScope(scopeWord)
-	if err != nil {
-		return nil, s.Errf(col, "bad scope %q (thread, core, socket, node)", scopeWord)
-	}
-	if err := s.Expect(',', "after the scope"); err != nil {
-		return nil, err
-	}
-
-	// The next argument is an optional integer id; a bare integer cannot
-	// be a duration (those need a unit), so the forms stay unambiguous.
-	id := AllIDs
-	w, col := s.Word()
-	if n, aerr := strconv.Atoi(w); aerr == nil {
-		if n < 0 {
-			return nil, s.Errf(col, "id must not be negative, got %d", n)
-		}
-		if fn == FnImbalance {
-			return nil, s.Errf(col, "imbalance aggregates across ids; drop the id argument")
-		}
-		id = n
-		if err := s.Expect(',', "after the id"); err != nil {
-			return nil, err
-		}
-		w, col = s.Word()
-	}
-	if w == "" {
-		return nil, s.Errf(col, "expected lookback duration (like 30s)")
-	}
-	lookback, derr := time.ParseDuration(w)
-	if derr != nil || lookback <= 0 {
-		return nil, s.Errf(col, "bad lookback %q (want a positive duration like 30s)", w)
-	}
-	if err := s.Expect(')', "after the lookback"); err != nil {
-		return nil, err
+	switch {
+	case e.By != nil:
+		return nil, s.Errf(e.ByCol, "an alert watches each series on its own; drop the \"by\" clause")
+	case e.ID != AllIDs && e.Fn == FnImbalance.String():
+		return nil, s.Errf(e.IDCol, "imbalance aggregates across ids; drop the id argument")
 	}
 
 	cmp, err := parseCmp(s)
 	if err != nil {
 		return nil, err
 	}
-
 	threshWord, col := s.Word()
 	if threshWord == "" {
 		return nil, s.Errf(col, "expected threshold number")
@@ -127,49 +56,21 @@ func ParseRule(line string, lineNo int) (*Rule, error) {
 	if perr != nil || math.IsNaN(threshold) || math.IsInf(threshold, 0) {
 		return nil, s.Errf(col, "bad threshold %q (want a finite number like 2.0e9)", threshWord)
 	}
-
-	kw, col := s.Word()
-	if kw != "for" {
+	if kw, col := s.Word(); kw != "for" {
 		return nil, s.Errf(col, "expected \"for DURATION\", got %q", kw)
 	}
 	hold, err := s.Duration("hold (\"for\")", true)
 	if err != nil {
 		return nil, err
 	}
-
-	every := time.Duration(0)
-	if !s.EOF() {
-		kw, col := s.Word()
-		if kw != "every" {
-			return nil, s.Errf(col, "unexpected %q (only \"every DURATION\" may follow)", kw)
-		}
-		if every, err = s.Duration("evaluation (\"every\")", false); err != nil {
-			return nil, err
-		}
-	}
-	if !s.EOF() {
-		w, col := s.Word()
-		if w == "" {
-			col = s.Col()
-			w = string(s.Peek())
-		}
-		return nil, s.Errf(col, "unexpected trailing %q", w)
+	every, err := s.End()
+	if err != nil {
+		return nil, err
 	}
 
-	return &Rule{
-		Name:      name,
-		Fn:        fn,
-		Source:    source,
-		Metric:    metric,
-		Matchers:  matchers,
-		Scope:     scope,
-		ID:        id,
-		Lookback:  lookback.Seconds(),
-		Cmp:       cmp,
-		Threshold: threshold,
-		For:       hold.Seconds(),
-		Every:     every,
-		Line:      lineNo,
+	return &Rule{Name: name, Fn: Fn(slices.Index(fnNames[:], e.Fn)), Source: e.Source, Metric: e.Metric,
+		Matchers: e.Matchers, Scope: e.Scope, ID: e.ID, Lookback: e.Window, Cmp: cmp, Threshold: threshold,
+		For: hold.Seconds(), Every: every, Line: lineNo,
 	}, nil
 }
 
@@ -193,26 +94,21 @@ func parseCmp(s *spec.Scanner) (Cmp, error) {
 	return cmp, nil
 }
 
-// ParseRules parses a whole rule file: one rule per line, blank lines
-// and '#' comments ignored, duplicate names rejected (they would share
-// one "alert/<name>" history series and dedup key).
+// ParseRules parses a whole rule file (spec.ParseFile): duplicate names
+// are rejected, as they would share one "alert/<name>" history series
+// and dedup key.
 func ParseRules(src string) ([]*Rule, error) {
 	var rules []*Rule
-	byName := map[string]int{}
-	for i, line := range strings.Split(src, "\n") {
-		line = spec.StripComment(line)
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		r, err := ParseRule(line, i+1)
+	err := spec.ParseFile("alert", src, func(line string, lineNo int) (string, error) {
+		r, err := ParseRule(line, lineNo)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		if prev, dup := byName[r.Name]; dup {
-			return nil, fmt.Errorf("alert: line %d: rule %q already defined on line %d", i+1, r.Name, prev)
-		}
-		byName[r.Name] = i + 1
 		rules = append(rules, r)
+		return r.Name, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rules, nil
 }

@@ -19,13 +19,12 @@
 // rename ... -> NAME", "route relabel ... set k=\"v\""), the receiver's
 // retag stage applied before samples are interned (monitor.Router).
 //
-// The spec language shares its scanner and selector machinery with the
-// alert DSL through internal/spec — one parser family, two grammars.
+// A recorded rule is a line of the rule grammar alert rules use too
+// (internal/spec), with '=' after the name.
 package derive
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"likwid/internal/monitor"
@@ -68,20 +67,6 @@ func (f Fn) String() string {
 	return fnNames[f]
 }
 
-// parseFn resolves a function name.
-func parseFn(name string) (Fn, bool) {
-	for i, n := range fnNames {
-		if n == name {
-			return Fn(i), true
-		}
-	}
-	return 0, false
-}
-
-// BySource is the "by" dimension grouping output series per pushing
-// agent; every other dimension is a label name.
-const BySource = "source"
-
 // Rule is one parsed recorded rule.
 //
 // Over is simulated seconds — the store's time axis — so a rule's
@@ -112,7 +97,7 @@ type Rule struct {
 	// so a rule never double-counts a metric reported at several
 	// scopes.
 	Scope monitor.Scope
-	// By are the grouping dimensions: BySource and/or label names.  One
+	// By are the grouping dimensions: spec.BySource and/or label names.  One
 	// output series is emitted per distinct combination, carrying the
 	// group's source and labels; empty By collapses everything into one
 	// sourceless, unlabelled output.
@@ -127,22 +112,15 @@ type Rule struct {
 }
 
 // String renders the rule back in spec syntax (canonical: parsing the
-// rendering yields an identical rendering).
+// rendering yields an identical rendering), the window after "over".
 func (r *Rule) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s = %s(%s", r.Name, r.Fn, spec.RenderSelector(r.Source, r.Metric, r.Matchers))
-	if r.Scope != monitor.ScopeNode {
-		fmt.Fprintf(&b, ", %s", r.Scope)
-	}
-	b.WriteString(")")
-	if len(r.By) > 0 {
-		fmt.Fprintf(&b, " by (%s)", strings.Join(r.By, ", "))
-	}
-	fmt.Fprintf(&b, " over %s", spec.FormatSeconds(r.Over))
+	e := spec.Expr{Fn: r.Fn.String(), Source: r.Source, Metric: r.Metric, Matchers: r.Matchers,
+		Scope: r.Scope, ID: spec.NoID, Window: r.Over, By: r.By}
+	s := fmt.Sprintf("%s = %s", r.Name, e.Render(false))
 	if r.Every > 0 {
-		fmt.Fprintf(&b, " every %s", r.Every)
+		s += fmt.Sprintf(" every %s", r.Every)
 	}
-	return b.String()
+	return s
 }
 
 // RuleName and Cadence expose the rule to the shared runtime

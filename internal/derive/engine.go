@@ -11,6 +11,7 @@ import (
 
 	"likwid/internal/monitor"
 	"likwid/internal/rules"
+	"likwid/internal/spec"
 	"likwid/internal/telemetry"
 )
 
@@ -187,7 +188,7 @@ func (e *Engine) resolve(r *Rule) *resolution {
 		var source string
 		var labels map[string]string
 		for _, dim := range r.By {
-			if dim == BySource {
+			if dim == spec.BySource {
 				source = k.Source
 				sb.WriteString("s\x00" + source + "\x00")
 				continue

@@ -1,15 +1,14 @@
-package derive
+package derive_test
 
 import (
-	"strings"
 	"testing"
+
+	"likwid/internal/spec/spectest"
 )
 
-// FuzzDeriveSpec throws arbitrary bytes at the derive-file parser: it
-// must never panic, and every accepted declaration must round-trip
-// through its canonical rendering (parse → render → parse yields the
-// same rendering — the property GET /derive and reload diffing rely
-// on).
+// FuzzDeriveSpec is FuzzRuleSpec (internal/alert) seeded from recorded
+// rules and routes: the same spectest.RoundTrip check over both rule
+// kinds, from the other half of the grammar.
 func FuzzDeriveSpec(f *testing.F) {
 	seeds := []string{
 		`cluster_flops = sum(flops_dp{cluster="emmy"}) by (source) over 30s every 10s`,
@@ -24,36 +23,15 @@ func FuzzDeriveSpec(f *testing.F) {
 		`route rename bw -> "alert/x"`,
 		"x = sum(bw) over 30s\nx = avg(bw) over 30s",
 		`x = sum(bw{a="*"}) over 0s`,
+		"w = sum(bw, socket, 30s)",
+		"t = sum(bw, 30s) over 30s",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		rules, routes, err := ParseFile(src)
-		if err != nil {
-			return
-		}
-		for _, r := range rules {
-			rendered := r.String()
-			r2, err := ParseRule(rendered, r.Line)
-			if err != nil {
-				t.Fatalf("accepted rule %q renders unparseable %q: %v", src, rendered, err)
-			}
-			if got := r2.String(); got != rendered {
-				t.Fatalf("rule rendering not canonical: %q -> %q", rendered, got)
-			}
-		}
-		for _, route := range routes {
-			if !strings.HasPrefix(route.Spec, "route ") {
-				t.Fatalf("route spec %q lacks the route keyword", route.Spec)
-			}
-			_, reparsed, err := ParseFile(route.Spec)
-			if err != nil {
-				t.Fatalf("accepted route %q renders unparseable %q: %v", src, route.Spec, err)
-			}
-			if len(reparsed) != 1 || reparsed[0].Spec != route.Spec {
-				t.Fatalf("route rendering not canonical: %q -> %+v", route.Spec, reparsed)
-			}
+		if err := spectest.RoundTrip(src); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

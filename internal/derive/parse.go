@@ -2,30 +2,29 @@ package derive
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
 	"likwid/internal/monitor"
 	"likwid/internal/spec"
 )
 
-// The derive spec language, one declaration per line:
+// The derive file holds recorded rules and ingest routes, one per line.
+// A rule is the grammar of internal/spec with '=' after the name:
 //
-//	NAME = FN([SOURCE/]METRIC[{LABEL="VALUE",...}][, SCOPE]) [by (DIM, ...)] over DUR [every DUR]
+//	NAME = FN([SOURCE/]METRIC[{LABEL="VALUE",...}][, SCOPE][, WINDOW]) [by (DIM, ...)] [over WINDOW] [every DUR]
 //
 //	cluster_flops = sum(flops_dp{cluster="emmy"}) by (source) over 30s every 10s
 //	fleet_bw      = avg(memory_bandwidth_mbytes_s, socket) over 1m
 //	job_nodes     = count(*/dp_mflops_s) by (job) over 30s
-//	ramp          = rate(cluster_flops) over 1m
+//	ramp          = rate(cluster_flops, 1m)
 //
-// FN is sum | avg | min | max | count | rate; SCOPE is thread | core |
-// socket | node (default node); DIM is "source" or a label name.  The
-// selector follows the alert DSL's shape exactly — quoted metrics, '*'
-// wildcards, {label="value"} matchers — but an omitted SOURCE matches
-// every source (a roll-up sweeps the fleet), not only local series.
+// FN is sum | avg | min | max | count | rate; SCOPE defaults to node;
+// DIM is "source" or a label name.  A rule aggregates across ids, so
+// it names none, and an omitted SOURCE matches every source (a roll-up
+// sweeps the fleet), not only local series.
 //
-// The same file declares ingest routes, applied by the receiver before
-// samples are interned:
+// A route is applied by the receiver before samples are interned:
 //
 //	route drop SELECTOR
 //	route rename SELECTOR -> NEWMETRIC
@@ -37,144 +36,33 @@ import (
 //
 // A relabel with an empty value deletes the label.  Routes run in file
 // order per sample; a drop ends the sample's processing and a rename
-// feeds later routes.  Blank lines and '#' comments are ignored.
-// Errors carry line:column positions so a typo in a 50-line file is
-// findable.
+// feeds later routes.  Errors carry line:column positions.
 
 // ParseRule parses one rule line; lineNo is the 1-based line for error
 // positions.
 func ParseRule(line string, lineNo int) (*Rule, error) {
 	s := spec.New("derive", line, lineNo)
-
-	name, col := s.Word()
-	if name == "" {
-		return nil, s.Errf(col, "expected rule name")
-	}
-	if !spec.ValidName(name) {
-		return nil, s.Errf(col, "bad rule name %q (letters, digits, '_', '-', '.')", name)
+	name, col, err := s.Head('=')
+	if err != nil {
+		return nil, err
 	}
 	if name == "route" {
 		return nil, s.Errf(col, "\"route\" is the routing keyword, not a usable rule name")
 	}
-	if err := s.Expect('=', "after the rule name"); err != nil {
-		return nil, err
-	}
-
-	fnWord, col := s.Word()
-	fn, ok := parseFn(fnWord)
-	if !ok {
-		return nil, s.Errf(col, "unknown function %q (sum, avg, min, max, count, rate)", fnWord)
-	}
-	if err := s.Expect('(', "after the function"); err != nil {
-		return nil, err
-	}
-
-	source, metric, col, err := s.Selector()
+	e, err := s.ParseExpr(fnNames[:])
 	if err != nil {
 		return nil, err
 	}
-	if metric == "" {
-		return nil, s.Errf(col, "expected a metric selector")
+	if e.ID != spec.NoID {
+		return nil, s.Errf(e.IDCol, "a recorded rule aggregates across ids; drop the id argument")
 	}
-	matchers, err := s.Matchers()
+	every, err := s.End()
 	if err != nil {
 		return nil, err
 	}
-
-	scope := monitor.ScopeNode
-	if s.Accept(',') {
-		scopeWord, col := s.Word()
-		if scope, err = monitor.ParseScope(scopeWord); err != nil {
-			return nil, s.Errf(col, "bad scope %q (thread, core, socket, node)", scopeWord)
-		}
-	}
-	if err := s.Expect(')', "after the selector"); err != nil {
-		return nil, err
-	}
-
-	kw, col := s.Word()
-	var by []string
-	if kw == "by" {
-		if by, err = parseBy(s); err != nil {
-			return nil, err
-		}
-		kw, col = s.Word()
-	}
-	if kw != "over" {
-		return nil, s.Errf(col, "expected \"over DURATION\", got %q", kw)
-	}
-	over, err := s.Duration("window (\"over\")", false)
-	if err != nil {
-		return nil, err
-	}
-
-	every := time.Duration(0)
-	if !s.EOF() {
-		kw, col := s.Word()
-		if kw != "every" {
-			return nil, s.Errf(col, "unexpected %q (only \"every DURATION\" may follow)", kw)
-		}
-		if every, err = s.Duration("evaluation (\"every\")", false); err != nil {
-			return nil, err
-		}
-	}
-	if !s.EOF() {
-		w, col := s.Word()
-		if w == "" {
-			col = s.Col()
-			w = string(s.Peek())
-		}
-		return nil, s.Errf(col, "unexpected trailing %q", w)
-	}
-
-	return &Rule{
-		Name:     name,
-		Fn:       fn,
-		Source:   source,
-		Metric:   metric,
-		Matchers: matchers,
-		Scope:    scope,
-		By:       by,
-		Over:     over.Seconds(),
-		Every:    every,
-		Line:     lineNo,
+	return &Rule{Name: name, Fn: Fn(slices.Index(fnNames[:], e.Fn)), Source: e.Source, Metric: e.Metric,
+		Matchers: e.Matchers, Scope: e.Scope, By: e.By, Over: e.Window, Every: every, Line: lineNo,
 	}, nil
-}
-
-// parseBy reads the "(DIM, DIM, ...)" group clause after "by".
-func parseBy(s *spec.Scanner) ([]string, error) {
-	if err := s.Expect('(', "after \"by\""); err != nil {
-		return nil, err
-	}
-	var by []string
-	seen := map[string]bool{}
-	for {
-		dim, col := s.Word()
-		if dim == "" {
-			return nil, s.Errf(col, "expected a grouping dimension (\"source\" or a label name)")
-		}
-		if dim != BySource {
-			if !monitor.ValidLabelName(dim) {
-				return nil, s.Errf(col, "bad grouping label %q (letters, digits, '_'; not starting with a digit)", dim)
-			}
-			if monitor.ReservedLabelName(dim) {
-				return nil, s.Errf(col, "grouping dimension %q is reserved; only \"source\" groups by the key itself", dim)
-			}
-		}
-		if seen[dim] {
-			return nil, s.Errf(col, "duplicate grouping dimension %q", dim)
-		}
-		seen[dim] = true
-		by = append(by, dim)
-		if s.Accept(',') {
-			continue
-		}
-		break
-	}
-	if err := s.Expect(')', "after the grouping dimensions"); err != nil {
-		return nil, err
-	}
-	return by, nil
 }
 
 // parseRoute parses one "route ACTION SELECTOR ..." line; the leading
@@ -275,13 +163,8 @@ func parseRoute(s *spec.Scanner, lineNo int) (monitor.IngestRoute, error) {
 			break
 		}
 	}
-	if !s.EOF() {
-		w, col := s.Word()
-		if w == "" {
-			col = s.Col()
-			w = string(s.Peek())
-		}
-		return route, s.Errf(col, "unexpected trailing %q", w)
+	if err := s.Done(); err != nil {
+		return route, err
 	}
 	route.Spec = RenderRoute(&route)
 	return route, nil
@@ -316,37 +199,28 @@ func RenderRoute(r *monitor.IngestRoute) string {
 	return b.String()
 }
 
-// ParseFile parses a whole derive file: rules and routes, one per
-// line, blank lines and '#' comments ignored.  Duplicate rule names
-// are rejected (they would write one output series from two
-// definitions); routes keep file order.
+// ParseFile parses a whole derive file (spec.ParseFile): rules and
+// routes, routes in file order.  Duplicate rule names are rejected, as
+// they would write one output series from two definitions.
 func ParseFile(src string) ([]*Rule, []monitor.IngestRoute, error) {
 	var rules []*Rule
 	var routes []monitor.IngestRoute
-	byName := map[string]int{}
-	for i, line := range strings.Split(src, "\n") {
-		line = spec.StripComment(line)
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		s := spec.New("derive", line, i+1)
+	err := spec.ParseFile("derive", src, func(line string, lineNo int) (string, error) {
+		s := spec.New("derive", line, lineNo)
 		if w, _ := s.Word(); w == "route" {
-			route, err := parseRoute(s, i+1)
-			if err != nil {
-				return nil, nil, err
-			}
+			route, err := parseRoute(s, lineNo)
 			routes = append(routes, route)
-			continue
+			return "", err
 		}
-		r, err := ParseRule(line, i+1)
+		r, err := ParseRule(line, lineNo)
 		if err != nil {
-			return nil, nil, err
+			return "", err
 		}
-		if prev, dup := byName[r.Name]; dup {
-			return nil, nil, fmt.Errorf("derive: line %d: rule %q already defined on line %d", i+1, r.Name, prev)
-		}
-		byName[r.Name] = i + 1
 		rules = append(rules, r)
+		return r.Name, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return rules, routes, nil
 }

@@ -325,8 +325,13 @@ func (h *HTTPSink) Write(b Batch) error {
 	return nil
 }
 
-// Close stops the server.
-func (h *HTTPSink) Close() error { return h.srv.Close() }
+// Close stops the server and gives the port back at once: the listener
+// is closed here too, since Serve may not have taken it over yet.
+func (h *HTTPSink) Close() error {
+	err := h.srv.Close()
+	h.ln.Close()
+	return err
+}
 
 func (h *HTTPSink) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	idx := *h.store.index.Load()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -510,6 +511,33 @@ func TestHTTPSinkHandleMountsExtraEndpoints(t *testing.T) {
 	// The built-in endpoints are untouched.
 	if code, _ := get(t, "http://"+h.Addr()+"/healthz"); code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d after Handle, want 200", code)
+	}
+}
+
+// TestHTTPSinkCloseReleasesPort: Close gives the port back at once,
+// also for a sink closed before its serve goroutine has run, so a
+// restart (or a node.New that failed part way) can listen on it again.
+func TestHTTPSinkCloseReleasesPort(t *testing.T) {
+	store := NewStore(1)
+	failed := 0
+	for i := 0; i < 300; i++ {
+		h, err := NewHTTPSink("127.0.0.1:0", store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := h.Addr()
+		if err := h.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			failed++
+			continue
+		}
+		ln.Close()
+	}
+	if failed > 0 {
+		t.Fatalf("%d of 300 closed sinks still held their port", failed)
 	}
 }
 

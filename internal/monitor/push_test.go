@@ -12,6 +12,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,135 +63,70 @@ func (c *captureReceiver) handler(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func TestPushSinkWireFormatGolden(t *testing.T) {
-	rec := &captureReceiver{}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
+// The JSON push wire is pinned by push_batch.golden, one section per
+// case, each the single gzip'd ndjson POST that carries goldenBatches:
+//
+//   - v1: no Source, so no "source" field — the original schema.
+//   - v2: the agent's Source rides as a per-sample "source" field
+//     (never a metric prefix), and a relayed sample that carries its
+//     own Source keeps it.
+//   - v3: the label set rides as a "labels" object (sorted keys) and is
+//     omitted, not {}, on an unlabelled relayed record — so that record
+//     is byte-identical to its v2 form.
+//   - sent_at: each record carries the sink's wall-clock enqueue time
+//     right after "time", stamped per Write (two Writes, two stamps).
+//
+// Every other case pins Now at the epoch, which disables stamping.
+func TestPushSinkWireFormatGolden(t *testing.T)         { checkPushGolden(t, "v1") }
+func TestPushSinkWireFormatGoldenV2(t *testing.T)       { checkPushGolden(t, "v2") }
+func TestPushSinkWireFormatGoldenV3(t *testing.T)       { checkPushGolden(t, "v3") }
+func TestPushSinkWireFormatGoldenV3SentAt(t *testing.T) { checkPushGolden(t, "sent_at") }
 
-	// The epoch clock disables sent_at stamping, pinning the original
-	// (pre-sent_at) wire bytes; the stamped form has its own golden.
-	p, err := NewPushSink(PushOptions{URL: srv.URL, FlushSamples: 1 << 20, Now: epochClock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range goldenBatches() {
-		if err := p.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.payloads) != 1 {
-		t.Fatalf("receiver saw %d pushes, want 1", len(rec.payloads))
-	}
-	h := rec.headers[0]
-	if h.Get("Content-Encoding") != "gzip" || h.Get("Content-Type") != "application/x-ndjson" {
-		t.Errorf("push headers = enc %q type %q, want gzip/application/x-ndjson",
-			h.Get("Content-Encoding"), h.Get("Content-Type"))
-	}
-	checkGolden(t, "push_batch.golden", rec.payloads[0])
-}
-
-// TestPushSinkWireFormatGoldenV2 pins the v2 schema: the agent's Source
-// identity rides as a per-sample "source" field (never a metric
-// prefix), and a sample that already carries its own Source — a
-// receiver re-pushing fleet series — keeps it.
-func TestPushSinkWireFormatGoldenV2(t *testing.T) {
-	rec := &captureReceiver{}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
-
-	p, err := NewPushSink(PushOptions{URL: srv.URL, FlushSamples: 1 << 20, Source: "nodeA-7", Now: epochClock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := goldenBatches()
-	// One relayed sample with its own source: the sink must not relabel it.
-	batches[1].Samples = append(batches[1].Samples, Sample{
-		Source: "nodeB-9", Metric: "dp_mflops_s", Scope: ScopeNode, ID: 0, Time: 1.0, Value: 99.5,
-	})
-	for _, b := range batches {
-		if err := p.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.payloads) != 1 {
-		t.Fatalf("receiver saw %d pushes, want 1", len(rec.payloads))
-	}
-	checkGolden(t, "push_batch_v2.golden", rec.payloads[0])
-}
-
-// TestPushSinkWireFormatGoldenV3 pins the v3 schema: the structured
-// label set rides as a per-sample "labels" object (sorted keys, since
-// encoding/json sorts map keys) and is omitted when empty — so an
-// unlabelled v3 record is byte-identical to its v2 form.
-func TestPushSinkWireFormatGoldenV3(t *testing.T) {
-	rec := &captureReceiver{}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
-
-	p, err := NewPushSink(PushOptions{URL: srv.URL, FlushSamples: 1 << 20, Source: "nodeA-7", Now: epochClock})
-	if err != nil {
-		t.Fatal(err)
+// checkPushGolden pushes goldenBatches through the named case's sink and
+// checks the one POST against that case's section of push_batch.golden.
+func checkPushGolden(t *testing.T, name string) {
+	t.Helper()
+	relay := func(bs []Batch) {
+		bs[1].Samples = append(bs[1].Samples, Sample{
+			Source: "nodeB-9", Metric: "dp_mflops_s", Scope: ScopeNode, ID: 0, Time: 1.0, Value: 99.5,
+		})
 	}
 	lbm := mustLabels(t, "job=lbm,cluster=emmy")
-	batches := goldenBatches()
-	// The agent stamp: every sample of the stream carries the label set.
-	for bi := range batches {
-		for si := range batches[bi].Samples {
-			batches[bi].Samples[si].Labels = lbm
-		}
-	}
-	// One unlabelled relayed sample: "labels" must be absent, not {}.
-	batches[1].Samples = append(batches[1].Samples, Sample{
-		Source: "nodeB-9", Metric: "dp_mflops_s", Scope: ScopeNode, ID: 0, Time: 1.0, Value: 99.5,
-	})
-	for _, b := range batches {
-		if err := p.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.payloads) != 1 {
-		t.Fatalf("receiver saw %d pushes, want 1", len(rec.payloads))
-	}
-	checkGolden(t, "push_batch_v3.golden", rec.payloads[0])
-}
-
-// TestPushSinkWireFormatGoldenV3SentAt pins the sent_at extension: each
-// record carries the sink's wall-clock enqueue time as "sent_at" right
-// after "time", stamped per Write call (both goldenBatches arrive in
-// separate Writes, so the two batches carry successive stamps).  The
-// field rides inside the v3 schema — a v3 receiver that ignores unknown
-// fields decodes these payloads unchanged.
-func TestPushSinkWireFormatGoldenV3SentAt(t *testing.T) {
-	rec := &captureReceiver{}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
-
-	// A deterministic advancing clock: Write #1 stamps 100.5, #2 101.5.
-	tick := 0
-	now := func() time.Time {
+	tick := 0 // the sent_at clock: Write #1 stamps 100.5, #2 101.5
+	advancing := func() time.Time {
 		tick++
 		return time.Unix(100, 0).Add(time.Duration(tick-1)*time.Second + 500*time.Millisecond)
 	}
-	p, err := NewPushSink(PushOptions{URL: srv.URL, FlushSamples: 1 << 20, Source: "nodeA-7", Now: now})
+	cases := map[string]struct {
+		source string
+		now    func() time.Time
+		edit   func([]Batch)
+	}{
+		"v1": {"", epochClock, nil},
+		"v2": {"nodeA-7", epochClock, relay},
+		"v3": {"nodeA-7", epochClock, func(bs []Batch) {
+			for bi := range bs {
+				for si := range bs[bi].Samples {
+					bs[bi].Samples[si].Labels = lbm
+				}
+			}
+			relay(bs)
+		}},
+		"sent_at": {"nodeA-7", advancing, nil},
+	}
+	c := cases[name]
+	rec := &captureReceiver{}
+	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
+	defer srv.Close()
+	p, err := NewPushSink(PushOptions{URL: srv.URL, FlushSamples: 1 << 20, Source: c.source, Now: c.now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range goldenBatches() {
+	batches := goldenBatches()
+	if c.edit != nil {
+		c.edit(batches)
+	}
+	for _, b := range batches {
 		if err := p.Write(b); err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +139,42 @@ func TestPushSinkWireFormatGoldenV3SentAt(t *testing.T) {
 	if len(rec.payloads) != 1 {
 		t.Fatalf("receiver saw %d pushes, want 1", len(rec.payloads))
 	}
-	checkGolden(t, "push_batch_v3_sent_at.golden", rec.payloads[0])
+	if h := rec.headers[0]; h.Get("Content-Encoding") != "gzip" || h.Get("Content-Type") != "application/x-ndjson" {
+		t.Errorf("push headers = enc %q type %q, want gzip/application/x-ndjson",
+			h.Get("Content-Encoding"), h.Get("Content-Type"))
+	}
+	checkGoldenSection(t, "push_batch.golden", name, rec.payloads[0])
+}
+
+// checkGoldenSection is checkGolden for one "# name" section of a golden
+// file that holds several cases; -update rewrites only that section.
+func checkGoldenSection(t *testing.T, file, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file: %v", err)
+	}
+	header := []byte("# " + name + "\n")
+	start := bytes.Index(data, header)
+	if start < 0 {
+		t.Fatalf("%s has no section %q", file, name)
+	}
+	start += len(header)
+	end := len(data)
+	if i := bytes.Index(data[start:], []byte("\n# ")); i >= 0 {
+		end = start + i + 1
+	}
+	if *updateGolden {
+		updated := append(append(slices.Clip(data[:start]), got...), data[end:]...)
+		if err := os.WriteFile(path, updated, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if want := data[start:end]; !bytes.Equal(got, want) {
+		t.Errorf("%s section %q mismatch:\n--- got ---\n%s\n--- want ---\n%s", file, name, got, want)
+	}
 }
 
 // TestPushSinkCloseHonorsCancelledContext pins the shutdown bugfix: a

@@ -94,6 +94,9 @@ func (f *FakeClock) Waiters() int {
 	return len(f.waiters)
 }
 
+// maxBackoff caps the per-collector error backoff.
+const maxBackoff = 30 * time.Second
+
 // SchedulerOptions wire a scheduler to its outputs.
 type SchedulerOptions struct {
 	// Clock defaults to the wall clock.
@@ -104,8 +107,6 @@ type SchedulerOptions struct {
 	Aggregator *Aggregator
 	// Dispatcher receives every batch asynchronously (optional).
 	Dispatcher *Dispatcher
-	// MaxBackoff caps the per-collector error backoff (default 30 s).
-	MaxBackoff time.Duration
 	// AdaptiveMax enables adaptive sampling: while a collector's batches
 	// are unchanged within adaptiveEpsilon, its interval stretches
 	// (doubling per unchanged tick) up to this cap, and snaps back to the
@@ -165,9 +166,6 @@ type Scheduler struct {
 func NewScheduler(opts SchedulerOptions) *Scheduler {
 	if opts.Clock == nil {
 		opts.Clock = RealClock
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 30 * time.Second
 	}
 	return &Scheduler{opts: opts}
 }
@@ -286,8 +284,8 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 			// must not take the healthy ones down with it.
 			failures++
 			delay = interval << uint(failures)
-			if delay > s.opts.MaxBackoff || delay <= 0 {
-				delay = s.opts.MaxBackoff
+			if delay > maxBackoff || delay <= 0 {
+				delay = maxBackoff
 			}
 			if s.opts.Logger != nil {
 				s.opts.Logger.Warn("collector failed, backing off",

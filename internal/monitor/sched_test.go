@@ -105,9 +105,8 @@ func TestSchedulerErrorBackoff(t *testing.T) {
 	var reported atomic.Int64
 	c := &fakeCollector{name: "flaky", interval: time.Second, failures: 2}
 	s := NewScheduler(SchedulerOptions{
-		Clock:      fc,
-		MaxBackoff: 8 * time.Second,
-		OnError:    func(string, error) { reported.Add(1) },
+		Clock:   fc,
+		OnError: func(string, error) { reported.Add(1) },
 	})
 	s.Add(c)
 

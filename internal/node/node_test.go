@@ -211,25 +211,15 @@ func TestCloseWithoutRun(t *testing.T) {
 	}
 }
 
-// listenAgain fails unless addr can be listened on again within a
-// second.  An HTTP sink closed before its Serve goroutine has started
-// drops the listener only once that goroutine runs, so the port comes
-// back shortly after Close, not at once; a leaked sink never gives it
-// back.
+// listenAgain fails unless addr can be listened on again right away:
+// a closed node holds no port, and a leaked sink would.
 func listenAgain(t *testing.T, addr string) {
 	t.Helper()
-	deadline := time.Now().Add(time.Second)
-	for {
-		ln, err := net.Listen("tcp", addr)
-		if err == nil {
-			ln.Close()
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s is still held after Close: %v", addr, err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("%s is still held after Close: %v", addr, err)
 	}
+	ln.Close()
 }
 
 // TestNewFailureReleases: a New that fails part way releases what it

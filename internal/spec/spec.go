@@ -1,9 +1,9 @@
-// Package spec is the shared scanner of the suite's one-line rule
-// languages.  The alert DSL (internal/alert) and the derived-series DSL
-// (internal/derive) read the same lexical shapes — bare words, quoted
-// metrics, [SOURCE/]METRIC{label="value"} selectors, durations — so the
-// tokenizer, the selector reader and the quoting rules live here once:
-// one parser family, two grammars on top of it.
+// Package spec is the one rule grammar of the suite.  Alert rules
+// (internal/alert) and recorded rules (internal/derive) are lines of
+// one shape, NAME SEP FN(selector, ...) ... (expr.go), so the
+// tokenizer, the selector reader, the quoting rules, the expression
+// parser and renderer and the rule-file loop live here once; each kind
+// adds its separator, function names, tail and rejections.
 //
 // Errors carry 1-based line:column positions prefixed with the owning
 // language's name ("alert: line 3:17: ..."), so a typo in a 50-rule
@@ -12,10 +12,12 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"likwid/internal/monitor"
 )
@@ -75,25 +77,37 @@ func (s *Scanner) Peek() byte {
 }
 
 // Word reads a maximal run of non-delimiter characters.
-func (s *Scanner) Word() (string, int) {
+func (s *Scanner) Word() (string, int) { return s.word(WordBreak) }
+
+// selectorWord reads a maximal run of non-delimiter characters, also
+// stopping at '/' — the source/metric separator of a selector.
+func (s *Scanner) selectorWord() (string, int) { return s.word(WordBreak + "/") }
+
+// word reads a run of characters up to the first byte of stop.  It
+// also stops at a character a quoted string may not hold (plainAt):
+// a bare word is rendered back quoted when it needs quoting, so it may
+// hold no more than a quoted string can.
+func (s *Scanner) word(stop string) (string, int) {
 	s.SkipSpace()
 	start := s.pos
-	for s.pos < len(s.src) && !strings.ContainsRune(WordBreak, rune(s.src[s.pos])) {
-		s.pos++
+	for s.pos < len(s.src) && strings.IndexByte(stop, s.src[s.pos]) < 0 {
+		n := plainAt(s.src, s.pos)
+		if n == 0 {
+			break
+		}
+		s.pos += n
 	}
 	return s.src[start:s.pos], start + 1
 }
 
-// selectorWord reads a maximal run of non-delimiter characters, also
-// stopping at '/' — the source/metric separator of a selector.
-func (s *Scanner) selectorWord() (string, int) {
-	s.SkipSpace()
-	start := s.pos
-	for s.pos < len(s.src) && s.src[s.pos] != '/' &&
-		!strings.ContainsRune(WordBreak, rune(s.src[s.pos])) {
-		s.pos++
+// plainAt is the byte length of the character at src[i] when Quoted
+// would accept it, 0 when %q would escape it.
+func plainAt(src string, i int) int {
+	_, n := utf8.DecodeRuneInString(src[i:])
+	if c := src[i : i+n]; strconv.Quote(c) != `"`+c+`"` {
+		return 0
 	}
-	return s.src[start:s.pos], start + 1
+	return n
 }
 
 // Selector reads the [SOURCE/]METRIC selector of a rule expression into
@@ -254,9 +268,9 @@ func (s *Scanner) Duration(what string, allowZero bool) (time.Duration, error) {
 	return d, nil
 }
 
-// ValidName reports whether a rule name is usable as a series-name
+// validName reports whether a rule name is usable as a series-name
 // component: letters, digits, '_', '-', '.'.
-func ValidName(name string) bool {
+func validName(name string) bool {
 	if name == "" {
 		return false
 	}
@@ -321,8 +335,14 @@ func RenderSelector(source, metric string, matchers []monitor.Label) string {
 }
 
 // FormatSeconds renders a simulated-seconds quantity as a Go duration.
+// It clamps at the longest Duration: the seconds of a duration near it
+// round up past it, and the conversion would wrap to a negative one.
 func FormatSeconds(s float64) string {
-	return time.Duration(s * float64(time.Second)).String()
+	ns := s * float64(time.Second)
+	if ns >= math.MaxInt64 {
+		return time.Duration(math.MaxInt64).String()
+	}
+	return time.Duration(ns).String()
 }
 
 // StripComment removes a '#' comment, respecting quoted metrics.
