@@ -18,75 +18,87 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"likwid/internal/experiments"
 )
 
+// The paper's sample count per STREAM thread count, and the Jacobi sweeps
+// per Fig. 11 point.
+const (
+	defaultSamples = 100
+	defaultIters   = 20
+)
+
 func main() {
 	only := flag.String("only", "", "run a single experiment id")
-	samples := flag.Int("samples", 100, "STREAM samples per thread count")
-	iters := flag.Int("iters", 20, "Jacobi iterations per Fig. 11 point")
+	samples := flag.Int("samples", defaultSamples, "STREAM samples per thread count")
+	iters := flag.Int("iters", defaultIters, "Jacobi iterations per Fig. 11 point")
 	flag.Parse()
 
-	fail := func(err error) {
+	if err := run(os.Stdout, *only, *samples, *iters); err != nil {
 		fmt.Fprintln(os.Stderr, "likwid-repro:", err)
 		os.Exit(1)
 	}
-	want := func(id string) bool { return *only == "" || *only == id }
-	section := func(title string) {
-		fmt.Printf("\n================ %s ================\n", title)
-	}
+}
 
+// run writes the experiments selected by only ("" for all) to w and stops
+// at the first one that fails.
+func run(w io.Writer, only string, samples, iters int) error {
+	want := func(id string) bool { return only == "" || only == id }
+	section := func(title string) {
+		fmt.Fprintf(w, "\n================ %s ================\n", title)
+	}
 	if want("fig1") {
 		section("Fig. 1 / §II-B: node topology (likwid-topology)")
 		for _, arch := range []string{"nehalemEP", "westmereEP"} {
 			out, err := experiments.Fig1Topology(arch)
 			if err != nil {
-				fail(err)
+				return err
 			}
-			fmt.Print(out)
+			fmt.Fprint(w, out)
 		}
 	}
 	if want("fig2") {
 		section("Fig. 2: event sets, events and counters")
 		out, err := experiments.Fig2GroupMapping("core2", "FLOPS_DP")
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(out)
+		fmt.Fprint(w, out)
 	}
 	if want("fig3") {
 		section("Fig. 3: likwid-pin mechanism")
 		out, err := experiments.Fig3PinMechanism()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(out)
+		fmt.Fprint(w, out)
 	}
 	if want("marker") {
 		section("§II-A listing: marker mode FLOPS_DP on Core 2 Quad")
 		out, err := experiments.MarkerListing()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(out)
+		fmt.Fprint(w, out)
 	}
 	if want("groups") {
 		section("§II-A table: preconfigured event sets")
 		out, err := experiments.EventGroupTable("westmereEP")
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(out)
+		fmt.Fprint(w, out)
 	}
 	if want("features") {
 		section("§II-D listing: likwid-features")
 		out, err := experiments.FeaturesListing()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(out)
+		fmt.Fprint(w, out)
 	}
 	for _, spec := range experiments.StreamFigures() {
 		id := fmt.Sprintf("fig%d", 3+figIndex(spec.ID))
@@ -95,57 +107,58 @@ func main() {
 		}
 		section(spec.ID + ": " + spec.Caption)
 		s := spec
-		s.Samples = *samples
+		s.Samples = samples
 		points, err := s.Run()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(s.Render(points))
+		fmt.Fprint(w, s.Render(points))
 	}
 	if want("fig11") {
 		section("Fig. 11: Jacobi smoother vs problem size")
-		points, err := experiments.Fig11(experiments.Fig11Sizes(), *iters)
+		points, err := experiments.Fig11(experiments.Fig11Sizes(), iters)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.RenderFig11(points))
+		fmt.Fprint(w, experiments.RenderFig11(points))
 	}
 	if want("table2") {
 		section("Table II: uncore measurement of the Jacobi variants")
 		rows, err := experiments.TableII()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.RenderTableII(rows))
+		fmt.Fprint(w, experiments.RenderTableII(rows))
 	}
 	if want("ablations") {
 		section("Ablations")
 		mux, err := experiments.AblationMultiplex()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.RenderMultiplex(mux))
+		fmt.Fprint(w, experiments.RenderMultiplex(mux))
 		lock, err := experiments.AblationSocketLock()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.RenderSocketLock(lock))
+		fmt.Fprint(w, experiments.RenderSocketLock(lock))
 		pf, err := experiments.AblationPrefetchers()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.RenderPrefetchers(pf))
-		pl, err := experiments.AblationPlacement(6, *samples/2+2)
+		fmt.Fprint(w, experiments.RenderPrefetchers(pf))
+		pl, err := experiments.AblationPlacement(6, samples/2+2)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.RenderPlacement(pl, 6))
+		fmt.Fprint(w, experiments.RenderPlacement(pl, 6))
 		smt, err := experiments.AblationSMTOrder()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.RenderSMTOrder(smt))
+		fmt.Fprint(w, experiments.RenderSMTOrder(smt))
 	}
+	return nil
 }
 
 // figIndex recovers the figure number offset from the spec ID ("Fig. 4").

@@ -159,7 +159,7 @@ func MarkerListing() (string, error) {
 	}
 	// One scalar SSE op per core, exactly as in the paper's Init region.
 	for _, cpu := range cpus {
-		if err := m.Inject(cpu, machine.Counts{
+		if err := m.Inject(cpu, &machine.Counts{
 			machine.EvInstr: 330000, machine.EvCycles: 420000, machine.EvFlopsScalarDP: 1,
 		}); err != nil {
 			return "", err

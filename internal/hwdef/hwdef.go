@@ -276,17 +276,20 @@ func (a *Arch) Validate() error {
 func (a *Arch) DataCaches() []CacheLevel {
 	var out []CacheLevel
 	for _, c := range a.Caches {
-		if c.Type == DataCache || c.Type == UnifiedCache {
+		if c.isData() {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
+// isData reports whether a cache level holds data (data or unified).
+func (c CacheLevel) isData() bool { return c.Type == DataCache || c.Type == UnifiedCache }
+
 // CacheAt returns the data/unified cache at the given level, if present.
 func (a *Arch) CacheAt(level int) (CacheLevel, bool) {
-	for _, c := range a.DataCaches() {
-		if c.Level == level {
+	for _, c := range a.Caches {
+		if c.isData() && c.Level == level {
 			return c, true
 		}
 	}
@@ -295,15 +298,12 @@ func (a *Arch) CacheAt(level int) (CacheLevel, bool) {
 
 // LastLevelCache returns the highest data/unified level.
 func (a *Arch) LastLevelCache() (CacheLevel, bool) {
-	dc := a.DataCaches()
-	if len(dc) == 0 {
-		return CacheLevel{}, false
-	}
-	best := dc[0]
-	for _, c := range dc[1:] {
-		if c.Level > best.Level {
-			best = c
+	var best CacheLevel
+	found := false
+	for _, c := range a.Caches {
+		if c.isData() && (!found || c.Level > best.Level) {
+			best, found = c, true
 		}
 	}
-	return best, true
+	return best, found
 }

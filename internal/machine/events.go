@@ -41,8 +41,13 @@ const (
 // rather than per hardware thread.
 func (e Ev) SocketScope() bool { return e >= EvL3LinesIn }
 
-// Counts is a per-element (or per-slice) canonical event vector.
-type Counts map[Ev]float64
+// Counts is a canonical event vector, per element or per slice: one
+// float64 per Ev, indexed by the Ev itself, so the core-scope keys come
+// first and the socket-scope keys run from EvL3LinesIn to the end.  It is
+// a fixed-size array, not a map: a keyed literal such as
+// Counts{EvInstr: 3, EvFlopsPackedDP: 1} leaves every other event at zero,
+// and the engine accumulates and delivers one without allocating.
+type Counts [evCount]float64
 
 // Term contributes Weight × canonical-count to an architectural event.
 type Term struct {
@@ -52,8 +57,8 @@ type Term struct {
 
 // synthesis maps architectural event names to linear combinations of
 // canonical events.  Event names are unique across vendor families, so one
-// table serves every architecture; names an architecture does not define
-// are simply never queried for it.
+// table serves every architecture; New resolves each event an architecture
+// defines to its terms once, keyed by the counter encoding.
 //
 // Deliberate fidelity notes:
 //   - Nehalem's FP_COMP_OPS_EXE_SSE_FP_PACKED counts packed ops of *both*
@@ -131,13 +136,12 @@ var synthesis = map[string][]Term{
 	"UNC_DRAM_ACCESSES_WRITES": {{EvMemWriteLines, 1}},
 }
 
-// evaluate computes an architectural event's delta from a canonical vector.
-func evaluate(name string, deltas Counts) float64 {
+// evaluate computes an architectural event's delta, given its synthesis
+// terms, from a canonical vector.  The terms are summed in table order.
+func evaluate(terms []Term, deltas *Counts) float64 {
 	var sum float64
-	for _, t := range synthesis[name] {
-		if v, ok := deltas[t.Key]; ok {
-			sum += t.Weight * v
-		}
+	for _, t := range terms {
+		sum += t.Weight * deltas[t.Key]
 	}
 	return sum
 }

@@ -93,12 +93,13 @@ func (m *Machine) RunPhase(works []*ThreadWork, dt float64) float64 {
 		}
 	}
 	for {
-		active := works[:0:0]
+		active := m.sc.active[:0]
 		for _, w := range works {
 			if w.Remaining() > 1e-9 {
 				active = append(active, w)
 			}
 		}
+		m.sc.active = active
 		if len(active) == 0 {
 			break
 		}
@@ -130,30 +131,89 @@ func (m *Machine) RunIdle(duration, dt float64) {
 	}
 }
 
+// scratch is the engine's per-slice working memory, held on the Machine
+// and reused by every slice.  Per-CPU, per-core and per-socket rows are
+// sized once by init; per-task rows grow to the largest phase seen.
+type scratch struct {
+	active []*ThreadWork
+
+	// Occupancy: active tasks per hardware thread, busy hardware threads
+	// per physical core (socket*CoresPerSocket + core), and each cpu's
+	// row in coreBusy.
+	onCPU    []int
+	coreBusy []int
+	coreOf   []int
+
+	// Per active task: in-core rate, L3-bound rate, and the indexes of its
+	// [local, remote] memory demands (-1: none).
+	coreRate  []float64
+	l3Rate    []float64
+	demandIdx [][2]int
+
+	demands []memsys.Demand
+	grants  []memsys.Grant
+
+	// One socket's L3 demands, the tasks they belong to, and the grants.
+	l3Demand []float64
+	l3Who    []int
+	l3Grant  []float64
+
+	// Socket-scope deltas per socket (touched: some task delivered), and
+	// the busy time per hardware thread.
+	socket  []Counts
+	touched []bool
+	cpuTime []float64
+}
+
+// init sizes the per-CPU, per-core and per-socket rows for m's node.
+func (sc *scratch) init(m *Machine) {
+	n := m.OS.NumCPUs()
+	sc.onCPU = make([]int, n)
+	sc.cpuTime = make([]float64, n)
+	sc.coreOf = make([]int, n)
+	for cpu := range sc.coreOf {
+		s, c := m.OS.CoreOf(cpu)
+		sc.coreOf[cpu] = s*m.Arch.CoresPerSocket + c
+	}
+	sc.coreBusy = make([]int, m.Arch.Sockets*m.Arch.CoresPerSocket)
+	sc.socket = make([]Counts, m.Arch.Sockets)
+	sc.touched = make([]bool, m.Arch.Sockets)
+}
+
+// perTask resizes the per-task rows to n active tasks.
+func (sc *scratch) perTask(n int) {
+	if cap(sc.coreRate) < n {
+		sc.coreRate = make([]float64, n)
+		sc.l3Rate = make([]float64, n)
+		sc.demandIdx = make([][2]int, n)
+	}
+	sc.coreRate = sc.coreRate[:n]
+	sc.l3Rate = sc.l3Rate[:n]
+	sc.demandIdx = sc.demandIdx[:n]
+}
+
 func (m *Machine) step(active []*ThreadWork, dt float64) {
 	clock := m.Arch.ClockHz()
 	perf := m.Arch.Perf
+	sc := &m.sc
+	sc.perTask(len(active))
 
 	// Occupancy.
-	onCPU := map[int][]*ThreadWork{}
+	clear(sc.onCPU)
+	clear(sc.coreBusy)
 	for _, w := range active {
-		onCPU[w.Task.CPU] = append(onCPU[w.Task.CPU], w)
-	}
-	coreBusy := map[[2]int]int{} // physical core -> busy hardware threads
-	for cpu := range onCPU {
-		s, c := m.OS.CoreOf(cpu)
-		coreBusy[[2]int{s, c}]++
+		cpu := w.Task.CPU
+		sc.onCPU[cpu]++
+		if sc.onCPU[cpu] == 1 {
+			sc.coreBusy[sc.coreOf[cpu]]++
+		}
 	}
 
 	// Phase A: in-core rates and memory demands.
-	coreRate := make([]float64, len(active))
-	demands := make([]memsys.Demand, 0, 2*len(active))
-	demandIdx := make([][2]int, len(active)) // [local, remote] indexes, -1 none
-	l3Demand := map[int][]float64{}
-	l3Who := map[int][]int{}
+	demands := sc.demands[:0]
 	for i, w := range active {
 		cpu := w.Task.CPU
-		nShare := len(onCPU[cpu])
+		nShare := sc.onCPU[cpu]
 		share := 1.0 / float64(nShare)
 		if nShare > 1 {
 			share *= 1 - perf.OversubscribePenalty*float64(nShare-1)
@@ -161,22 +221,21 @@ func (m *Machine) step(active []*ThreadWork, dt float64) {
 				share = 0.05
 			}
 		}
-		s, c := m.OS.CoreOf(cpu)
 		smtFactor := 1.0
-		if coreBusy[[2]int{s, c}] > 1 {
+		if busy := sc.coreBusy[sc.coreOf[cpu]]; busy > 1 {
 			gain := perf.SMTVectorGain
 			if !w.PerElem.Vector {
 				gain = perf.SMTScalarGain
 			}
-			smtFactor = gain / float64(coreBusy[[2]int{s, c}])
+			smtFactor = gain / float64(busy)
 		}
 		rate := math.Inf(1)
 		if w.PerElem.Cycles > 0 {
 			rate = clock / w.PerElem.Cycles * smtFactor * share
 		}
-		coreRate[i] = rate
+		sc.coreRate[i] = rate
 
-		demandIdx[i] = [2]int{-1, -1}
+		sc.demandIdx[i] = [2]int{-1, -1}
 		bpe := w.PerElem.BytesPerElem()
 		if bpe > 0 && !math.IsInf(rate, 1) {
 			// The per-core bandwidth ceiling (line-fill buffers) is a
@@ -198,7 +257,7 @@ func (m *Machine) step(active []*ThreadWork, dt float64) {
 			remote := bytesWanted * w.PerElem.RemoteFraction
 			from := m.SocketOf(cpu)
 			if local > 0 {
-				demandIdx[i][0] = len(demands)
+				sc.demandIdx[i][0] = len(demands)
 				demands = append(demands, memsys.Demand{
 					Task: i, HomeSocket: w.HomeSocket, FromSocket: from,
 					Bytes: local, NTFraction: ntFrac,
@@ -206,50 +265,58 @@ func (m *Machine) step(active []*ThreadWork, dt float64) {
 			}
 			if remote > 0 {
 				other := (w.HomeSocket + 1) % m.Arch.Sockets
-				demandIdx[i][1] = len(demands)
+				sc.demandIdx[i][1] = len(demands)
 				demands = append(demands, memsys.Demand{
 					Task: i, HomeSocket: other, FromSocket: from,
 					Bytes: remote, NTFraction: ntFrac,
 				})
 			}
 		}
-		if w.PerElem.L3Bytes > 0 && !math.IsInf(rate, 1) {
-			sock := m.SocketOf(cpu)
-			l3Demand[sock] = append(l3Demand[sock], rate*w.PerElem.L3Bytes)
-			l3Who[sock] = append(l3Who[sock], i)
-		}
 	}
+	sc.demands = demands
+	grants := m.Mem.Arbitrate(sc.grants[:0], demands)
+	sc.grants = grants
 
-	grants := m.Mem.Arbitrate(demands)
-	l3Rate := make([]float64, len(active))
-	for i := range l3Rate {
-		l3Rate[i] = math.Inf(1)
+	// Per-socket L3 bandwidth, water-filled among the socket's tasks in
+	// task order.
+	for i := range sc.l3Rate {
+		sc.l3Rate[i] = math.Inf(1)
 	}
-	for sock, dms := range l3Demand {
-		granted := memsys.Waterfill(perf.L3BW, dms)
-		for j, i := range l3Who[sock] {
-			if w := active[i]; w.PerElem.L3Bytes > 0 {
-				l3Rate[i] = granted[j] / w.PerElem.L3Bytes
+	for sock := range sc.socket {
+		dms, who := sc.l3Demand[:0], sc.l3Who[:0]
+		for i, w := range active {
+			if w.PerElem.L3Bytes > 0 && !math.IsInf(sc.coreRate[i], 1) && m.SocketOf(w.Task.CPU) == sock {
+				dms = append(dms, sc.coreRate[i]*w.PerElem.L3Bytes)
+				who = append(who, i)
 			}
+		}
+		sc.l3Demand, sc.l3Who = dms, who
+		if len(dms) == 0 {
+			continue
+		}
+		sc.l3Grant = memsys.Waterfill(sc.l3Grant[:0], perf.L3BW, dms)
+		for j, i := range who {
+			sc.l3Rate[i] = sc.l3Grant[j] / active[i].PerElem.L3Bytes
 		}
 	}
 
 	// Phase B: advance each task at its bottleneck rate and deliver
 	// events.
-	socketDeltas := map[int]Counts{}
-	cpuTime := map[int]float64{}
+	clear(sc.touched)
+	clear(sc.cpuTime)
+	line := m.line
 	for i, w := range active {
-		rate := coreRate[i]
+		rate := sc.coreRate[i]
 		if bpe := w.PerElem.BytesPerElem(); bpe > 0 {
 			var granted float64
-			for _, gi := range demandIdx[i] {
+			for _, gi := range sc.demandIdx[i] {
 				if gi >= 0 {
 					granted += grants[gi].Bytes
 				}
 			}
 			rate = math.Min(rate, granted/bpe)
 		}
-		rate = math.Min(rate, l3Rate[i])
+		rate = math.Min(rate, sc.l3Rate[i])
 
 		var dElems, used float64
 		switch {
@@ -265,30 +332,8 @@ func (m *Machine) step(active []*ThreadWork, dt float64) {
 		if w.Remaining() <= 1e-9 && w.FinishTime == 0 {
 			w.FinishTime = m.now + used
 		}
-		if used > cpuTime[w.Task.CPU] {
-			cpuTime[w.Task.CPU] = used
-		}
-
-		// Derived traffic events of this work's slice.
-		line := 64.0
-		if llc, ok := m.Arch.LastLevelCache(); ok {
-			line = float64(llc.LineSize)
-		}
-		derived := make(Counts, 6)
-		derived[EvMemReadLines] = w.PerElem.MemReadBytes * dElems / line
-		derived[EvMemWriteLines] = (w.PerElem.MemWriteBytes + w.PerElem.MemNTBytes) * dElems / line
-		derived[EvL3LinesIn] = w.PerElem.MemReadBytes * dElems / line
-		// In steady state every allocated line is eventually victimized,
-		// so UNC_L3_LINES_OUT tracks the allocation flow (clean drops +
-		// dirty write-backs) — the near-equality of lines-in and
-		// lines-out across all three Jacobi variants in Table II.
-		derived[EvL3LinesOut] = w.PerElem.MemReadBytes * dElems / line
-		derived[EvL3Misses] = (w.PerElem.MemReadBytes + w.PerElem.MemWriteBytes) * dElems / line
-		if w.PerElem.L3Bytes > 0 {
-			hits := (w.PerElem.L3Bytes - w.PerElem.MemReadBytes - w.PerElem.MemWriteBytes) * dElems / line
-			if hits > 0 {
-				derived[EvL3Hits] = hits
-			}
+		if used > sc.cpuTime[w.Task.CPU] {
+			sc.cpuTime[w.Task.CPU] = used
 		}
 
 		// Core-scope delivery: explicit per-element counts plus the
@@ -296,40 +341,60 @@ func (m *Machine) step(active []*ThreadWork, dt float64) {
 		// Pentium M, Atom, K8) the memory traffic is observable through
 		// per-core bus events like BUS_TRANS_MEM_ALL, so traffic keys
 		// must reach the issuing core's counters too.  No event is
-		// defined in both domains, so nothing double-counts.
-		coreDeltas := make(Counts, len(w.PerElem.Counts)+len(derived))
+		// defined in both domains, so nothing double-counts.  A key in
+		// both sets adds its explicit count first, then its derived one:
+		// float addition is not associative, and the paper's figures
+		// are pinned to the bit.
 		sock := m.SocketOf(w.Task.CPU)
-		if socketDeltas[sock] == nil {
-			socketDeltas[sock] = make(Counts)
+		if !sc.touched[sock] {
+			sc.touched[sock] = true
+			sc.socket[sock] = Counts{}
 		}
-		sd := socketDeltas[sock]
-		for k, v := range w.PerElem.Counts {
-			if k.SocketScope() {
+		sd := &sc.socket[sock]
+		var core Counts
+		for k, v := range &w.PerElem.Counts {
+			core[k] = v * dElems
+			if Ev(k).SocketScope() {
 				sd[k] += v * dElems
-				coreDeltas[k] += v * dElems
-				continue
 			}
-			coreDeltas[k] += v * dElems
 		}
-		for k, v := range derived {
+		derive := func(k Ev, v float64) {
 			sd[k] += v
-			coreDeltas[k] += v
+			core[k] += v
 		}
-		m.deliverCore(w.Task.CPU, coreDeltas)
+		// Derived traffic events of this work's slice.
+		derive(EvMemReadLines, w.PerElem.MemReadBytes*dElems/line)
+		derive(EvMemWriteLines, (w.PerElem.MemWriteBytes+w.PerElem.MemNTBytes)*dElems/line)
+		derive(EvL3LinesIn, w.PerElem.MemReadBytes*dElems/line)
+		// In steady state every allocated line is eventually victimized,
+		// so UNC_L3_LINES_OUT tracks the allocation flow (clean drops +
+		// dirty write-backs) — the near-equality of lines-in and
+		// lines-out across all three Jacobi variants in Table II.
+		derive(EvL3LinesOut, w.PerElem.MemReadBytes*dElems/line)
+		derive(EvL3Misses, (w.PerElem.MemReadBytes+w.PerElem.MemWriteBytes)*dElems/line)
+		if w.PerElem.L3Bytes > 0 {
+			hits := (w.PerElem.L3Bytes - w.PerElem.MemReadBytes - w.PerElem.MemWriteBytes) * dElems / line
+			if hits > 0 {
+				derive(EvL3Hits, hits)
+			}
+		}
+		m.deliverCore(w.Task.CPU, &core)
 	}
 
 	// Unhalted cycles per busy hardware thread.
-	for cpu, used := range cpuTime {
+	for cpu, used := range sc.cpuTime {
 		if used <= 0 {
 			continue
 		}
-		m.deliverCore(cpu, Counts{
+		m.deliverCore(cpu, &Counts{
 			EvCycles:    used * clock,
 			EvCyclesRef: used * clock,
 		})
 	}
-	for sock, deltas := range socketDeltas {
-		m.deliverSocket(sock, deltas)
+	for sock := range sc.socket {
+		if sc.touched[sock] {
+			m.deliverSocket(sock, &sc.socket[sock])
+		}
 	}
 	m.now += dt
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"likwid/internal/msr"
 	"likwid/internal/sched"
 )
 
@@ -148,6 +149,80 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// TestSameSeedSamePlacementsAndCounts: two machines built with one seed
+// and driven alike (an unpinned team, counters armed everywhere, a task
+// exiting between phases) agree on every task's placement and on every
+// counter register after every phase.  The balancer draws its random
+// numbers per task in ID order; any other order would break this.
+func TestSameSeedSamePlacementsAndCounts(t *testing.T) {
+	type node struct {
+		m     *Machine
+		works []*ThreadWork
+	}
+	build := func() node {
+		m, err := NewNamed("westmereEP", Options{Policy: sched.PolicySpread, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		armAll(t, m)
+		master := m.OS.Spawn("master", nil)
+		team, err := sched.SpawnTeam(m.OS, sched.RuntimeIntelOMP, 8, master, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var works []*ThreadWork
+		for _, w := range team.Workers {
+			works = append(works, &ThreadWork{Task: w, PerElem: streamlike()})
+		}
+		return node{m, works}
+	}
+	a, b := build(), build()
+	moved := false
+	for phase := 0; phase < 6; phase++ {
+		if phase == 3 {
+			// Exit from the middle of the ID order.
+			a.m.OS.Exit(a.works[2].Task)
+			b.m.OS.Exit(b.works[2].Task)
+			a.works = append(a.works[:2], a.works[3:]...)
+			b.works = append(b.works[:2], b.works[3:]...)
+		}
+		before := make([]int, len(a.works))
+		for i, w := range a.works {
+			before[i] = w.Task.CPU
+		}
+		for _, n := range []node{a, b} {
+			for _, w := range n.works {
+				w.Elems, w.Done, w.FinishTime = 1e6, 0, 0
+			}
+			n.m.RunPhase(n.works, 0)
+		}
+		for i := range a.works {
+			if a.works[i].Task.CPU != b.works[i].Task.CPU {
+				t.Fatalf("phase %d: task %d on cpu %d vs %d", phase, a.works[i].Task.ID, a.works[i].Task.CPU, b.works[i].Task.CPU)
+			}
+			moved = moved || a.works[i].Task.CPU != before[i]
+		}
+		for cpu := 0; cpu < a.m.OS.NumCPUs(); cpu++ {
+			da, _ := a.m.MSRs.Open(cpu)
+			db, _ := b.m.MSRs.Open(cpu)
+			regs := []uint32{msr.IA32FixedCtr0, msr.IA32FixedCtr0 + 1, msr.IA32FixedCtr0 + 2, msr.UncPMC, msr.UncPMC + 1, msr.UncPMC + 2, msr.UncPMC + 3}
+			for i := 0; i < a.m.Arch.NumPMC; i++ {
+				regs = append(regs, msr.IA32PMC0+uint32(i))
+			}
+			for _, reg := range regs {
+				va, _ := da.Read(reg)
+				vb, _ := db.Read(reg)
+				if va != vb {
+					t.Fatalf("phase %d: cpu %d register %#x reads %d vs %d", phase, cpu, reg, va, vb)
+				}
+			}
+		}
+	}
+	if !moved {
+		t.Fatal("no task migrated in six phases; the test does not exercise the balancer")
+	}
+}
+
 func TestUnpinnedMigrationChangesOutcomes(t *testing.T) {
 	// Different seeds must produce different unpinned outcomes (the whole
 	// premise of the variance figures).
@@ -175,10 +250,10 @@ func TestUnpinnedMigrationChangesOutcomes(t *testing.T) {
 
 func TestInjectValidation(t *testing.T) {
 	m := newWestmere(t)
-	if err := m.Inject(-1, Counts{EvInstr: 1}); err == nil {
+	if err := m.Inject(-1, &Counts{EvInstr: 1}); err == nil {
 		t.Error("negative cpu must fail")
 	}
-	if err := m.Inject(24, Counts{EvInstr: 1}); err == nil {
+	if err := m.Inject(24, &Counts{EvInstr: 1}); err == nil {
 		t.Error("out-of-range cpu must fail")
 	}
 }

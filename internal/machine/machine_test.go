@@ -19,7 +19,7 @@ func newWestmere(t *testing.T) *Machine {
 }
 
 // armPMC programs PMC slot on a cpu for the named event and enables it.
-func armPMC(t *testing.T, m *Machine, cpu, slot int, event string) {
+func armPMC(t testing.TB, m *Machine, cpu, slot int, event string) {
 	t.Helper()
 	ev, err := m.Arch.EventByName(event)
 	if err != nil {
@@ -56,7 +56,7 @@ func readPMC(t *testing.T, m *Machine, cpu, slot int) uint64 {
 func TestInjectRoutesToArmedCounter(t *testing.T) {
 	m := newWestmere(t)
 	armPMC(t, m, 3, 0, "FP_COMP_OPS_EXE_SSE_FP_PACKED")
-	if err := m.Inject(3, Counts{EvFlopsPackedDP: 1000}); err != nil {
+	if err := m.Inject(3, &Counts{EvFlopsPackedDP: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	if got := readPMC(t, m, 3, 0); got != 1000 {
@@ -74,7 +74,7 @@ func TestInjectIgnoresDisabledCounter(t *testing.T) {
 	dev, _ := m.MSRs.Open(0)
 	// Evtsel programmed but enable bit clear, global ctrl off.
 	dev.Write(msr.IA32PerfEvtSel0, msr.EvtselEncode(ev.Code, ev.Umask)&^msr.EvtselEnable)
-	m.Inject(0, Counts{EvFlopsPackedDP: 500})
+	m.Inject(0, &Counts{EvFlopsPackedDP: 500})
 	if got := readPMC(t, m, 0, 0); got != 0 {
 		t.Fatalf("disabled counter counted %d events", got)
 	}
@@ -85,7 +85,7 @@ func TestFixedCountersViaCtrl(t *testing.T) {
 	dev, _ := m.MSRs.Open(0)
 	dev.Write(msr.IA32FixedCtrCtrl, 0x33)             // enable fixed 0 and 1
 	dev.Write(msr.IA32PerfGlobalCtl, uint64(0x7)<<32) // global fixed enables
-	m.Inject(0, Counts{EvInstr: 777, EvCycles: 999})
+	m.Inject(0, &Counts{EvInstr: 777, EvCycles: 999})
 	if v, _ := dev.Read(msr.IA32FixedCtr0); v != 777 {
 		t.Errorf("FIXED_CTR0 = %d, want 777", v)
 	}
@@ -105,7 +105,7 @@ func TestSocketScopeDelivery(t *testing.T) {
 	dev.Write(msr.UncPerfEvtSel, msr.EvtselEncode(ev.Code, ev.Umask))
 	dev.Write(msr.UncGlobalCtl, 1)
 	// Inject via a *different* core of socket 0: cpu 13 (SMT of core 1).
-	m.Inject(13, Counts{EvL3LinesIn: 4242})
+	m.Inject(13, &Counts{EvL3LinesIn: 4242})
 	v, _ := dev.Read(msr.UncPMC)
 	if v != 4242 {
 		t.Fatalf("uncore PMC = %d, want 4242", v)
@@ -123,7 +123,7 @@ func TestAMDCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	armPMC(t, m, 0, 2, "RETIRED_SSE_OPERATIONS_PACKED_DOUBLE")
-	m.Inject(0, Counts{EvFlopsPackedDP: 100})
+	m.Inject(0, &Counts{EvFlopsPackedDP: 100})
 	// K10 counts FLOPs: 2 per packed DP instruction.
 	if got := readPMC(t, m, 0, 2); got != 200 {
 		t.Fatalf("K10 packed-double counter = %d, want 200 (2 flops/instr)", got)
@@ -281,7 +281,7 @@ func TestFractionalResidualsAreExact(t *testing.T) {
 	// Deliver 0.25 events 1000 times: the counter must end at exactly 250
 	// (0.25 is binary-exact, so no float drift can excuse a loss).
 	for i := 0; i < 1000; i++ {
-		m.Inject(0, Counts{EvFlopsScalarDP: 0.25})
+		m.Inject(0, &Counts{EvFlopsScalarDP: 0.25})
 	}
 	got := readPMC(t, m, 0, 0)
 	if got != 250 {

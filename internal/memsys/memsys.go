@@ -44,37 +44,52 @@ type System struct {
 func New(a *hwdef.Arch) *System { return &System{arch: a} }
 
 // Arbitrate distributes controller bandwidth across the demands of one time
-// slice and returns per-task grants in the same order.
+// slice and appends one grant per demand, in demand order, to dst.
 //
 // Algorithm: demands are grouped by home controller and water-filled
 // (max-min fairness) against the controller's capacity.  A demand's
 // *effective* capacity cost is inflated by the NT-store efficiency factor
 // and by the remote-access penalty when the requesting core is on a
 // different socket than the memory.
-func (s *System) Arbitrate(demands []Demand) []Grant {
-	grants := make([]Grant, len(demands))
-	byHome := make(map[int][]int)
+func (s *System) Arbitrate(dst []Grant, demands []Demand) []Grant {
+	start := len(dst)
+	for _, d := range demands {
+		dst = append(dst, Grant{Task: d.Task})
+	}
+	grants := dst[start:]
 	for i, d := range demands {
-		grants[i] = Grant{Task: d.Task}
-		byHome[d.HomeSocket] = append(byHome[d.HomeSocket], i)
-	}
-	for home, idxs := range byHome {
-		_ = home
-		// Effective demand in controller-capacity units.
-		eff := make([]float64, len(idxs))
-		for j, i := range idxs {
-			eff[j] = s.effectiveCost(demands[i])
-		}
-		granted := Waterfill(s.arch.Perf.SocketMemBW, eff)
-		for j, i := range idxs {
-			if eff[j] <= 0 {
-				continue
-			}
-			// Convert the granted capacity back to payload bytes.
-			grants[i].Bytes = granted[j] * (demands[i].Bytes / eff[j])
+		if firstOfHome(demands, i) {
+			home := d.HomeSocket
+			// Water-fill the home's demands in capacity units, holding
+			// each grant in its Bytes until converted below.
+			fill(s.arch.Perf.SocketMemBW, len(demands), func(j int) float64 {
+				if demands[j].HomeSocket != home {
+					return 0
+				}
+				return s.effectiveCost(demands[j])
+			}, func(j int) *float64 { return &grants[j].Bytes })
 		}
 	}
-	return grants
+	for i, d := range demands {
+		eff := s.effectiveCost(d)
+		if eff <= 0 {
+			continue
+		}
+		// Convert the granted capacity back to payload bytes.
+		grants[i].Bytes *= d.Bytes / eff
+	}
+	return dst
+}
+
+// firstOfHome reports whether demands[i] is the first demand on its home
+// controller.
+func firstOfHome(demands []Demand, i int) bool {
+	for _, d := range demands[:i] {
+		if d.HomeSocket == demands[i].HomeSocket {
+			return false
+		}
+	}
+	return true
 }
 
 // effectiveCost converts a payload demand into controller-capacity units.
@@ -108,43 +123,59 @@ func clamp01(v float64) float64 {
 
 // Waterfill implements max-min fair sharing: capacity is divided equally
 // among unsatisfied demands, freed slack is redistributed, and no demand
-// receives more than it asked for.  It returns the grant per demand.
-func Waterfill(capacity float64, demands []float64) []float64 {
-	grants := make([]float64, len(demands))
+// receives more than it asked for.  It appends the grant per demand to dst.
+func Waterfill(dst []float64, capacity float64, demands []float64) []float64 {
+	start := len(dst)
+	dst = append(dst, make([]float64, len(demands))...)
+	grants := dst[start:]
+	fill(capacity, len(demands), func(i int) float64 { return demands[i] },
+		func(i int) *float64 { return &grants[i] })
+	return dst
+}
+
+// fill water-fills capacity over n demands, want(i) each (≤ 0: none),
+// into the zeroed grants *got(i).  Rounds visit the demands in index
+// order.  A demand is unsatisfied while its grant is still zero: grants
+// change only when a demand is met in full, or in the last round, when
+// every unsatisfied demand takes an equal share and the capacity is gone.
+func fill(capacity float64, n int, want func(int) float64, got func(int) *float64) {
 	if capacity <= 0 {
-		return grants
+		return
 	}
 	remaining := capacity
-	active := make([]int, 0, len(demands))
-	for i, d := range demands {
-		if d > 0 {
-			active = append(active, i)
+	unsatisfied := func(i int) bool { return want(i) > 0 && *got(i) == 0 }
+	for remaining > 1e-9 {
+		active := 0
+		for i := 0; i < n; i++ {
+			if unsatisfied(i) {
+				active++
+			}
 		}
-	}
-	for len(active) > 0 && remaining > 1e-9 {
-		share := remaining / float64(len(active))
-		next := active[:0]
+		if active == 0 {
+			return
+		}
+		share := remaining / float64(active)
 		progressed := false
-		for _, i := range active {
-			need := demands[i] - grants[i]
-			if need <= share {
-				grants[i] = demands[i]
-				remaining -= need
-				progressed = true
+		for i := 0; i < n; i++ {
+			if !unsatisfied(i) {
 				continue
 			}
-			next = append(next, i)
+			if need := want(i); need <= share {
+				*got(i) = need
+				remaining -= need
+				progressed = true
+			}
 		}
 		if !progressed {
 			// Everyone still needs at least a full share: hand it out.
-			for _, i := range next {
-				grants[i] += share
+			for i := 0; i < n; i++ {
+				if unsatisfied(i) {
+					*got(i) += share
+				}
 			}
 			remaining = 0
 		}
-		active = next
 	}
-	return grants
 }
 
 // SingleStreamCap returns the per-task bandwidth ceiling implied by its

@@ -10,7 +10,7 @@ import (
 )
 
 func TestWaterfillUnderCapacity(t *testing.T) {
-	g := Waterfill(100, []float64{10, 20, 30})
+	g := Waterfill(nil, 100, []float64{10, 20, 30})
 	for i, want := range []float64{10, 20, 30} {
 		if math.Abs(g[i]-want) > 1e-9 {
 			t.Errorf("grant[%d] = %v, want %v (everyone fits)", i, g[i], want)
@@ -21,7 +21,7 @@ func TestWaterfillUnderCapacity(t *testing.T) {
 func TestWaterfillOverCapacity(t *testing.T) {
 	// Demands 10, 100, 100 against capacity 90: the small demand is
 	// satisfied, the rest split the remainder equally.
-	g := Waterfill(90, []float64{10, 100, 100})
+	g := Waterfill(nil, 90, []float64{10, 100, 100})
 	if math.Abs(g[0]-10) > 1e-9 {
 		t.Errorf("small demand got %v, want 10", g[0])
 	}
@@ -31,7 +31,7 @@ func TestWaterfillOverCapacity(t *testing.T) {
 }
 
 func TestWaterfillZeroCapacity(t *testing.T) {
-	g := Waterfill(0, []float64{5, 5})
+	g := Waterfill(nil, 0, []float64{5, 5})
 	if g[0] != 0 || g[1] != 0 {
 		t.Errorf("grants = %v, want zeros", g)
 	}
@@ -46,7 +46,7 @@ func TestWaterfillProperties(t *testing.T) {
 			demands[i] = rng.Float64() * 50
 		}
 		capacity := rng.Float64() * 120
-		g := Waterfill(capacity, demands)
+		g := Waterfill(nil, capacity, demands)
 		var sum float64
 		for i := range g {
 			if g[i] < -1e-9 || g[i] > demands[i]+1e-9 {
@@ -77,7 +77,7 @@ func TestWaterfillFairnessMonotonic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := []float64{rng.Float64() * 40, rng.Float64() * 40, rng.Float64() * 40}
-		g := Waterfill(50, d)
+		g := Waterfill(nil, 50, d)
 		for i := range d {
 			for j := range d {
 				if d[i] <= d[j] && g[i] > g[j]+1e-9 {
@@ -101,7 +101,7 @@ func TestArbitrateSaturation(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		demands = append(demands, Demand{Task: i, HomeSocket: 0, FromSocket: 0, Bytes: 7e9})
 	}
-	grants := s.Arbitrate(demands)
+	grants := s.Arbitrate(nil, demands)
 	var sum float64
 	for _, g := range grants {
 		sum += g.Bytes
@@ -113,7 +113,7 @@ func TestArbitrateSaturation(t *testing.T) {
 
 func TestArbitrateTwoSocketsIndependent(t *testing.T) {
 	s := New(hwdef.WestmereEP)
-	grants := s.Arbitrate([]Demand{
+	grants := s.Arbitrate(nil, []Demand{
 		{Task: 0, HomeSocket: 0, FromSocket: 0, Bytes: 30e9},
 		{Task: 1, HomeSocket: 1, FromSocket: 1, Bytes: 30e9},
 	})
@@ -127,8 +127,8 @@ func TestArbitrateTwoSocketsIndependent(t *testing.T) {
 
 func TestArbitrateRemotePenalty(t *testing.T) {
 	s := New(hwdef.WestmereEP)
-	local := s.Arbitrate([]Demand{{HomeSocket: 0, FromSocket: 0, Bytes: 30e9}})[0].Bytes
-	remote := s.Arbitrate([]Demand{{HomeSocket: 0, FromSocket: 1, Bytes: 30e9}})[0].Bytes
+	local := s.Arbitrate(nil, []Demand{{HomeSocket: 0, FromSocket: 0, Bytes: 30e9}})[0].Bytes
+	remote := s.Arbitrate(nil, []Demand{{HomeSocket: 0, FromSocket: 1, Bytes: 30e9}})[0].Bytes
 	if remote >= local {
 		t.Fatalf("remote grant %v >= local %v; QPI penalty missing", remote, local)
 	}
@@ -140,8 +140,8 @@ func TestArbitrateRemotePenalty(t *testing.T) {
 
 func TestArbitrateNTStoresCostMore(t *testing.T) {
 	s := New(hwdef.NehalemEP)
-	reg := s.Arbitrate([]Demand{{HomeSocket: 0, FromSocket: 0, Bytes: 30e9}})[0].Bytes
-	nt := s.Arbitrate([]Demand{{HomeSocket: 0, FromSocket: 0, Bytes: 30e9, NTFraction: 1}})[0].Bytes
+	reg := s.Arbitrate(nil, []Demand{{HomeSocket: 0, FromSocket: 0, Bytes: 30e9}})[0].Bytes
+	nt := s.Arbitrate(nil, []Demand{{HomeSocket: 0, FromSocket: 0, Bytes: 30e9, NTFraction: 1}})[0].Bytes
 	if nt >= reg {
 		t.Fatalf("pure NT stream granted %v >= regular %v", nt, reg)
 	}

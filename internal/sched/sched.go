@@ -10,9 +10,11 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"likwid/internal/apic"
 	"likwid/internal/hwdef"
@@ -58,8 +60,8 @@ type Kernel struct {
 	topo   []apic.ThreadInfo
 	policy Policy
 	rng    *rand.Rand
-	tasks  map[int]*Task
-	load   []int // runnable tasks per cpu
+	tasks  []*Task // live tasks in ID order: Spawn appends, Exit removes
+	load   []int   // runnable tasks per cpu
 	nextID int
 }
 
@@ -71,7 +73,6 @@ func New(a *hwdef.Arch, policy Policy, seed int64) *Kernel {
 		topo:   apic.Enumerate(a),
 		policy: policy,
 		rng:    rand.New(rand.NewSource(seed)),
-		tasks:  make(map[int]*Task),
 		load:   make([]int, a.HWThreads()),
 	}
 }
@@ -92,12 +93,7 @@ func (k *Kernel) Load(cpu int) int { return k.load[cpu] }
 
 // Tasks returns all live tasks in creation (ID) order.
 func (k *Kernel) Tasks() []*Task {
-	out := make([]*Task, 0, len(k.tasks))
-	for _, t := range k.tasks {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append(make([]*Task, 0, len(k.tasks)), k.tasks...)
 }
 
 // Spawn creates a task and places it.  A nil parent models a process start.
@@ -109,20 +105,21 @@ func (k *Kernel) Spawn(name string, parent *Task) *Task {
 		CPU:      -1,
 	}
 	k.nextID++
-	k.tasks[t.ID] = t
+	k.tasks = append(k.tasks, t) // IDs only grow, so the order holds
 	k.place(t, parent)
 	return t
 }
 
 // Exit removes a task from the system.
 func (k *Kernel) Exit(t *Task) {
-	if _, ok := k.tasks[t.ID]; !ok {
+	i, ok := slices.BinarySearchFunc(k.tasks, t.ID, func(x *Task, id int) int { return cmp.Compare(x.ID, id) })
+	if !ok {
 		return
 	}
 	if t.CPU >= 0 {
 		k.load[t.CPU]--
 	}
-	delete(k.tasks, t.ID)
+	k.tasks = slices.Delete(k.tasks, i, i+1)
 }
 
 // SetAffinity restricts a task to mask, migrating it if its current CPU is
@@ -258,8 +255,8 @@ func (k *Kernel) leastLoaded(cpus []int) int {
 // competing system activity.
 func (k *Kernel) Rebalance(prob float64) {
 	// Deterministic iteration order: the balancer consumes randomness per
-	// task, so map order would break seed reproducibility.
-	for _, t := range k.Tasks() {
+	// task, so it walks the tasks in ID order.
+	for _, t := range k.tasks {
 		if t.Pinned || t.CPU < 0 {
 			continue
 		}
@@ -271,15 +268,29 @@ func (k *Kernel) Rebalance(prob float64) {
 		if k.rng.Float64() >= p {
 			continue
 		}
-		var idle []int
-		for _, c := range t.Affinity.CPUs() {
-			if k.load[c] == 0 {
-				idle = append(idle, c)
-			}
-		}
-		if len(idle) == 0 {
+		n, _ := k.idleIn(t.Affinity, -1)
+		if n == 0 {
 			continue
 		}
-		k.migrate(t, idle[k.rng.Intn(len(idle))])
+		_, cpu := k.idleIn(t.Affinity, k.rng.Intn(n))
+		k.migrate(t, cpu)
 	}
+}
+
+// idleIn counts the idle CPUs of mask and returns, as cpu, the nth of them
+// in ascending order (-1 if there are not that many).
+func (k *Kernel) idleIn(mask Mask, nth int) (n, cpu int) {
+	cpu = -1
+	for m := mask; m != 0; {
+		c := bits.TrailingZeros64(uint64(m))
+		m = m.Clear(c)
+		if k.load[c] != 0 {
+			continue
+		}
+		if n == nth {
+			cpu = c
+		}
+		n++
+	}
+	return n, cpu
 }

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -294,4 +297,70 @@ func TestExitReleasesCPU(t *testing.T) {
 		t.Errorf("load[%d] = %d after exit, want 0", cpu, k.Load(cpu))
 	}
 	k.Exit(tk) // double exit is a no-op
+}
+
+// TestTaskOrderFollowsSpawnAndExit: after every step of a random
+// Spawn/Exit sequence (double exits included) the kernel's kept task slice
+// and Tasks() both list exactly the live tasks of a model, in ID order,
+// and the per-cpu loads add up to them.  Rebalance walks that slice, so
+// its order is what keeps a seed's runs reproducible.
+func TestTaskOrderFollowsSpawnAndExit(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New(hwdef.WestmereEP, PolicySpread, seed)
+		live := map[int]*Task{}
+		var gone []*Task
+		for step := 0; step < 200; step++ {
+			switch r := rng.Intn(10); {
+			case r < 5 || len(live) == 0:
+				var parent *Task
+				for _, p := range live {
+					parent = p
+					break
+				}
+				tk := k.Spawn("w", parent)
+				live[tk.ID] = tk
+			case r < 9:
+				ids := make([]int, 0, len(live))
+				for id := range live {
+					ids = append(ids, id)
+				}
+				sort.Ints(ids)
+				tk := live[ids[rng.Intn(len(ids))]]
+				k.Exit(tk)
+				delete(live, tk.ID)
+				gone = append(gone, tk)
+			default:
+				if len(gone) > 0 {
+					k.Exit(gone[rng.Intn(len(gone))]) // already gone: a no-op
+				}
+			}
+			want := make([]*Task, 0, len(live))
+			for _, tk := range live {
+				want = append(want, tk)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+			if !slices.Equal(k.tasks, want) {
+				t.Fatalf("seed %d step %d: kept slice %v, want %v", seed, step, taskIDs(k.tasks), taskIDs(want))
+			}
+			if got := k.Tasks(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Tasks() = %v, want %v", seed, step, taskIDs(got), taskIDs(want))
+			}
+			load := 0
+			for cpu := 0; cpu < k.NumCPUs(); cpu++ {
+				load += k.Load(cpu)
+			}
+			if load != len(live) {
+				t.Fatalf("seed %d step %d: loads sum to %d for %d live tasks", seed, step, load, len(live))
+			}
+		}
+	}
+}
+
+func taskIDs(ts []*Task) []int {
+	ids := make([]int, len(ts))
+	for i, t := range ts {
+		ids[i] = t.ID
+	}
+	return ids
 }

@@ -271,9 +271,8 @@ func Prepare(cfg Config, m *machine.Machine) (*Instance, error) {
 	scaled.MemWriteBytes *= eff
 	scaled.MemNTBytes *= eff
 	scaled.L3Bytes *= eff
-	scaled.Counts = make(machine.Counts, len(pe.Counts))
-	for k, v := range pe.Counts {
-		scaled.Counts[k] = v * eff
+	for k := range scaled.Counts {
+		scaled.Counts[k] *= eff
 	}
 
 	works := make([]*machine.ThreadWork, len(team.Workers))
