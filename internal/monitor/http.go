@@ -311,14 +311,21 @@ func (h *HTTPSink) SetIngestLabels(ls Labels) {
 }
 
 // Write exposes the batch's series on /metrics.  The points are already
-// in the store (the scheduler appends before it publishes), so this is
-// one index lookup per sample; a sample whose series the store does not
-// hold shows nothing.
+// in the store (the scheduler appends before it publishes), so the
+// batch's shape is normally the one the store remembers: one index
+// lookup for the batch.  Otherwise each sample is looked up; a sample
+// whose series the store does not hold shows nothing.
 func (h *HTTPSink) Write(b Batch) error {
-	idx := *h.store.index.Load()
-	for _, s := range b.Samples {
-		if sr := idx[s.Key()]; sr != nil {
+	if rows := h.store.remembered(b.Samples); rows != nil {
+		for _, sr := range rows {
 			sr.expose()
+		}
+	} else {
+		idx := *h.store.index.Load()
+		for _, s := range b.Samples {
+			if sr := idx[s.Key()]; sr != nil {
+				sr.expose()
+			}
 		}
 	}
 	h.batches.Add(1)
@@ -383,22 +390,6 @@ func (h *HTTPSink) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		buf = append(appendTime(buf, s.Time), '\n')
 	}
 	_, _ = w.Write(buf)
-}
-
-// queryResponse is the /query JSON payload for one series.
-type queryResponse struct {
-	Source string            `json:"source,omitempty"`
-	Metric string            `json:"metric"`
-	Scope  string            `json:"scope"`
-	ID     int               `json:"id"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Points []Point           `json:"points"`
-}
-
-// querySeriesResponse is the /query payload for a wildcard source or
-// label selector: one entry per matched series, sorted by key.
-type querySeriesResponse struct {
-	Series []queryResponse `json:"series"`
 }
 
 // labelSelectors extracts the label.NAME=PATTERN parameters of a /query
@@ -495,15 +486,47 @@ func (h *HTTPSink) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := h.resolveKey(source, metric, scope, id)
-	resp := queryResponse{
-		Source: key.Source,
-		Metric: key.Metric,
-		Scope:  key.Scope.String(),
-		ID:     key.ID,
-		Labels: key.Labels.Map(),
-		Points: dedupePoints(h.store.Window(key, from, to)),
+	entry := appendQueryEntry(nil, key, dedupePoints(h.store.Window(key, from, to)))
+	_, _ = w.Write(append(entry, '\n'))
+}
+
+// queryFlushBytes is how much of a fan-out /query response is encoded
+// before it is handed to the connection.
+const queryFlushBytes = 32 << 10
+
+// appendQueryEntry appends one series' /query object: source (when
+// set), metric, scope, id, labels (when any) and points, byte-identical
+// to encoding/json over the same fields.  JSON has no NaN or ±Inf, so a
+// point with a non-finite time or value is omitted — the series and its
+// other points are still written, as the JSON-lines sink does.  nil
+// points (a series the store does not hold) is written as null.
+func appendQueryEntry(dst []byte, k Key, pts []Point) []byte {
+	dst = append(dst, '{')
+	if k.Source != "" {
+		dst = append(appendJSONString(append(dst, `"source":`...), k.Source), ',')
 	}
-	_ = json.NewEncoder(w).Encode(resp)
+	dst = appendJSONString(append(dst, `"metric":`...), k.Metric)
+	dst = appendJSONString(append(dst, `,"scope":`...), k.Scope.String())
+	dst = strconv.AppendInt(append(dst, `,"id":`...), int64(k.ID), 10)
+	if !k.Labels.Empty() {
+		dst = appendJSONLabels(append(dst, `,"labels":`...), k.Labels)
+	}
+	if pts == nil {
+		return append(dst, `,"points":null}`...)
+	}
+	dst = append(dst, `,"points":[`...)
+	open := len(dst)
+	for _, p := range pts {
+		if !finite(p.Time) || !finite(p.Value) {
+			continue
+		}
+		if len(dst) > open {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONFloat(append(dst, `{"time":`...), p.Time)
+		dst = append(appendJSONFloat(append(dst, `,"value":`...), p.Value), '}')
+	}
+	return append(dst, "]}"...)
 }
 
 // dedupePoints collapses same-timestamp runs of a sorted window to their
@@ -525,36 +548,30 @@ func dedupePoints(pts []Point) []Point {
 	return out
 }
 
-// writeQuerySeries streams the fan-out /query payload: one matched
-// series is encoded at a time with a single window buffer reused across
-// them, so a wildcard over thousands of fleet series never materializes
-// the full response — or every series' points — in memory at once.
+// writeQuerySeries streams the fan-out /query payload: the matched
+// series are encoded one at a time, with a single window buffer reused
+// across them, into one buffer handed to the connection every
+// queryFlushBytes, so a wildcard over thousands of fleet series never
+// materializes the full response — or every series' points — in memory
+// at once.
 func (h *HTTPSink) writeQuerySeries(w http.ResponseWriter, keys []Key, from, to float64) {
-	_, _ = io.WriteString(w, `{"series":[`)
+	buf := append(make([]byte, 0, 4096), `{"series":[`...)
 	var window []Point
 	for i, k := range keys {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
 		window = h.store.WindowInto(k, from, to, window)
 		pts := dedupePoints(window)
 		if pts == nil {
 			pts = []Point{}
 		}
-		entry, err := json.Marshal(queryResponse{
-			Source: k.Source,
-			Metric: k.Metric,
-			Scope:  k.Scope.String(),
-			ID:     k.ID,
-			Labels: k.Labels.Map(),
-			Points: pts,
-		})
-		if err != nil { // unreachable: plain structs marshal
-			continue
+		if buf = appendQueryEntry(buf, k, pts); len(buf) >= queryFlushBytes {
+			_, _ = w.Write(buf)
+			buf = buf[:0]
 		}
-		if i > 0 {
-			_, _ = w.Write([]byte{','})
-		}
-		_, _ = w.Write(entry)
 	}
-	_, _ = io.WriteString(w, "]}\n")
+	_, _ = w.Write(append(buf, "]}\n"...))
 }
 
 // resolveKey accepts either the exact stored metric name or its sanitized

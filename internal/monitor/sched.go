@@ -345,10 +345,7 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 		}
 		storeFloat(&e.last, batch.Time)
 		if st := s.opts.Store; st != nil {
-			if len(plan.rows) != len(samples) {
-				plan.rows = st.resolve(samples, plan.rows)
-			}
-			st.appendRows(samples, plan.rows)
+			st.AppendBatch(batch)
 		}
 		if s.opts.Dispatcher != nil {
 			s.opts.Dispatcher.Publish(batch)
@@ -357,16 +354,16 @@ func (s *Scheduler) runOne(ctx context.Context, e *schedEntry) {
 }
 
 // tickPlan is what one collector's tick resolves once per batch shape:
-// the roll-up recipe, the -labels stamp and the store series of every
-// output row.  A collector's rows are the same series in the same order
-// tick after tick, so the plan is reused while they are — one Key
-// comparison per row — and while the aggregator's mean flags are
-// unchanged; any difference rebuilds it.
+// the roll-up recipe and the -labels stamp of every output row.  A
+// collector's rows are the same series in the same order tick after
+// tick, so the plan is reused while they are — one Key comparison per
+// row — and while the aggregator's mean flags are unchanged; any
+// difference rebuilds it.  The output rows' store series are the
+// store's own shape memo (Store.AppendBatch).
 type tickPlan struct {
 	keys   []Key       // the collector's rows the plan was built for
 	rollup *rollupPlan // nil without an aggregator
 	stamp  []Labels    // each output row's labels; empty without -labels
-	rows   []*series   // each output row's series, resolved on first use
 }
 
 // sameRows reports whether samples are the rows p was built for, in
@@ -384,7 +381,7 @@ func (p *tickPlan) sameMeans(agg *Aggregator) bool {
 // build plans the shape of samples; stamp, when set, merges the agent
 // labels under a row's own, once per run of rows sharing a label set.
 func (p *tickPlan) build(samples []Sample, agg *Aggregator, stamp func(Labels) Labels) {
-	p.keys, p.rollup, p.stamp, p.rows = p.keys[:0], nil, p.stamp[:0], p.rows[:0]
+	p.keys, p.rollup, p.stamp = p.keys[:0], nil, p.stamp[:0]
 	for _, sm := range samples {
 		p.keys = append(p.keys, sm.Key())
 	}

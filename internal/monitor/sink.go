@@ -281,19 +281,24 @@ func appendJSONIdentity(dst []byte, sm Sample, collector string) []byte {
 		dst = appendJSONString(append(dst, `,"source":`...), sm.Source)
 	}
 	if !sm.Labels.Empty() {
-		dst = append(dst, `,"labels":`...)
-		sep := byte('{')
-		for _, p := range sm.Labels.view() {
-			dst = append(appendJSONString(append(dst, sep), p.Name), ':')
-			dst = appendJSONString(dst, p.Value)
-			sep = ','
-		}
-		dst = append(dst, '}')
+		dst = appendJSONLabels(append(dst, `,"labels":`...), sm.Labels)
 	}
 	dst = appendJSONString(append(dst, `,"metric":`...), sm.Metric)
 	dst = appendJSONString(append(dst, `,"scope":`...), sm.Scope.String())
 	dst = strconv.AppendInt(append(dst, `,"id":`...), int64(sm.ID), 10)
 	return append(dst, `,"value":`...)
+}
+
+// appendJSONLabels appends a non-empty label set as the JSON object
+// encoding/json writes for its map: names sorted, as a set keeps them.
+func appendJSONLabels(dst []byte, ls Labels) []byte {
+	sep := byte('{')
+	for _, p := range ls.view() {
+		dst = append(appendJSONString(append(dst, sep), p.Name), ':')
+		dst = appendJSONString(dst, p.Value)
+		sep = ','
+	}
+	return append(dst, '}')
 }
 
 func appendJSONValue(dst []byte, v float64) []byte { return append(appendJSONFloat(dst, v), "}\n"...) }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -67,6 +68,12 @@ type series struct {
 	// those, not what engines append straight into the store.
 	shown   Point
 	exposed atomic.Bool
+
+	// shape remembers the last batch shape resolved with this series as
+	// row 0 (see Store.shapeOf).  It holds series, never keys: the rows'
+	// own keys are what a hit is checked against, so the memo pins no
+	// ingest or WAL payload bytes.
+	shape atomic.Pointer[[]*series]
 }
 
 func (s *series) append(p Point) {
@@ -356,45 +363,11 @@ func (st *Store) Append(k Key, p Point) {
 }
 
 // AppendBatch records every sample of a batch: each row's series is
-// resolved with one index lookup (unseen series created together in one
-// snapshot clone and one index re-sort), the points are appended, and
-// the journal observes the batch in one call.
+// resolved (a repeated shape once, see shapeOf), the points are
+// appended, and the journal observes the batch in one call.  Samples of
+// refused keys are dropped and counted; the journal never sees them.
 func (st *Store) AppendBatch(b Batch) {
-	var buf [256]*series // a tick's rows resolve without allocating
-	st.appendRows(b.Samples, st.resolve(b.Samples, buf[:]))
-}
-
-// resolve returns the series of every sample in rows' backing array,
-// creating the unseen ones in one ensureMany pass (nil for a refused
-// key).  The scheduler keeps
-// the result across ticks: series live as long as the store.
-func (st *Store) resolve(samples []Sample, rows []*series) []*series {
-	rows = rows[:0]
-	idx := *st.index.Load()
-	var fresh []Key
-	for _, s := range samples {
-		sr := idx[s.Key()]
-		if sr == nil {
-			fresh = append(fresh, s.Key())
-		}
-		rows = append(rows, sr)
-	}
-	if len(fresh) > 0 {
-		st.ensureMany(fresh)
-		idx = *st.index.Load()
-		for i, sr := range rows {
-			if sr == nil {
-				rows[i] = idx[samples[i].Key()]
-			}
-		}
-	}
-	return rows
-}
-
-// appendRows appends each sample to its resolved series and journals
-// the batch once.  Samples of refused keys are dropped and counted; the
-// journal never sees them.
-func (st *Store) appendRows(samples []Sample, rows []*series) {
+	samples, rows := b.Samples, st.shapeOf(b.Samples)
 	refused := 0
 	for i, s := range samples {
 		if rows[i] == nil {
@@ -416,6 +389,65 @@ func (st *Store) appendRows(samples []Sample, rows []*series) {
 	if jp := st.journal.Load(); jp != nil && len(samples) > 0 {
 		(*jp).RecordBatch(samples)
 	}
+}
+
+// shapeOf returns the series of every sample, in order (nil for a
+// refused key).  A batch's rows repeat batch after batch — a
+// collector's tick, a receiver's bulk load, WAL replay — so the last
+// shape resolved with a series as row 0 is remembered on that series:
+// a repeated batch pays row 0's index lookup and one key compare per
+// row, and allocates nothing.  A miss resolves every row, creating the
+// unseen series in one ensureMany pass.  A shape with a refused row is
+// not remembered.  Appenders whose shapes share row 0 each check every
+// row, so they can only replace each other's memo, never misroute a
+// point.
+func (st *Store) shapeOf(samples []Sample) []*series {
+	if rows := st.remembered(samples); rows != nil || len(samples) == 0 {
+		return rows
+	}
+	rows := make([]*series, len(samples))
+	idx := *st.index.Load()
+	var fresh []Key
+	for i, s := range samples {
+		if rows[i] = idx[s.Key()]; rows[i] == nil {
+			fresh = append(fresh, s.Key())
+		}
+	}
+	if len(fresh) > 0 {
+		st.ensureMany(fresh)
+		idx = *st.index.Load()
+		for i, sr := range rows {
+			if sr == nil {
+				rows[i] = idx[samples[i].Key()]
+			}
+		}
+	}
+	if !slices.Contains(rows, nil) {
+		rows[0].shape.Store(&rows)
+	}
+	return rows
+}
+
+// remembered returns the series of samples when their shape is the one
+// remembered on row 0's series, else nil.  It never creates a series.
+func (st *Store) remembered(samples []Sample) []*series {
+	if len(samples) == 0 {
+		return nil
+	}
+	s0 := st.lookup(samples[0].Key())
+	if s0 == nil {
+		return nil
+	}
+	sh := s0.shape.Load()
+	if sh == nil || len(*sh) != len(samples) {
+		return nil
+	}
+	for i, sr := range *sh {
+		if samples[i].Key() != sr.key {
+			return nil
+		}
+	}
+	return *sh
 }
 
 // resolveGroups sets every group's store series, creating the unseen

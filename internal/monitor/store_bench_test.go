@@ -226,22 +226,7 @@ func BenchmarkReceiverFanIn(b *testing.B) {
 // source's series labelled with its job — 10k series, all handed to the
 // sink.
 func BenchmarkMetricsScrape(b *testing.B) {
-	jobs := []string{"lbm", "stream", "jacobi", "hpl"}
-	batch := Batch{Collector: "preload", Time: 1}
-	for s := 0; s < 100; s++ {
-		ls, err := MakeLabels(map[string]string{"job": jobs[s%len(jobs)]})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for m := 0; m < 25; m++ {
-			for id := 0; id < 4; id++ {
-				batch.Samples = append(batch.Samples, Sample{
-					Source: fmt.Sprintf("node%03d", s), Metric: fmt.Sprintf("metric_%02d", m),
-					Scope: ScopeThread, ID: id, Labels: ls, Time: 1, Value: float64(len(batch.Samples)),
-				})
-			}
-		}
-	}
+	batch := fleetBatch(100, 25, 4)
 	st := NewStore(16)
 	st.AppendBatch(batch)
 	h := &HTTPSink{store: st}
