@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -655,35 +657,298 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 //
 // sent_at (0 when absent) is advisory latency metadata: no value of it
 // ever rejects a batch; the receiver's skew histogram clamps instead.
-func decodeIngest(r io.Reader, b *groupBatch) error {
-	dec := json.NewDecoder(r)
-	for i := 0; ; i++ {
-		var js jsonSample
-		if err := dec.Decode(&js); err != nil {
-			if err == io.EOF {
-				return nil
+//
+// The payload is held as one string copy that every scanned record's
+// strings are substrings of.  A record in the form appendJSONLine writes
+// is scanned in place (scanJSONRecord); any other value is decoded by
+// encoding/json alone, which then decides what it means, so the accepted
+// records, their values and every error text are encoding/json's.
+func decodeIngest(data []byte, b *groupBatch) error {
+	s := string(data)
+	// The columns are sized for a record a line, but for no more records
+	// than the body could hold if it were all accepted ones.
+	n := min(strings.Count(s, "\n")+1, len(s)/minJSONRecord)
+	b.times, b.sentAts, b.values = slices.Grow(b.times, n), slices.Grow(b.sentAts, n), slices.Grow(b.values, n)
+	b.groups = slices.Grow(b.groups, n)
+	var js jsonSample // reused per record; its labels go to b.pairs
+	for i, p := 0, skipJSONSpace(s, 0); p < len(s); i, p = i+1, skipJSONSpace(s, p) {
+		first := len(b.pairs)
+		end, ok := scanJSONRecord(s, p, &js, b)
+		if !ok {
+			b.pairs = b.pairs[:first]
+			var err error
+			if end, err = decodeJSONRecord(data, p, &js, b); err != nil {
+				return fmt.Errorf("record %d: %w", i, err)
 			}
-			return fmt.Errorf("record %d: %w", i, err)
 		}
+		p = end
 		g := sampleGroup{key: Key{Source: js.Source, Metric: js.Metric}, lo: len(b.times), hi: len(b.times) + 1}
 		b.times = append(b.times, js.Time)
 		b.sentAts = append(b.sentAts, js.SentAt)
 		b.values = append(b.values, js.Value)
-		first := len(b.pairs)
-		for name, value := range js.Labels {
-			b.pairs = append(b.pairs, Label{Name: name, Value: value})
-		}
 		g.pairs = b.pairs[first:len(b.pairs):len(b.pairs)]
 		if err := b.check(&g, js.Scope, int64(js.ID)); err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
 		b.groups = append(b.groups, g)
 	}
+	return nil
+}
+
+// minJSONRecord is the length of the shortest record /ingest accepts,
+// {"metric":"m","scope":"node"}.
+const minJSONRecord = len(`{"metric":"m","scope":"node"}`)
+
+// decodeJSONRecord decodes the one JSON value at data[p:] as the
+// line-protocol record encoding/json makes of it, its labels appended to
+// b.pairs, and returns the offset just after the value.
+func decodeJSONRecord(data []byte, p int, js *jsonSample, b *groupBatch) (int, error) {
+	dec := json.NewDecoder(bytes.NewReader(data[p:]))
+	var rec jsonSample
+	if err := dec.Decode(&rec); err != nil {
+		return 0, err
+	}
+	for name, value := range rec.Labels {
+		b.pairs = append(b.pairs, Label{Name: name, Value: value})
+	}
+	*js = rec
+	return p + int(dec.InputOffset()), nil
+}
+
+// skipJSONSpace skips the whitespace encoding/json allows between values.
+func skipJSONSpace(s string, p int) int {
+	for p < len(s) && (s[p] == ' ' || s[p] == '\n' || s[p] == '\t' || s[p] == '\r') {
+		p++
+	}
+	return p
+}
+
+// scanJSONRecord parses the record at s[p:] if it is in the form
+// appendJSONLine writes: an object on one line, no whitespace inside it,
+// each of the schema's keys spelled exactly and at most once, strings of
+// printable ASCII without '"' or '\\', numbers in JSON grammar that
+// strconv parses without error (an integer for id), and labels a flat
+// object of at most maxLabels distinct names, whose pairs it appends to
+// b.pairs in document order.  It returns the offset just after the
+// object, or false for any other record, which may leave pairs behind
+// in b.pairs.
+func scanJSONRecord(s string, p int, js *jsonSample, b *groupBatch) (int, bool) {
+	*js = jsonSample{}
+	if s[p] != '{' {
+		return 0, false
+	}
+	var seen uint16
+	for p++; ; p++ {
+		key, q, ok := scanJSONString(s, p)
+		if !ok || q >= len(s) || s[q] != ':' {
+			return 0, false
+		}
+		field := slices.Index(jsonKeys[:], key)
+		if field < 0 || seen&(1<<field) != 0 {
+			return 0, false
+		}
+		seen |= 1 << field
+		switch p = q + 1; field {
+		case fieldTime:
+			js.Time, p, ok = scanJSONFloat(s, p)
+		case fieldSentAt:
+			js.SentAt, p, ok = scanJSONFloat(s, p)
+		case fieldCollector:
+			js.Collector, p, ok = scanJSONString(s, p)
+		case fieldSource:
+			js.Source, p, ok = scanJSONString(s, p)
+		case fieldLabels:
+			p, ok = scanJSONLabels(s, p, b)
+		case fieldMetric:
+			js.Metric, p, ok = scanJSONString(s, p)
+		case fieldScope:
+			js.Scope, p, ok = scanJSONString(s, p)
+		case fieldID:
+			js.ID, p, ok = scanJSONInt(s, p)
+		case fieldValue:
+			js.Value, p, ok = scanJSONFloat(s, p)
+		}
+		if !ok || p >= len(s) {
+			return 0, false
+		}
+		if s[p] == '}' {
+			break
+		}
+		if s[p] != ',' {
+			return 0, false
+		}
+	}
+	if p++; p < len(s) && s[p] != '\n' {
+		return 0, false
+	}
+	return p, true
+}
+
+// jsonKeys are the line-protocol record's keys, spelled as jsonSample's
+// tags spell them; scanJSONRecord numbers them by their index here.
+var jsonKeys = [...]string{"time", "sent_at", "collector", "source", "labels", "metric", "scope", "id", "value"}
+
+const (
+	fieldTime = iota
+	fieldSentAt
+	fieldCollector
+	fieldSource
+	fieldLabels
+	fieldMetric
+	fieldScope
+	fieldID
+	fieldValue
+)
+
+// jsonPlain marks the bytes encoding/json decodes verbatim inside a
+// string that scanJSONString takes: printable ASCII but '"' and '\\'.
+var jsonPlain = func() (plain [256]bool) {
+	for c := ' '; c <= '~'; c++ {
+		plain[c] = c != '"' && c != '\\'
+	}
+	return plain
+}()
+
+// scanJSONString scans a string of jsonPlain bytes at s[p:] and returns
+// its contents and the offset after its closing quote.
+func scanJSONString(s string, p int) (string, int, bool) {
+	if p >= len(s) || s[p] != '"' {
+		return "", 0, false
+	}
+	q := p + 1
+	for q < len(s) && jsonPlain[s[q]] {
+		q++
+	}
+	if q >= len(s) || s[q] != '"' {
+		return "", 0, false
+	}
+	return s[p+1 : q], q + 1, true
+}
+
+// scanJSONLabels scans a labels object of at most maxLabels string pairs
+// with distinct names at s[p:], appending its pairs to b.pairs.
+func scanJSONLabels(s string, p int, b *groupBatch) (int, bool) {
+	if p >= len(s) || s[p] != '{' {
+		return 0, false
+	}
+	if p++; p < len(s) && s[p] == '}' {
+		return p + 1, true
+	}
+	first := len(b.pairs)
+	for {
+		name, q, ok := scanJSONString(s, p)
+		if !ok || q >= len(s) || s[q] != ':' || len(b.pairs)-first == maxLabels {
+			return 0, false
+		}
+		value, q, ok := scanJSONString(s, q+1)
+		if !ok || q >= len(s) {
+			return 0, false
+		}
+		for _, l := range b.pairs[first:] {
+			if l.Name == name {
+				return 0, false
+			}
+		}
+		b.pairs = append(b.pairs, Label{Name: name, Value: value})
+		switch s[q] {
+		case '}':
+			return q + 1, true
+		case ',':
+			p = q + 1
+		default:
+			return 0, false
+		}
+	}
+}
+
+// scanJSONDigits returns the end of the run of decimal digits at s[p:].
+func scanJSONDigits(s string, p int) int {
+	for p < len(s) && '0' <= s[p] && s[p] <= '9' {
+		p++
+	}
+	return p
+}
+
+// scanJSONInteger returns the end of the JSON integer -?(0|[1-9][0-9]*)
+// at s[p:], or -1.
+func scanJSONInteger(s string, p int) int {
+	if p < len(s) && s[p] == '-' {
+		p++
+	}
+	switch {
+	case p >= len(s) || s[p] < '0' || s[p] > '9':
+		return -1
+	case s[p] == '0':
+		return p + 1
+	}
+	return scanJSONDigits(s, p)
+}
+
+// scanJSONInt scans the JSON integer at s[p:], as encoding/json decodes
+// it into an int.
+func scanJSONInt(s string, p int) (int, int, bool) {
+	end := scanJSONInteger(s, p)
+	if end < 0 {
+		return 0, 0, false
+	}
+	n, err := strconv.ParseInt(s[p:end], 10, strconv.IntSize)
+	return int(n), end, err == nil
+}
+
+// scanJSONFloat scans the JSON number at s[p:], as encoding/json decodes
+// it into a float64: an out-of-range one is left to encoding/json.
+func scanJSONFloat(s string, p int) (float64, int, bool) {
+	end := scanJSONInteger(s, p)
+	if end < 0 {
+		return 0, 0, false
+	}
+	if end < len(s) && s[end] == '.' {
+		if q := scanJSONDigits(s, end+1); q > end+1 {
+			end = q
+		} else {
+			return 0, 0, false
+		}
+	}
+	if end < len(s) && (s[end] == 'e' || s[end] == 'E') {
+		q := end + 1
+		if q < len(s) && (s[q] == '+' || s[q] == '-') {
+			q++
+		}
+		if end = scanJSONDigits(s, q); end == q {
+			return 0, 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(s[p:end], 64)
+	return f, end, err == nil
 }
 
 // ingestResponse is the /ingest JSON payload.
 type ingestResponse struct {
 	Accepted int `json:"accepted"`
+}
+
+// gzipReader is a pooled inflater for gzipped /ingest bodies.  Reset
+// would wrap a plain body in a fresh 4 KiB bufio.Reader, and a new
+// gzip.Reader allocates its inflate window, so both are kept.
+type gzipReader struct {
+	br bufio.Reader
+	zr gzip.Reader
+}
+
+var gzipReaders = sync.Pool{New: func() any { return new(gzipReader) }}
+
+// openGzip takes a pooled reader and starts it on body's gzip header.
+// The caller releases it, whatever the error.
+func openGzip(body io.Reader) (*gzipReader, error) {
+	g := gzipReaders.Get().(*gzipReader)
+	g.br.Reset(body)
+	return g, g.zr.Reset(&g.br)
+}
+
+// release returns g to the pool, holding on to no body.
+func (g *gzipReader) release() {
+	g.br.Reset(nil)
+	gzipReaders.Put(g)
 }
 
 func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -695,58 +960,88 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body := io.Reader(http.MaxBytesReader(w, r.Body, maxIngestCompressed))
-	switch enc := r.Header.Get("Content-Encoding"); enc {
-	case "gzip":
-		zr, err := gzip.NewReader(body)
-		if err != nil {
-			h.reject("gzip")
-			http.Error(w, "bad gzip payload: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		defer zr.Close()
-		limit := h.maxDecompressed
-		if limit <= 0 {
-			limit = maxIngestDecompressed // zero-value sinks (tests, literals)
-		}
-		body = &limitedReader{r: zr, n: limit}
-	case "", "identity":
-	default:
-		h.reject("encoding")
-		http.Error(w, "unsupported content encoding "+enc, http.StatusUnsupportedMediaType)
+	decodeStart := time.Now()
+	buf := ingestBufs.Get().(*bytes.Buffer)
+	defer ingestBufs.Put(buf)
+	buf.Reset()
+	answered, err := h.readIngest(w, r, buf)
+	if answered {
 		return
 	}
+	data := buf.Bytes()
 	// Content negotiation: the v4 binary columnar format announces
 	// itself via its Content-Type; everything else (including absent or
 	// unknown types) is the JSON-lines path.  The Content-Encoding
-	// handling above applies to both.  Either decoder fills the one
-	// group-shaped batch the stages below resolve, once per group —
-	// unless the v4 payload repeats a memoized identity, whose shape is
-	// already resolved.
+	// handling applies to both, and both read the body whole.  Either
+	// decoder fills the one group-shaped batch the stages below resolve,
+	// once per group — unless the v4 payload repeats a memoized
+	// identity, whose shape is already resolved.
 	var (
-		b    groupBatch
-		sh   *ingestShape
-		data []byte // the v4 payload
-		err  error
+		b  groupBatch
+		sh *ingestShape
+		v4 []byte // the v4 payload
 	)
-	decodeStart := time.Now()
-	if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == V4ContentType {
-		// Content-Length sizes the read buffer up front (for a gzipped
-		// body it is only a lower bound, which is still a head start).
-		buf := bytes.NewBuffer(make([]byte, 0, max(0, min(r.ContentLength, maxIngestCompressed))+bytes.MinRead))
-		if _, err = buf.ReadFrom(body); err == nil {
-			data = buf.Bytes()
+	if err == nil {
+		if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == V4ContentType {
+			v4 = data
 			if sh = h.memoHit(data, &b); sh == nil {
 				h.tMemo.count(shapeMiss)
 				err = decodeV4(data, &b)
 			}
+		} else {
+			err = decodeIngest(data, &b)
 		}
-	} else {
-		err = decodeIngest(body, &b)
 	}
 	if h.tDecode != nil {
 		h.tDecode.Observe(time.Since(decodeStart).Seconds())
 	}
+	h.ingest(w, &b, sh, v4, err)
+}
+
+// ingestBufs pools the buffers /ingest reads bodies into: a body is
+// decoded into strings and columns of its own before its request ends,
+// so nothing holds on to the buffer.
+var ingestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readIngest reads a POST /ingest body whole into buf, within the
+// ingest limits, inflating a gzipped one through a pooled reader.  An
+// unsupported encoding or a bad gzip header is answered here (answered
+// is true); a failed read, an oversized body among them, comes back as
+// err, before any record is parsed.
+func (h *HTTPSink) readIngest(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (answered bool, err error) {
+	body := io.Reader(http.MaxBytesReader(w, r.Body, maxIngestCompressed))
+	switch enc := r.Header.Get("Content-Encoding"); enc {
+	case "gzip":
+		g, gzErr := openGzip(body)
+		defer g.release()
+		if gzErr != nil {
+			h.reject("gzip")
+			http.Error(w, "bad gzip payload: "+gzErr.Error(), http.StatusBadRequest)
+			return true, nil
+		}
+		limit := h.maxDecompressed
+		if limit <= 0 {
+			limit = maxIngestDecompressed // zero-value sinks (tests, literals)
+		}
+		body = &limitedReader{r: &g.zr, n: limit}
+	case "", "identity":
+	default:
+		h.reject("encoding")
+		http.Error(w, "unsupported content encoding "+enc, http.StatusUnsupportedMediaType)
+		return true, nil
+	}
+	// Content-Length sizes the read buffer up front (for a gzipped body
+	// it is only a lower bound, which is still a head start).
+	buf.Grow(int(max(0, min(r.ContentLength, maxIngestCompressed))) + bytes.MinRead)
+	_, err = buf.ReadFrom(body)
+	return false, err
+}
+
+// ingest lands a decoded payload b, or answers err, the error reading or
+// decoding it returned.  sh is the memoized shape of a v4 payload that
+// hit the identity memo, v4 the payload of any v4 request (nil for JSON
+// lines).
+func (h *HTTPSink) ingest(w http.ResponseWriter, b *groupBatch, sh *ingestShape, v4 []byte, err error) {
 	if err != nil {
 		status := http.StatusBadRequest
 		reason := "decode"
@@ -763,10 +1058,10 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// nothing memoizes it; a v4 one through a shape, fresh or memoized.
 	fresh := sh == nil
 	switch {
-	case data == nil:
-		_, _, err = h.prepare(&b)
+	case v4 == nil:
+		_, _, err = h.prepare(b)
 	case fresh:
-		sh, err = h.resolve(&b, data)
+		sh, err = h.resolve(b, v4)
 	case sh.router != nil:
 		sh.router.count(sh.routed)
 	}
@@ -780,9 +1075,9 @@ func (h *HTTPSink) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var samples []Sample
 	var accepted int
 	if sh == nil {
-		samples, accepted = land(h, b.groups, &b, fp != nil)
+		samples, accepted = land(h, b.groups, b, fp != nil)
 	} else {
-		samples, accepted = land(h, sh.groups, &b, fp != nil)
+		samples, accepted = land(h, sh.groups, b, fp != nil)
 	}
 	if fresh && sh != nil {
 		h.mu.Lock()

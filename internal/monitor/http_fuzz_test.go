@@ -218,19 +218,26 @@ func memoDifferential(t *testing.T, body []byte, gz bool) {
 			t.Fatalf("post %d: the memoizing sink answered %d %q, a forgetting one %d %q", post, cm, bm, cr, br)
 		}
 	}
+	sinksAgree(t, memo, ref, fwd)
+}
+
+// sinksAgree fails unless sinks a and b forwarded the same batches (fwd,
+// in that order) and hold the same /metrics, series and windows.
+func sinksAgree(t *testing.T, a, b *HTTPSink, fwd [2][]Batch) {
+	t.Helper()
 	if !reflect.DeepEqual(fwd[0], fwd[1]) {
 		t.Fatalf("forwarded batches differ:\n%v\nvs\n%v", fwd[0], fwd[1])
 	}
-	if a, b := scrapeMetrics(memo), scrapeMetrics(ref); a != b {
-		t.Fatalf("/metrics differs:\n%s\nvs\n%s", a, b)
+	if ma, mb := scrapeMetrics(a), scrapeMetrics(b); ma != mb {
+		t.Fatalf("/metrics differs:\n%s\nvs\n%s", ma, mb)
 	}
-	keys := memo.store.Keys()
-	if !reflect.DeepEqual(keys, ref.store.Keys()) {
-		t.Fatalf("stored series differ: %v vs %v", keys, ref.store.Keys())
+	keys := a.store.Keys()
+	if !reflect.DeepEqual(keys, b.store.Keys()) {
+		t.Fatalf("stored series differ: %v vs %v", keys, b.store.Keys())
 	}
 	for _, k := range keys {
-		if a, b := memo.store.Window(k, 0, -1), ref.store.Window(k, 0, -1); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%v: window %v, want %v", k, a, b)
+		if wa, wb := a.store.Window(k, 0, -1), b.store.Window(k, 0, -1); !reflect.DeepEqual(wa, wb) {
+			t.Fatalf("%v: window %v, want %v", k, wa, wb)
 		}
 	}
 }

@@ -163,7 +163,7 @@ func postIngest(t *testing.T, base string, body []byte, gzipped bool) (int, stri
 	return resp.StatusCode, string(data)
 }
 
-func gzipped(t *testing.T, data []byte) []byte {
+func gzipped(t testing.TB, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)

@@ -114,6 +114,26 @@ func BenchmarkIngestThroughputV3Gzip(b *testing.B) {
 	benchIngest(b, [][]byte{buf.Bytes()}, "application/x-ndjson", true, len(rows))
 }
 
+// BenchmarkIngestThroughputJSON is the receiver side of a JSON-lines
+// flush at the shape query-mixed's pusher ships: 500 labelled series,
+// one point each, as appendJSONLine writes them, plain and gzipped.
+func BenchmarkIngestThroughputJSON(b *testing.B) {
+	rows := wideRows(b)[:500]
+	var lines []byte
+	for _, r := range rows {
+		var err error
+		if lines, err = appendJSONLine(lines, r.Sample, r.Collector, r.SentAt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("wide", func(b *testing.B) {
+		benchIngest(b, [][]byte{lines}, "application/x-ndjson", false, len(rows))
+	})
+	b.Run("wide-gzip", func(b *testing.B) {
+		benchIngest(b, [][]byte{gzipped(b, lines)}, "application/x-ndjson", true, len(rows))
+	})
+}
+
 // BenchmarkIngestThroughputV4 is the receiver side of a flush on the v4
 // wire: read, decode, resolve, append.
 func BenchmarkIngestThroughputV4(b *testing.B) {

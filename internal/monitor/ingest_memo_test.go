@@ -264,7 +264,7 @@ func TestJSONIngestLandsWithoutShape(t *testing.T) {
 	}
 	h := &HTTPSink{store: NewStore(1024)}
 	var b groupBatch
-	if err := decodeIngest(&body, &b); err != nil {
+	if err := decodeIngest(body.Bytes(), &b); err != nil {
 		t.Fatal(err)
 	}
 	lands := func() {

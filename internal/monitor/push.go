@@ -120,8 +120,9 @@ type PushSink struct {
 	pending []Sample     // Source already resolved to the wire identity
 	meta    []sampleMeta // index-aligned with pending
 	enc     V4Encoder    // grouping scratch, reused across flushes
-	lastV4  int          // size of the previous v4 payload: the next one's capacity hint
+	lastLen int          // size of the previous flush's body: the next one's capacity hint
 	lines   []byte       // JSON-lines scratch, reused: only its gzipped copy ships
+	zw      *gzip.Writer // the JSON wire's compressor, Reset onto each flush's body
 
 	sent      atomic.Uint64 // samples acknowledged by the receiver
 	pushes    atomic.Uint64 // successful POSTs
@@ -394,16 +395,17 @@ func (p *PushSink) flush() error {
 		contentType string
 		encoding    string
 	)
+	// Each body is a buffer of its own (the transport may still be
+	// reading the last one after Do returns), sized from the previous
+	// flush.
+	out := make([]byte, 0, p.lastLen+p.lastLen/8+64)
 	if p.opts.Format == WireV4 {
 		// The binary columnar format is already compact; it ships
-		// identity-encoded under its own Content-Type, in a buffer of
-		// its own (the transport may still be reading a body after Do
-		// returns) sized from the previous flush.
-		payload, err := p.enc.encode(make([]byte, 0, p.lastV4+p.lastV4/8+64), p.pending, p.meta)
+		// identity-encoded under its own Content-Type.
+		payload, err := p.enc.encode(out, p.pending, p.meta)
 		if err != nil {
 			return err
 		}
-		p.lastV4 = len(payload)
 		wire, contentType = payload, V4ContentType
 		if p.tBytes != nil {
 			p.tBytes["raw"].Add(uint64(len(payload)))
@@ -413,12 +415,17 @@ func (p *PushSink) flush() error {
 		if err != nil {
 			return err
 		}
-		var body bytes.Buffer
-		zw := gzip.NewWriter(&body)
-		if _, err := zw.Write(payload); err != nil {
+		// The compressor and its window are kept across flushes.
+		body := bytes.NewBuffer(out)
+		if p.zw == nil {
+			p.zw = gzip.NewWriter(body)
+		} else {
+			p.zw.Reset(body)
+		}
+		if _, err := p.zw.Write(payload); err != nil {
 			return err
 		}
-		if err := zw.Close(); err != nil {
+		if err := p.zw.Close(); err != nil {
 			return err
 		}
 		wire, contentType, encoding = body.Bytes(), "application/x-ndjson", "gzip"
@@ -427,6 +434,7 @@ func (p *PushSink) flush() error {
 			p.tBytes["gzip"].Add(uint64(body.Len()))
 		}
 	}
+	p.lastLen = len(wire)
 
 	err := RetryWithBackoff(p.opts.Context, p.opts.MaxAttempts, p.opts.RetryBase,
 		func() { p.retries.Add(1) },

@@ -442,34 +442,41 @@ func TestAppendCSVRowMatchesFmt(t *testing.T) {
 	}
 }
 
+// jsonLineSeed is one FuzzJSONLine seed: a record's fields, plus a
+// label name and value (see FuzzJSONLine).
+type jsonLineSeed struct {
+	tm, sentAt, v                            float64
+	collector, source, metric, lname, lvalue string
+	scope                                    uint8
+	id                                       int
+}
+
+// jsonLineSeeds are FuzzJSONLine's seeds; TestCanonicalLinesTakeTheScanner
+// decodes their lines.
+var jsonLineSeeds = []jsonLineSeed{
+	{0.5, 0, 571.25, "perfgroup/MEM_DP", "", "dp_mflops_s", "", "", 0, 0},
+	{1, 100.5, 13714.285, "perfgroup/MEM_DP", "nodeA-7", "memory_bandwidth_mbytes_s", "job", "lbm", 2, 1},
+	{2, 0, 1, "<script>&amp;", "a\"b\\c", "x>y", "j<b", "v&w", 3, 0},
+	{2, 0, 1, "ctl\x00\x01\x1f\x7f", "tab\there", "nl\nx", "k", "\r", 1, 5},
+	{2, 0, 1, "bad\xff\xfeutf8", "\xc3", "ok", "k", "\xed\xa0\x80", 0, 0},
+	{2, 0, 1, "line\u2028sep\u2029", "é", "µs", "k", "日本", 0, 0},
+	{math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1), "c", "", "m", "", "", 0, -1},
+	{1e-7, 1e-6, 1e21, "c", "", "m", "", "", 0, 0},
+	{9.99e-7, 1e20, 1e-300, "c", "", "m", "", "", 0, 1 << 40},
+	{5e-324, 2.2250738585072014e-308, math.MaxFloat64, "c", "", "m", "", "", 0, 0},
+	{-1.5e-8, -123456789.123, -1e22, "c", "", "m", "", "", 9, 0},
+	{math.NaN(), 0, 1, "c", "", "m", "", "", 0, 0},
+	{1, math.Inf(1), 1, "c", "", "m", "", "", 0, 0},
+	{1, 0, math.Inf(-1), "c", "", "m", "", "", 0, 0},
+}
+
 // FuzzJSONLine checks appendJSONLine against encoding/json, the oracle
 // it replaces: the same bytes for every record json can encode (HTML
 // escaping, invalid UTF-8, U+2028/2029, float forms and all), and an
 // error with dst unchanged exactly where json errors.  A non-empty
 // label name adds a two-pair set (name, name_) with the given value.
 func FuzzJSONLine(f *testing.F) {
-	type seed struct {
-		tm, sentAt, v                            float64
-		collector, source, metric, lname, lvalue string
-		scope                                    uint8
-		id                                       int
-	}
-	for _, s := range []seed{
-		{0.5, 0, 571.25, "perfgroup/MEM_DP", "", "dp_mflops_s", "", "", 0, 0},
-		{1, 100.5, 13714.285, "perfgroup/MEM_DP", "nodeA-7", "memory_bandwidth_mbytes_s", "job", "lbm", 2, 1},
-		{2, 0, 1, "<script>&amp;", "a\"b\\c", "x>y", "j<b", "v&w", 3, 0},
-		{2, 0, 1, "ctl\x00\x01\x1f\x7f", "tab\there", "nl\nx", "k", "\r", 1, 5},
-		{2, 0, 1, "bad\xff\xfeutf8", "\xc3", "ok", "k", "\xed\xa0\x80", 0, 0},
-		{2, 0, 1, "line\u2028sep\u2029", "é", "µs", "k", "日本", 0, 0},
-		{math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1), "c", "", "m", "", "", 0, -1},
-		{1e-7, 1e-6, 1e21, "c", "", "m", "", "", 0, 0},
-		{9.99e-7, 1e20, 1e-300, "c", "", "m", "", "", 0, 1 << 40},
-		{5e-324, 2.2250738585072014e-308, math.MaxFloat64, "c", "", "m", "", "", 0, 0},
-		{-1.5e-8, -123456789.123, -1e22, "c", "", "m", "", "", 9, 0},
-		{math.NaN(), 0, 1, "c", "", "m", "", "", 0, 0},
-		{1, math.Inf(1), 1, "c", "", "m", "", "", 0, 0},
-		{1, 0, math.Inf(-1), "c", "", "m", "", "", 0, 0},
-	} {
+	for _, s := range jsonLineSeeds {
 		f.Add(s.tm, s.sentAt, s.v, s.collector, s.source, s.metric, s.lname, s.lvalue, s.scope, s.id)
 	}
 	f.Fuzz(func(t *testing.T, tm, sentAt, v float64, collector, source, metric, lname, lvalue string, scope uint8, id int) {
