@@ -6,14 +6,54 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"likwid/internal/monitor"
+	"likwid/internal/monitor/memnet"
 )
+
+// testNet carries the package's in-process HTTP: receivers and webhook
+// endpoints listen on its hosts, and testClient (the webhook
+// notifier's client too) dials them, so no test takes a kernel port.
+var (
+	testNet    = memnet.New()
+	testClient = testNet.Client()
+)
+
+func init() { webhookClient = testClient }
+
+// serveTest serves handler on a fresh testNet host until the test ends
+// and returns its server and base URL.
+func serveTest(t *testing.T, handler http.Handler) (*http.Server, string) {
+	t.Helper()
+	ln, err := testNet.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: handler}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	return srv, "http://" + ln.Addr().String()
+}
+
+// newReceiver serves a monitor HTTP sink over store on a fresh testNet
+// host until the test ends.
+func newReceiver(t *testing.T, store *monitor.Store) *monitor.HTTPSink {
+	t.Helper()
+	ln, err := testNet.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := monitor.ServeHTTPSink(ln, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = h.Close() })
+	return h
+}
 
 // tempCollector is the synthetic collector of the end-to-end test: one
 // node-scope gauge whose value the test flips, with simulated time
@@ -46,7 +86,7 @@ func TestEndToEndAlertPipeline(t *testing.T) {
 	// Webhook endpoint capturing delivered events.
 	var hookMu sync.Mutex
 	var hooks []Event
-	hookSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	_, hookURL := serveTest(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var ev Event
 		if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
 			t.Errorf("webhook payload: %v", err)
@@ -56,7 +96,6 @@ func TestEndToEndAlertPipeline(t *testing.T) {
 		hookMu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	}))
-	defer hookSrv.Close()
 	hooksByState := func(state string) []Event {
 		hookMu.Lock()
 		defer hookMu.Unlock()
@@ -79,7 +118,7 @@ func TestEndToEndAlertPipeline(t *testing.T) {
 
 	// The alerting side: webhook notifier behind the fanout, engine on
 	// the same fake clock, endpoints mounted on a live HTTP sink.
-	wn, err := NewWebhookNotifier(WebhookOptions{URL: hookSrv.URL, RetryBase: time.Millisecond})
+	wn, err := NewWebhookNotifier(WebhookOptions{URL: hookURL, RetryBase: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +129,7 @@ func TestEndToEndAlertPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hsink, err := monitor.NewHTTPSink("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hsink.Close()
+	hsink := newReceiver(t, store)
 	hsink.Handle("/alerts", http.HandlerFunc(engine.HandleAlerts))
 	hsink.Handle("/rules", http.HandlerFunc(engine.HandleRules))
 
@@ -126,7 +161,7 @@ func TestEndToEndAlertPipeline(t *testing.T) {
 
 	getJSON := func(path string, into any) {
 		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", hsink.Addr(), path))
+		resp, err := testClient.Get(fmt.Sprintf("http://%s%s", hsink.Addr(), path))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,16 +21,13 @@ import (
 // rule raises per-source alert instances with per-source history.
 func TestFleetMixedVersionEndToEnd(t *testing.T) {
 	store := monitor.NewStore(64)
-	recv, err := monitor.NewHTTPSink("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
+	recv := newReceiver(t, store)
 	base := "http://" + recv.Addr()
 
 	// Agent A is v2: a real push sink carrying its Source per sample.
 	push, err := monitor.NewPushSink(monitor.PushOptions{
 		URL:          base + "/ingest",
+		Client:       testClient,
 		FlushSamples: 1,
 		RetryBase:    time.Millisecond,
 		Source:       "nodeA",
@@ -55,7 +52,7 @@ func TestFleetMixedVersionEndToEnd(t *testing.T) {
 	for i := 0; i <= 10; i++ {
 		fmt.Fprintf(&lines, `{"time":%d,"collector":"perfgroup","source":"nodeB","metric":"bw","scope":"node","id":0,"value":500}`+"\n", i)
 	}
-	resp, err := http.Post(base+"/ingest", "application/x-ndjson", &lines)
+	resp, err := testClient.Post(base+"/ingest", "application/x-ndjson", &lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +71,7 @@ func TestFleetMixedVersionEndToEnd(t *testing.T) {
 	}
 
 	// /query fans out across the fleet with a source wildcard.
-	qr, err := http.Get(base + "/query?metric=bw&scope=node&source=*")
+	qr, err := testClient.Get(base + "/query?metric=bw&scope=node&source=*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +98,7 @@ func TestFleetMixedVersionEndToEnd(t *testing.T) {
 	if evs[0].Source != "nodeA" || evs[0].Metric != "bw" || evs[0].State != EventStateFiring {
 		t.Fatalf("event = %+v, want nodeA firing", evs[0])
 	}
-	ar, err := http.Get(base + "/alerts")
+	ar, err := testClient.Get(base + "/alerts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +122,7 @@ func TestFleetMixedVersionEndToEnd(t *testing.T) {
 // instance, and a per-label-set history series.
 func TestFleetLabeledEndToEnd(t *testing.T) {
 	store := monitor.NewStore(64)
-	recv, err := monitor.NewHTTPSink("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
+	recv := newReceiver(t, store)
 	// The receiver stamps the machine-room identity under every push.
 	cluster, err := monitor.ParseLabelSpec("cluster=emmy")
 	if err != nil {
@@ -151,6 +144,7 @@ func TestFleetLabeledEndToEnd(t *testing.T) {
 		}
 		push, err := monitor.NewPushSink(monitor.PushOptions{
 			URL:          base + "/ingest",
+			Client:       testClient,
 			FlushSamples: 1,
 			RetryBase:    time.Millisecond,
 			Source:       agent,
@@ -179,7 +173,7 @@ func TestFleetLabeledEndToEnd(t *testing.T) {
 	}
 
 	// /query slices the fleet by label, across sources.
-	qr, err := http.Get(base + "/query?metric=bw&scope=node&source=*&label.job=lbm&label.cluster=em*")
+	qr, err := testClient.Get(base + "/query?metric=bw&scope=node&source=*&label.job=lbm&label.cluster=em*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +210,7 @@ func TestFleetLabeledEndToEnd(t *testing.T) {
 	}
 
 	// GET /alerts carries the label set on the instance.
-	ar, err := http.Get(base + "/alerts")
+	ar, err := testClient.Get(base + "/alerts")
 	if err != nil {
 		t.Fatal(err)
 	}

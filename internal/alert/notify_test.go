@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -60,7 +59,7 @@ func TestJSONLNotifierRoundTrip(t *testing.T) {
 func TestWebhookNotifierRetries(t *testing.T) {
 	var calls atomic.Int64
 	var got Event
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv, srvURL := serveTest(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) < 3 {
 			http.Error(w, "busy", http.StatusServiceUnavailable)
 			return
@@ -70,9 +69,8 @@ func TestWebhookNotifierRetries(t *testing.T) {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	}))
-	defer srv.Close()
 
-	n, err := NewWebhookNotifier(WebhookOptions{URL: srv.URL, RetryBase: time.Millisecond})
+	n, err := NewWebhookNotifier(WebhookOptions{URL: srvURL, RetryBase: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,7 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	// compact, proving self series ride retention like any other series.
 	store := monitor.NewStore(8, monitor.Tier{Resolution: 5, Capacity: 64})
 	store.Instrument(reg)
-	recv, err := monitor.NewHTTPSink("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
+	recv := newReceiver(t, store)
 	recv.Instrument(reg)
 	recv.Handle("/status", telemetry.StatusHandler(reg))
 	base := "http://" + recv.Addr()
@@ -45,6 +41,7 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	// record carries sent_at and the receiver traces its wire latency.
 	push, err := monitor.NewPushSink(monitor.PushOptions{
 		URL:          base + "/ingest",
+		Client:       testClient,
 		FlushSamples: 1,
 		RetryBase:    time.Millisecond,
 		Source:       "nodeA",
@@ -68,7 +65,7 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	bad := `{"time":1,"labels":{"bad name":"x"},"metric":"bw","scope":"node","id":0,"value":1}` + "\n"
 	for i := 0; i < 30; i++ {
 		now = now.Add(time.Second)
-		resp, err := http.Post(base+"/ingest", "application/x-ndjson", strings.NewReader(bad))
+		resp, err := testClient.Post(base+"/ingest", "application/x-ndjson", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +103,7 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	// windowable over HTTP, and stitched across the raw ring and the
 	// retention tier (30 points through an 8-point ring must serve more
 	// than the ring can hold).
-	qr, err := http.Get(base + "/query?source=self&metric=likwid_ingest_rejected_total&scope=node&id=0&from=0&to=31&label.reason=decode")
+	qr, err := testClient.Get(base + "/query?source=self&metric=likwid_ingest_rejected_total&scope=node&id=0&from=0&to=31&label.reason=decode")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +130,7 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// GET /status serves the live registry snapshot next to the store.
-	sr, err := http.Get(base + "/status")
+	sr, err := testClient.Get(base + "/status")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 
 	"likwid/internal/alert"
 	"likwid/internal/monitor"
+	"likwid/internal/monitor/memnet"
 	"likwid/internal/monitor/persist"
 	"likwid/internal/telemetry"
 )
@@ -65,11 +66,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // derived history after the raw ring evicted the early points.
 func TestE2EDerivedPipeline(t *testing.T) {
 	store := monitor.NewStore(8, monitor.Tier{Resolution: 4, Capacity: 64})
-	recv, err := monitor.NewHTTPSink("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
+	recv := newReceiver(t, store)
 
 	// Ingest routing: the fleet still pushes the legacy name; the
 	// receiver renames it and tags the job before interning.
@@ -102,7 +99,7 @@ route relabel */bw set job="lbm"
 	pushers := make([]*monitor.PushSink, len(nodes))
 	for i, n := range nodes {
 		p, err := monitor.NewPushSink(monitor.PushOptions{
-			URL: base + "/ingest", FlushSamples: 1,
+			URL: base + "/ingest", Client: testClient, FlushSamples: 1,
 			RetryBase: time.Millisecond, Source: n.name,
 		})
 		if err != nil {
@@ -232,9 +229,32 @@ route relabel */bw set job="lbm"
 	}
 }
 
+// testNet carries the package's receivers; testClient dials them, so
+// no test takes a kernel port.
+var (
+	testNet    = memnet.New()
+	testClient = testNet.Client()
+)
+
+// newReceiver serves a monitor HTTP sink over store on a fresh testNet
+// host until the test ends.
+func newReceiver(t *testing.T, store *monitor.Store) *monitor.HTTPSink {
+	t.Helper()
+	ln, err := testNet.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := monitor.ServeHTTPSink(ln, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = h.Close() })
+	return h
+}
+
 func getJSON(t *testing.T, url string, into any) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := testClient.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +352,7 @@ func TestE2EWALReplayRestoresDerived(t *testing.T) {
 // source identity.
 func TestE2EDerivedShipsOverPushV4(t *testing.T) {
 	recvStore := monitor.NewStore(64)
-	recv, err := monitor.NewHTTPSink("127.0.0.1:0", recvStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
+	recv := newReceiver(t, recvStore)
 
 	agentStore := monitor.NewStore(64)
 	for i := 0; i < 4; i++ {
@@ -345,7 +361,7 @@ func TestE2EDerivedShipsOverPushV4(t *testing.T) {
 	}
 
 	push, err := monitor.NewPushSink(monitor.PushOptions{
-		URL: "http://" + recv.Addr() + "/ingest", FlushSamples: 1,
+		URL: "http://" + recv.Addr() + "/ingest", Client: testClient, FlushSamples: 1,
 		RetryBase: time.Millisecond, Source: "agent1", Format: monitor.WireV4,
 	})
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -615,20 +614,4 @@ func lastSampleTime(samples []monitor.Sample) float64 {
 		return 0
 	}
 	return samples[len(samples)-1].Time
-}
-
-// SetHealthy force-sets one target's health state — test hook and
-// operational escape hatch (a probe flip is otherwise at most one
-// ProbeInterval away).
-func (s *Sink) SetHealthy(name string, healthy bool) error {
-	t, ok := s.byName[strings.TrimSpace(name)]
-	if !ok {
-		return fmt.Errorf("cluster: unknown target %q", name)
-	}
-	if healthy {
-		s.markHealthy(t)
-	} else {
-		s.markUnhealthy(t, fmt.Errorf("marked down"))
-	}
-	return nil
 }

@@ -27,6 +27,8 @@ func newShardNode(t *testing.T, rootURL string) *shardNode {
 	store, h, url := newReceiver(t)
 	fwd, err := New(Options{
 		Targets:      []string{rootURL},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyFailover,
 		FlushSamples: 1,
 		RetryBase:    time.Millisecond,
@@ -99,6 +101,8 @@ func TestFleetTopologyShardFailoverE2E(t *testing.T) {
 	newAgent := func(name string) *Sink {
 		s, err := New(Options{
 			Targets:      []string{shard1.url, shard2.url},
+			Client:       testClient,
+			ProbeClient:  testClient,
 			Policy:       PolicyShard,
 			Source:       name,
 			FlushSamples: 1,
@@ -222,6 +226,8 @@ func TestMirrorHAQueryDedupe(t *testing.T) {
 
 	agent, err := New(Options{
 		Targets:      []string{m1.url, m2.url},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyMirror,
 		Source:       "agentHA",
 		FlushSamples: 1,
@@ -253,7 +259,7 @@ func TestMirrorHAQueryDedupe(t *testing.T) {
 		t.Fatalf("root store has %d points, want 40 (two mirrored copies)", n)
 	}
 	// ... but /query collapses them: each timestamp exactly once.
-	resp, err := http.Get("http://" + rootH.Addr() + "/query?source=agentHA&metric=bw&scope=node&id=0")
+	resp, err := testClient.Get("http://" + rootH.Addr() + "/query?source=agentHA&metric=bw&scope=node&id=0")
 	if err != nil {
 		t.Fatal(err)
 	}

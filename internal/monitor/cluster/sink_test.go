@@ -3,39 +3,60 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"net"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"likwid/internal/monitor"
+	"likwid/internal/monitor/memnet"
 	"likwid/internal/telemetry"
 )
 
-// newReceiver boots a real receiver (store + HTTP sink on a loopback
-// port) and returns its store, sink, and ingest URL.
-func newReceiver(t *testing.T) (*monitor.Store, *monitor.HTTPSink, string) {
+// testNet carries the package's receivers: each listens on its own
+// in-memory host and testClient dials them, so no test takes a kernel
+// port and an outage is a closed listener, refused at once.
+var (
+	testNet    = memnet.New()
+	testClient = testNet.Client()
+	deadHosts  atomic.Int64
+)
+
+// serveReceiver serves a receiver over store on host ("" picks a fresh
+// one) until the test ends.
+func serveReceiver(t *testing.T, host string, store *monitor.Store) *monitor.HTTPSink {
 	t.Helper()
-	store := monitor.NewStore(256)
-	h, err := monitor.NewHTTPSink("127.0.0.1:0", store)
+	ln, err := testNet.Listen(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := monitor.ServeHTTPSink(ln, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = h.Close() })
+	return h
+}
+
+// newReceiver boots a real receiver (store + HTTP sink on a fresh
+// testNet host) and returns its store, sink, and ingest URL.
+func newReceiver(t *testing.T) (*monitor.Store, *monitor.HTTPSink, string) {
+	t.Helper()
+	store := monitor.NewStore(256)
+	h := serveReceiver(t, "", store)
 	return store, h, "http://" + h.Addr() + "/ingest"
 }
 
-// deadURL returns an ingest URL nothing listens on: bind a port, close
-// it, keep the address.
-func deadURL(t *testing.T) string {
+// deadURL returns an ingest URL on a testNet host nothing listens on.
+func deadURL() string {
+	return fmt.Sprintf("http://dead%d.memnet/ingest", deadHosts.Add(1))
+}
+
+// waitHealthy waits until target i of s reports healthy as want.
+func waitHealthy(t *testing.T, s *Sink, i int, want bool) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	_ = l.Close()
-	return "http://" + addr + "/ingest"
+	waitFor(t, 10*time.Second, func() bool { return s.Status()[i].Healthy == want },
+		fmt.Sprintf("target %d never reported healthy=%v", i, want))
 }
 
 // batchOf builds a one-sample batch for metric at time tm.
@@ -59,6 +80,8 @@ func TestClusterShardPartitioning(t *testing.T) {
 	store2, _, url2 := newReceiver(t)
 	s, err := New(Options{
 		Targets:      []string{url1, url2},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyShard,
 		Source:       "agent",
 		FlushSamples: 1,
@@ -112,6 +135,8 @@ func TestClusterShardRoutesByWireSource(t *testing.T) {
 	store2, _, url2 := newReceiver(t)
 	s, err := New(Options{
 		Targets:      []string{url1, url2},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyShard,
 		Source:       "agent",
 		FlushSamples: 1,
@@ -159,22 +184,23 @@ func TestClusterShardRoutesByWireSource(t *testing.T) {
 // order, so each target's pending is the same on every run.
 func TestClusterShardAllDownParksOnFullRing(t *testing.T) {
 	s, err := New(Options{
-		Targets:       []string{deadURL(t), deadURL(t), deadURL(t)},
-		Policy:        PolicyShard,
-		Source:        "agent",
-		FlushSamples:  1000,
-		RetryBase:     time.Millisecond,
-		ProbeInterval: time.Hour,
+		Targets:      []string{deadURL(), deadURL(), deadURL()},
+		Client:       testClient,
+		ProbeClient:  testClient,
+		Policy:       PolicyShard,
+		Source:       "agent",
+		FlushSamples: 1000,
+		RetryBase:    time.Millisecond,
+		// The first probe finds each target down; the next is parked.
+		ProbeInterval: time.Millisecond,
 		ProbeBackoff:  time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Close() }()
-	for _, st := range s.Status() {
-		if err := s.SetHealthy(st.Target, false); err != nil {
-			t.Fatal(err)
-		}
+	for i := range s.Status() {
+		waitHealthy(t, s, i, false)
 	}
 	var batch []monitor.Sample
 	want := map[string][]monitor.Sample{}
@@ -222,6 +248,8 @@ func TestClusterFailover(t *testing.T) {
 	store2, _, url2 := newReceiver(t)
 	s, err := New(Options{
 		Targets:      []string{url1, url2},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyFailover,
 		Source:       "agent",
 		FlushSamples: 1,
@@ -273,6 +301,8 @@ func TestClusterShardMidPassFailureKeepsHealthyParts(t *testing.T) {
 	store2, _, url2 := newReceiver(t)
 	s, err := New(Options{
 		Targets:      []string{url1, url2},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyShard,
 		Source:       "agent",
 		FlushSamples: 1,
@@ -329,13 +359,18 @@ func TestClusterShardMidPassFailureKeepsHealthyParts(t *testing.T) {
 // when it recovers — no reroute, no loss.
 func TestClusterMirrorBufferAndCatchUp(t *testing.T) {
 	store1, _, url1 := newReceiver(t)
-	store2, _, url2 := newReceiver(t)
+	store2, h2, url2 := newReceiver(t)
 	s, err := New(Options{
 		Targets:      []string{url1, url2},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyMirror,
 		Source:       "agent",
 		FlushSamples: 1,
 		RetryBase:    time.Millisecond,
+		// The probers see the outage and the recovery; no write does.
+		ProbeInterval: 5 * time.Millisecond,
+		ProbeBackoff:  5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -350,9 +385,8 @@ func TestClusterMirrorBufferAndCatchUp(t *testing.T) {
 	}
 	// Mirror 2 goes down: writes keep flowing to mirror 1 and buffer for
 	// mirror 2.
-	if err := s.SetHealthy(hostOf(t, url2), false); err != nil {
-		t.Fatal(err)
-	}
+	_ = h2.Close()
+	waitHealthy(t, s, 1, false)
 	for i := 5; i < 10; i++ {
 		if err := s.Write(batchOf("bw", float64(i), float64(i))); err != nil {
 			t.Fatal(err)
@@ -361,10 +395,10 @@ func TestClusterMirrorBufferAndCatchUp(t *testing.T) {
 	if n1, n2 := len(window(store1, "agent", "bw")), len(window(store2, "agent", "bw")); n1 != 10 || n2 != 5 {
 		t.Fatalf("mirrors have %d/%d points during outage, want 10/5", n1, n2)
 	}
-	// Recovery: the next write ships the buffered backlog too.
-	if err := s.SetHealthy(hostOf(t, url2), true); err != nil {
-		t.Fatal(err)
-	}
+	// Recovery: mirror 2 listens again on its host, over the same store,
+	// and the next write ships the buffered backlog too.
+	serveReceiver(t, hostOf(t, url2), store2)
+	waitHealthy(t, s, 1, true)
 	if err := s.Write(batchOf("bw", 10, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -383,10 +417,12 @@ func TestClusterMirrorBufferAndCatchUp(t *testing.T) {
 // discovered by probing alone (no write needed), and a recovered one
 // re-enters the ring without intervention.
 func TestClusterProbeTransitions(t *testing.T) {
-	_, _, url1 := newReceiver(t)
-	dead := deadURL(t)
+	store1, h1, url1 := newReceiver(t)
+	dead := deadURL()
 	s, err := New(Options{
 		Targets:       []string{url1, dead},
+		Client:        testClient,
+		ProbeClient:   testClient,
 		Policy:        PolicyShard,
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeBackoff:  5 * time.Millisecond,
@@ -401,17 +437,16 @@ func TestClusterProbeTransitions(t *testing.T) {
 		return !st[1].Healthy && s.Ring().Len() == 1
 	}, "prober never marked the dead target unhealthy")
 
-	// Force the live target down; the prober must bring it back.
-	if err := s.SetHealthy(hostOf(t, url1), false); err != nil {
-		t.Fatal(err)
-	}
+	// Take the live target down; the prober must see it go, and bring it
+	// back once it listens again.
+	_ = h1.Close()
+	waitFor(t, time.Second, func() bool {
+		return !s.Status()[0].Healthy && s.Ring().Len() == 0
+	}, "prober never marked the closed target unhealthy")
+	serveReceiver(t, hostOf(t, url1), store1)
 	waitFor(t, time.Second, func() bool {
 		return s.Status()[0].Healthy && s.Ring().Len() == 1
 	}, "prober never recovered the healthy target")
-
-	if err := s.SetHealthy("no-such-target", true); err == nil {
-		t.Error("SetHealthy accepted an unknown target")
-	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -431,10 +466,12 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // buffered against a dead primary at shutdown re-route to the healthy
 // standby instead of being counted as drops.
 func TestClusterCloseDrains(t *testing.T) {
-	dead := deadURL(t)
+	dead := deadURL()
 	store2, _, url2 := newReceiver(t)
 	s, err := New(Options{
 		Targets:      []string{dead, url2},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyFailover,
 		Source:       "agent",
 		FlushSamples: 1000, // never auto-flush: everything rides on Close
@@ -466,9 +503,11 @@ func TestClusterCloseDrains(t *testing.T) {
 // side: a pool of one has nothing to fail over to, so it must keep the
 // full retry ladder instead of the single-attempt fast path.
 func TestClusterSingletonKeepsRetryLadder(t *testing.T) {
-	dead := deadURL(t)
+	dead := deadURL()
 	s, err := New(Options{
 		Targets:      []string{dead},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Policy:       PolicyFailover,
 		FlushSamples: 1,
 		RetryBase:    time.Millisecond,
@@ -492,6 +531,8 @@ func TestClusterTargetRefusalsByReason(t *testing.T) {
 	store, _, url := newReceiver(t)
 	s, err := New(Options{
 		Targets:      []string{url},
+		Client:       testClient,
+		ProbeClient:  testClient,
 		Source:       "agent",
 		FlushSamples: 1,
 		RetryBase:    time.Millisecond,

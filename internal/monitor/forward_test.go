@@ -21,7 +21,7 @@ func TestForwardHookSingleJournal(t *testing.T) {
 	store := NewStore(64)
 	journal := &countingJournal{}
 	store.SetJournal(journal)
-	h, err := NewHTTPSink("127.0.0.1:0", store)
+	h, err := ServeHTTPSink(listenTest(t), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +37,7 @@ func TestForwardHookSingleJournal(t *testing.T) {
 
 	push, err := NewPushSink(PushOptions{
 		URL:          "http://" + h.Addr() + "/ingest",
+		Client:       testClient,
 		FlushSamples: 1,
 		RetryBase:    time.Millisecond,
 		Source:       "node7",
@@ -89,7 +90,7 @@ func TestForwardHookSingleJournal(t *testing.T) {
 func pushOne(t *testing.T, addr string) error {
 	t.Helper()
 	p, err := NewPushSink(PushOptions{
-		URL: "http://" + addr + "/ingest", FlushSamples: 1, RetryBase: time.Millisecond,
+		URL: "http://" + addr + "/ingest", Client: testClient, FlushSamples: 1, RetryBase: time.Millisecond,
 	})
 	if err != nil {
 		return err

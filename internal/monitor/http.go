@@ -129,15 +129,23 @@ type readyCheck struct {
 }
 
 // NewHTTPSink listens on addr immediately (so scrapes work as soon as the
-// agent is up) and serves in a background goroutine.  The store backs
-// /metrics, /query and /ingest, so it is required.
+// agent is up) and serves in a background goroutine (ServeHTTPSink).
 func NewHTTPSink(addr string, store *Store) (*HTTPSink, error) {
-	if store == nil {
-		return nil, errors.New("monitor: http sink needs a store")
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: http sink: %w", err)
+	}
+	return ServeHTTPSink(ln, store)
+}
+
+// ServeHTTPSink serves the sink's endpoints on ln in a background
+// goroutine.  The sink owns ln from here on: Close closes it, and so
+// does a failed call.  The store backs /metrics, /query and /ingest, so
+// it is required.
+func ServeHTTPSink(ln net.Listener, store *Store) (*HTTPSink, error) {
+	if store == nil {
+		ln.Close()
+		return nil, errors.New("monitor: http sink needs a store")
 	}
 	h := &HTTPSink{store: store, ln: ln, started: time.Now(), maxDecompressed: maxIngestDecompressed}
 	mux := http.NewServeMux()

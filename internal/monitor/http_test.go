@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,12 +13,42 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"likwid/internal/monitor/memnet"
 )
+
+// testNet carries the package's in-process HTTP: receivers listen on
+// its hosts and testClient dials them, so no test takes a kernel port
+// that another test (or package) may be reusing.
+var (
+	testNet    = memnet.New()
+	testClient = testNet.Client()
+)
+
+// listenTest opens a listener on a fresh testNet host.
+func listenTest(t testing.TB) net.Listener {
+	t.Helper()
+	ln, err := testNet.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// serveTest serves srv on a fresh testNet host until the test ends and
+// returns the host's base URL.
+func serveTest(t testing.TB, srv *http.Server) string {
+	t.Helper()
+	ln := listenTest(t)
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	return "http://" + ln.Addr().String()
+}
 
 func newTestHTTPSink(t *testing.T) (*HTTPSink, *Store) {
 	t.Helper()
 	store := NewStore(16)
-	h, err := NewHTTPSink("127.0.0.1:0", store)
+	h, err := ServeHTTPSink(listenTest(t), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +58,7 @@ func newTestHTTPSink(t *testing.T) (*HTTPSink, *Store) {
 
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := testClient.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +182,7 @@ func postIngest(t *testing.T, base string, body []byte, gzipped bool) (int, stri
 	if gzipped {
 		req.Header.Set("Content-Encoding", "gzip")
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +277,7 @@ func TestIngestRejectsMalformedPayloads(t *testing.T) {
 	}
 	req, _ := http.NewRequest(http.MethodPost, base+"/ingest", strings.NewReader("x"))
 	req.Header.Set("Content-Encoding", "br")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +289,17 @@ func TestIngestRejectsMalformedPayloads(t *testing.T) {
 
 // TestIngestWithoutStoreIsNotImplemented: /metrics, /query and /ingest
 // all read the store, so a sink without one is refused at construction
-// (the name dates from when such a sink answered /ingest with 501).
+// (the name dates from when such a sink answered /ingest with 501), and
+// the refused sink's listener is closed with it.
 func TestIngestWithoutStoreIsNotImplemented(t *testing.T) {
-	h, err := NewHTTPSink("127.0.0.1:0", nil)
+	ln := listenTest(t)
+	h, err := ServeHTTPSink(ln, nil)
 	if err == nil {
 		_ = h.Close()
-		t.Fatal("NewHTTPSink without a store succeeded, want an error")
+		t.Fatal("ServeHTTPSink without a store succeeded, want an error")
+	}
+	if _, err := testNet.Dial(context.Background(), "tcp", ln.Addr().String()); err == nil {
+		t.Error("a sink refused for want of a store left its listener open")
 	}
 }
 
@@ -514,30 +550,30 @@ func TestHTTPSinkHandleMountsExtraEndpoints(t *testing.T) {
 	}
 }
 
-// TestHTTPSinkCloseReleasesPort: Close gives the port back at once,
+// TestHTTPSinkCloseReleasesPort: Close gives the listener back at once,
 // also for a sink closed before its serve goroutine has run, so a
 // restart (or a node.New that failed part way) can listen on it again.
+// The listener is the sink's own testNet host, which no other test can
+// take, so a dial that gets through was answered by this sink.
 func TestHTTPSinkCloseReleasesPort(t *testing.T) {
 	store := NewStore(1)
-	failed := 0
+	held := 0
 	for i := 0; i < 300; i++ {
-		h, err := NewHTTPSink("127.0.0.1:0", store)
+		ln := listenTest(t)
+		h, err := ServeHTTPSink(ln, store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr := h.Addr()
 		if err := h.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			failed++
-			continue
+		if c, err := testNet.Dial(context.Background(), "tcp", ln.Addr().String()); err == nil {
+			c.Close()
+			held++
 		}
-		ln.Close()
 	}
-	if failed > 0 {
-		t.Fatalf("%d of 300 closed sinks still held their port", failed)
+	if held > 0 {
+		t.Fatalf("%d of 300 closed sinks still held their listener", held)
 	}
 }
 

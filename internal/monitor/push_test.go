@@ -11,7 +11,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -116,9 +115,8 @@ func checkPushGolden(t *testing.T, name string) {
 	}
 	c := cases[name]
 	rec := &captureReceiver{}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
-	p, err := NewPushSink(PushOptions{URL: srv.URL, FlushSamples: 1 << 20, Source: c.source, Now: c.now})
+	srvURL := serveTest(t, &http.Server{Handler: http.HandlerFunc(rec.handler)})
+	p, err := NewPushSink(PushOptions{URL: srvURL, Client: testClient, FlushSamples: 1 << 20, Source: c.source, Now: c.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +181,12 @@ func checkGoldenSection(t *testing.T, file, name string, got []byte) {
 // instead of sleeping through every retry.
 func TestPushSinkCloseHonorsCancelledContext(t *testing.T) {
 	rec := &captureReceiver{failNext: 1 << 30}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
+	srvURL := serveTest(t, &http.Server{Handler: http.HandlerFunc(rec.handler)})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	p, err := NewPushSink(PushOptions{
-		URL:          srv.URL,
+		URL:          srvURL,
+		Client:       testClient,
 		FlushSamples: 1 << 20, // nothing flushes before Close
 		MaxAttempts:  5,
 		RetryBase:    30 * time.Second, // the ladder would take minutes
@@ -219,12 +217,12 @@ func TestPushSinkCloseHonorsCancelledContext(t *testing.T) {
 // structured warning), not vanish silently.
 func TestPushSinkCloseCountsAbandonedSamplesAsDrops(t *testing.T) {
 	rec := &captureReceiver{failNext: 1 << 30} // receiver stays dead
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
+	srvURL := serveTest(t, &http.Server{Handler: http.HandlerFunc(rec.handler)})
 
 	var logBuf bytes.Buffer
 	p, err := NewPushSink(PushOptions{
-		URL:          srv.URL,
+		URL:          srvURL,
+		Client:       testClient,
 		FlushSamples: 1 << 20, // nothing flushes before Close
 		MaxAttempts:  1,
 		RetryBase:    time.Millisecond,
@@ -259,11 +257,11 @@ func TestPushSinkCloseCountsAbandonedSamplesAsDrops(t *testing.T) {
 
 func TestPushSinkRetriesThenSucceeds(t *testing.T) {
 	rec := &captureReceiver{failNext: 2}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
+	srvURL := serveTest(t, &http.Server{Handler: http.HandlerFunc(rec.handler)})
 
 	p, err := NewPushSink(PushOptions{
-		URL:          srv.URL,
+		URL:          srvURL,
+		Client:       testClient,
 		FlushSamples: 1,
 		MaxAttempts:  3,
 		RetryBase:    time.Millisecond,
@@ -290,11 +288,11 @@ func TestPushSinkRetriesThenSucceeds(t *testing.T) {
 
 func TestPushSinkKeepsBufferAcrossOutageAndBoundsIt(t *testing.T) {
 	rec := &captureReceiver{failNext: 1 << 30}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
+	srvURL := serveTest(t, &http.Server{Handler: http.HandlerFunc(rec.handler)})
 
 	p, err := NewPushSink(PushOptions{
-		URL:          srv.URL,
+		URL:          srvURL,
+		Client:       testClient,
 		FlushSamples: 4,
 		MaxBuffered:  6,
 		MaxAttempts:  2,
@@ -373,7 +371,7 @@ func TestParsePushSinkSpec(t *testing.T) {
 func TestPushReceiveEndToEnd(t *testing.T) {
 	// Agent B: receiver with a small raw ring so downsampling engages.
 	storeB := NewStore(16, Tier{Resolution: 1, Capacity: 64})
-	b, err := NewHTTPSink("127.0.0.1:0", storeB)
+	b, err := ServeHTTPSink(listenTest(t), storeB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +381,7 @@ func TestPushReceiveEndToEnd(t *testing.T) {
 	// pipeline minus the collectors.
 	push, err := NewPushSink(PushOptions{
 		URL:          "http://" + b.Addr() + "/ingest",
+		Client:       testClient,
 		FlushSamples: 32,
 		RetryBase:    time.Millisecond,
 	})
@@ -459,7 +458,7 @@ func TestPushReceiveEndToEnd(t *testing.T) {
 // the series distinct at the receiver.
 func TestTwoAgentsFanIn(t *testing.T) {
 	storeB := NewStore(64)
-	b, err := NewHTTPSink("127.0.0.1:0", storeB)
+	b, err := ServeHTTPSink(listenTest(t), storeB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,6 +471,7 @@ func TestTwoAgentsFanIn(t *testing.T) {
 			defer wg.Done()
 			p, err := NewPushSink(PushOptions{
 				URL:          "http://" + b.Addr() + "/ingest",
+				Client:       testClient,
 				FlushSamples: 8,
 				RetryBase:    time.Millisecond,
 				Source:       fmt.Sprintf("node%d", agent),
@@ -522,34 +522,34 @@ func TestPushSpecSetsDefaultSource(t *testing.T) {
 }
 
 // ackReceiver accepts every POST the way HTTPSink does — reading the
-// payload, answering with a small JSON body — and counts the TCP
-// connections it accepted.
-func ackReceiver(t *testing.T) (*httptest.Server, *atomic.Int32) {
+// payload, answering with a small JSON body — and counts the
+// connections it accepted.  It returns the receiver's base URL.
+func ackReceiver(t *testing.T) (string, *atomic.Int32) {
 	t.Helper()
 	var conns atomic.Int32
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"accepted":1}`)
-	}))
-	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-		if st == http.StateNew {
-			conns.Add(1)
-		}
+	srv := &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintln(w, `{"accepted":1}`)
+		}),
+		ConnState: func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				conns.Add(1)
+			}
+		},
 	}
-	srv.Start()
-	t.Cleanup(srv.Close)
-	return srv, &conns
+	return serveTest(t, srv), &conns
 }
 
 // TestPushSinkReusesOneConnection is the keep-alive regression: the sink
 // reads the acknowledgement body to EOF before closing it, so sequential
-// flushes ride one TCP connection instead of dialing per POST.
+// flushes ride one connection instead of dialing per POST.
 func TestPushSinkReusesOneConnection(t *testing.T) {
-	srv, conns := ackReceiver(t)
+	srvURL, conns := ackReceiver(t)
 	p, err := NewPushSink(PushOptions{
-		URL: srv.URL, FlushSamples: 1, RetryBase: time.Millisecond,
-		Client: &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second},
+		URL: srvURL, FlushSamples: 1, RetryBase: time.Millisecond,
+		Client: testNet.Client(), // its own pool: the connection count is this sink's alone
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -586,9 +586,9 @@ func TestPushSinkNoSilentLossAtFlushThreshold(t *testing.T) {
 	const total, perBatch = 100000, 500
 	for _, flushSamples := range []int{2048, 4096, 8192} {
 		t.Run(fmt.Sprintf("FlushSamples=%d", flushSamples), func(t *testing.T) {
-			srv, _ := ackReceiver(t)
+			srvURL, _ := ackReceiver(t)
 			p, err := NewPushSink(PushOptions{
-				URL: srv.URL, FlushSamples: flushSamples, Format: WireV4, Source: "agent0",
+				URL: srvURL, Client: testClient, FlushSamples: flushSamples, Format: WireV4, Source: "agent0",
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -624,13 +624,13 @@ func TestPushSinkDropsNonFinite(t *testing.T) {
 	for name, format := range map[string]WireFormat{"json": WireJSON, "v4": WireV4} {
 		t.Run(name, func(t *testing.T) {
 			store := NewStore(16)
-			recv, err := NewHTTPSink("127.0.0.1:0", store)
+			recv, err := ServeHTTPSink(listenTest(t), store)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer recv.Close()
 			p, err := NewPushSink(PushOptions{
-				URL: "http://" + recv.Addr() + "/ingest", FlushSamples: 4,
+				URL: "http://" + recv.Addr() + "/ingest", Client: testClient, FlushSamples: 4,
 				MaxAttempts: 1, RetryBase: time.Millisecond, Format: format,
 			})
 			if err != nil {
@@ -674,13 +674,13 @@ func TestPushSinkDropsUnsendable(t *testing.T) {
 		for name, format := range map[string]WireFormat{"json": WireJSON, "v4": WireV4} {
 			t.Run(reason+"/"+name, func(t *testing.T) {
 				store := NewStore(16)
-				recv, err := NewHTTPSink("127.0.0.1:0", store)
+				recv, err := ServeHTTPSink(listenTest(t), store)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer recv.Close()
 				p, err := NewPushSink(PushOptions{
-					URL: "http://" + recv.Addr() + "/ingest", FlushSamples: 3,
+					URL: "http://" + recv.Addr() + "/ingest", Client: testClient, FlushSamples: 3,
 					MaxAttempts: 1, RetryBase: time.Millisecond, Format: format,
 				})
 				if err != nil {

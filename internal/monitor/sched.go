@@ -66,8 +66,9 @@ func (f *FakeClock) After(d time.Duration) <-chan time.Time {
 	return w.ch
 }
 
-// Advance moves the fake time forward, firing every timer that comes due.
-func (f *FakeClock) Advance(d time.Duration) {
+// Advance moves the fake time forward, firing every timer that comes
+// due, and reports how many it fired.
+func (f *FakeClock) Advance(d time.Duration) int {
 	f.mu.Lock()
 	f.now = f.now.Add(d)
 	now := f.now
@@ -85,6 +86,7 @@ func (f *FakeClock) Advance(d time.Duration) {
 	for _, w := range due {
 		w.ch <- now
 	}
+	return len(due)
 }
 
 // Waiters reports the number of armed timers (test synchronization aid).

@@ -122,8 +122,9 @@ func TestSchedulerErrorBackoff(t *testing.T) {
 		t.Fatalf("after first tick: %d calls, want 1", got)
 	}
 	// 1 s is not enough any more: the timer needs the full 2 s.
-	fc.Advance(time.Second)
-	time.Sleep(5 * time.Millisecond)
+	if fired := fc.Advance(time.Second); fired != 0 {
+		t.Fatalf("backoff ignored: 1s fired %d timers, want 0", fired)
+	}
 	if got := c.calls.Load(); got != 1 {
 		t.Fatalf("backoff ignored: %d calls after 1s, want still 1", got)
 	}
@@ -199,8 +200,9 @@ func TestSchedulerAdaptiveIntervalStretch(t *testing.T) {
 	step(time.Second, 1, "first tick (no baseline yet)")
 	step(time.Second, 2, "second tick (unchanged, stretches to 2s)")
 	// The stretched delay must actually defer the next tick.
-	fc.Advance(time.Second)
-	time.Sleep(5 * time.Millisecond)
+	if fired := fc.Advance(time.Second); fired != 0 {
+		t.Fatalf("stretch ignored: 1s into a 2s delay fired %d timers, want 0", fired)
+	}
 	if got := c.calls.Load(); got != 2 {
 		t.Fatalf("stretch ignored: %d calls 1s into a 2s delay, want still 2", got)
 	}
@@ -280,11 +282,15 @@ func TestSamplesUnchangedEpsilon(t *testing.T) {
 
 // adaptiveStep advances the fake clock by d and checks that the
 // collector has been called want times since the scheduler started.
+// The advance must fire the one timer exactly when a call is due: a
+// tick that is not due must not fire.
 func adaptiveStep(t *testing.T, fc *FakeClock, calls *atomic.Int64, d time.Duration, want int64, what string) {
 	t.Helper()
 	waitForWaiters(t, fc, 1)
-	fc.Advance(d)
-	time.Sleep(5 * time.Millisecond) // a tick that is not due must not fire
+	before := calls.Load()
+	if fired := fc.Advance(d); int64(fired) != want-before {
+		t.Fatalf("%s: the advance fired %d timers, want %d", what, fired, want-before)
+	}
 	waitForWaiters(t, fc, 1)
 	if got := calls.Load(); got != want {
 		t.Fatalf("%s: %d calls, want %d", what, got, want)

@@ -596,7 +596,7 @@ func postIngest4(t *testing.T, base string, body []byte, gzipped bool) (int, str
 	if gzipped {
 		req.Header.Set("Content-Encoding", "gzip")
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,11 +613,10 @@ func postIngest4(t *testing.T, base string, body []byte, gzipped bool) (int, str
 // Content-Type, and the bytes are deterministic.
 func TestPushSinkWireFormatGoldenV4(t *testing.T) {
 	rec := &captureReceiver{}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
+	srvURL := serveTest(t, &http.Server{Handler: http.HandlerFunc(rec.handler)})
 
 	p, err := NewPushSink(PushOptions{
-		URL: srv.URL, FlushSamples: 1 << 20, Source: "nodeA-7",
+		URL: srvURL, Client: testClient, FlushSamples: 1 << 20, Source: "nodeA-7",
 		Format: WireV4, Now: epochClock,
 	})
 	if err != nil {
@@ -649,7 +648,7 @@ func TestPushSinkWireFormatGoldenV4(t *testing.T) {
 func TestV4PushReceiveEndToEnd(t *testing.T) {
 	h, store := newTestHTTPSink(t)
 	p, err := NewPushSink(PushOptions{
-		URL: "http://" + h.Addr() + "/ingest", FlushSamples: 1,
+		URL: "http://" + h.Addr() + "/ingest", Client: testClient, FlushSamples: 1,
 		Source: "agentX", Format: WireV4, Now: epochClock,
 	})
 	if err != nil {

@@ -39,11 +39,10 @@ func wideBatch(tb testing.TB, tick int) Batch {
 // batch-wide columns.
 func TestPushSinkWireFormatGoldenV4Wide(t *testing.T) {
 	rec := &captureReceiver{}
-	srv := httptest.NewServer(http.HandlerFunc(rec.handler))
-	defer srv.Close()
+	srvURL := serveTest(t, &http.Server{Handler: http.HandlerFunc(rec.handler)})
 
 	p, err := NewPushSink(PushOptions{
-		URL: srv.URL, FlushSamples: 1 << 20, Source: "agent0", Format: WireV4,
+		URL: srvURL, Client: testClient, FlushSamples: 1 << 20, Source: "agent0", Format: WireV4,
 		Now: func() time.Time { return time.Unix(1700000000, 250e6) },
 	})
 	if err != nil {

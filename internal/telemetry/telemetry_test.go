@@ -203,13 +203,10 @@ func TestStatusHandler(t *testing.T) {
 	r.Counter("likwid_ingest_rejected_total", "reason", "decode").Add(4)
 	now = now.Add(30 * time.Second)
 
-	srv := httptest.NewServer(StatusHandler(r))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	h := StatusHandler(r)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/status", nil))
+	resp := w.Result()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/status = %d", resp.StatusCode)
 	}
@@ -227,12 +224,9 @@ func TestStatusHandler(t *testing.T) {
 		t.Errorf("metrics = %+v, want the one counter at 4", st.Metrics)
 	}
 
-	post, err := http.Post(srv.URL, "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post.Body.Close()
-	if post.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /status = %d, want 405", post.StatusCode)
+	post := httptest.NewRecorder()
+	h.ServeHTTP(post, httptest.NewRequest(http.MethodPost, "/status", nil))
+	if post.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /status = %d, want 405", post.Code)
 	}
 }
